@@ -1,5 +1,6 @@
 """Command-line surface tests: dispatch, exit codes, stable reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -139,6 +140,19 @@ def test_reports_byte_identical_across_processes():
     b = subprocess.run(args, capture_output=True, text=True, timeout=600)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_small_report_digest_is_pinned():
+    # every suite except `types`; guards the exact bytes of a JSON report
+    proc = subprocess.run(
+        [sys.executable, "-m", "macdunkl.cli", "verify",
+         "--suite", "all", "--nmax", "3", "--degree", "2", "--json"],
+        capture_output=True, timeout=600,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "0c01faf346fb3370c94f970371c00f2e80e8b79f8a531afbaecff82455ff5efe"
+    )
 
 
 def test_config_edge_cases_exit_2():
