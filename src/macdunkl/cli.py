@@ -105,7 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_out=True):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--timings", action="store_true", help="include measured runtimes")
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="include measured runtimes; the cached jet matrix of each "
+            "(n, r, degree, K) is charged to the first jet check that builds it",
+        )
         if with_out:
             p.add_argument("--out", help="write the report to this path")
 
@@ -193,7 +198,7 @@ def _run_verify(args) -> int:
     if args.identity:
         if args.identity not in REGISTRY:
             raise DomainError(f"unknown identity {args.identity!r}")
-        accepted = REGISTRY[args.identity][1]
+        accepted = REGISTRY[args.identity][1].parameters
         params = {
             k: v for k, v in _verify_args_to_params(args).items() if k in accepted
         }

@@ -99,16 +99,8 @@ class Ring:
             return BetaPoly.zero()
         return HJet.zero(self.order)
 
-    def one_scalar(self):
-        if self.kind == "q":
-            return 1
-        if self.kind == "uni":
-            return BetaPoly.one()
-        return HJet.one(self.order)
-
 
 RING_Q = Ring.q()
-RING_B = Ring.uni("b")
 
 
 class MultiPoly:
@@ -183,11 +175,6 @@ class MultiPoly:
             return -1
         return max(sum(k[:n]) for k in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        n = self.n
-        degs = {sum(k[:n]) for k in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_parts(self):
         """Split into {degree: homogeneous MultiPoly}."""
         n = self.n
@@ -204,12 +191,6 @@ class MultiPoly:
             grouped.setdefault(k[:n], []).append((k[n:], c))
         for xk in sorted(grouped, key=_order_key, reverse=True):
             yield xk, self.ring.scalar_from_aux(grouped[xk])
-
-    def coefficient(self, xexps):
-        """Ring scalar multiplying the given x-monomial."""
-        xk = tuple(xexps)
-        pairs = [(k[self.n:], c) for k, c in self.terms.items() if k[: self.n] == xk]
-        return self.ring.scalar_from_aux(pairs)
 
     # -- arithmetic --------------------------------------------------
 
@@ -322,19 +303,6 @@ class MultiPoly:
             e = k[a]
             if e:
                 out[k] = c * e
-        return MultiPoly(self.n, self.ring, out)
-
-    def euler_weighted(self, weights) -> "MultiPoly":
-        """Apply sum_i weights[i] * x_i d/dx_i in one pass."""
-        n = self.n
-        out = {}
-        for k, c in self.terms.items():
-            w = 0
-            for i in range(n):
-                if k[i]:
-                    w += weights[i] * k[i]
-            if w:
-                out[k] = c * w
         return MultiPoly(self.n, self.ring, out)
 
     def permute_vars(self, perm) -> "MultiPoly":

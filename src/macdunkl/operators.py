@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
 from .errors import DomainError, NonSymmetricError
 from .multipoly import (
@@ -33,7 +32,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, qnorm
+from .rings import BetaPoly, HJet, jet_q, jet_t, qnorm
 
 
 # -- operator algebra --------------------------------------------------
@@ -84,17 +83,6 @@ class LinearOperator:
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         return self.compose(other)
 
-    def power(self, m: int) -> "LinearOperator":
-        if m < 0:
-            raise DomainError("negative operator power")
-
-        def fn(f: MultiPoly) -> MultiPoly:
-            for _ in range(m):
-                f = self(f)
-            return f
-
-        return LinearOperator(self.n, self.ring, fn, f"({self.name}^{m})")
-
     def __repr__(self):
         return f"LinearOperator({self.name}, n={self.n})"
 
@@ -108,10 +96,6 @@ def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
 
 def identity_op(n: int, ring: Ring) -> LinearOperator:
     return LinearOperator(n, ring, lambda f: f, "id")
-
-
-def zero_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: MultiPoly.zero(n, ring), "0")
 
 
 def scalar_op(c, n: int, ring: Ring) -> LinearOperator:
@@ -143,21 +127,30 @@ def _subset_perm(subset, n: int):
     return tuple(perm)
 
 
-def _pair_perm(i: int, j: int, n: int):
-    """Permutation with 1 -> i, 2 -> j, remaining variables order-preserving."""
-    rest = [v for v in range(1, n + 1) if v not in (i, j)]
-    perm = [0] * n
-    perm[0] = i - 1
-    perm[1] = j - 1
-    for k, v in enumerate(rest):
-        perm[2 + k] = v - 1
-    return tuple(perm)
+def _subset_sign(subset, n: int) -> int:
+    """Sign of ``_subset_perm(subset, n)``: the parity of the pairs v > w
+    with v in the subset and w outside it."""
+    inv = 0
+    sset = set(subset)
+    for i in subset:
+        inv += sum(1 for j in range(1, i) if j not in sset)
+    return -1 if inv % 2 else 1
 
 
-def _transposition(i: int, j: int, n: int):
-    perm = list(range(n))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return tuple(perm)
+def _alternate_over_subsets(base: MultiPoly, k: int) -> MultiPoly:
+    """Sum of the signed relabelings of base over all k-subsets, divided by
+    the full Vandermonde product in one exact division.
+
+    base is the numerator of the canonical subset {1..k} over the
+    Vandermonde product; the sign relating each subset's relabeling to the
+    full product is the sign of the relabeling permutation.
+    """
+    n = base.n
+    total = MultiPoly.zero(n, base.ring)
+    for subset in combinations(range(1, n + 1), k):
+        piece = base.permute_vars(_subset_perm(subset, n))
+        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
+    return exact_div(total, vandermonde(n, base.ring))
 
 
 def _require_symmetric(f: MultiPoly, opname: str):
@@ -238,24 +231,28 @@ def qshift_apply(i: int, qval, f: MultiPoly) -> MultiPoly:
     """Substitute x_i -> q x_i: scale each monomial by qval^(x_i exponent)."""
     if not 1 <= i <= f.n:
         raise DomainError("shift index out of range")
-    by_exp = {}
+    return _shift_subset(f, (i,), qval)
+
+
+def _shift_subset(f: MultiPoly, subset, qval) -> MultiPoly:
+    """Apply the q-shift in every variable of the subset."""
+    n, ring = f.n, f.ring
+    powers = {}
+    idx = [i - 1 for i in subset]
     for k, c in f.terms.items():
-        by_exp.setdefault(k[i - 1], {})[k] = c
-    out = MultiPoly.zero(f.n, f.ring)
-    for e, terms in sorted(by_exp.items()):
-        piece = MultiPoly(f.n, f.ring, terms)
-        out = out + (piece if e == 0 else piece.scale(_ring_power(qval, e, f.ring)))
-    return out
+        e = sum(k[i] for i in idx)
+        powers.setdefault(e, {})[k] = c
+    acc = MultiPoly.zero(n, ring)
+    for e, terms in sorted(powers.items()):
+        piece = MultiPoly(n, ring, terms)
+        acc = acc + (piece if e == 0 else piece.scale(_ring_power(qval, e, ring)))
+    return acc
 
 
 def _ring_power(val, e: int, ring: Ring):
     if isinstance(val, (int, Fraction)):
         return qnorm(Fraction(val) ** e)
     return val**e
-
-
-def qshift_op(i: int, qval, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: qshift_apply(i, qval, f), f"T[q,x{i}]")
 
 
 # -- Dunkl operators ----------------------------------------------------
@@ -280,10 +277,6 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
         if j != i:
             acc = acc + _dd_swap(f, i, j)
     return out + acc.scale(beta_scalar(f.ring))
-
-
-def dunkl_op(i: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: dunkl_apply(i, f), f"d{i}")
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
@@ -378,7 +371,7 @@ def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
     )
     out = MultiPoly.zero(n, ring)
     for i, j in combinations(range(1, n + 1), 2):
-        out = out + unit.permute_vars(_pair_perm(i, j, n))
+        out = out + unit.permute_vars(_subset_perm((i, j), n))
     return out
 
 
@@ -404,7 +397,7 @@ def reflection_square_apply(f: MultiPoly) -> MultiPoly:
         term1 = term1 + _dd_swap(g, 1, j)
     out = term1
     for i in range(2, n + 1):
-        out = out + term1.permute_vars(_transposition(1, i, n))
+        out = out + term1.swap(1, i)
     return out
 
 
@@ -424,30 +417,6 @@ def _cross_product(n: int, ring: Ring, subset, tval) -> MultiPoly:
         for j in comp:
             out = out * (txi - MultiPoly.variable(j, n, ring))
     return out
-
-
-def _shift_subset(f: MultiPoly, subset, qval) -> MultiPoly:
-    """Apply the q-shift in every variable of the subset."""
-    n, ring = f.n, f.ring
-    powers = {}
-    out = {}
-    idx = [i - 1 for i in subset]
-    for k, c in f.terms.items():
-        e = sum(k[i] for i in idx)
-        powers.setdefault(e, {})[k] = c
-    acc = MultiPoly.zero(n, ring)
-    for e, terms in sorted(powers.items()):
-        piece = MultiPoly(n, ring, terms)
-        acc = acc + (piece if e == 0 else piece.scale(_ring_power(qval, e, ring)))
-    return acc
-
-
-def _subset_sign(subset, n: int) -> int:
-    inv = 0
-    sset = set(subset)
-    for i in subset:
-        inv += sum(1 for j in range(1, i) if j not in sset)
-    return -1 if inv % 2 else 1
 
 
 def macdonald_apply(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
@@ -471,13 +440,7 @@ def macdonald_apply(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
         * vandermonde(n, ring, comp0)
         * _shift_subset(f, subset0, qval)
     )
-    total = MultiPoly.zero(n, ring)
-    for subset in combinations(range(1, n + 1), r):
-        piece = base.permute_vars(_subset_perm(subset, n))
-        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
-    quot = exact_div(total, vandermonde(n, ring))
-    pref = _ring_power(tval, r * (r - 1) // 2, ring)
-    return quot.scale(pref)
+    return _alternate_over_subsets(base, r).scale(_ring_power(tval, r * (r - 1) // 2, ring))
 
 
 def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
@@ -504,21 +467,10 @@ def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     )
 
 
-def _jet_q_scalar(order: int) -> HJet:
-    return HJet(order, [Fraction(1, factorial(k)) for k in range(order + 1)])
-
-
-def _jet_t_scalar(order: int) -> HJet:
-    return HJet(
-        order,
-        [BetaPoly.term(Fraction(1, factorial(k)), k) for k in range(order + 1)],
-    )
-
-
 def macdonald_jet(n: int, r: int, order: int = 4) -> LinearOperator:
     ring = Ring.jet(order)
-    q = _jet_q_scalar(order)
-    t = _jet_t_scalar(order)
+    q = jet_q(order)
+    t = jet_t(order)
     return LinearOperator(
         n, ring, lambda f: macdonald_apply(n, r, q, t, f), f"D[{n},{r}](jet{order})"
     )
@@ -540,11 +492,7 @@ def macdonald_scalar_part(n: int, r: int) -> MultiPoly:
         * vandermonde(n, ring, subset0)
         * vandermonde(n, ring, comp0)
     )
-    total = MultiPoly.zero(n, ring)
-    for subset in combinations(range(1, n + 1), r):
-        piece = base.permute_vars(_subset_perm(subset, n))
-        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
-    return exact_div(total, vandermonde(n, ring))
+    return _alternate_over_subsets(base, r)
 
 
 # -- matrices -------------------------------------------------------------

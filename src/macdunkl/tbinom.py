@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InexactDivisionError
-from .rings import BetaPoly, HJet, binom, jet_exp, qnorm
+from .rings import BetaPoly, HJet, binom, jet_exp, jet_t, qnorm
 
 
 class TPoly:
@@ -91,32 +91,32 @@ class TPoly:
                     out[i + j] += a * b
         return TPoly(out)
 
-    def exact_divide(self, other: "TPoly") -> "TPoly":
-        """Exact quotient; raises InexactDivisionError otherwise."""
+    def divmod(self, other: "TPoly") -> tuple["TPoly", "TPoly"]:
+        """Quotient and remainder of long division by a nonzero polynomial."""
         if not other.coeffs:
             raise DomainError("division by the zero polynomial")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if not rem:
-            return TPoly()
-        if dq < 0:
-            raise InexactDivisionError("degree too small for exact division", self)
         lead = other.coeffs[-1]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
+        quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
+        for k in range(len(quot) - 1, -1, -1):
             c = rem[k + len(other.coeffs) - 1]
             q = c if lead == 1 else qnorm(Fraction(c) / Fraction(lead))
             quot[k] = q
             if q:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= q * b
-        if any(rem):
-            raise InexactDivisionError("inexact t-polynomial division", TPoly(rem))
-        return TPoly(quot)
+        return TPoly(quot), TPoly(rem)
+
+    def exact_divide(self, other: "TPoly") -> "TPoly":
+        """Exact quotient; raises InexactDivisionError otherwise."""
+        quot, rem = self.divmod(other)
+        if rem:
+            raise InexactDivisionError("inexact t-polynomial division", rem)
+        return quot
 
     def substitute_jet(self, order: int) -> HJet:
         """Substitute t = exp(b*h), truncated at the given h order."""
-        t = jet_exp(HJet.single(1, BetaPoly.var(), order))
+        t = jet_t(order)
         out = HJet.zero(order)
         powers = HJet.one(order)
         for k, c in enumerate(self.coeffs):

@@ -33,69 +33,36 @@ from ..operators import (
     reflection_square_op,
 )
 from ..rings import BetaPoly, binom_ff
-from ..tbinom import scaled_taylor_coeff_closed
+from ..tbinom import TPoly, scaled_taylor_coeff_closed
 
 RB = Ring.uni("b")
 
 
-# -- polynomials in n over Q (internal, tiny) ---------------------------
+# -- polynomials in n over Q, as TPoly values ---------------------------
 
 
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _ptrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pdivmod(a, b):
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        q[k] = c
-        if c:
-            for j, y in enumerate(b):
-                a[k + j] -= c * y
-    return q, _ptrim(a)
-
-
-def _pgcd(a, b):
-    a, b = list(a), list(b)
+def _gcd(a: TPoly, b: TPoly) -> TPoly:
+    """Monic greatest common divisor of two polynomials, a nonzero."""
     while b:
-        _, rem = _pdivmod(a, b)
-        a, b = b, rem
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [x * inv for x in a]
-    return a or [Fraction(1)]
+        a, b = b, a.divmod(b)[1]
+    return TPoly([Fraction(c) / a.coeffs[-1] for c in a.coeffs])
 
 
-def _peval(a, n):
+def _value(a: TPoly, n: int) -> Fraction:
     acc = Fraction(0)
-    for c in reversed(a):
+    for c in reversed(a.coeffs):
         acc = acc * n + c
     return acc
 
 
-def _binom_npoly(a_shift: int, k: int):
+def _binom_npoly(a_shift: int, k: int) -> TPoly:
     """binom_ff(n + a_shift, k) as a polynomial in n; zero when k < 0."""
     if k < 0:
-        return []
-    out = [Fraction(1)]
+        return TPoly()
+    out = TPoly((Fraction(1, factorial(k)),))
     for t in range(k):
-        out = _pmul(out, [Fraction(a_shift - t), Fraction(1)])
-    return _pmul(out, [Fraction(1, factorial(k))])
+        out = out * TPoly((a_shift - t, 1))
+    return out
 
 
 class CoeffForm:
@@ -112,25 +79,25 @@ class CoeffForm:
     def evaluate(self, n: int, r: int):
         """Exact value, or None when the reduced denominator is singular."""
         cval = self.const(r) if callable(self.const) else self.const
-        num = [Fraction(cval)]
+        num = TPoly((cval,))
         for a, b in self.binoms:
-            num = _pmul(num, _binom_npoly(a, r + b))
+            num = num * _binom_npoly(a, r + b)
         for fac in self.num:
-            num = _pmul(num, [Fraction(c) for c in fac(r)])
-        den = [Fraction(1)]
+            num = num * TPoly(fac(r))
+        den = TPoly.one()
         for fac in self.den:
-            den = _pmul(den, [Fraction(c) for c in fac(r)])
+            den = den * TPoly(fac(r))
         if not den:
             return None
         if num:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-        dval = _peval(den, n)
+            g = _gcd(num, den)
+            if g.degree() > 0:
+                num = num.exact_divide(g)
+                den = den.exact_divide(g)
+        dval = _value(den, n)
         if not dval:
             return None
-        return _peval(num, n) / dval
+        return _value(num, n) / dval
 
 
 def lin(cn=0, cr=0, c0=0):

@@ -9,10 +9,12 @@ recorded in every verdict's parameter map.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from ..errors import DomainError
@@ -33,7 +35,7 @@ from ..operators import (
     qshift_apply,
     scalar_op,
 )
-from ..rings import BetaPoly, HJet
+from ..rings import BetaPoly, HJet, jet_q
 from ..tbinom import (
     scaled_t_binomial_jet,
     scaled_taylor_coeff_closed,
@@ -210,15 +212,15 @@ def check_beta2_h3(n: int, degree: int = 4) -> Verdict:
 # -- order matching --------------------------------------------------------
 
 
-def check_ord_matches(k: int, n: int, r: int, degree: int = 4, order: int = 4) -> Verdict:
+def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4) -> Verdict:
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    got = extract_order(n, r, k, degree, order)
+    got = extract_order(n, r, k, degree, K)
     name = {1: "ord1", 2: "ord2", 3: "ord3_dunkl"}[k]
     closed = operator_matrix(closedforms.build_closed_form(name, n, r), basis)
     return _verdict(
         f"ord{k}_matches",
-        {"n": n, "r": r, "degree": degree, "K": order},
+        {"n": n, "r": r, "degree": degree, "K": K},
         _matrix_residual(got, closed),
         t0,
     )
@@ -237,28 +239,28 @@ def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4) -> Verdict:
     )
 
 
-def check_ord3_display(r: int, n: int, degree: int = 4, order: int = 4) -> Verdict:
+def check_ord3_display(r: int, n: int, degree: int = 4, K: int = 4) -> Verdict:
     t0 = time.monotonic()
     if r not in (1, 2):
         raise DomainError("printed specializations exist for r = 1, 2")
     basis = _basis(degree, n)
-    got = extract_order(n, r, 3, degree, order)
+    got = extract_order(n, r, 3, degree, K)
     disp = operator_matrix(
         closedforms.build_closed_form(f"ord3_display_r{r}", n, r), basis
     )
     return _verdict(
         f"ord3_display_r{r}",
-        {"n": n, "r": r, "degree": degree, "K": order},
+        {"n": n, "r": r, "degree": degree, "K": K},
         _matrix_residual(got, disp),
         t0,
     )
 
 
-def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, order: int = 4) -> Verdict:
+def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4) -> Verdict:
     """The b^j slice of the h^3 matrix against the slice closed form."""
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    got = extract_order(n, r, 3, degree, order).beta_slice(j)
+    got = extract_order(n, r, 3, degree, K).beta_slice(j)
     if j == 3:
         scalar = closedforms.third_order_scalar(n, r)
         closed = operator_matrix(scalar_op(scalar, n, RQ), basis)
@@ -273,20 +275,20 @@ def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, order: int = 4) -> 
         raise DomainError("slice index must be 0..3")
     return _verdict(
         f"ord5_beta{j}",
-        {"n": n, "r": r, "degree": degree, "K": order},
+        {"n": n, "r": r, "degree": degree, "K": K},
         _matrix_residual(got, closed),
         t0,
     )
 
 
-def check_dn1_h4(n: int, degree: int = 4, order: int = 4) -> Verdict:
+def check_dn1_h4(n: int, degree: int = 4, K: int = 4) -> Verdict:
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    got = extract_order(n, 1, 4, degree, order)
+    got = extract_order(n, 1, 4, degree, K)
     closed = operator_matrix(closedforms.build_closed_form("dn1_h4", n, 1), basis)
     return _verdict(
         "dn1_h4_matches",
-        {"n": n, "r": 1, "degree": degree, "K": order},
+        {"n": n, "r": 1, "degree": degree, "K": K},
         _matrix_residual(got, closed),
         t0,
     )
@@ -369,16 +371,16 @@ def check_macdonald_commutator(
 
 
 def check_orderwise_commutator(
-    n: int, r: int, s: int, i: int, j: int, degree: int = 4, order: int = 4
+    n: int, r: int, s: int, i: int, j: int, degree: int = 4, K: int = 4
 ) -> Verdict:
     t0 = time.monotonic()
-    a = extract_order(n, r, i, degree, order)
-    b = extract_order(n, s, j, degree, order)
+    a = extract_order(n, r, i, degree, K)
+    b = extract_order(n, s, j, degree, K)
     comm = a.commutator_with(b)
     zero = OperatorMatrix(n, RB, a.basis, {})
     return _verdict(
         "orderwise_commutator",
-        {"n": n, "r": r, "s": s, "i": i, "j": j, "degree": degree, "K": order},
+        {"n": n, "r": r, "s": s, "i": i, "j": j, "degree": degree, "K": K},
         _matrix_residual(comm, zero, "commutator"),
         t0,
     )
@@ -395,12 +397,12 @@ def _random_poly(n: int, rng: random.Random, ring: Ring, terms=4, maxdeg=3):
     return f
 
 
-def check_eq1_shift_form(n: int, order: int = 4, seed: int = 0, trials: int = 3) -> Verdict:
+def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3) -> Verdict:
     """Jet q-shift by monomial scaling against the truncated sum of Euler
     derivative powers; the two must agree on arbitrary polynomials."""
     t0 = time.monotonic()
-    ring = Ring.jet(order)
-    qjet = HJet(order, [Fraction(1, factorial(k)) for k in range(order + 1)])
+    ring = Ring.jet(K)
+    qjet = jet_q(K)
     rng = random.Random(f"{seed}:eq1:{n}")
     residual = None
     for _ in range(trials):
@@ -409,60 +411,44 @@ def check_eq1_shift_form(n: int, order: int = 4, seed: int = 0, trials: int = 3)
             lhs = qshift_apply(i, qjet, f)
             rhs = MultiPoly.zero(n, ring)
             g = f
-            for k in range(order + 1):
+            for k in range(K + 1):
                 if k:
                     g = g.euler(i)
-                rhs = rhs + g.scale(HJet.single(k, Fraction(1, factorial(k)), order))
+                rhs = rhs + g.scale(HJet.single(k, Fraction(1, factorial(k)), K))
             residual = _poly_residual(lhs - rhs)
             if residual is not None:
                 break
         if residual is not None:
             break
     return _verdict(
-        "eq1_shift_form", {"n": n, "K": order, "seed": seed, "trials": trials}, residual, t0
+        "eq1_shift_form", {"n": n, "K": K, "seed": seed, "trials": trials}, residual, t0
     )
 
 
 # -- registry -----------------------------------------------------------------
 
-REGISTRY = {
-    "scalar_part": (check_scalar_part, ("n", "r")),
-    "tbinom_taylor": (check_tbinom_taylor, ("n", "r", "k")),
-    "tbinom_taylor_scaled": (check_tbinom_taylor_scaled, ("n", "r", "k")),
-    "tbinom_h4_scaling": (check_tbinom_h4_scaling, ("n", "r")),
-    "tbinom_product_vs_recurrence": (check_tbinom_product_vs_recurrence, ("n", "r")),
-    "h_explicit_1": (lambda n, degree=4: check_h_explicit(1, n, degree), ("n", "degree")),
-    "h_explicit_2": (lambda n, degree=4: check_h_explicit(2, n, degree), ("n", "degree")),
-    "h_explicit_3": (lambda n, degree=4: check_h_explicit(3, n, degree), ("n", "degree")),
-    "beta2_h3": (check_beta2_h3, ("n", "degree")),
-    "ord1_matches": (lambda n, r, degree=4, K=4: check_ord_matches(1, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord2_matches": (lambda n, r, degree=4, K=4: check_ord_matches(2, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord3_matches": (lambda n, r, degree=4, K=4: check_ord_matches(3, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord3_raw_eq_dunkl": (check_ord3_raw_eq_dunkl, ("n", "r", "degree")),
-    "ord3_display_r1": (lambda n, degree=4, K=4: check_ord3_display(1, n, degree, K), ("n", "degree", "K")),
-    "ord3_display_r2": (lambda n, degree=4, K=4: check_ord3_display(2, n, degree, K), ("n", "degree", "K")),
-    "ord5_beta0": (lambda n, r, degree=4, K=4: check_ord5_beta(0, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord5_beta1": (lambda n, r, degree=4, K=4: check_ord5_beta(1, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord5_beta2": (lambda n, r, degree=4, K=4: check_ord5_beta(2, n, r, degree, K), ("n", "r", "degree", "K")),
-    "ord5_beta3": (lambda n, r, degree=4, K=4: check_ord5_beta(3, n, r, degree, K), ("n", "r", "degree", "K")),
-    "dn1_h4_matches": (lambda n, degree=4, K=4: check_dn1_h4(n, degree, K), ("n", "degree", "K")),
-    "type1_matches": (lambda n, r, degree=3: check_type_matches(1, n, r, degree), ("n", "r", "degree")),
-    "type2_matches": (lambda n, r, degree=3: check_type_matches(2, n, r, degree), ("n", "r", "degree")),
-    "type3_matches": (lambda n, r, degree=3: check_type_matches(3, n, r, degree), ("n", "r", "degree")),
-    "type4_matches": (lambda n, r, degree=3: check_type_matches(4, n, r, degree), ("n", "r", "degree")),
-    "type5_matches": (lambda n, r, degree=3: check_type_matches(5, n, r, degree), ("n", "r", "degree")),
-    "type6_matches": (lambda n, r, degree=3: check_type_matches(6, n, r, degree), ("n", "r", "degree")),
-    "h_commutator": (check_h_commutator, ("n", "i", "j", "degree")),
-    "macdonald_commutator": (check_macdonald_commutator, ("n", "r", "s", "seed", "degree")),
-    "orderwise_commutator": (
-        lambda n, r, s, i, j, degree=4, K=4: check_orderwise_commutator(n, r, s, i, j, degree, K),
-        ("n", "r", "s", "i", "j", "degree", "K"),
-    ),
-    "eq1_shift_form": (
-        lambda n, K=4, seed=0, trials=3: check_eq1_shift_form(n, K, seed, trials),
-        ("n", "K", "seed", "trials"),
-    ),
+_CHECKS = {
+    "scalar_part": check_scalar_part,
+    "tbinom_taylor": check_tbinom_taylor,
+    "tbinom_taylor_scaled": check_tbinom_taylor_scaled,
+    "tbinom_h4_scaling": check_tbinom_h4_scaling,
+    "tbinom_product_vs_recurrence": check_tbinom_product_vs_recurrence,
+    **{f"h_explicit_{k}": partial(check_h_explicit, k) for k in (1, 2, 3)},
+    "beta2_h3": check_beta2_h3,
+    **{f"ord{k}_matches": partial(check_ord_matches, k) for k in (1, 2, 3)},
+    "ord3_raw_eq_dunkl": check_ord3_raw_eq_dunkl,
+    **{f"ord3_display_r{r}": partial(check_ord3_display, r) for r in (1, 2)},
+    **{f"ord5_beta{j}": partial(check_ord5_beta, j) for j in range(4)},
+    "dn1_h4_matches": check_dn1_h4,
+    **{f"type{tid}_matches": partial(check_type_matches, tid) for tid in range(1, 7)},
+    "h_commutator": check_h_commutator,
+    "macdonald_commutator": check_macdonald_commutator,
+    "orderwise_commutator": check_orderwise_commutator,
+    "eq1_shift_form": check_eq1_shift_form,
 }
+
+# name -> (check, its signature, which names the accepted parameters)
+REGISTRY = {name: (fn, inspect.signature(fn)) for name, fn in _CHECKS.items()}
 
 
 def registry_names():
@@ -472,14 +458,12 @@ def registry_names():
 def verify_identity(name: str, **params) -> Verdict:
     if name not in REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
-    fn, accepted = REGISTRY[name]
-    unknown = set(params) - set(accepted)
-    if unknown:
-        raise DomainError(f"{name} does not accept parameters {sorted(unknown)}")
+    fn, sig = REGISTRY[name]
     try:
-        return fn(**params)
-    except TypeError:
-        raise DomainError(f"{name} needs parameters {accepted}, got {sorted(params)}")
+        sig.bind(**params)
+    except TypeError as exc:
+        raise DomainError(f"{name} takes {tuple(sig.parameters)}: {exc}") from None
+    return fn(**params)
 
 
 # -- suites ------------------------------------------------------------------

@@ -39,6 +39,8 @@ def jack_solve(n: int, max_degree: int, beta_value):
     Raises DegenerateSpectrumError when two partitions of the same weight
     share an H_2 eigenvalue at beta_value.
     """
+    if n < 1:
+        raise DomainError("n must be at least 1")
     if max_degree < 1:
         raise DomainError("max_degree must be at least 1")
     beta_value = Fraction(beta_value)

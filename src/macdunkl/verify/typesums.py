@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 
 from ..errors import DomainError, NonSymmetricError
 from ..multipoly import MultiPoly, Ring, exact_div, symmetry_violation, vandermonde
-from ..operators import LinearOperator, _subset_perm, b_op, l_op
+from ..operators import LinearOperator, _alternate_over_subsets, _subset_perm, b_op, l_op
 from ..rings import binom
 
 RQ = Ring.q()
@@ -134,15 +134,6 @@ def _pad(f: MultiPoly, n: int) -> MultiPoly:
     return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     a, b = TYPE_SHAPE[tid]
     m = a + b
@@ -160,15 +151,8 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
             eu = f.euler(u)
             if eu:
                 g0 = g0 + cu * eu
-    vn = vandermonde(n, RQ)
-    q0 = exact_div(vn, _pad(vandermonde(m, RQ), n))
-    h0 = g0 * q0
-    acc = MultiPoly.zero(n, f.ring)
-    for sup in combinations(range(1, n + 1), m):
-        perm = _subset_perm(sup, n)
-        piece = h0.permute_vars(perm)
-        acc = acc + (piece if _perm_sign(perm) == 1 else -piece)
-    return exact_div(acc, vn)
+    q0 = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
+    return _alternate_over_subsets(g0 * q0, m)
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

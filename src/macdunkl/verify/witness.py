@@ -60,6 +60,10 @@ def noncommutativity_witness(
     """First commutator failure on the grid i in 4..order_max, j in {2, 3}."""
     if order_max < 4:
         raise DomainError("the search needs order_max >= 4")
+    if basis_degree < 1:
+        raise DomainError("degree must be at least 1")
+    if n_max < 2:
+        raise DomainError("the search needs n_max >= 2")
     if jet_order is None:
         jet_order = order_max
     if jet_order < order_max:

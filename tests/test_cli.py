@@ -161,6 +161,10 @@ def test_config_edge_cases_exit_2():
     assert run_cli("expand", "--n", "2", "--r", "1", "--order", "5", "--K", "4")[0] == 2
     assert run_cli("tbinom", "--n", "2", "--r", "3")[0] == 2
     assert run_cli("witness", "--nmax", "2", "--order-max", "3")[0] == 2
+    assert run_cli("witness", "--degree", "0", "--json")[0] == 2
+    assert run_cli("witness", "--nmax", "1", "--json")[0] == 2
+    assert run_cli("jack", "--n", "0")[0] == 2
+    assert run_cli("jack", "--n", "-1")[0] == 2
 
 
 def test_out_flag(tmp_path):

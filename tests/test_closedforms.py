@@ -8,9 +8,13 @@ from macdunkl import BetaPoly, MultiPoly, Ring, monomial_symmetric
 from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import extract_order, h_op, operator_matrix
+from macdunkl.rings import binom_ff
+from macdunkl.tbinom import TPoly
 from macdunkl.verify.closedforms import (
     CoeffForm,
     X_FORMS,
+    _binom_npoly,
+    _gcd,
     build_closed_form,
     coeff_x,
     lin,
@@ -38,6 +42,34 @@ def test_coeff_x_top_rank():
     # fixed r, reduced as a rational function of n: at r = n = 2 the
     # binomial factor is the constant polynomial 1 and n-2r = -2
     assert coeff_x(2, 2) == -2
+
+
+def test_coeff_x_stays_exact():
+    for n in range(2, 9):
+        for r in range(1, n + 1):
+            assert type(coeff_x(n, r)) is Fraction
+
+
+def test_gcd_of_polynomials_in_n():
+    # (n-1)(n-2) and (n-2)(n+3) share n-2; the gcd is monic
+    assert _gcd(TPoly((2, -3, 1)), TPoly((-6, 1, 1))) == TPoly((-2, 1))
+    # 2(n-2)(n+1) and 3(n-2)
+    assert _gcd(TPoly((-4, -2, 2)), TPoly((-6, 3))) == TPoly((-2, 1))
+    # coprime
+    assert _gcd(TPoly((1, 1)), TPoly((1, 0, 1))) == TPoly.one()
+    g = _gcd(TPoly((2, -3, 1)), TPoly((-6, 1, 1)))
+    assert TPoly((2, -3, 1)).exact_divide(g) == TPoly((-1, 1))
+
+
+def test_binom_npoly_is_the_falling_factorial():
+    for a in range(-3, 2):
+        for k in range(-1, 5):
+            p = _binom_npoly(a, k)
+            for n in range(0, 9):
+                value = Fraction(0)
+                for c in reversed(p.coeffs):
+                    value = value * n + c
+                assert value == binom_ff(n + a, k), (a, k, n)
 
 
 def test_safe_coeff_singular_everywhere():

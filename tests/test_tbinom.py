@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from macdunkl import BetaPoly, DomainError, binom
+from macdunkl import BetaPoly, DomainError, InexactDivisionError, binom
 from macdunkl.rings import jet_exp, HJet
 from macdunkl.tbinom import (
     TPoly,
@@ -23,6 +23,35 @@ def test_tbinom_2_1():
 
 def test_tbinom_4_2():
     assert t_binomial(4, 2) == TPoly((1, 1, 2, 1, 1))
+
+
+def test_divmod_hand_worked_remainder():
+    # t^3 + 2t + 5 = (t^2 - t + 3)(t + 1) + 2
+    assert TPoly((5, 2, 0, 1)).divmod(TPoly((1, 1))) == (TPoly((3, -1, 1)), TPoly((2,)))
+    # t^3 = (t/2)(2t^2 + 1) - t/2: a non-monic divisor leaves exact fractions
+    quot, rem = TPoly((0, 0, 0, 1)).divmod(TPoly((1, 0, 2)))
+    assert quot == TPoly((0, Fraction(1, 2)))
+    assert rem == TPoly((0, Fraction(-1, 2)))
+    # a dividend of lower degree is all remainder
+    assert TPoly((1,)).divmod(TPoly((0, 1))) == (TPoly(), TPoly((1,)))
+    with pytest.raises(DomainError):
+        TPoly((1,)).divmod(TPoly())
+
+
+def test_divmod_agrees_with_exact_divide():
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            den = t_binomial(n - 1, r - 1)
+            num = t_binomial(n, r) * den
+            assert num.divmod(den) == (num.exact_divide(den), TPoly())
+            shifted = num + TPoly.one()
+            quot, rem = shifted.divmod(den)
+            assert quot * den + rem == shifted
+            assert rem.degree() < den.degree()
+            if rem:
+                with pytest.raises(InexactDivisionError) as info:
+                    shifted.exact_divide(den)
+                assert info.value.remainder == rem
 
 
 def test_tbinom_out_of_range():

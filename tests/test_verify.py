@@ -66,7 +66,7 @@ def test_h4_scaling_records_half_exponent():
 def test_order4_commutator_fails_honestly():
     """The order-4 coefficient does not commute with the order-2 one at
     n = 2; the verdict must expose the exact residual."""
-    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=4, order=4)
+    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=4, K=4)
     assert not v.passed
     assert v.residual["kind"] == "matrix"
     cells = v.residual["cells"]
@@ -97,7 +97,7 @@ def test_report_formats():
 
 
 def test_failing_report_embeds_residual():
-    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=2, order=4)
+    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=2, K=4)
     js = emit_report([v], "json")
     assert '"status": "fail"' in js
     assert '"kind": "matrix"' in js
