@@ -18,7 +18,6 @@ from .multipoly import (
     Ring,
     dominates,
     exact_div,
-    from_msym_coords,
     is_symmetric,
     monomial_symmetric,
     partitions_of,
@@ -29,7 +28,6 @@ from .multipoly import (
 from .operators import (
     LinearOperator,
     OperatorMatrix,
-    commutator,
     dunkl_apply,
     extract_order,
     h_op_apply,
@@ -53,7 +51,6 @@ __all__ = [
     "jet_exp",
     "jet_q",
     "jet_t",
-    "commutator",
     "dunkl_apply",
     "h_op_apply",
     "extract_order",
@@ -64,7 +61,6 @@ __all__ = [
     "exact_div",
     "monomial_symmetric",
     "to_msym_coords",
-    "from_msym_coords",
     "partitions_of",
     "partitions_upto",
     "dominates",

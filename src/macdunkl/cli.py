@@ -125,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, help="h order or closed-coefficient index")
     v.add_argument("--nmax", type=int, help="cap the suite grid at this n")
     v.add_argument("--degree", type=int, help="basis weight window (default 4)")
-    v.add_argument("--K", type=int, default=4, help="jet truncation order (default 4)")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--K", type=int, help="jet truncation order (default 4)")
+    v.add_argument("--seed", type=int, help="default 0")
     common(v)
 
     e = sub.add_parser("expand", help="print one h-expansion coefficient matrix")
@@ -165,13 +165,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_args_to_params(args) -> dict:
+    """The identity parameters given on the command line."""
     params = {}
-    for key in ("n", "r", "s", "i", "j", "k", "seed", "degree"):
-        val = getattr(args, key, None)
+    for key in ("n", "r", "s", "i", "j", "k", "seed", "degree", "K", "nmax"):
+        val = getattr(args, key)
         if val is not None:
             params[key] = val
-    if args.K is not None:
-        params["K"] = args.K
     return params
 
 
@@ -194,14 +193,20 @@ def _validate_common(args):
 def _run_verify(args) -> int:
     if bool(args.identity) == bool(args.suite):
         raise DomainError("give exactly one of --identity or --suite")
+    # --K and --seed default to None so that only flags given explicitly
+    # count as parameters of an identity
+    params = _verify_args_to_params(args)
+    args.K = params.get("K", 4)
+    args.seed = params.get("seed", 0)
     _validate_common(args)
     if args.identity:
         if args.identity not in REGISTRY:
             raise DomainError(f"unknown identity {args.identity!r}")
         accepted = REGISTRY[args.identity][1].parameters
-        params = {
-            k: v for k, v in _verify_args_to_params(args).items() if k in accepted
-        }
+        refused = [k for k in params if k not in accepted]
+        if refused:
+            flags = ", ".join(f"--{k}" for k in refused)
+            raise DomainError(f"{args.identity} does not take {flags}")
         verdicts = [verify_identity(args.identity, **params)]
     else:
         if args.suite != "all" and args.suite not in SUITES:

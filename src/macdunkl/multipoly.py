@@ -491,13 +491,6 @@ def to_msym_coords(f: MultiPoly):
     return {lam: f.ring.scalar_from_aux(pairs) for lam, pairs in grouped.items()}
 
 
-def from_msym_coords(coords, n: int, ring: Ring = RING_Q) -> MultiPoly:
-    out = MultiPoly.zero(n, ring)
-    for lam, scalar in coords.items():
-        out = out + monomial_symmetric(lam, n, ring).scale(scalar)
-    return out
-
-
 # -- partitions ------------------------------------------------------
 
 

@@ -35,71 +35,23 @@ from .multipoly import (
 from .rings import BetaPoly, HJet, jet_q, jet_t, qnorm
 
 
-# -- operator algebra --------------------------------------------------
+# -- operators ----------------------------------------------------------
 
 
 class LinearOperator:
-    """A composable linear map on MultiPoly over a fixed (n, ring) space."""
+    """A linear map on MultiPoly over a fixed (n, ring) space."""
 
-    __slots__ = ("n", "ring", "fn", "name")
+    __slots__ = ("n", "ring", "fn")
 
-    def __init__(self, n: int, ring: Ring, fn, name: str = "op"):
+    def __init__(self, n: int, ring: Ring, fn):
         self.n = n
         self.ring = ring
         self.fn = fn
-        self.name = name
 
     def __call__(self, f: MultiPoly) -> MultiPoly:
         if f.n != self.n or f.ring != self.ring:
-            raise DomainError(f"operator {self.name} got a polynomial over a different space")
+            raise DomainError("operator got a polynomial over a different space")
         return self.fn(f)
-
-    def _compat(self, other: "LinearOperator"):
-        if self.n != other.n or self.ring != other.ring:
-            raise DomainError("operators over different spaces cannot be combined")
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._compat(other)
-        return LinearOperator(
-            self.n, self.ring, lambda f: self(f) + other(f), f"({self.name} + {other.name})"
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._compat(other)
-        return LinearOperator(
-            self.n, self.ring, lambda f: self(f) - other(f), f"({self.name} - {other.name})"
-        )
-
-    def scale(self, c) -> "LinearOperator":
-        return LinearOperator(self.n, self.ring, lambda f: self(f).scale(c), f"(c*{self.name})")
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """self after other: (self @ other)(f) = self(other(f))."""
-        self._compat(other)
-        return LinearOperator(
-            self.n, self.ring, lambda f: self(other(f)), f"({self.name} . {other.name})"
-        )
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return self.compose(other)
-
-    def __repr__(self):
-        return f"LinearOperator({self.name}, n={self.n})"
-
-
-def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    a._compat(b)
-    return LinearOperator(
-        a.n, a.ring, lambda f: a(b(f)) - b(a(f)), f"[{a.name}, {b.name}]"
-    )
-
-
-def identity_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: f, "id")
-
-
-def scalar_op(c, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: f.scale(c), "scalar")
 
 
 def beta_scalar(ring: Ring):
@@ -180,17 +132,12 @@ def _exponent_weighted(f: MultiPoly, weight) -> MultiPoly:
     return MultiPoly(f.n, f.ring, out)
 
 
-def euler_op(i: int, n: int, ring: Ring) -> LinearOperator:
-    """x_i d/dx_i."""
-    return LinearOperator(n, ring, lambda f: f.euler(i), f"x{i}d{i}")
-
-
 def l_op(k: int, n: int, ring: Ring) -> LinearOperator:
     """Power sum of the Euler operators: sum_i (x_i d_i)^k."""
     if k < 0:
         raise DomainError("l_op needs k >= 0")
     return LinearOperator(
-        n, ring, lambda f: _exponent_weighted(f, lambda e: sum(v**k for v in e)), f"L{k}"
+        n, ring, lambda f: _exponent_weighted(f, lambda e: sum(v**k for v in e))
     )
 
 
@@ -200,28 +147,7 @@ def m11_op(n: int, ring: Ring) -> LinearOperator:
         s2 = sum(v * v for v in e)
         return (s1 * s1 - s2) // 2
 
-    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, w), "m[1,1]")
-
-
-def m21_op(n: int, ring: Ring) -> LinearOperator:
-    def w(e):
-        s1 = sum(e)
-        s2 = sum(v * v for v in e)
-        s3 = sum(v**3 for v in e)
-        # sum_{i != j} e_i^2 e_j
-        return s2 * s1 - s3
-
-    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, w), "m[2,1]")
-
-
-def m111_op(n: int, ring: Ring) -> LinearOperator:
-    def w(e):
-        s1 = sum(e)
-        s2 = sum(v * v for v in e)
-        s3 = sum(v**3 for v in e)
-        return (s1**3 - 3 * s1 * s2 + 2 * s3) // 6
-
-    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, w), "m[1,1,1]")
+    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, w))
 
 
 # -- q-shift ------------------------------------------------------------
@@ -293,7 +219,7 @@ def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
 
 
 def h_op(k: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: h_op_apply(k, f), f"H{k}")
+    return LinearOperator(n, ring, lambda f: h_op_apply(k, f))
 
 
 # -- Vandermonde-kernel family ------------------------------------------
@@ -355,7 +281,7 @@ def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
 
 
 def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: b_op_apply(k, l, f), f"B[{k},{l}]")
+    return LinearOperator(n, ring, lambda f: b_op_apply(k, l, f))
 
 
 def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
@@ -376,7 +302,7 @@ def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
 
 
 def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, pair_ratio_apply, "S[(xi+xj)/(xi-xj)]")
+    return LinearOperator(n, ring, pair_ratio_apply)
 
 
 def reflection_square_apply(f: MultiPoly) -> MultiPoly:
@@ -402,7 +328,7 @@ def reflection_square_apply(f: MultiPoly) -> MultiPoly:
 
 
 def reflection_square_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, reflection_square_apply, "sum_i A_i C_i")
+    return LinearOperator(n, ring, reflection_square_apply)
 
 
 # -- Macdonald operators -------------------------------------------------
@@ -462,18 +388,14 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     q, t = Fraction(q), Fraction(t)
-    return LinearOperator(
-        n, Ring.q(), lambda f: macdonald_apply(n, r, q, t, f), f"D[{n},{r}](q,t)"
-    )
+    return LinearOperator(n, Ring.q(), lambda f: macdonald_apply(n, r, q, t, f))
 
 
 def macdonald_jet(n: int, r: int, order: int = 4) -> LinearOperator:
     ring = Ring.jet(order)
     q = jet_q(order)
     t = jet_t(order)
-    return LinearOperator(
-        n, ring, lambda f: macdonald_apply(n, r, q, t, f), f"D[{n},{r}](jet{order})"
-    )
+    return LinearOperator(n, ring, lambda f: macdonald_apply(n, r, q, t, f))
 
 
 # -- scalar part of the Macdonald operator --------------------------------
@@ -664,6 +586,8 @@ def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
     weights 1..degree (partitions with at most n parts)."""
     from .multipoly import partitions_upto
 
+    if n < 1:
+        raise DomainError("n must be at least 1")
     basis = tuple(partitions_upto(degree, n))
     return OperatorMatrix.from_operator(
         macdonald_jet(n, r, order), basis, n, Ring.jet(order)

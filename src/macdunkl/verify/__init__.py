@@ -1,7 +1,7 @@
 """Verification layer: closed-form operators, identity registry, witness
 search and the triangular eigenfunction solver."""
 
-from .closedforms import build_closed_form, safe_coeff
+from .closedforms import safe_coeff
 from .identities import (
     REGISTRY,
     SUITES,
@@ -13,14 +13,12 @@ from .identities import (
 from .jack import jack_solve
 from .typesums import (
     type_sum_closed_apply,
-    type_sum_op,
     type_sum_raw_apply,
     type_term_count,
 )
 from .witness import WitnessReport, noncommutativity_witness, reevaluate_witness
 
 __all__ = [
-    "build_closed_form",
     "safe_coeff",
     "Verdict",
     "verify_identity",
@@ -29,7 +27,6 @@ __all__ = [
     "REGISTRY",
     "SUITES",
     "jack_solve",
-    "type_sum_op",
     "type_sum_raw_apply",
     "type_sum_closed_apply",
     "type_term_count",

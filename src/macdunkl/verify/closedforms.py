@@ -22,13 +22,14 @@ from fractions import Fraction
 from math import factorial
 
 from ..errors import DomainError
-from ..multipoly import MultiPoly, Ring
+from ..multipoly import Ring
 from ..operators import (
-    LinearOperator,
+    OperatorMatrix,
     b_op,
     h_op,
     l_op,
     m11_op,
+    operator_matrix,
     pair_ratio_op,
     reflection_square_op,
 )
@@ -36,6 +37,7 @@ from ..rings import BetaPoly, binom_ff
 from ..tbinom import TPoly, scaled_taylor_coeff_closed
 
 RB = Ring.uni("b")
+RQ = Ring.q()
 
 
 # -- polynomials in n over Q, as TPoly values ---------------------------
@@ -147,13 +149,24 @@ def coeff_x(n, r):
 
 
 # -- operator assembly -------------------------------------------------
+#
+# Each closed form is a polynomial in primitive operators: a list of terms
+# (rational, b power, factors), where the factors are primitive operators
+# composed right to left and the empty product is the identity.  _combo
+# evaluates that polynomial as a matrix on an m-basis window.  Composition
+# there is the matrix product, which is exact because the window holds
+# every partition of each weight it touches and every primitive keeps the
+# weight (operator_matrix refuses a window or an operator that breaks
+# either).
 
 
-def _combo(n: int, ring: Ring, terms, name: str) -> LinearOperator:
-    """Linear combination of operators; terms are (rational, beta power, op
-    or None for the identity)."""
-    parts = []
-    for c, j, op in terms:
+def _combo(n: int, ring: Ring, basis, terms) -> OperatorMatrix:
+    """Matrix of sum c * b^j * (product of factors) over the terms (c, j,
+    factors); the matrix of each distinct primitive is built once."""
+    basis = tuple(basis)
+    mats = {}
+    out = OperatorMatrix(n, ring, basis, {})
+    for c, j, factors in terms:
         if not c:
             continue
         if ring.kind == "uni":
@@ -164,19 +177,19 @@ def _combo(n: int, ring: Ring, terms, name: str) -> LinearOperator:
             scalar = c
         else:
             raise DomainError("unsupported ring for closed forms")
-        parts.append((scalar, op))
+        if not factors:
+            out = out + OperatorMatrix(n, ring, basis, {(lam, lam): scalar for lam in basis})
+            continue
+        prod = None
+        for op in factors:
+            if op not in mats:
+                mats[op] = operator_matrix(op, basis)
+            prod = mats[op] if prod is None else prod @ mats[op]
+        out = out + prod.scale(scalar)
+    return out
 
-    def fn(f: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(n, ring)
-        for scalar, op in parts:
-            g = f if op is None else op(f)
-            out = out + g.scale(scalar)
-        return out
 
-    return LinearOperator(n, ring, fn, name)
-
-
-def first_order(n: int, r: int, ring: Ring = RB) -> LinearOperator:
+def first_order(n: int, r: int, basis) -> OperatorMatrix:
     """h^1 coefficient: binom_ff(n-1,r-1) L_1 plus the scalar part.
 
     The scalar is the h^1 coefficient of the scaled t-binomial,
@@ -185,77 +198,29 @@ def first_order(n: int, r: int, ring: Ring = RB) -> LinearOperator:
     """
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(binom_ff(n - 1, r - 1)), 0, l_op(1, n, ring)),
-            (scaled_taylor_coeff_closed(n, r, 1).coeff(1), 1, None),
+            (Fraction(binom_ff(n - 1, r - 1)), 0, (l_op(1, n, RB),)),
+            (scaled_taylor_coeff_closed(n, r, 1).coeff(1), 1, ()),
         ],
-        f"ord1[{n},{r}]",
     )
 
 
-def second_order(n: int, r: int, ring: Ring = RB) -> LinearOperator:
+def second_order(n: int, r: int, basis) -> OperatorMatrix:
     """h^2 coefficient in Dunkl form; the H_1^2 term vanishes at r = 1."""
-    h1 = h_op(1, n, ring)
+    h1 = h_op(1, n, RB)
     scalar2 = Fraction(r, 24) * binom_ff(n, r) * ((3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r)
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(binom_ff(n - 2, r - 1), 2), 0, h_op(2, n, ring)),
-            (Fraction(binom_ff(n - 2, r - 2), 2), 0, h1 @ h1),
-            (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, h1),
-            (scalar2, 2, None),
+            (Fraction(binom_ff(n - 2, r - 1), 2), 0, (h_op(2, n, RB),)),
+            (Fraction(binom_ff(n - 2, r - 2), 2), 0, (h1, h1)),
+            (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (h1,)),
+            (scalar2, 2, ()),
         ],
-        f"ord2[{n},{r}]",
-    )
-
-
-def third_order_beta0(n: int, r: int, ring: Ring = Ring.q()) -> LinearOperator:
-    x = coeff_x(n, r)
-    h1 = l_op(1, n, ring)
-    return _combo(
-        n,
-        ring,
-        [
-            (x / 6, 0, l_op(3, n, ring)),
-            (Fraction(binom_ff(n - 3, r - 2), 2), 0, l_op(2, n, ring) @ h1),
-            (Fraction(binom_ff(n - 3, r - 3), 6), 0, h1 @ h1 @ h1),
-        ],
-        f"ord3_beta0[{n},{r}]",
-    )
-
-
-def third_order_beta1(n: int, r: int, ring: Ring = Ring.q()) -> LinearOperator:
-    x = coeff_x(n, r)
-    return _combo(
-        n,
-        ring,
-        [
-            (x / 2, 0, b_op(2, 2, n, ring)),
-            (Fraction(r * (r - 1) * binom_ff(n, r), 4), 0, l_op(2, n, ring)),
-            (Fraction(binom_ff(n - 3, r - 2)), 0, b_op(2, 1, n, ring) @ l_op(1, n, ring)),
-            (Fraction(binom_ff(n - 3, r - 3) * n * (n - 1), 2), 0, m11_op(n, ring)),
-        ],
-        f"ord3_beta1[{n},{r}]",
-    )
-
-
-def third_order_beta2(n: int, r: int, ring: Ring = Ring.q()) -> LinearOperator:
-    x = coeff_x(n, r)
-    return _combo(
-        n,
-        ring,
-        [
-            (x, 0, b_op(3, 1, n, ring)),
-            (Fraction(((r - 1) * n + r) * binom_ff(n - 2, r - 1), 2), 0, b_op(2, 1, n, ring)),
-            (
-                Fraction(binom_ff(n - 1, r - 1) * n * (r - 1), 24) * ((3 * r - 2) * n - r),
-                0,
-                l_op(1, n, ring),
-            ),
-        ],
-        f"ord3_beta2[{n},{r}]",
     )
 
 
@@ -263,211 +228,215 @@ def third_order_scalar(n: int, r: int) -> Fraction:
     return Fraction(binom_ff(n, r) * r * r * n * (n - 1), 48) * ((r + 1) * n + 1 - 3 * r)
 
 
-def third_order_raw(n: int, r: int, ring: Ring = RB) -> LinearOperator:
-    """h^3 coefficient assembled degreewise in b from the three slice
-    operators plus the scalar part."""
-    s0 = third_order_beta0(n, r, ring)
-    s1 = third_order_beta1(n, r, ring)
-    s2 = third_order_beta2(n, r, ring)
-    b = BetaPoly.var()
+def _third_order_slice_terms(j: int, n: int, r: int, ring: Ring):
+    """Terms of the b^j coefficient of the h^3 coefficient, all b-free."""
+    if j == 3:
+        return [(third_order_scalar(n, r), 0, ())]
+    x = coeff_x(n, r)
+    l1 = l_op(1, n, ring)
+    l2 = l_op(2, n, ring)
+    b21 = b_op(2, 1, n, ring)
+    if j == 0:
+        return [
+            (x / 6, 0, (l_op(3, n, ring),)),
+            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (l2, l1)),
+            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (l1, l1, l1)),
+        ]
+    if j == 1:
+        return [
+            (x / 2, 0, (b_op(2, 2, n, ring),)),
+            (Fraction(r * (r - 1) * binom_ff(n, r), 4), 0, (l2,)),
+            (Fraction(binom_ff(n - 3, r - 2)), 0, (b21, l1)),
+            (Fraction(binom_ff(n - 3, r - 3) * n * (n - 1), 2), 0, (m11_op(n, ring),)),
+        ]
+    if j == 2:
+        return [
+            (x, 0, (b_op(3, 1, n, ring),)),
+            (Fraction(((r - 1) * n + r) * binom_ff(n - 2, r - 1), 2), 0, (b21,)),
+            (
+                Fraction(binom_ff(n - 1, r - 1) * n * (r - 1), 24) * ((3 * r - 2) * n - r),
+                0,
+                (l1,),
+            ),
+        ]
+    raise DomainError("slice index must be 0..3")
 
-    def fn(f: MultiPoly) -> MultiPoly:
-        out = s0(f)
-        out = out + s1(f).scale(b)
-        out = out + s2(f).scale(b * b)
-        out = out + f.scale(BetaPoly.term(third_order_scalar(n, r), 3))
-        return out
 
-    return LinearOperator(n, ring, fn, f"ord3_raw[{n},{r}]")
+def third_order_slice(j: int, n: int, r: int, basis) -> OperatorMatrix:
+    """The b^j coefficient of the h^3 coefficient, over the rationals."""
+    return _combo(n, RQ, basis, _third_order_slice_terms(j, n, r, RQ))
 
 
-def third_order_dunkl(n: int, r: int, ring: Ring = RB) -> LinearOperator:
+def third_order_raw(n: int, r: int, basis) -> OperatorMatrix:
+    """h^3 coefficient assembled degreewise in b from its four slices."""
+    terms = [
+        (c, j, factors)
+        for j in range(4)
+        for c, _, factors in _third_order_slice_terms(j, n, r, RB)
+    ]
+    return _combo(n, RB, basis, terms)
+
+
+def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
     """h^3 coefficient as a polynomial in the Dunkl power sums H_k."""
     x = coeff_x(n, r)
     c_h1sq = safe_coeff(H1SQ_FORMS, n, r, "H1^2 coefficient")
     c_bh2 = safe_coeff(BH2_FORMS, n, r, "H2 coefficient")
-    h1 = h_op(1, n, ring)
-    h2 = h_op(2, n, ring)
+    h1 = h_op(1, n, RB)
+    h2 = h_op(2, n, RB)
     scalar2 = Fraction(r, 24) * binom_ff(n - 1, r - 1) * (
         (3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r
     )
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (x / 6, 0, h_op(3, n, ring)),
-            (Fraction(binom_ff(n - 3, r - 2), 2), 0, h2 @ h1),
-            (c_bh2 / 12, 1, h2),
-            (Fraction(binom_ff(n - 3, r - 3), 6), 0, h1 @ h1 @ h1),
-            (c_h1sq / 12, 1, h1 @ h1),
-            (scalar2, 2, h1),
-            (third_order_scalar(n, r), 3, None),
+            (x / 6, 0, (h_op(3, n, RB),)),
+            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (h2, h1)),
+            (c_bh2 / 12, 1, (h2,)),
+            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (h1, h1, h1)),
+            (c_h1sq / 12, 1, (h1, h1)),
+            (scalar2, 2, (h1,)),
+            (third_order_scalar(n, r), 3, ()),
         ],
-        f"ord3_dunkl[{n},{r}]",
     )
 
 
-def third_order_display_r1(n: int, ring: Ring = RB) -> LinearOperator:
+def third_order_display_r1(n: int, basis) -> OperatorMatrix:
     """The printed rank-1 specialization of the h^3 Dunkl form."""
-    h1 = h_op(1, n, ring)
+    h1 = h_op(1, n, RB)
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(1, 6), 0, h_op(3, n, ring)),
-            (Fraction(2 * n - 3, 12), 1, h_op(2, n, ring)),
-            (Fraction(1, 12), 1, h1 @ h1),
-            (Fraction((n - 1) * (2 * n - 1), 12), 2, h1),
-            (Fraction(n * n * (n - 1) * (n - 1), 24), 3, None),
+            (Fraction(1, 6), 0, (h_op(3, n, RB),)),
+            (Fraction(2 * n - 3, 12), 1, (h_op(2, n, RB),)),
+            (Fraction(1, 12), 1, (h1, h1)),
+            (Fraction((n - 1) * (2 * n - 1), 12), 2, (h1,)),
+            (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
         ],
-        f"ord3_display_r1[{n}]",
     )
 
 
-def third_order_display_r2(n: int, ring: Ring = RB) -> LinearOperator:
+def third_order_display_r2(n: int, basis) -> OperatorMatrix:
     """The printed rank-2 specialization of the h^3 Dunkl form."""
-    h1 = h_op(1, n, ring)
+    h1 = h_op(1, n, RB)
+    h2 = h_op(2, n, RB)
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(n - 4, 6), 0, h_op(3, n, ring)),
-            (Fraction(1, 2), 0, h_op(2, n, ring) @ h1),
-            (Fraction(5 * n * n - 14 * n + 12, 12), 1, h_op(2, n, ring)),
-            (Fraction(7 * n - 10, 12), 1, h1 @ h1),
-            (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, l_op(1, n, ring)),
-            (Fraction(n * n * (n - 1) * (n - 1) * (3 * n - 5), 24), 3, None),
+            (Fraction(n - 4, 6), 0, (h_op(3, n, RB),)),
+            (Fraction(1, 2), 0, (h2, h1)),
+            (Fraction(5 * n * n - 14 * n + 12, 12), 1, (h2,)),
+            (Fraction(7 * n - 10, 12), 1, (h1, h1)),
+            (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, (l_op(1, n, RB),)),
+            (Fraction(n * n * (n - 1) * (n - 1) * (3 * n - 5), 24), 3, ()),
         ],
-        f"ord3_display_r2[{n}]",
     )
 
 
-def h1_explicit(n: int, ring: Ring = RB) -> LinearOperator:
-    return l_op(1, n, ring)
+def h1_explicit(n: int, basis) -> OperatorMatrix:
+    return _combo(n, RB, basis, [(Fraction(1), 0, (l_op(1, n, RB),))])
 
 
-def h2_explicit_pairs(n: int, ring: Ring = RB) -> LinearOperator:
+def h2_explicit_pairs(n: int, basis) -> OperatorMatrix:
     """H_2 as L_2 + b * sum_{i<j} (x_i+x_j)/(x_i-x_j)(x_i d_i - x_j d_j)."""
-    pair = pair_ratio_op(n, ring)
-    b = BetaPoly.var()
+    return _combo(
+        n,
+        RB,
+        basis,
+        [
+            (Fraction(1), 0, (l_op(2, n, RB),)),
+            (Fraction(1), 1, (pair_ratio_op(n, RB),)),
+        ],
+    )
 
-    def fn(f: MultiPoly) -> MultiPoly:
-        return l_op(2, n, ring)(f) + pair(f).scale(b)
 
-    return LinearOperator(n, ring, fn, f"h2_pairs[{n}]")
-
-
-def h2_explicit_b(n: int, ring: Ring = RB) -> LinearOperator:
+def h2_explicit_b(n: int, basis) -> OperatorMatrix:
     """H_2 as L_2 + 2b B_{2,1} - b(n-1) L_1."""
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(1), 0, l_op(2, n, ring)),
-            (Fraction(2), 1, b_op(2, 1, n, ring)),
-            (Fraction(-(n - 1)), 1, l_op(1, n, ring)),
+            (Fraction(1), 0, (l_op(2, n, RB),)),
+            (Fraction(2), 1, (b_op(2, 1, n, RB),)),
+            (Fraction(-(n - 1)), 1, (l_op(1, n, RB),)),
         ],
-        f"h2_b[{n}]",
     )
 
 
-def h3_explicit(n: int, ring: Ring = RB) -> LinearOperator:
+def h3_explicit(n: int, basis) -> OperatorMatrix:
     """H_3 = L_3 + b(3B_{2,2} - (n-1)L_2 - m_{1,1})
            + b^2(2(3-n)B_{2,1} + 6B_{3,1} - (n-1)L_1)."""
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(1), 0, l_op(3, n, ring)),
-            (Fraction(3), 1, b_op(2, 2, n, ring)),
-            (Fraction(-(n - 1)), 1, l_op(2, n, ring)),
-            (Fraction(-1), 1, m11_op(n, ring)),
-            (Fraction(2 * (3 - n)), 2, b_op(2, 1, n, ring)),
-            (Fraction(6), 2, b_op(3, 1, n, ring)),
-            (Fraction(-(n - 1)), 2, l_op(1, n, ring)),
+            (Fraction(1), 0, (l_op(3, n, RB),)),
+            (Fraction(3), 1, (b_op(2, 2, n, RB),)),
+            (Fraction(-(n - 1)), 1, (l_op(2, n, RB),)),
+            (Fraction(-1), 1, (m11_op(n, RB),)),
+            (Fraction(2 * (3 - n)), 2, (b_op(2, 1, n, RB),)),
+            (Fraction(6), 2, (b_op(3, 1, n, RB),)),
+            (Fraction(-(n - 1)), 2, (l_op(1, n, RB),)),
         ],
-        f"h3_explicit[{n}]",
     )
 
 
-def beta2_h3_lhs(n: int, ring: Ring = Ring.q()) -> LinearOperator:
-    return reflection_square_op(n, ring)
+def beta2_h3_lhs(n: int, basis) -> OperatorMatrix:
+    return _combo(n, RQ, basis, [(Fraction(1), 0, (reflection_square_op(n, RQ),))])
 
 
-def beta2_h3_rhs_pairs(n: int, ring: Ring = Ring.q()) -> LinearOperator:
+def beta2_h3_rhs_pairs(n: int, basis) -> OperatorMatrix:
     """(3-n) * pair-ratio sum + 6 B_{3,1} - (n-1)(n-2) L_1."""
-    pair = pair_ratio_op(n, ring)
-    b31 = b_op(3, 1, n, ring)
-    l1 = l_op(1, n, ring)
-
-    def fn(f: MultiPoly) -> MultiPoly:
-        return (
-            pair(f).scale(3 - n)
-            + b31(f).scale(6)
-            - l1(f).scale((n - 1) * (n - 2))
-        )
-
-    return LinearOperator(n, ring, fn, f"beta2_h3_rhs1[{n}]")
+    return _combo(
+        n,
+        RQ,
+        basis,
+        [
+            (Fraction(3 - n), 0, (pair_ratio_op(n, RQ),)),
+            (Fraction(6), 0, (b_op(3, 1, n, RQ),)),
+            (Fraction(-(n - 1) * (n - 2)), 0, (l_op(1, n, RQ),)),
+        ],
+    )
 
 
-def beta2_h3_rhs_b(n: int, ring: Ring = Ring.q()) -> LinearOperator:
+def beta2_h3_rhs_b(n: int, basis) -> OperatorMatrix:
     """2(3-n) B_{2,1} + 6 B_{3,1} - (n-1) L_1."""
     return _combo(
         n,
-        ring,
+        RQ,
+        basis,
         [
-            (Fraction(2 * (3 - n)), 0, b_op(2, 1, n, ring)),
-            (Fraction(6), 0, b_op(3, 1, n, ring)),
-            (Fraction(-(n - 1)), 0, l_op(1, n, ring)),
+            (Fraction(2 * (3 - n)), 0, (b_op(2, 1, n, RQ),)),
+            (Fraction(6), 0, (b_op(3, 1, n, RQ),)),
+            (Fraction(-(n - 1)), 0, (l_op(1, n, RQ),)),
         ],
-        f"beta2_h3_rhs2[{n}]",
     )
 
 
-def rank1_fourth_order(n: int, ring: Ring = RB) -> LinearOperator:
+def rank1_fourth_order(n: int, basis) -> OperatorMatrix:
     """h^4 coefficient of the rank-1 operator: kernel-operator part plus
     the closed scalar part."""
     scalar = scaled_taylor_coeff_closed(n, 1, 4).coeff(4)
     return _combo(
         n,
-        ring,
+        RB,
+        basis,
         [
-            (Fraction(1, 24), 0, l_op(4, n, ring)),
-            (Fraction(1, 6), 1, b_op(2, 3, n, ring)),
-            (Fraction(1, 4), 2, b_op(2, 2, n, ring)),
-            (Fraction(1, 2), 2, b_op(3, 2, n, ring)),
-            (Fraction(1, 6), 3, b_op(2, 1, n, ring)),
-            (Fraction(1), 3, b_op(3, 1, n, ring)),
-            (Fraction(1), 3, b_op(4, 1, n, ring)),
-            (Fraction(scalar), 4, None),
+            (Fraction(1, 24), 0, (l_op(4, n, RB),)),
+            (Fraction(1, 6), 1, (b_op(2, 3, n, RB),)),
+            (Fraction(1, 4), 2, (b_op(2, 2, n, RB),)),
+            (Fraction(1, 2), 2, (b_op(3, 2, n, RB),)),
+            (Fraction(1, 6), 3, (b_op(2, 1, n, RB),)),
+            (Fraction(1), 3, (b_op(3, 1, n, RB),)),
+            (Fraction(1), 3, (b_op(4, 1, n, RB),)),
+            (Fraction(scalar), 4, ()),
         ],
-        f"dn1_h4[{n}]",
     )
-
-
-_BUILDERS = {
-    "ord1": lambda n, r: first_order(n, r),
-    "ord2": lambda n, r: second_order(n, r),
-    "ord3_raw": lambda n, r: third_order_raw(n, r),
-    "ord3_dunkl": lambda n, r: third_order_dunkl(n, r),
-    "ord3_display_r1": lambda n, r: third_order_display_r1(n),
-    "ord3_display_r2": lambda n, r: third_order_display_r2(n),
-    "ord5_beta0": lambda n, r: third_order_beta0(n, r),
-    "ord5_beta1": lambda n, r: third_order_beta1(n, r),
-    "ord5_beta2": lambda n, r: third_order_beta2(n, r),
-    "h1_explicit": lambda n, r: h1_explicit(n),
-    "h2_explicit": lambda n, r: h2_explicit_pairs(n),
-    "h2_explicit_b": lambda n, r: h2_explicit_b(n),
-    "h3_explicit": lambda n, r: h3_explicit(n),
-    "beta2_h3": lambda n, r: beta2_h3_lhs(n),
-    "beta2_h3_rhs1": lambda n, r: beta2_h3_rhs_pairs(n),
-    "beta2_h3_rhs2": lambda n, r: beta2_h3_rhs_b(n),
-    "dn1_h4": lambda n, r: rank1_fourth_order(n),
-}
-
-
-def build_closed_form(name: str, n: int, r: int = 1) -> LinearOperator:
-    """Named closed-form operator; r is ignored by the r-independent ones."""
-    if name not in _BUILDERS:
-        raise DomainError(f"unknown closed form {name!r}")
-    return _BUILDERS[name](n, r)

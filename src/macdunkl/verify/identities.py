@@ -18,14 +18,9 @@ from functools import partial
 from math import factorial
 
 from ..errors import DomainError
-from ..multipoly import (
-    MultiPoly,
-    Ring,
-    monomial_symmetric,
-    partitions_upto,
-    to_msym_coords,
-)
+from ..multipoly import MultiPoly, Ring, partitions_upto
 from ..operators import (
+    LinearOperator,
     OperatorMatrix,
     extract_order,
     h_op,
@@ -33,7 +28,6 @@ from ..operators import (
     macdonald_scalar_part,
     operator_matrix,
     qshift_apply,
-    scalar_op,
 )
 from ..rings import BetaPoly, HJet, jet_q
 from ..tbinom import (
@@ -98,6 +92,8 @@ def _scalar_residual(x, label="difference"):
 
 
 def _basis(degree: int, n: int):
+    if n < 1:
+        raise DomainError("n must be at least 1")
     return tuple(partitions_upto(degree, n))
 
 
@@ -177,17 +173,15 @@ def check_h_explicit(k: int, n: int, degree: int = 4) -> Verdict:
     basis = _basis(degree, n)
     actual = operator_matrix(h_op(k, n, RB), basis)
     if k == 1:
-        closed = operator_matrix(closedforms.h1_explicit(n), basis)
-        residual = _matrix_residual(actual, closed)
+        residual = _matrix_residual(actual, closedforms.h1_explicit(n, basis))
     elif k == 2:
-        pairs = operator_matrix(closedforms.h2_explicit_pairs(n), basis)
-        bform = operator_matrix(closedforms.h2_explicit_b(n), basis)
+        pairs = closedforms.h2_explicit_pairs(n, basis)
+        bform = closedforms.h2_explicit_b(n, basis)
         residual = _matrix_residual(actual, pairs, "vs kernel-ratio form")
         if residual is None:
             residual = _matrix_residual(actual, bform, "vs B-operator form")
     elif k == 3:
-        closed = operator_matrix(closedforms.h3_explicit(n), basis)
-        residual = _matrix_residual(actual, closed)
+        residual = _matrix_residual(actual, closedforms.h3_explicit(n, basis))
     else:
         raise DomainError("explicit forms exist for k = 1, 2, 3")
     return _verdict(f"h_explicit_{k}", {"n": n, "degree": degree}, residual, t0)
@@ -198,9 +192,9 @@ def check_beta2_h3(n: int, degree: int = 4) -> Verdict:
     both stated right-hand sides, which must also agree with each other."""
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    lhs = operator_matrix(closedforms.beta2_h3_lhs(n), basis)
-    rhs1 = operator_matrix(closedforms.beta2_h3_rhs_pairs(n), basis)
-    rhs2 = operator_matrix(closedforms.beta2_h3_rhs_b(n), basis)
+    lhs = closedforms.beta2_h3_lhs(n, basis)
+    rhs1 = closedforms.beta2_h3_rhs_pairs(n, basis)
+    rhs2 = closedforms.beta2_h3_rhs_b(n, basis)
     residual = _matrix_residual(lhs, rhs1, "lhs vs kernel-ratio rhs")
     if residual is None:
         residual = _matrix_residual(lhs, rhs2, "lhs vs B-operator rhs")
@@ -216,8 +210,12 @@ def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4) -> Ve
     t0 = time.monotonic()
     basis = _basis(degree, n)
     got = extract_order(n, r, k, degree, K)
-    name = {1: "ord1", 2: "ord2", 3: "ord3_dunkl"}[k]
-    closed = operator_matrix(closedforms.build_closed_form(name, n, r), basis)
+    form = {
+        1: closedforms.first_order,
+        2: closedforms.second_order,
+        3: closedforms.third_order_dunkl,
+    }[k]
+    closed = form(n, r, basis)
     return _verdict(
         f"ord{k}_matches",
         {"n": n, "r": r, "degree": degree, "K": K},
@@ -229,8 +227,8 @@ def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4) -> Ve
 def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4) -> Verdict:
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    raw = operator_matrix(closedforms.build_closed_form("ord3_raw", n, r), basis)
-    dunkl = operator_matrix(closedforms.build_closed_form("ord3_dunkl", n, r), basis)
+    raw = closedforms.third_order_raw(n, r, basis)
+    dunkl = closedforms.third_order_dunkl(n, r, basis)
     return _verdict(
         "ord3_raw_eq_dunkl",
         {"n": n, "r": r, "degree": degree},
@@ -245,9 +243,8 @@ def check_ord3_display(r: int, n: int, degree: int = 4, K: int = 4) -> Verdict:
         raise DomainError("printed specializations exist for r = 1, 2")
     basis = _basis(degree, n)
     got = extract_order(n, r, 3, degree, K)
-    disp = operator_matrix(
-        closedforms.build_closed_form(f"ord3_display_r{r}", n, r), basis
-    )
+    form = closedforms.third_order_display_r1 if r == 1 else closedforms.third_order_display_r2
+    disp = form(n, basis)
     return _verdict(
         f"ord3_display_r{r}",
         {"n": n, "r": r, "degree": degree, "K": K},
@@ -261,18 +258,7 @@ def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4) -> Verd
     t0 = time.monotonic()
     basis = _basis(degree, n)
     got = extract_order(n, r, 3, degree, K).beta_slice(j)
-    if j == 3:
-        scalar = closedforms.third_order_scalar(n, r)
-        closed = operator_matrix(scalar_op(scalar, n, RQ), basis)
-    elif j in (0, 1, 2):
-        builder = {
-            0: closedforms.third_order_beta0,
-            1: closedforms.third_order_beta1,
-            2: closedforms.third_order_beta2,
-        }[j]
-        closed = operator_matrix(builder(n, r, RQ), basis)
-    else:
-        raise DomainError("slice index must be 0..3")
+    closed = closedforms.third_order_slice(j, n, r, basis)
     return _verdict(
         f"ord5_beta{j}",
         {"n": n, "r": r, "degree": degree, "K": K},
@@ -285,7 +271,7 @@ def check_dn1_h4(n: int, degree: int = 4, K: int = 4) -> Verdict:
     t0 = time.monotonic()
     basis = _basis(degree, n)
     got = extract_order(n, 1, 4, degree, K)
-    closed = operator_matrix(closedforms.build_closed_form("dn1_h4", n, 1), basis)
+    closed = closedforms.rank1_fourth_order(n, basis)
     return _verdict(
         "dn1_h4_matches",
         {"n": n, "r": 1, "degree": degree, "K": K},
@@ -300,18 +286,10 @@ def check_dn1_h4(n: int, degree: int = 4, K: int = 4) -> Verdict:
 def check_type_matches(tid: int, n: int, r: int, degree: int = 3) -> Verdict:
     t0 = time.monotonic()
     basis = _basis(degree, n)
-    entries_raw = {}
-    entries_closed = {}
-    for lam in basis:
-        f = monomial_symmetric(lam, n, RQ)
-        for mu, c in to_msym_coords(type_sum_raw_apply(n, r, tid, f)).items():
-            if c:
-                entries_raw[(mu, lam)] = c
-        for mu, c in to_msym_coords(type_sum_closed_apply(n, r, tid, f)).items():
-            if c:
-                entries_closed[(mu, lam)] = c
-    raw = OperatorMatrix(n, RQ, basis, entries_raw)
-    closed = OperatorMatrix(n, RQ, basis, entries_closed)
+    raw = operator_matrix(LinearOperator(n, RQ, partial(type_sum_raw_apply, n, r, tid)), basis)
+    closed = operator_matrix(
+        LinearOperator(n, RQ, partial(type_sum_closed_apply, n, r, tid)), basis
+    )
     return _verdict(
         f"type{tid}_matches",
         {"n": n, "r": r, "degree": degree},

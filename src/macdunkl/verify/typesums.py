@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 
 from ..errors import DomainError, NonSymmetricError
 from ..multipoly import MultiPoly, Ring, exact_div, symmetry_violation, vandermonde
-from ..operators import LinearOperator, _alternate_over_subsets, _subset_perm, b_op, l_op
+from ..operators import _alternate_over_subsets, _subset_perm, b_op, l_op
 from ..rings import binom
 
 RQ = Ring.q()
@@ -321,18 +321,3 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         return out + _unit_sum_type6(n, f).scale(binom(n - 4, r - 2))
     raise DomainError(f"unknown type id {tid}")
 
-
-def type_sum_op(n: int, r: int, tid: int, form: str) -> LinearOperator:
-    """LinearOperator view of a type sum, raw or closed."""
-    if form == "raw":
-        return LinearOperator(
-            n, RQ, lambda f: type_sum_raw_apply(n, r, tid, f), f"type{tid}_raw[{n},{r}]"
-        )
-    if form == "closed":
-        return LinearOperator(
-            n,
-            RQ,
-            lambda f: type_sum_closed_apply(n, r, tid, f),
-            f"type{tid}_closed[{n},{r}]",
-        )
-    raise DomainError("form must be 'raw' or 'closed'")

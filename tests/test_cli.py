@@ -165,6 +165,14 @@ def test_config_edge_cases_exit_2():
     assert run_cli("witness", "--nmax", "1", "--json")[0] == 2
     assert run_cli("jack", "--n", "0")[0] == 2
     assert run_cli("jack", "--n", "-1")[0] == 2
+    # flags the named identity does not take are refused, not dropped
+    assert run_cli("verify", "--identity", "scalar_part", "--n", "3", "--r", "2",
+                   "--degree", "7")[0] == 2
+    assert run_cli("verify", "--identity", "ord3_display_r1", "--n", "3", "--r", "2")[0] == 2
+    # matrix checks refuse an empty window
+    assert run_cli("verify", "--identity", "h_explicit_1", "--n", "0")[0] == 2
+    assert run_cli("verify", "--identity", "h_commutator", "--n", "0", "--i", "1",
+                   "--j", "2")[0] == 2
 
 
 def test_out_flag(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from macdunkl import BetaPoly, MultiPoly, Ring, monomial_symmetric
+from macdunkl import BetaPoly, Ring
 from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import extract_order, h_op, operator_matrix
@@ -15,10 +15,23 @@ from macdunkl.verify.closedforms import (
     X_FORMS,
     _binom_npoly,
     _gcd,
-    build_closed_form,
+    beta2_h3_lhs,
+    beta2_h3_rhs_b,
+    beta2_h3_rhs_pairs,
     coeff_x,
+    first_order,
+    h1_explicit,
+    h2_explicit_b,
+    h2_explicit_pairs,
+    h3_explicit,
     lin,
+    rank1_fourth_order,
     safe_coeff,
+    second_order,
+    third_order_display_r1,
+    third_order_display_r2,
+    third_order_dunkl,
+    third_order_raw,
     third_order_scalar,
 )
 
@@ -78,33 +91,29 @@ def test_safe_coeff_singular_everywhere():
         safe_coeff((form,), 5, 1, "test coefficient")
 
 
-def test_build_unknown_name():
-    with pytest.raises(DomainError):
-        build_closed_form("nope", 3, 1)
+def _column(mat, lam):
+    """The image of m_lam as {mu: coordinate}."""
+    return {mu: v for (mu, col), v in mat.entries.items() if col == lam}
 
 
 def test_ord1_2_1_is_l1_plus_beta():
-    n = 2
-    op = build_closed_form("ord1", 2, 1)
-    p1 = monomial_symmetric((1,), n, RB)
-    assert op(p1) == p1 + p1.scale(BetaPoly.var())
-    m2 = monomial_symmetric((2,), n, RB)
-    assert op(m2) == m2.scale(2 + BetaPoly.var())
+    m = first_order(2, 1, partitions_upto(2, 2))
+    b = BetaPoly.var()
+    assert _column(m, (1,)) == {(1,): 1 + b}
+    assert _column(m, (2,)) == {(2,): 2 + b}
 
 
 def test_ord3_dunkl_2_1_on_p1():
-    op = build_closed_form("ord3_dunkl", 2, 1)
-    p1 = monomial_symmetric((1,), 2, RB)
+    m = third_order_dunkl(2, 1, partitions_upto(1, 2))
     b = BetaPoly.var()
     cube = (1 + b) * (1 + b) * (1 + b)
-    assert op(p1) == p1.scale(cube.scale_div(6))
+    assert _column(m, (1,)) == {(1,): cube.scale_div(6)}
 
 
 def test_h3_explicit_2_on_p1():
-    op = build_closed_form("h3_explicit", 2, 1)
-    p1 = monomial_symmetric((1,), 2, RB)
+    m = h3_explicit(2, partitions_upto(1, 2))
     b = BetaPoly.var()
-    assert op(p1) == p1.scale((1 + b) * (1 + b))
+    assert _column(m, (1,)) == {(1,): (1 + b) * (1 + b)}
 
 
 def test_third_order_scalar_value():
@@ -115,20 +124,19 @@ def test_third_order_scalar_value():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_h_explicit_forms_match_small(n):
     basis = partitions_upto(3, n)
-    for k, name in ((1, "h1_explicit"), (2, "h2_explicit"), (3, "h3_explicit")):
+    for k, form in ((1, h1_explicit), (2, h2_explicit_pairs), (3, h3_explicit)):
         actual = operator_matrix(h_op(k, n, RB), basis)
-        closed = operator_matrix(build_closed_form(name, n, 1), basis)
-        assert actual == closed, (n, k)
-    b_form = operator_matrix(build_closed_form("h2_explicit_b", n, 1), basis)
+        assert actual == form(n, basis), (n, k)
+    b_form = h2_explicit_b(n, basis)
     assert b_form == operator_matrix(h_op(2, n, RB), basis)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_beta2_h3_both_forms(n):
     basis = partitions_upto(3, n)
-    lhs = operator_matrix(build_closed_form("beta2_h3", n, 1), basis)
-    rhs1 = operator_matrix(build_closed_form("beta2_h3_rhs1", n, 1), basis)
-    rhs2 = operator_matrix(build_closed_form("beta2_h3_rhs2", n, 1), basis)
+    lhs = beta2_h3_lhs(n, basis)
+    rhs1 = beta2_h3_rhs_pairs(n, basis)
+    rhs2 = beta2_h3_rhs_b(n, basis)
     assert lhs == rhs1
     assert lhs == rhs2
 
@@ -137,34 +145,28 @@ def test_beta2_h3_both_forms(n):
 def test_orders_match_expansion_small(n, r):
     degree = 3
     basis = partitions_upto(degree, n)
-    for k, name in ((1, "ord1"), (2, "ord2"), (3, "ord3_dunkl")):
+    for k, form in ((1, first_order), (2, second_order), (3, third_order_dunkl)):
         got = extract_order(n, r, k, degree, 4)
-        closed = operator_matrix(build_closed_form(name, n, r), basis)
-        assert got == closed, (n, r, k)
+        assert got == form(n, r, basis), (n, r, k)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (4, 2)])
 def test_raw_assembly_equals_dunkl_form(n, r):
     degree = 3
     basis = partitions_upto(degree, n)
-    raw = operator_matrix(build_closed_form("ord3_raw", n, r), basis)
-    dunkl = operator_matrix(build_closed_form("ord3_dunkl", n, r), basis)
-    assert raw == dunkl
+    assert third_order_raw(n, r, basis) == third_order_dunkl(n, r, basis)
 
 
 def test_display_forms_at_n3():
     degree = 3
     basis = partitions_upto(degree, 3)
-    d1 = operator_matrix(build_closed_form("ord3_display_r1", 3, 1), basis)
-    assert d1 == extract_order(3, 1, 3, degree, 4)
-    d2 = operator_matrix(build_closed_form("ord3_display_r2", 3, 2), basis)
-    assert d2 == extract_order(3, 2, 3, degree, 4)
+    assert third_order_display_r1(3, basis) == extract_order(3, 1, 3, degree, 4)
+    assert third_order_display_r2(3, basis) == extract_order(3, 2, 3, degree, 4)
 
 
 def test_dn1_h4_sanity_n2():
-    op = build_closed_form("dn1_h4", 2, 1)
-    p1 = monomial_symmetric((1,), 2, RB)
+    m = rank1_fourth_order(2, partitions_upto(1, 2))
     b = BetaPoly.var()
     quad = (1 + b) * (1 + b) * (1 + b) * (1 + b)
-    assert op(p1) == p1.scale(quad.scale_div(24))
+    assert _column(m, (1,)) == {(1,): quad.scale_div(24)}
     assert extract_order(2, 1, 4, 1, 4).entries[((1,), (1,))] == quad.scale_div(24)

@@ -15,13 +15,10 @@ from macdunkl.operators import (
     b_op,
     b_op_apply,
     b_op_apply_literal,
-    commutator,
     dunkl_apply,
     extract_order,
-    euler_op,
     h_op,
     h_op_apply,
-    identity_op,
     jet_matrix,
     l_op,
     m11_op,
@@ -34,10 +31,10 @@ from macdunkl.operators import (
     pair_ratio_apply,
     qshift_apply,
     reflection_square_apply,
-    scalar_op,
 )
 from macdunkl.rings import jet_exp
 from macdunkl.tbinom import t_binomial
+from macdunkl.verify.closedforms import _combo
 
 
 RB = Ring.uni("b")
@@ -172,15 +169,35 @@ def test_reflection_square_small():
     assert to_msym_coords(out)  # polynomial, symmetric
 
 
+def _column(mat, lam):
+    return {mu: v for (mu, col), v in mat.entries.items() if col == lam}
+
+
 def test_operator_algebra_linearity():
     n = 3
+    basis = partitions_upto(3, n)
     a = l_op(1, n, RB)
     bb = l_op(2, n, RB)
-    f = msym((2,), n)
-    assert (a + bb)(f) == a(f) + bb(f)
-    assert commutator(a, a)(f) == MultiPoly.zero(n, RB)
-    g = msym((1, 1), n)
-    assert commutator(euler_op(1, n, RB), euler_op(2, n, RB))(g * g) == MultiPoly.zero(n, RB)
+    ma, mb = operator_matrix(a, basis), operator_matrix(bb, basis)
+    for lam in basis:
+        f = msym(lam, n)
+        assert _column(ma + mb, lam) == to_msym_coords(a(f) + bb(f))
+    assert ma.commutator_with(ma).is_zero()
+
+
+def test_matrix_product_is_composition():
+    # the identity the closed forms rely on: on a window closed under
+    # weight, the matrix of a composite is the product of the matrices
+    n = 3
+    basis = partitions_upto(3, n)
+    h1 = operator_matrix(h_op(1, n, RB), basis)
+    h2 = operator_matrix(h_op(2, n, RB), basis)
+    for mat, ks in ((h2 @ h1, (1, 2)), (h1 @ h1 @ h1, (1, 1, 1)), (h2 @ h2, (2, 2))):
+        for lam in basis:
+            g = msym(lam, n)
+            for k in ks:
+                g = h_op_apply(k, g)
+            assert _column(mat, lam) == to_msym_coords(g), (ks, lam)
 
 
 def test_macdonald_constant_gives_t_binomial_eigenvalue():
@@ -280,10 +297,10 @@ def test_matrix_algebra():
     b = operator_matrix(l_op(2, n, RB), basis)
     assert (a @ b) == (b @ a)
     assert (a - a).is_zero()
-    z = operator_matrix(scalar_op(BetaPoly.zero(), n, RB), basis)
-    assert z.is_zero()
-    i = operator_matrix(identity_op(n, RB), basis)
+    assert a.scale(BetaPoly.zero()).is_zero()
+    i = _combo(n, RB, basis, [(Fraction(1), 0, ())])
     assert (i @ a) == a
+    assert (a @ i) == a
 
 
 def test_beta_slice():
@@ -295,24 +312,6 @@ def test_beta_slice():
     l2 = operator_matrix(l_op(2, n, Ring.q()), basis)
     assert s0 == l2
     assert s1.entries[((1, 1), (2,))] == 4
-
-
-def test_euler_monomial_combinations():
-    from macdunkl.operators import m111_op, m21_op
-
-    rng = random.Random(5)
-    for n in (2, 3, 4):
-        l1 = l_op(1, n, RB)
-        l2 = l_op(2, n, RB)
-        l3 = l_op(3, n, RB)
-        m21 = m21_op(n, RB)
-        m111 = m111_op(n, RB)
-        for _ in range(4):
-            exps = tuple(rng.randint(0, 4) for _ in range(n))
-            f = MultiPoly.monomial(exps, n, RB, coeff=1)
-            cube = l1(l1(l1(f)))
-            assert cube == l3(f) + m21(f).scale(3) + m111(f).scale(6)
-            assert l2(l1(f)) == l3(f) + m21(f)
 
 
 def _registry_ops(n):
@@ -340,12 +339,14 @@ def test_operators_preserve_homogeneous_degree():
 
 def test_commutator_antisymmetry_and_linearity():
     n = 3
+    basis = partitions_upto(3, n)
     ops = _registry_ops(n)
+    mats = [operator_matrix(op, basis) for op in ops]
     f = msym((2, 1), n)
-    for a in ops:
-        for bb in ops:
-            assert commutator(a, bb)(f) == -(commutator(bb, a)(f))
-            assert (a + bb)(f) == a(f) + bb(f)
+    for a, ma in zip(ops, mats):
+        for bb, mb in zip(ops, mats):
+            assert ma.commutator_with(mb) == mb.commutator_with(ma).scale(-1)
+            assert _column(ma + mb, (2, 1)) == to_msym_coords(a(f) + bb(f))
 
 
 def test_dunkl_swap_divisibility_all_pairs():
