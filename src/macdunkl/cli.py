@@ -211,6 +211,10 @@ def _run_verify(args) -> int:
     else:
         if args.suite != "all" and args.suite not in SUITES:
             raise DomainError(f"unknown suite {args.suite!r}")
+        refused = [k for k in ("s", "i", "j", "k") if k in params]
+        if refused:
+            flags = ", ".join(f"--{k}" for k in refused)
+            raise DomainError(f"suite mode does not take {flags}")
         plan = suite_plan(args.suite, args.nmax, args.degree, args.seed, args.K)
         if args.n is not None:
             plan = [(nm, ps) for nm, ps in plan if ps.get("n") == args.n]

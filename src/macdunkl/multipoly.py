@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
 from .rings import BetaPoly, HJet, qnorm
@@ -520,6 +522,32 @@ def partitions_upto(d: int, max_parts: int):
     for w in range(1, d + 1):
         out.extend(partitions_of(w, max_parts))
     return out
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam: Partition, mu: Partition) -> int:
+    """Number of semistandard tableaux of shape lam and content mu: the
+    cells holding the largest entry form a horizontal strip lam/nu, that
+    is lam[i+1] <= nu[i] <= lam[i]."""
+    if not mu:
+        return 0 if lam else 1
+    total = 0
+    for nu in product(*(range(low, top + 1) for low, top in zip(lam[1:] + (0,), lam))):
+        if sum(lam) - sum(nu) == mu[-1]:
+            total += _kostka(tuple(p for p in nu if p), mu[:-1])
+    return total
+
+
+@lru_cache(maxsize=None)
+def kostka_table(weight: int, n: int):
+    """{lam: ((mu, K_lam_mu), ...)} over the partitions of the weight with
+    at most n parts, nonzero entries only, so that the Schur polynomial
+    s_lam in n variables is sum K_lam_mu m_mu."""
+    parts = partitions_of(weight, n)
+    return {
+        lam: tuple((mu, k) for mu in parts if (k := _kostka(lam, mu)))
+        for lam in parts
+    }
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

@@ -4,7 +4,13 @@ Vandermonde-kernel operators and Macdonald operators.
 All rational-prefactor operators are evaluated without rational-function
 arithmetic: each subset term is put over the subset's Vandermonde product
 and resolved by one exact division, whose post-check turns any contract
-violation into a loud error.
+violation into a loud error.  Sums over all r-subsets put the canonical
+subset's term over the full Vandermonde product instead; that numerator
+must be antisymmetric inside the subset and inside its complement
+(checked exactly), which makes the signed subset sum an alternant, and
+the quotient is read off it in the Schur basis (a_(lam+delta) / a_delta =
+s_lam) and turned into monomial coordinates by a Kostka table, with no
+division by the n!-term product.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S
@@ -21,11 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DomainError, NonSymmetricError
+from .errors import DomainError, InexactDivisionError, NonSymmetricError
 from .multipoly import (
     MultiPoly,
     Ring,
+    _distinct_permutations,
     exact_div,
+    kostka_table,
     monomial_symmetric,
     partitions_of,
     symmetry_violation,
@@ -91,18 +99,70 @@ def _subset_sign(subset, n: int) -> int:
 
 def _alternate_over_subsets(base: MultiPoly, k: int) -> MultiPoly:
     """Sum of the signed relabelings of base over all k-subsets, divided by
-    the full Vandermonde product in one exact division.
+    the full Vandermonde product, read off in the Schur basis.
 
     base is the numerator of the canonical subset {1..k} over the
-    Vandermonde product; the sign relating each subset's relabeling to the
-    full product is the sign of the relabeling permutation.
+    Vandermonde product, and must be antisymmetric under exchanges inside
+    {1..k} and inside {k+1..n} (else InexactDivisionError carrying base).
+    The signed subset sum is then the full alternant of base over
+    k!(n-k)!: the Vandermonde product a_delta times sum_lam c_lam s_lam,
+    where c_lam is the sum's coefficient of x^(lam+delta) (bialternant
+    formula a_(lam+delta) = a_delta s_lam).  A term of base reaches a
+    strictly decreasing exponent only if its two blocks are strictly
+    decreasing with no entry repeated, and then it reaches exactly one:
+    sort(e), through the subset its first block takes in that order, with
+    that subset's sign (the parity of the cross-block inversions).  The
+    Kostka table turns the Schur coefficients into monomial ones.
     """
     n = base.n
-    total = MultiPoly.zero(n, base.ring)
-    for subset in combinations(range(1, n + 1), k):
-        piece = base.permute_vars(_subset_perm(subset, n))
-        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
-    return exact_div(total, vandermonde(n, base.ring))
+    _require_block_antisymmetric(base, k)
+    schur = {}
+    for key, c in base.terms.items():
+        e = key[:n]
+        head, tail = e[:k], e[k:]
+        if any(head[i] <= head[i + 1] for i in range(k - 1)):
+            continue
+        if any(tail[i] <= tail[i + 1] for i in range(n - k - 1)):
+            continue
+        if len(set(e)) < n:
+            continue
+        alpha = sorted(e, reverse=True)
+        lam = tuple(p - (n - 1 - i) for i, p in enumerate(alpha) if p > n - 1 - i)
+        inv = sum(1 for u in head for v in tail if u < v)
+        sk = (lam, key[n:])
+        schur[sk] = schur.get(sk, 0) + (-c if inv % 2 else c)
+    mcoords = {}
+    for (lam, aux), c in schur.items():
+        if not c:
+            continue
+        for mu, kk in kostka_table(sum(lam), n)[lam]:
+            row = mcoords.setdefault(mu, {})
+            row[aux] = row.get(aux, 0) + c * kk
+    terms = {}
+    for mu, by_aux in mcoords.items():
+        nonzero = [(aux, qnorm(c)) for aux, c in by_aux.items() if c]
+        if nonzero:
+            for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
+                for aux, c in nonzero:
+                    terms[e + aux] = c
+    return MultiPoly(n, base.ring, terms)
+
+
+def _require_block_antisymmetric(base: MultiPoly, k: int):
+    """Raise unless exchanging x_i and x_(i+1) negates base for every
+    adjacent pair inside {1..k} and inside {k+1..n}."""
+    terms = base.terms
+    for a in [*range(k - 1), *range(k, base.n - 1)]:
+        for key, c in terms.items():
+            u, v = key[a], key[a + 1]
+            swapped = key[:a] + (v, u) + key[a + 2:]
+            # the values are compared once per pair, from its u > v side
+            if not (terms.get(swapped) == -c if u > v else u < v and swapped in terms):
+                raise InexactDivisionError(
+                    f"subset numerator is not antisymmetric under exchanging "
+                    f"x{a + 1} and x{a + 2}",
+                    base,
+                )
 
 
 def _require_symmetric(f: MultiPoly, opname: str):

@@ -378,6 +378,8 @@ def _random_poly(n: int, rng: random.Random, ring: Ring, terms=4, maxdeg=3):
 def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3) -> Verdict:
     """Jet q-shift by monomial scaling against the truncated sum of Euler
     derivative powers; the two must agree on arbitrary polynomials."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
     t0 = time.monotonic()
     ring = Ring.jet(K)
     qjet = jet_q(K)

@@ -8,9 +8,12 @@ binom(n-a-b, r-a) subsets when the Euler variable lies in the pattern,
 and binom(n-a-b-1, r-a-1) subsets otherwise, so the whole operator
 collapses to three pattern sums that are local to a + b variables.  Those
 local sums are computed once on the canonical support {1..a+b} over its
-Vandermonde product and replicated across supports by relabeling (valid
-on symmetric arguments), with the single exact division by the full
-Vandermonde product at the end.
+Vandermonde product: the patterns form one orbit of the support's
+permutations, so one exact division gives a representative's term and
+every other term is its signed relabeling.  The sums are replicated
+across supports by relabeling (valid on symmetric arguments) and read
+off over the full Vandermonde product in the Schur basis, as in
+``operators._alternate_over_subsets``, without dividing by it.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -98,27 +101,60 @@ def type_term_count(n: int, r: int, tid: int) -> int:
     return binom(n, m) * per_support * binom(n - m, r - a)
 
 
+def _pattern_key(ins, outs, pairs, exps):
+    """A pattern as sorted tuples, equal exactly when the patterns are."""
+    return (
+        tuple(sorted(ins)),
+        tuple(sorted(outs)),
+        tuple(sorted(pairs)),
+        tuple(sorted(exps.items())),
+    )
+
+
 @lru_cache(maxsize=None)
 def _canonical_sums(tid: int):
     """The local pattern sums over the canonical support, as polynomials on
     m variables over the support Vandermonde: the full sum and, for each
     support variable u, the sums restricted to patterns with u inside or
-    outside the pattern's subset side."""
+    outside the pattern's subset side.
+
+    The patterns form one S_m-orbit (checked exactly), so one division
+    gives the representative's piece V_m / den * mono, and relabeling by
+    sigma gives the piece of the relabeled pattern times sign(sigma), the
+    factor sigma puts on V_m.
+    """
     a, b = TYPE_SHAPE[tid]
     m = a + b
-    vm = vandermonde(m, RQ)
+    patterns = _patterns(tid)
+    ins0, outs0, pairs0, exps0 = patterns[0]
+    den = MultiPoly.const(m, 1, RQ)
+    for i, p in pairs0:
+        den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
+    mono = [0] * m
+    for v, e in exps0.items():
+        mono[v - 1] = e
+    piece0 = exact_div(vandermonde(m, RQ), den) * MultiPoly.monomial(tuple(mono), m, RQ)
+    orbit = {}
+    for sigma in permutations(range(1, m + 1)):
+        s = (0,) + sigma  # s[v] is the image of v
+        key = _pattern_key(
+            [s[v] for v in ins0],
+            [s[v] for v in outs0],
+            [(s[i], s[p]) for i, p in pairs0],
+            {s[v]: e for v, e in exps0.items()},
+        )
+        orbit.setdefault(key, sigma)
+    keys = [_pattern_key(*pat) for pat in patterns]
+    if len(set(keys)) != len(keys) or set(keys) != set(orbit):
+        raise AssertionError(f"type {tid} patterns are not one orbit of S_{m}")
     zero = MultiPoly.zero(m, RQ)
     total = zero
     n_in = {u: zero for u in range(1, m + 1)}
     n_out = {u: zero for u in range(1, m + 1)}
-    for ins, outs, pairs, exps in _patterns(tid):
-        den = MultiPoly.const(m, 1, RQ)
-        for i, p in pairs:
-            den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
-        mono = [0] * m
-        for v, e in exps.items():
-            mono[v - 1] = e
-        piece = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
+    for (ins, outs, _, _), sigma in orbit.items():
+        piece = piece0.permute_vars(tuple(v - 1 for v in sigma))
+        if sum(1 for x, y in combinations(sigma, 2) if x > y) % 2:
+            piece = -piece
         total = total + piece
         for u in ins:
             n_in[u] = n_in[u] + piece
@@ -132,6 +168,13 @@ def _pad(f: MultiPoly, n: int) -> MultiPoly:
         return f
     pad = (0,) * (n - f.n)
     return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _support_cofactor(n: int, m: int) -> MultiPoly:
+    """V_n / V_m: puts a pattern sum over the support Vandermonde of
+    {1..m} over the full one."""
+    return exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
 
 
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -151,8 +194,7 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
             eu = f.euler(u)
             if eu:
                 g0 = g0 + cu * eu
-    q0 = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
-    return _alternate_over_subsets(g0 * q0, m)
+    return _alternate_over_subsets(g0 * _support_cofactor(n, m), m)
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

@@ -173,6 +173,10 @@ def test_config_edge_cases_exit_2():
     assert run_cli("verify", "--identity", "h_explicit_1", "--n", "0")[0] == 2
     assert run_cli("verify", "--identity", "h_commutator", "--n", "0", "--i", "1",
                    "--j", "2")[0] == 2
+    assert run_cli("verify", "--identity", "eq1_shift_form", "--n", "0")[0] == 2
+    # suite mode refuses the flags it has no use for
+    assert run_cli("verify", "--suite", "dunkl", "--nmax", "2", "--degree", "1",
+                   "--i", "3", "--k", "9", "--K", "9")[0] == 2
 
 
 def test_out_flag(tmp_path):

@@ -1,0 +1,118 @@
+"""The Schur read-off of the subset alternation against the division it
+replaces: signed relabelings over all k-subsets, then one exact division
+by the full Vandermonde product."""
+
+from itertools import combinations, permutations
+
+import pytest
+
+from macdunkl import MultiPoly, Ring, monomial_symmetric, to_msym_coords
+from macdunkl.errors import InexactDivisionError
+from macdunkl.multipoly import exact_div, kostka_table, partitions_of, partitions_upto, vandermonde
+from macdunkl import operators
+from macdunkl.operators import (
+    _alternate_over_subsets,
+    _subset_perm,
+    _subset_sign,
+    macdonald_jet,
+    macdonald_scalar_part,
+)
+from macdunkl.verify import typesums
+from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
+
+RQ = Ring.q()
+
+
+def alternate_by_division(base: MultiPoly, k: int) -> MultiPoly:
+    n = base.n
+    total = MultiPoly.zero(n, base.ring)
+    for subset in combinations(range(1, n + 1), k):
+        piece = base.permute_vars(_subset_perm(subset, n))
+        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
+    return exact_div(total, vandermonde(n, base.ring))
+
+
+def _record_alternations(monkeypatch, module):
+    """Route module._alternate_over_subsets through the division oracle,
+    keeping every (base, k) and both results."""
+    seen = []
+
+    def spy(base, k):
+        got = _alternate_over_subsets(base, k)
+        seen.append((base.n, k, got, alternate_by_division(base, k)))
+        return got
+
+    monkeypatch.setattr(module, "_alternate_over_subsets", spy)
+    return seen
+
+
+def test_type_numerators_match_division(monkeypatch):
+    seen = _record_alternations(monkeypatch, typesums)
+    for n in (4, 5, 6):
+        for r in range(1, n + 1):
+            for tid in TYPE_SHAPE:
+                for lam in partitions_upto(3, n):
+                    type_sum_raw_apply(n, r, tid, monomial_symmetric(lam, n))
+    assert len(seen) > 100
+    for n, k, got, want in seen:
+        assert got == want, (n, k)
+
+
+def test_macdonald_jet_matches_division(monkeypatch):
+    seen = _record_alternations(monkeypatch, operators)
+    ring = Ring.jet(4)
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            op = macdonald_jet(n, r, 4)
+            for lam in [()] + partitions_upto(3, n):
+                op(monomial_symmetric(lam, n, ring))
+    assert len(seen) == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
+    for n, k, got, want in seen:
+        assert got == want, (n, k)
+
+
+def test_scalar_part_matches_division(monkeypatch):
+    seen = _record_alternations(monkeypatch, operators)
+    for n in range(1, 6):
+        for r in range(1, n + 1):
+            macdonald_scalar_part(n, r)
+    assert len(seen) == 15
+    for n, k, got, want in seen:
+        assert got == want, (n, k)
+
+
+def test_readoff_refuses_base_without_block_antisymmetry():
+    n = 3
+    x1, x2 = MultiPoly.variable(1, n), MultiPoly.variable(2, n)
+    # x1^2 x2 is not antisymmetric in x1, x2; its signed subset sum
+    # x1^2 x2 - x1^2 x3 + x2^2 x3 is not divisible by the Vandermonde
+    with pytest.raises(InexactDivisionError) as err:
+        _alternate_over_subsets(x1 * x1 * x2, 2)
+    assert err.value.remainder == x1 * x1 * x2
+    with pytest.raises(InexactDivisionError):
+        alternate_by_division(x1 * x1 * x2, 2)
+    # symmetric inside {1, 2} instead of antisymmetric
+    with pytest.raises(InexactDivisionError):
+        _alternate_over_subsets(x1 + x2, 2)
+    # antisymmetry in the complement block is checked too
+    x3 = MultiPoly.variable(3, n)
+    with pytest.raises(InexactDivisionError):
+        _alternate_over_subsets(x2 * x2 * x3, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kostka_table_matches_bialternant(n):
+    delta = tuple(range(n - 1, -1, -1))
+    for weight in range(5):
+        table = kostka_table(weight, n)
+        assert set(table) == set(partitions_of(weight, n))
+        for lam, row in table.items():
+            padded = lam + (0,) * (n - len(lam))
+            alpha = tuple(p + d for p, d in zip(padded, delta))
+            alternant = MultiPoly.zero(n, RQ)
+            for sigma in permutations(range(n)):
+                inv = sum(1 for a, b in combinations(sigma, 2) if a > b)
+                mono = MultiPoly.monomial(tuple(alpha[s] for s in sigma), n, RQ)
+                alternant = alternant + (-mono if inv % 2 else mono)
+            want = to_msym_coords(exact_div(alternant, vandermonde(n, RQ)))
+            assert dict(row) == want, (n, lam)

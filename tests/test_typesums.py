@@ -8,6 +8,8 @@ from macdunkl import MultiPoly, Ring, exact_div, monomial_symmetric
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
+    _canonical_sums,
+    _patterns,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -92,3 +94,33 @@ def test_raw_equals_closed_at_6_3_degree2(tid):
         raw = type_sum_raw_apply(n, r, tid, f)
         closed = type_sum_closed_apply(n, r, tid, f)
         assert raw == closed, (tid, lam)
+
+
+def _canonical_sums_per_pattern(tid):
+    """The pattern sums with one exact division per pattern."""
+    a, b = TYPE_SHAPE[tid]
+    m = a + b
+    vm = vandermonde(m, RQ)
+    zero = MultiPoly.zero(m, RQ)
+    total = zero
+    n_in = {u: zero for u in range(1, m + 1)}
+    n_out = {u: zero for u in range(1, m + 1)}
+    for ins, outs, pairs, exps in _patterns(tid):
+        den = MultiPoly.const(m, 1, RQ)
+        for i, p in pairs:
+            den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
+        mono = [0] * m
+        for v, e in exps.items():
+            mono[v - 1] = e
+        piece = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
+        total = total + piece
+        for u in ins:
+            n_in[u] = n_in[u] + piece
+        for u in outs:
+            n_out[u] = n_out[u] + piece
+    return total, n_in, n_out
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_orbit_sums_match_per_pattern_division(tid):
+    assert _canonical_sums(tid) == _canonical_sums_per_pattern(tid)
