@@ -590,8 +590,3 @@ def vandermonde(n: int, ring: Ring = RING_Q, variables=None) -> MultiPoly:
             )
     _VDM_CACHE[key] = out
     return out
-
-
-def diff_factor(i: int, j: int, n: int, ring: Ring = RING_Q) -> MultiPoly:
-    """The linear factor (x_i - x_j)."""
-    return MultiPoly.variable(i, n, ring) - MultiPoly.variable(j, n, ring)

@@ -97,6 +97,16 @@ def _subset_sign(subset, n: int) -> int:
     return -1 if inv % 2 else 1
 
 
+def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
+    """Sum of the relabelings of the canonical-subset term unit over all
+    k-subsets."""
+    n = unit.n
+    out = MultiPoly.zero(n, unit.ring)
+    for subset in combinations(range(1, n + 1), k):
+        out = out + unit.permute_vars(_subset_perm(subset, n))
+    return out
+
+
 def _alternate_over_subsets(base: MultiPoly, k: int) -> MultiPoly:
     """Sum of the signed relabelings of base over all k-subsets, divided by
     the full Vandermonde product, read off in the Schur basis.
@@ -314,11 +324,7 @@ def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
     if not f:
         return f
     _require_symmetric(f, f"B[{k},{l}]")
-    unit = _b_unit_canonical(k, l, f)
-    out = MultiPoly.zero(n, f.ring)
-    for subset in combinations(range(1, n + 1), k):
-        out = out + unit.permute_vars(_subset_perm(subset, n))
-    return out
+    return _sum_over_subsets(_b_unit_canonical(k, l, f), k)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
@@ -355,10 +361,7 @@ def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
     unit = exact_div(
         num, MultiPoly.variable(1, n, ring) - MultiPoly.variable(2, n, ring)
     )
-    out = MultiPoly.zero(n, ring)
-    for i, j in combinations(range(1, n + 1), 2):
-        out = out + unit.permute_vars(_subset_perm((i, j), n))
-    return out
+    return _sum_over_subsets(unit, 2)
 
 
 def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:

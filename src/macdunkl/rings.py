@@ -186,13 +186,6 @@ class BetaPoly:
             m >>= 1
         return out
 
-    def scale_div(self, c) -> "BetaPoly":
-        """Divide every coefficient by the nonzero rational c."""
-        if not c:
-            raise DomainError("division by zero scalar")
-        inv = Fraction(1, 1) / as_fraction(c)
-        return self * inv
-
     def evaluate(self, value):
         """Evaluate at a rational point, exactly."""
         acc = Fraction(0)
@@ -223,10 +216,6 @@ def _coerce_beta(value) -> BetaPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to BetaPoly")
 
 
-def _render_coeff(c) -> str:
-    return str(c)
-
-
 def _render_term(c, var: str, k: int, first: bool) -> str:
     sign = ""
     if not first:
@@ -237,10 +226,10 @@ def _render_term(c, var: str, k: int, first: bool) -> str:
         sign = "-"
         c = -c
     if k == 0:
-        body = _render_coeff(c)
+        body = str(c)
     else:
         pw = var if k == 1 else f"{var}^{k}"
-        body = pw if c == 1 else f"{_render_coeff(c)}*{pw}"
+        body = pw if c == 1 else f"{c}*{pw}"
     return sign + body
 
 
@@ -340,7 +329,7 @@ class HJet:
 
     def __pow__(self, m: int) -> "HJet":
         if m < 0:
-            raise DomainError("negative jet power; use inverse()")
+            raise DomainError("negative jet power")
         out = HJet.one(self.order)
         base = self
         while m:
@@ -349,24 +338,6 @@ class HJet:
             base = base * base
             m >>= 1
         return out
-
-    def inverse(self) -> "HJet":
-        """Multiplicative inverse; requires a nonzero rational constant term."""
-        c0 = self.coeffs[0]
-        if not c0 or c0.degree() != 0:
-            raise DomainError("jet inverse needs a nonzero rational constant term")
-        a0 = as_fraction(c0.coeff(0))
-        inv0 = Fraction(1) / a0
-        K = self.order
-        out = [BetaPoly.zero() for _ in range(K + 1)]
-        out[0] = BetaPoly.const(inv0)
-        for k in range(1, K + 1):
-            acc = BetaPoly.zero()
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = acc * (-inv0)
-        return HJet(K, out)
 
     def render(self, hvar: str = "h", bvar: str = "b") -> str:
         parts = []

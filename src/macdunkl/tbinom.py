@@ -49,10 +49,6 @@ class TPoly:
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def coeff_sum(self):
-        """Value at t = 1."""
-        return sum(self.coeffs)
-
     def __bool__(self):
         return bool(self.coeffs)
 

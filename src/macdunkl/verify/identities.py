@@ -1,10 +1,14 @@
 """Identity registry: every named check, with exact residuals.
 
 A check computes two exact objects (matrices on an m-basis window, t- or
-b-polynomials, or polynomials in x) and produces a Verdict whose status
-is pass exactly when the residual is zero.  There are no tolerances
-anywhere.  Matrix windows default to weights 1..4; the window size is
-recorded in every verdict's parameter map.
+b-polynomials, or polynomials in x) and returns their residual: None
+when they agree, else an exact rendering of the difference.  A check
+that also reports findings returns ``(residual, findings)``.  There are
+no tolerances anywhere.  ``verify_identity`` is the one place that
+builds a Verdict: it binds the parameters to the check's signature,
+times the call, and records the bound parameters in signature order,
+defaults included, followed by the findings.  Matrix windows default to
+weights 1..4, so the window size is in every matrix verdict's parameters.
 """
 
 from __future__ import annotations
@@ -60,13 +64,6 @@ class Verdict:
         return self.status == "pass"
 
 
-def _verdict(identity, params, residual, t0) -> Verdict:
-    ms = int((time.monotonic() - t0) * 1000)
-    if residual:
-        return Verdict(identity, params, "fail", residual, ms)
-    return Verdict(identity, params, "pass", None, ms)
-
-
 def _matrix_residual(a: OperatorMatrix, b: OperatorMatrix, label="difference"):
     diff = a - b
     if diff.is_zero():
@@ -100,31 +97,19 @@ def _basis(degree: int, n: int):
 # -- t-binomial checks ---------------------------------------------------
 
 
-def check_tbinom_taylor(n: int, r: int, k: int) -> Verdict:
-    t0 = time.monotonic()
+def check_tbinom_taylor(n: int, r: int, k: int):
     closed = taylor_coeff_closed(n, r, k)
-    jet = t_binomial_jet(n, r, 4).coeff(k)
-    return _verdict(
-        "tbinom_taylor", {"n": n, "r": r, "k": k}, _scalar_residual(closed - jet), t0
-    )
+    return _scalar_residual(closed - t_binomial_jet(n, r, 4).coeff(k))
 
 
-def check_tbinom_taylor_scaled(n: int, r: int, k: int) -> Verdict:
-    t0 = time.monotonic()
+def check_tbinom_taylor_scaled(n: int, r: int, k: int):
     closed = scaled_taylor_coeff_closed(n, r, k)
-    jet = scaled_t_binomial_jet(n, r, 4, half=True).coeff(k)
-    return _verdict(
-        "tbinom_taylor_scaled",
-        {"n": n, "r": r, "k": k},
-        _scalar_residual(closed - jet),
-        t0,
-    )
+    return _scalar_residual(closed - scaled_t_binomial_jet(n, r, 4, half=True).coeff(k))
 
 
-def check_tbinom_h4_scaling(n: int, r: int) -> Verdict:
+def check_tbinom_h4_scaling(n: int, r: int):
     """Which scaling exponent the h^4 closed form of the scaled t-binomial
     matches: r(r-1)/2, r(r-1), both (they coincide for r < 2) or neither."""
-    t0 = time.monotonic()
     closed = scaled_taylor_coeff_closed(n, r, 4)
     half = scaled_t_binomial_jet(n, r, 4, half=True).coeff(4)
     full = scaled_t_binomial_jet(n, r, 4, half=False).coeff(4)
@@ -138,182 +123,121 @@ def check_tbinom_h4_scaling(n: int, r: int) -> Verdict:
         scaling = "r(r-1)"
     else:
         scaling = "neither"
-    params = {"n": n, "r": r, "scaling_match": scaling}
-    return _verdict(
-        "tbinom_h4_scaling", params, _scalar_residual(closed - half), t0
-    )
+    return _scalar_residual(closed - half), {"scaling_match": scaling}
 
 
-def check_tbinom_product_vs_recurrence(n: int, r: int) -> Verdict:
-    t0 = time.monotonic()
-    a = t_binomial(n, r)
-    b = t_binomial_product(n, r)
-    diff = a - b
-    residual = None
-    if diff:
-        residual = {"kind": "poly", "label": "difference", "value": diff.render("t")}
-    return _verdict("tbinom_product_vs_recurrence", {"n": n, "r": r}, residual, t0)
+def check_tbinom_product_vs_recurrence(n: int, r: int):
+    diff = t_binomial(n, r) - t_binomial_product(n, r)
+    if not diff:
+        return None
+    return {"kind": "poly", "label": "difference", "value": diff.render("t")}
 
 
-def check_scalar_part(n: int, r: int) -> Verdict:
-    t0 = time.monotonic()
+def check_scalar_part(n: int, r: int):
     got = macdonald_scalar_part(n, r)
     tb = t_binomial(n, r)
     want = MultiPoly.const(n, BetaPoly(dict(enumerate(tb.coeffs))), Ring.uni("t"))
-    return _verdict(
-        "scalar_part", {"n": n, "r": r}, _poly_residual(got - want), t0
-    )
+    return _poly_residual(got - want)
 
 
 # -- Dunkl explicit forms --------------------------------------------------
 
 
-def check_h_explicit(k: int, n: int, degree: int = 4) -> Verdict:
-    t0 = time.monotonic()
+def check_h_explicit(k: int, n: int, degree: int = 4):
     basis = _basis(degree, n)
     actual = operator_matrix(h_op(k, n, RB), basis)
     if k == 1:
-        residual = _matrix_residual(actual, closedforms.h1_explicit(n, basis))
-    elif k == 2:
+        return _matrix_residual(actual, closedforms.h1_explicit(n, basis))
+    if k == 2:
         pairs = closedforms.h2_explicit_pairs(n, basis)
         bform = closedforms.h2_explicit_b(n, basis)
-        residual = _matrix_residual(actual, pairs, "vs kernel-ratio form")
-        if residual is None:
-            residual = _matrix_residual(actual, bform, "vs B-operator form")
-    elif k == 3:
-        residual = _matrix_residual(actual, closedforms.h3_explicit(n, basis))
-    else:
-        raise DomainError("explicit forms exist for k = 1, 2, 3")
-    return _verdict(f"h_explicit_{k}", {"n": n, "degree": degree}, residual, t0)
+        return (
+            _matrix_residual(actual, pairs, "vs kernel-ratio form")
+            or _matrix_residual(actual, bform, "vs B-operator form")
+        )
+    if k == 3:
+        return _matrix_residual(actual, closedforms.h3_explicit(n, basis))
+    raise DomainError("explicit forms exist for k = 1, 2, 3")
 
 
-def check_beta2_h3(n: int, degree: int = 4) -> Verdict:
+def check_beta2_h3(n: int, degree: int = 4):
     """The coupling-squared part of H_3: the double reflection sum equals
     both stated right-hand sides, which must also agree with each other."""
-    t0 = time.monotonic()
     basis = _basis(degree, n)
     lhs = closedforms.beta2_h3_lhs(n, basis)
     rhs1 = closedforms.beta2_h3_rhs_pairs(n, basis)
     rhs2 = closedforms.beta2_h3_rhs_b(n, basis)
-    residual = _matrix_residual(lhs, rhs1, "lhs vs kernel-ratio rhs")
-    if residual is None:
-        residual = _matrix_residual(lhs, rhs2, "lhs vs B-operator rhs")
-    if residual is None:
-        residual = _matrix_residual(rhs1, rhs2, "the two rhs forms disagree")
-    return _verdict("beta2_h3", {"n": n, "degree": degree}, residual, t0)
+    return (
+        _matrix_residual(lhs, rhs1, "lhs vs kernel-ratio rhs")
+        or _matrix_residual(lhs, rhs2, "lhs vs B-operator rhs")
+        or _matrix_residual(rhs1, rhs2, "the two rhs forms disagree")
+    )
 
 
 # -- order matching --------------------------------------------------------
 
 
-def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4) -> Verdict:
-    t0 = time.monotonic()
-    basis = _basis(degree, n)
-    got = extract_order(n, r, k, degree, K)
+def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4):
     form = {
         1: closedforms.first_order,
         2: closedforms.second_order,
         3: closedforms.third_order_dunkl,
     }[k]
-    closed = form(n, r, basis)
-    return _verdict(
-        f"ord{k}_matches",
-        {"n": n, "r": r, "degree": degree, "K": K},
-        _matrix_residual(got, closed),
-        t0,
-    )
+    basis = _basis(degree, n)
+    return _matrix_residual(extract_order(n, r, k, degree, K), form(n, r, basis))
 
 
-def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4) -> Verdict:
-    t0 = time.monotonic()
+def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4):
     basis = _basis(degree, n)
     raw = closedforms.third_order_raw(n, r, basis)
-    dunkl = closedforms.third_order_dunkl(n, r, basis)
-    return _verdict(
-        "ord3_raw_eq_dunkl",
-        {"n": n, "r": r, "degree": degree},
-        _matrix_residual(raw, dunkl),
-        t0,
-    )
+    return _matrix_residual(raw, closedforms.third_order_dunkl(n, r, basis))
 
 
-def check_ord3_display(r: int, n: int, degree: int = 4, K: int = 4) -> Verdict:
-    t0 = time.monotonic()
+def check_ord3_display(n: int, r: int, degree: int = 4, K: int = 4):
+    """The h^3 matrix against the printed specialization at rank r = 1, 2."""
     if r not in (1, 2):
         raise DomainError("printed specializations exist for r = 1, 2")
     basis = _basis(degree, n)
-    got = extract_order(n, r, 3, degree, K)
     form = closedforms.third_order_display_r1 if r == 1 else closedforms.third_order_display_r2
-    disp = form(n, basis)
-    return _verdict(
-        f"ord3_display_r{r}",
-        {"n": n, "r": r, "degree": degree, "K": K},
-        _matrix_residual(got, disp),
-        t0,
-    )
+    return _matrix_residual(extract_order(n, r, 3, degree, K), form(n, basis))
 
 
-def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4) -> Verdict:
+def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4):
     """The b^j slice of the h^3 matrix against the slice closed form."""
-    t0 = time.monotonic()
     basis = _basis(degree, n)
     got = extract_order(n, r, 3, degree, K).beta_slice(j)
-    closed = closedforms.third_order_slice(j, n, r, basis)
-    return _verdict(
-        f"ord5_beta{j}",
-        {"n": n, "r": r, "degree": degree, "K": K},
-        _matrix_residual(got, closed),
-        t0,
-    )
+    return _matrix_residual(got, closedforms.third_order_slice(j, n, r, basis))
 
 
-def check_dn1_h4(n: int, degree: int = 4, K: int = 4) -> Verdict:
-    t0 = time.monotonic()
+def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
+    """The h^4 matrix against the rank-1 kernel-operator form; the registry
+    fixes r = 1."""
     basis = _basis(degree, n)
-    got = extract_order(n, 1, 4, degree, K)
-    closed = closedforms.rank1_fourth_order(n, basis)
-    return _verdict(
-        "dn1_h4_matches",
-        {"n": n, "r": 1, "degree": degree, "K": K},
-        _matrix_residual(got, closed),
-        t0,
-    )
+    got = extract_order(n, r, 4, degree, K)
+    return _matrix_residual(got, closedforms.rank1_fourth_order(n, basis))
 
 
 # -- type sums -------------------------------------------------------------
 
 
-def check_type_matches(tid: int, n: int, r: int, degree: int = 3) -> Verdict:
-    t0 = time.monotonic()
+def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
     basis = _basis(degree, n)
     raw = operator_matrix(LinearOperator(n, RQ, partial(type_sum_raw_apply, n, r, tid)), basis)
     closed = operator_matrix(
         LinearOperator(n, RQ, partial(type_sum_closed_apply, n, r, tid)), basis
     )
-    return _verdict(
-        f"type{tid}_matches",
-        {"n": n, "r": r, "degree": degree},
-        _matrix_residual(raw, closed),
-        t0,
-    )
+    return _matrix_residual(raw, closed)
 
 
 # -- commutators -------------------------------------------------------------
 
 
-def check_h_commutator(n: int, i: int, j: int, degree: int = 4) -> Verdict:
-    t0 = time.monotonic()
+def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
     basis = _basis(degree, n)
     a = operator_matrix(h_op(i, n, RB), basis)
     b = operator_matrix(h_op(j, n, RB), basis)
-    comm = a.commutator_with(b)
     zero = OperatorMatrix(n, RB, basis, {})
-    return _verdict(
-        "h_commutator",
-        {"n": n, "i": i, "j": j, "degree": degree},
-        _matrix_residual(comm, zero, "commutator"),
-        t0,
-    )
+    return _matrix_residual(a.commutator_with(b), zero, "commutator")
 
 
 def _seeded_qt_pairs(n: int, r: int, s: int, seed: int, count: int = 3):
@@ -328,10 +252,9 @@ def _seeded_qt_pairs(n: int, r: int, s: int, seed: int, count: int = 3):
     return pairs
 
 
-def check_macdonald_commutator(
-    n: int, r: int, s: int, seed: int = 0, degree: int = 4
-) -> Verdict:
-    t0 = time.monotonic()
+def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: int = 4):
+    """D(n, r) and D(n, s) commute at seeded rational (q, t); the pairs
+    tried are reported as the ``qt`` finding."""
     basis = _basis(degree, n)
     residual = None
     tried = []
@@ -339,29 +262,20 @@ def check_macdonald_commutator(
         tried.append(f"q={q},t={t}")
         a = operator_matrix(macdonald_specialized(n, r, q, t), basis)
         b = operator_matrix(macdonald_specialized(n, s, q, t), basis)
-        comm = a.commutator_with(b)
         zero = OperatorMatrix(n, RQ, basis, {})
-        residual = _matrix_residual(comm, zero, f"commutator at q={q}, t={t}")
+        residual = _matrix_residual(a.commutator_with(b), zero, f"commutator at q={q}, t={t}")
         if residual is not None:
             break
-    params = {"n": n, "r": r, "s": s, "seed": seed, "degree": degree, "qt": tried}
-    return _verdict("macdonald_commutator", params, residual, t0)
+    return residual, {"qt": tried}
 
 
 def check_orderwise_commutator(
     n: int, r: int, s: int, i: int, j: int, degree: int = 4, K: int = 4
-) -> Verdict:
-    t0 = time.monotonic()
+):
     a = extract_order(n, r, i, degree, K)
     b = extract_order(n, s, j, degree, K)
-    comm = a.commutator_with(b)
     zero = OperatorMatrix(n, RB, a.basis, {})
-    return _verdict(
-        "orderwise_commutator",
-        {"n": n, "r": r, "s": s, "i": i, "j": j, "degree": degree, "K": K},
-        _matrix_residual(comm, zero, "commutator"),
-        t0,
-    )
+    return _matrix_residual(a.commutator_with(b), zero, "commutator")
 
 
 # -- shift-form cross-check ---------------------------------------------------
@@ -375,16 +289,14 @@ def _random_poly(n: int, rng: random.Random, ring: Ring, terms=4, maxdeg=3):
     return f
 
 
-def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3) -> Verdict:
+def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3):
     """Jet q-shift by monomial scaling against the truncated sum of Euler
     derivative powers; the two must agree on arbitrary polynomials."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    t0 = time.monotonic()
     ring = Ring.jet(K)
     qjet = jet_q(K)
     rng = random.Random(f"{seed}:eq1:{n}")
-    residual = None
     for _ in range(trials):
         f = _random_poly(n, rng, ring)
         for i in range(1, n + 1):
@@ -397,12 +309,8 @@ def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3) -> 
                 rhs = rhs + g.scale(HJet.single(k, Fraction(1, factorial(k)), K))
             residual = _poly_residual(lhs - rhs)
             if residual is not None:
-                break
-        if residual is not None:
-            break
-    return _verdict(
-        "eq1_shift_form", {"n": n, "K": K, "seed": seed, "trials": trials}, residual, t0
-    )
+                return residual
+    return None
 
 
 # -- registry -----------------------------------------------------------------
@@ -417,9 +325,9 @@ _CHECKS = {
     "beta2_h3": check_beta2_h3,
     **{f"ord{k}_matches": partial(check_ord_matches, k) for k in (1, 2, 3)},
     "ord3_raw_eq_dunkl": check_ord3_raw_eq_dunkl,
-    **{f"ord3_display_r{r}": partial(check_ord3_display, r) for r in (1, 2)},
+    **{f"ord3_display_r{r}": partial(check_ord3_display, r=r) for r in (1, 2)},
     **{f"ord5_beta{j}": partial(check_ord5_beta, j) for j in range(4)},
-    "dn1_h4_matches": check_dn1_h4,
+    "dn1_h4_matches": partial(check_dn1_h4, r=1),
     **{f"type{tid}_matches": partial(check_type_matches, tid) for tid in range(1, 7)},
     "h_commutator": check_h_commutator,
     "macdonald_commutator": check_macdonald_commutator,
@@ -436,14 +344,33 @@ def registry_names():
 
 
 def verify_identity(name: str, **params) -> Verdict:
+    """Run the named check on params and build its verdict.
+
+    The params are bound to the check's signature, so an unknown one is
+    refused, and a value other than the one the registry entry fixes
+    (the r of ``ord3_display_r1``) is refused too.  The verdict records
+    the bound parameters in signature order, defaults included, then the
+    check's findings, and the time of the one call.
+    """
     if name not in REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
     fn, sig = REGISTRY[name]
     try:
-        sig.bind(**params)
+        bound = sig.bind(**params)
     except TypeError as exc:
         raise DomainError(f"{name} takes {tuple(sig.parameters)}: {exc}") from None
-    return fn(**params)
+    bound.apply_defaults()
+    for key, fixed in getattr(fn, "keywords", {}).items():
+        if bound.arguments[key] != fixed:
+            raise DomainError(f"{name} fixes {key}={fixed}, got {key}={bound.arguments[key]}")
+    t0 = time.monotonic()
+    residual = fn(*bound.args, **bound.kwargs)
+    ms = int((time.monotonic() - t0) * 1000)
+    findings = {}
+    if isinstance(residual, tuple):
+        residual, findings = residual
+    status = "pass" if residual is None else "fail"
+    return Verdict(name, {**bound.arguments, **findings}, status, residual, ms)
 
 
 # -- suites ------------------------------------------------------------------
@@ -512,8 +439,10 @@ def plan_order3(nmax=5, degree=4, seed=0, order=4):
             )
     for n in (3, 4):
         if n <= nmax:
-            out.append(("ord3_display_r1", {"n": n, "degree": degree, "K": order}))
-            out.append(("ord3_display_r2", {"n": n, "degree": degree, "K": order}))
+            for r in (1, 2):
+                out.append(
+                    (f"ord3_display_r{r}", {"n": n, "r": r, "degree": degree, "K": order})
+                )
     return out
 
 
@@ -538,7 +467,7 @@ def plan_h4(nmax=5, degree=4, seed=0, order=4):
             out.append(("tbinom_taylor_scaled", {"n": n, "r": r, "k": 4}))
             out.append(("tbinom_h4_scaling", {"n": n, "r": r}))
     for n in range(2, min(nmax, 5) + 1):
-        out.append(("dn1_h4_matches", {"n": n, "degree": degree, "K": order}))
+        out.append(("dn1_h4_matches", {"n": n, "r": 1, "degree": degree, "K": order}))
     return out
 
 

@@ -27,7 +27,7 @@ from itertools import combinations, permutations
 
 from ..errors import DomainError, NonSymmetricError
 from ..multipoly import MultiPoly, Ring, exact_div, symmetry_violation, vandermonde
-from ..operators import _alternate_over_subsets, _subset_perm, b_op, l_op
+from ..operators import _alternate_over_subsets, _sum_over_subsets, b_op, l_op
 from ..rings import binom
 
 RQ = Ring.q()
@@ -279,11 +279,7 @@ def _unit_sum_type2(n: int, f: MultiPoly) -> MultiPoly:
         for v in abc:
             den = den * (MultiPoly.variable(v, n, RQ) - MultiPoly.variable(w, n, RQ))
         num = num + exact_div(vs, den) * MultiPoly.monomial(tuple(mono), n, RQ) * ef
-    unit = exact_div(num, vs)
-    out = MultiPoly.zero(n, f.ring)
-    for subset in combinations(range(1, n + 1), 4):
-        out = out + unit.permute_vars(_subset_perm(subset, n))
-    return out
+    return _sum_over_subsets(exact_div(num, vs), 4)
 
 
 def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
@@ -317,11 +313,7 @@ def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
                 )
         local = (xj * xj).scale(4) - xj * sj * sp
         num = num + exact_div(vs, den) * local * ej
-    unit = exact_div(num, vs)
-    out = MultiPoly.zero(n, f.ring)
-    for subset in combinations(range(1, n + 1), 4):
-        out = out + unit.permute_vars(_subset_perm(subset, n))
-    return out
+    return _sum_over_subsets(exact_div(num, vs), 4)
 
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

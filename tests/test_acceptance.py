@@ -22,20 +22,7 @@ from macdunkl.tbinom import (
     t_binomial_jet,
     taylor_coeff_closed,
 )
-from macdunkl.verify.identities import (
-    check_beta2_h3,
-    check_dn1_h4,
-    check_h_commutator,
-    check_h_explicit,
-    check_macdonald_commutator,
-    check_ord3_display,
-    check_ord3_raw_eq_dunkl,
-    check_ord5_beta,
-    check_ord_matches,
-    check_orderwise_commutator,
-    check_scalar_part,
-    check_type_matches,
-)
+from macdunkl.verify.identities import verify_identity
 from macdunkl.verify.jack import jack_solve
 from macdunkl.verify.witness import noncommutativity_witness, reevaluate_witness
 
@@ -74,7 +61,7 @@ def test_criterion_02_scalar_part():
     """The shift-free subset sum equals the t-binomial for 2 <= n <= 7."""
     for n in range(2, 8):
         for r in range(1, n + 1):
-            v = check_scalar_part(n, r)
+            v = verify_identity("scalar_part", n=n, r=r)
             assert v.passed, (n, r, v.residual)
     _announce("criterion 2 (scalar part equals the t-binomial, n <= 7)", True)
 
@@ -84,9 +71,9 @@ def test_criterion_03_dunkl_explicit_forms():
     weights <= 4 for 2 <= n <= 5."""
     for n in range(2, 6):
         for k in (1, 2, 3):
-            v = check_h_explicit(k, n, 4)
+            v = verify_identity(f"h_explicit_{k}", n=n, degree=4)
             assert v.passed, (k, n, v.residual)
-        v = check_beta2_h3(n, 4)
+        v = verify_identity("beta2_h3", n=n, degree=4)
         assert v.passed, (n, v.residual)
     _announce("criterion 3 (explicit Dunkl power-sum forms, n <= 5)", True)
 
@@ -97,13 +84,13 @@ def test_criterion_04_order_matching():
     for n in range(2, 6):
         for r in range(1, n + 1):
             for k in (1, 2, 3):
-                v = check_ord_matches(k, n, r, 4, 4)
+                v = verify_identity(f"ord{k}_matches", n=n, r=r, degree=4, K=4)
                 assert v.passed, (k, n, r, v.residual)
-            v = check_ord3_raw_eq_dunkl(n, r, 4)
+            v = verify_identity("ord3_raw_eq_dunkl", n=n, r=r, degree=4)
             assert v.passed, (n, r, v.residual)
     for n in (3, 4):
         for r in (1, 2):
-            v = check_ord3_display(r, n, 4, 4)
+            v = verify_identity(f"ord3_display_r{r}", n=n, r=r, degree=4, K=4)
             assert v.passed, (n, r, v.residual)
     _announce("criterion 4 (order 1..3 closed forms, n <= 5, weights <= 4)", True)
 
@@ -113,7 +100,7 @@ def test_criterion_05_beta_slices():
     for n in range(2, 6):
         for r in range(1, n + 1):
             for j in range(4):
-                v = check_ord5_beta(j, n, r, 4, 4)
+                v = verify_identity(f"ord5_beta{j}", n=n, r=r, degree=4, K=4)
                 assert v.passed, (j, n, r, v.residual)
     _announce("criterion 5 (coupling-degree slices of the third order)", True)
 
@@ -124,11 +111,11 @@ def test_criterion_06_commutators():
     for n in range(2, 5):
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                v = check_h_commutator(n, i, j, 4)
+                v = verify_identity("h_commutator", n=n, i=i, j=j, degree=4)
                 assert v.passed, ("H", n, i, j, v.residual)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
-                v = check_macdonald_commutator(n, r, s, 0, 4)
+                v = verify_identity("macdonald_commutator", n=n, r=r, s=s, seed=0, degree=4)
                 assert v.passed, ("D", n, r, s, v.residual)
         for r in range(1, n + 1):
             for s in range(r, n + 1):
@@ -136,7 +123,9 @@ def test_criterion_06_commutators():
                     for j in range(i, 4):
                         if i == j and r == s:
                             continue
-                        v = check_orderwise_commutator(n, r, s, i, j, 4, 4)
+                        v = verify_identity(
+                            "orderwise_commutator", n=n, r=r, s=s, i=i, j=j, degree=4, K=4
+                        )
                         assert v.passed, ("ord", n, r, s, i, j, v.residual)
     _announce("criterion 6 (commutators: power sums, seeded (q,t), orders <= 3)", True)
 
@@ -146,7 +135,7 @@ def test_criterion_07_type_sums():
     (6,3), (7,3), (7,4) on weights <= 3, including the unit-sum forms."""
     for n, r in ((6, 3), (7, 3), (7, 4)):
         for tid in range(1, 7):
-            v = check_type_matches(tid, n, r, 3)
+            v = verify_identity(f"type{tid}_matches", n=n, r=r, degree=3)
             assert v.passed, (tid, n, r, v.residual)
     _announce("criterion 7 (six type families raw = closed)", True)
 
@@ -157,9 +146,9 @@ def test_criterion_08_rank1_fourth_order():
     b = BetaPoly.var()
     quart = (1 + b) * (1 + b) * (1 + b) * (1 + b)
     cell = extract_order(2, 1, 4, 1, 4).entries[((1,), (1,))]
-    assert cell == quart.scale_div(24)
+    assert cell == quart * Fraction(1, 24)
     for n in range(2, 6):
-        v = check_dn1_h4(n, 4, 4)
+        v = verify_identity("dn1_h4_matches", n=n, degree=4, K=4)
         assert v.passed, (n, v.residual)
     _announce("criterion 8 (rank-1 fourth order incl. scalar part, n <= 5)", True)
 

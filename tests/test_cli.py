@@ -113,6 +113,28 @@ def test_suite_filter_by_n_and_r():
         assert item["params"].get("r", 2) == 2
 
 
+def test_suite_filter_by_r_reaches_fixed_rank_identities():
+    # ord3_display_r1 and dn1_h4_matches fix r = 1; the --r filter must see it
+    for suite, n in (("order3", "3"), ("h4", "2")):
+        code, out = run_cli(
+            "verify", "--suite", suite, "--n", n, "--r", "2", "--degree", "2", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload
+        for item in payload:
+            assert item["params"]["r"] == 2, item
+
+
+def test_rank_zero_is_accepted_where_defined():
+    # every verdict of the tbinom suite, r = 0 included, can be rerun alone
+    assert run_cli("verify", "--identity", "tbinom_taylor", "--n", "3", "--r", "0",
+                   "--k", "1")[0] == 0
+    # the Macdonald operator itself refuses rank 0
+    assert run_cli("verify", "--identity", "ord1_matches", "--n", "3", "--r", "0",
+                   "--degree", "1")[0] == 2
+
+
 def test_witness_expectation_flag():
     code, out = run_cli("witness", "--nmax", "2", "--degree", "2", "--expect", "none")
     assert code == 1
@@ -169,6 +191,7 @@ def test_config_edge_cases_exit_2():
     assert run_cli("verify", "--identity", "scalar_part", "--n", "3", "--r", "2",
                    "--degree", "7")[0] == 2
     assert run_cli("verify", "--identity", "ord3_display_r1", "--n", "3", "--r", "2")[0] == 2
+    assert run_cli("verify", "--identity", "dn1_h4_matches", "--n", "3", "--r", "2")[0] == 2
     # matrix checks refuse an empty window
     assert run_cli("verify", "--identity", "h_explicit_1", "--n", "0")[0] == 2
     assert run_cli("verify", "--identity", "h_commutator", "--n", "0", "--i", "1",

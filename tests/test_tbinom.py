@@ -96,7 +96,7 @@ def test_structure_invariants():
         for r in range(0, n + 1):
             p = t_binomial(n, r)
             assert p.degree() == r * (n - r)
-            assert p.coeff_sum() == binom(n, r)
+            assert sum(p.coeffs) == binom(n, r)
             assert all(isinstance(c, int) and c > 0 for c in p.coeffs)
 
 

@@ -4,12 +4,7 @@ import pytest
 
 from macdunkl.cli import emit_report
 from macdunkl.errors import DomainError
-from macdunkl.verify.identities import (
-    REGISTRY,
-    check_orderwise_commutator,
-    suite_plan,
-    verify_identity,
-)
+from macdunkl.verify.identities import REGISTRY, suite_plan, verify_identity
 
 
 def test_unknown_identity():
@@ -66,7 +61,7 @@ def test_h4_scaling_records_half_exponent():
 def test_order4_commutator_fails_honestly():
     """The order-4 coefficient does not commute with the order-2 one at
     n = 2; the verdict must expose the exact residual."""
-    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=4, K=4)
+    v = verify_identity("orderwise_commutator", n=2, r=1, s=1, i=4, j=2, degree=4, K=4)
     assert not v.passed
     assert v.residual["kind"] == "matrix"
     cells = v.residual["cells"]
@@ -97,7 +92,7 @@ def test_report_formats():
 
 
 def test_failing_report_embeds_residual():
-    v = check_orderwise_commutator(2, 1, 1, 4, 2, degree=2, K=4)
+    v = verify_identity("orderwise_commutator", n=2, r=1, s=1, i=4, j=2, degree=2, K=4)
     js = emit_report([v], "json")
     assert '"status": "fail"' in js
     assert '"kind": "matrix"' in js
@@ -110,6 +105,25 @@ def test_suite_plans_deterministic_and_filterable():
     assert names == {"ord1_matches", "eq1_shift_form"}
     everything = suite_plan("all", nmax=2, degree=2)
     assert all(nm in REGISTRY for nm, _ in everything)
+
+
+def test_plans_bind_to_check_signatures():
+    # runs no checks: every planned entry is a valid call of its check,
+    # and names n and r whenever the check takes them
+    for name, params in suite_plan("all"):
+        fn, sig = REGISTRY[name]
+        sig.bind(**params)
+        for key in ("n", "r"):
+            if key in sig.parameters:
+                assert key in params, (name, params)
+
+
+def test_verdict_params_follow_the_signature():
+    v = verify_identity("ord3_display_r2", degree=2, n=3)
+    assert list(v.params.items()) == [("n", 3), ("r", 2), ("degree", 2), ("K", 4)]
+    v = verify_identity("macdonald_commutator", n=2, r=1, s=2, degree=1)
+    assert list(v.params) == ["n", "r", "s", "seed", "degree", "qt"]
+    assert len(v.params["qt"]) == 3
 
 
 def test_types_suite_plan_grid():
