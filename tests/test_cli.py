@@ -164,16 +164,27 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
-def test_small_report_digest_is_pinned():
-    # every suite except `types`; guards the exact bytes of a JSON report
+def _all_suite_digest(nmax):
     proc = subprocess.run(
         [sys.executable, "-m", "macdunkl.cli", "verify",
-         "--suite", "all", "--nmax", "3", "--degree", "2", "--json"],
+         "--suite", "all", "--nmax", str(nmax), "--degree", "2", "--json"],
         capture_output=True, timeout=600,
     )
     assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_small_report_digest_is_pinned():
+    # every suite except `types`; guards the exact bytes of a JSON report
+    assert _all_suite_digest(3) == (
         "0c01faf346fb3370c94f970371c00f2e80e8b79f8a531afbaecff82455ff5efe"
+    )
+
+
+def test_report_digest_through_n5_is_pinned():
+    # the Macdonald matrices at n = 4 and 5, which the n <= 3 pin never reaches
+    assert _all_suite_digest(5) == (
+        "00964b90cd69061c24e5388b6c5c1790d1831872039a73cacf567db6e67c28a5"
     )
 
 
