@@ -31,7 +31,6 @@ from .operators import (
     dunkl_apply,
     extract_order,
     h_op_apply,
-    macdonald_jet,
     macdonald_specialized,
     operator_matrix,
     qshift_apply,
@@ -54,7 +53,6 @@ __all__ = [
     "dunkl_apply",
     "h_op_apply",
     "extract_order",
-    "macdonald_jet",
     "macdonald_specialized",
     "operator_matrix",
     "qshift_apply",

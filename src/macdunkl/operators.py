@@ -1,16 +1,22 @@
 """Linear operators on symmetric polynomials: q-shifts, Dunkl operators,
 Vandermonde-kernel operators and Macdonald operators.
 
-All rational-prefactor operators are evaluated without rational-function
-arithmetic: each subset term is put over the subset's Vandermonde product
-and resolved by one exact division, whose post-check turns any contract
-violation into a loud error.  Sums over all r-subsets put the canonical
-subset's term over the full Vandermonde product instead; that numerator
-must be antisymmetric inside the subset and inside its complement
-(checked exactly), which makes the signed subset sum an alternant, and
-the quotient is read off it in the Schur basis (a_(lam+delta) / a_delta =
-s_lam) and turned into monomial coordinates by a Kostka table, with no
-division by the n!-term product.
+Macdonald operators use the alternant formula (Macdonald, Symmetric
+Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
+and a_e the alternant of x^e: D(n, r) m_lam = sum over the
+rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
+a_(alpha+delta) / a_delta.
+
+The other rational-prefactor operators put each subset term over the
+subset's Vandermonde product and resolve it by one exact division, whose
+post-check turns any contract violation into a loud error.  Sums over
+all r-subsets put the canonical subset's term over the full product
+instead; only there must the numerator be antisymmetric inside the
+subset and inside its complement (checked exactly), which makes the
+signed subset sum a sum of alternants a_e.  Both paths read a_e / a_delta
+off in the Schur basis (a_(lam+delta) = a_delta s_lam) and turn it into
+monomial coordinates by a Kostka table, never dividing by the n!-term
+product.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
@@ -36,6 +42,7 @@ from .multipoly import (
     kostka_table,
     monomial_symmetric,
     partitions_of,
+    partitions_upto,
     symmetry_violation,
     to_msym_coords,
     vandermonde,
@@ -114,55 +121,12 @@ def _alternate_over_subsets(base: MultiPoly, k: int) -> MultiPoly:
     base is the numerator of the canonical subset {1..k} over the
     Vandermonde product, and must be antisymmetric under exchanges inside
     {1..k} and inside {k+1..n} (else InexactDivisionError carrying base).
-    The signed subset sum is then the full alternant of base over
-    k!(n-k)!: the Vandermonde product a_delta times sum_lam c_lam s_lam,
-    where c_lam is the sum's coefficient of x^(lam+delta) (bialternant
-    formula a_(lam+delta) = a_delta s_lam).  A term of base reaches a
-    strictly decreasing exponent only if its two blocks are strictly
-    decreasing with no entry repeated, and then it reaches exactly one:
-    sort(e), through the subset its first block takes in that order, with
-    that subset's sign (the parity of the cross-block inversions).  The
-    Kostka table turns the Schur coefficients into monomial ones.
+    Each term c x^e of base whose two blocks are strictly decreasing then
+    contributes c a_e to the signed subset sum, and nothing else does.
     """
-    n = base.n
-    _require_block_antisymmetric(base, k)
-    schur = {}
-    for key, c in base.terms.items():
-        e = key[:n]
-        head, tail = e[:k], e[k:]
-        if any(head[i] <= head[i + 1] for i in range(k - 1)):
-            continue
-        if any(tail[i] <= tail[i + 1] for i in range(n - k - 1)):
-            continue
-        if len(set(e)) < n:
-            continue
-        alpha = sorted(e, reverse=True)
-        lam = tuple(p - (n - 1 - i) for i, p in enumerate(alpha) if p > n - 1 - i)
-        inv = sum(1 for u in head for v in tail if u < v)
-        sk = (lam, key[n:])
-        schur[sk] = schur.get(sk, 0) + (-c if inv % 2 else c)
-    mcoords = {}
-    for (lam, aux), c in schur.items():
-        if not c:
-            continue
-        for mu, kk in kostka_table(sum(lam), n)[lam]:
-            row = mcoords.setdefault(mu, {})
-            row[aux] = row.get(aux, 0) + c * kk
-    terms = {}
-    for mu, by_aux in mcoords.items():
-        nonzero = [(aux, qnorm(c)) for aux, c in by_aux.items() if c]
-        if nonzero:
-            for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
-                for aux, c in nonzero:
-                    terms[e + aux] = c
-    return MultiPoly(n, base.ring, terms)
-
-
-def _require_block_antisymmetric(base: MultiPoly, k: int):
-    """Raise unless exchanging x_i and x_(i+1) negates base for every
-    adjacent pair inside {1..k} and inside {k+1..n}."""
-    terms = base.terms
-    for a in [*range(k - 1), *range(k, base.n - 1)]:
+    n, terms = base.n, base.terms
+    # exchanging x_a and x_(a+1) must negate base inside each block
+    for a in [*range(k - 1), *range(k, n - 1)]:
         for key, c in terms.items():
             u, v = key[a], key[a + 1]
             swapped = key[:a] + (v, u) + key[a + 2:]
@@ -173,6 +137,44 @@ def _require_block_antisymmetric(base: MultiPoly, k: int):
                     f"x{a + 1} and x{a + 2}",
                     base,
                 )
+    blocks_decreasing = (
+        (key, c) for key, c in terms.items()
+        if all(u > v for u, v in zip(key[:k], key[1:k]))
+        and all(u > v for u, v in zip(key[k:n], key[k + 1:n]))
+    )
+    return _schur_readoff(blocks_decreasing, n, base.ring)
+
+
+def _schur_readoff(terms, n: int, ring: Ring) -> MultiPoly:
+    """sum c a_e / a_delta over the (key, c) pairs: key is an x exponent e
+    followed by the aux slots, c is rational.  a_e / a_delta is 0 when e
+    repeats an entry, else s_(sort(e) - delta) times the sign of the
+    permutation that sorts e."""
+    schur = {}
+    for key, c in terms:
+        e = key[:n]
+        if len(set(e)) < n:
+            continue
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if e[i] < e[j])
+        alpha = sorted(e, reverse=True)
+        lam = tuple(p - (n - 1 - i) for i, p in enumerate(alpha) if p > n - 1 - i)
+        sk = (lam, key[n:])
+        schur[sk] = schur.get(sk, 0) + (-c if inv % 2 else c)
+    mcoords = {}
+    for (lam, aux), c in schur.items():
+        if not c:
+            continue
+        for mu, kk in kostka_table(sum(lam), n)[lam]:
+            row = mcoords.setdefault(mu, {})
+            row[aux] = row.get(aux, 0) + c * kk
+    out = {}
+    for mu, by_aux in mcoords.items():
+        nonzero = [(aux, qnorm(c)) for aux, c in by_aux.items() if c]
+        if nonzero:
+            for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
+                for aux, c in nonzero:
+                    out[e + aux] = c
+    return MultiPoly(n, ring, out)
 
 
 def _require_symmetric(f: MultiPoly, opname: str):
@@ -241,11 +243,11 @@ def _shift_subset(f: MultiPoly, subset, qval) -> MultiPoly:
     acc = MultiPoly.zero(n, ring)
     for e, terms in sorted(powers.items()):
         piece = MultiPoly(n, ring, terms)
-        acc = acc + (piece if e == 0 else piece.scale(_ring_power(qval, e, ring)))
+        acc = acc + (piece if e == 0 else piece.scale(_ring_power(qval, e)))
     return acc
 
 
-def _ring_power(val, e: int, ring: Ring):
+def _ring_power(val, e: int):
     if isinstance(val, (int, Fraction)):
         return qnorm(Fraction(val) ** e)
     return val**e
@@ -409,27 +411,24 @@ def _cross_product(n: int, ring: Ring, subset, tval) -> MultiPoly:
 
 
 def macdonald_apply(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
-    """Macdonald operator for subset size r, exact common-denominator route.
-
-    The canonical-subset numerator is relabeled across all r-subsets with
-    the sign that relates each subset's cross-difference product to the
-    full Vandermonde product; a single exact division finishes the job.
-    """
+    """Macdonald operator D(n, r) on symmetric f by the alternant formula
+    of the module docstring: every rearrangement alpha of every lam in the
+    m-coordinates of f contributes e_r(q^alpha_i t^(n-i)) a_(alpha+delta),
+    and the sum is read off in the Schur basis."""
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
-    ring = f.ring
-    if not f:
-        return f
-    _require_symmetric(f, "Macdonald operator")
-    subset0 = tuple(range(1, r + 1))
-    comp0 = tuple(range(r + 1, n + 1))
-    base = (
-        _cross_product(n, ring, subset0, tval)
-        * vandermonde(n, ring, subset0)
-        * vandermonde(n, ring, comp0)
-        * _shift_subset(f, subset0, qval)
-    )
-    return _alternate_over_subsets(base, r).scale(_ring_power(tval, r * (r - 1) // 2, ring))
+    delta = tuple(range(n - 1, -1, -1))
+    subsets = list(combinations(range(n), r))
+    qt = cache(lambda a, b: qval**a * tval**b)
+    terms = []
+    for lam, c in to_msym_coords(f).items():
+        for alpha in _distinct_permutations(lam + (0,) * (n - len(lam))):
+            e = tuple(a + d for a, d in zip(alpha, delta))
+            if len(set(e)) < n:
+                continue
+            er = sum(qt(sum(alpha[i] for i in I), sum(delta[i] for i in I)) for I in subsets)
+            terms.extend((e + aux, ac) for aux, ac in f.ring.aux_keys_of(er * c).items())
+    return _schur_readoff(terms, n, f.ring)
 
 
 def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
@@ -446,19 +445,12 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
         )
         total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
     quot = exact_div(total, vandermonde(n, ring))
-    return quot.scale(_ring_power(tval, r * (r - 1) // 2, ring))
+    return quot.scale(_ring_power(tval, r * (r - 1) // 2))
 
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     q, t = Fraction(q), Fraction(t)
     return LinearOperator(n, Ring.q(), lambda f: macdonald_apply(n, r, q, t, f))
-
-
-def macdonald_jet(n: int, r: int, order: int = 4) -> LinearOperator:
-    ring = Ring.jet(order)
-    q = jet_q(order)
-    t = jet_t(order)
-    return LinearOperator(n, ring, lambda f: macdonald_apply(n, r, q, t, f))
 
 
 # -- scalar part of the Macdonald operator --------------------------------
@@ -467,7 +459,10 @@ def macdonald_jet(n: int, r: int, order: int = 4) -> LinearOperator:
 def macdonald_scalar_part(n: int, r: int) -> MultiPoly:
     """The subset sum with all shifts removed, applied to 1, over the
     t-polynomial ring.  A constant polynomial when the kernel sums
-    telescope; compared against the t-binomial by the verifier."""
+    telescope; compared against the t-binomial by the verifier.  It stays
+    on the kernel-sum path because the alternant formula gives it as
+    e_r(t^(n-1), ..., 1) t^(-r(r-1)/2), which is the t-binomial by the
+    q-binomial theorem, so the check would verify nothing."""
     ring = Ring.uni("t")
     tval = BetaPoly.var()
     subset0 = tuple(range(1, r + 1))
@@ -647,14 +642,11 @@ def operator_matrix(op: LinearOperator, basis) -> OperatorMatrix:
 def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
     """Matrix of the jet-mode Macdonald operator on the m-basis window of
     weights 1..degree (partitions with at most n parts)."""
-    from .multipoly import partitions_upto
-
     if n < 1:
         raise DomainError("n must be at least 1")
-    basis = tuple(partitions_upto(degree, n))
-    return OperatorMatrix.from_operator(
-        macdonald_jet(n, r, order), basis, n, Ring.jet(order)
-    )
+    q, t = jet_q(order), jet_t(order)
+    op = LinearOperator(n, Ring.jet(order), lambda f: macdonald_apply(n, r, q, t, f))
+    return operator_matrix(op, partitions_upto(degree, n))
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:

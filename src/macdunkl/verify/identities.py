@@ -94,6 +94,12 @@ def _basis(degree: int, n: int):
     return tuple(partitions_upto(degree, n))
 
 
+def _require_ranks(n: int, **ranks):
+    for name, v in ranks.items():
+        if not 1 <= v <= n:
+            raise DomainError(f"need 1 <= {name} <= n, got {name}={v}, n={n}")
+
+
 # -- t-binomial checks ---------------------------------------------------
 
 
@@ -256,6 +262,7 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
     """D(n, r) and D(n, s) commute at seeded rational (q, t); the pairs
     tried are reported as the ``qt`` finding."""
     basis = _basis(degree, n)
+    _require_ranks(n, r=r, s=s)
     residual = None
     tried = []
     for q, t in _seeded_qt_pairs(n, r, s, seed):
@@ -272,6 +279,7 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
 def check_orderwise_commutator(
     n: int, r: int, s: int, i: int, j: int, degree: int = 4, K: int = 4
 ):
+    _require_ranks(n, r=r, s=s)
     a = extract_order(n, r, i, degree, K)
     b = extract_order(n, s, j, degree, K)
     zero = OperatorMatrix(n, RB, a.basis, {})

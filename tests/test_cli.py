@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from io import StringIO
 
 import pytest
 
@@ -14,8 +16,6 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "witness_grid.json")
 
 
 def run_cli(*argv):
-    from io import StringIO
-
     old = sys.stdout
     sys.stdout = buf = StringIO()
     try:
@@ -208,6 +208,14 @@ def test_config_edge_cases_exit_2():
     assert run_cli("verify", "--identity", "h_commutator", "--n", "0", "--i", "1",
                    "--j", "2")[0] == 2
     assert run_cli("verify", "--identity", "eq1_shift_form", "--n", "0")[0] == 2
+    # a bad rank is reported under the flag that gave it
+    for argv in (("macdonald_commutator", "--n", "3", "--r", "1", "--s", "0"),
+                 ("orderwise_commutator", "--n", "3", "--r", "1", "--s", "0",
+                  "--i", "1", "--j", "2")):
+        err = StringIO()
+        with redirect_stderr(err):
+            assert run_cli("verify", "--identity", *argv)[0] == 2
+        assert "got s=0" in err.getvalue()
     # suite mode refuses the flags it has no use for
     assert run_cli("verify", "--suite", "dunkl", "--nmax", "2", "--degree", "1",
                    "--i", "3", "--k", "9", "--K", "9")[0] == 2

@@ -24,7 +24,6 @@ from macdunkl.operators import (
     m11_op,
     macdonald_apply,
     macdonald_apply_literal,
-    macdonald_jet,
     macdonald_scalar_part,
     macdonald_specialized,
     operator_matrix,
@@ -32,8 +31,8 @@ from macdunkl.operators import (
     qshift_apply,
     reflection_square_apply,
 )
-from macdunkl.rings import jet_exp
-from macdunkl.tbinom import t_binomial
+from macdunkl.rings import jet_exp, jet_q, jet_t
+from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
 from macdunkl.verify.closedforms import _combo
 
 
@@ -224,13 +223,22 @@ def test_macdonald_top_subset():
     assert out == f.scale(t * q * q)
 
 
+def test_macdonald_constant_is_scaled_t_binomial_jet():
+    # D(n, r) 1 = e_r(t^(n-1), ..., t, 1) = t^(r(r-1)/2) [n r]_t
+    ring = Ring.jet(4)
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            out = macdonald_apply(n, r, jet_q(4), jet_t(4), MultiPoly.const(n, 1, ring))
+            assert out == MultiPoly.const(n, scaled_t_binomial_jet(n, r, 4), ring), (n, r)
+
+
 def test_macdonald_matches_literal():
     rng = random.Random(7)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for r in range(1, n + 1):
             q = Fraction(rng.randrange(2, 9), rng.randrange(1, 5))
             t = Fraction(rng.randrange(2, 9), rng.randrange(1, 5))
-            for lam in partitions_upto(3, n):
+            for lam in [()] + partitions_upto(3, n):
                 f = monomial_symmetric(lam, n)
                 assert macdonald_apply(n, r, q, t, f) == macdonald_apply_literal(
                     n, r, q, t, f
@@ -238,16 +246,16 @@ def test_macdonald_matches_literal():
 
 
 def test_macdonald_jet_matches_literal():
-    from macdunkl.rings import jet_q, jet_t
-
-    n, order = 3, 3
+    order = 4
+    ring = Ring.jet(order)
     q, t = jet_q(order), jet_t(order)
-    for r in (1, 2):
-        for lam in ((1,), (2, 1)):
-            f = monomial_symmetric(lam, n, Ring.jet(order))
-            assert macdonald_apply(n, r, q, t, f) == macdonald_apply_literal(
-                n, r, q, t, f
-            )
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            for lam in [()] + partitions_upto(3, n):
+                f = monomial_symmetric(lam, n, ring)
+                assert macdonald_apply(n, r, q, t, f) == macdonald_apply_literal(
+                    n, r, q, t, f
+                ), (n, r, lam)
 
 
 def test_macdonald_rejects_non_symmetric():
