@@ -1,6 +1,6 @@
-"""The Schur read-off of the subset alternation against the division it
-replaces: signed relabelings over all k-subsets, then one exact division
-by the full Vandermonde product."""
+"""The Schur read-off against the division it replaces: signed relabelings
+over all k-subsets, or the alternant sum of the Macdonald operator, then
+one exact division by the full Vandermonde product."""
 
 from itertools import combinations, permutations
 
@@ -14,8 +14,11 @@ from macdunkl.operators import (
     _alternate_over_subsets,
     _subset_perm,
     _subset_sign,
+    _schur_readoff,
+    macdonald_apply,
     macdonald_scalar_part,
 )
+from macdunkl.rings import jet_q, jet_t
 from macdunkl.verify import typesums
 from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 
@@ -55,6 +58,43 @@ def test_type_numerators_match_division(monkeypatch):
     assert len(seen) > 100
     for n, k, got, want in seen:
         assert got == want, (n, k)
+
+
+def readoff_by_division(terms, n: int, ring: Ring) -> MultiPoly:
+    """sum c a_e over the (key, c) pairs, built as a polynomial and divided
+    exactly by the full Vandermonde product."""
+    numerator = {}
+    for key, c in terms:
+        e, aux = key[:n], key[n:]
+        for perm in permutations(range(n)):
+            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+            k = tuple(e[p] for p in perm) + aux
+            numerator[k] = numerator.get(k, 0) + (-c if inv % 2 else c)
+    total = MultiPoly(n, ring, {k: c for k, c in numerator.items() if c})
+    return exact_div(total, vandermonde(n, ring))
+
+
+def test_macdonald_jet_matches_division(monkeypatch):
+    """macdonald_apply on the jet ring: its one Schur read-off of the
+    alternant sum against building that sum and dividing."""
+    seen = []
+
+    def spy(terms, n, ring):
+        terms = list(terms)
+        got = _schur_readoff(terms, n, ring)
+        seen.append((n, got, readoff_by_division(terms, n, ring)))
+        return got
+
+    monkeypatch.setattr(operators, "_schur_readoff", spy)
+    ring = Ring.jet(4)
+    q, t = jet_q(4), jet_t(4)
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            for lam in [()] + partitions_upto(3, n):
+                macdonald_apply(n, r, q, t, monomial_symmetric(lam, n, ring))
+    assert len(seen) == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
+    for n, got, want in seen:
+        assert got == want, n
 
 
 def test_scalar_part_matches_division(monkeypatch):
