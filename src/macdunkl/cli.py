@@ -214,6 +214,9 @@ def _run_verify(args) -> int:
             plan = [(nm, ps) for nm, ps in plan if ps.get("n") == args.n]
         if args.r is not None:
             plan = [(nm, ps) for nm, ps in plan if ps.get("r", args.r) == args.r]
+        if not plan:
+            given = " ".join(f"--{k} {params[k]}" for k in ("nmax", "n", "r") if k in params)
+            raise DomainError(f"suite {args.suite!r} has no checks with {given}")
         verdicts = [verify_identity(nm, **ps) for nm, ps in plan]
     _emit(emit_report(verdicts, "json" if args.json else "text", args.timings), args.out)
     return 0 if all(v.passed for v in verdicts) else 1

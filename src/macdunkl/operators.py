@@ -10,13 +10,18 @@ a_(alpha+delta) / a_delta.
 The other rational-prefactor operators put each subset term over the
 subset's Vandermonde product and resolve it by one exact division, whose
 post-check turns any contract violation into a loud error.  Sums over
-all r-subsets put the canonical subset's term over the full product
-instead; only there must the numerator be antisymmetric inside the
-subset and inside its complement (checked exactly), which makes the
-signed subset sum a sum of alternants a_e.  Both paths read a_e / a_delta
-off in the Schur basis (a_(lam+delta) = a_delta s_lam) and turn it into
-monomial coordinates by a Kostka table, never dividing by the n!-term
-product.
+all r-subsets (the scalar part of the Macdonald operator, the type
+families) put the canonical subset's term over the full product instead,
+as a numerator g * cof given by its two factors and never formed.  g must
+be antisymmetric inside the subset and symmetric inside its complement,
+cof symmetric inside the subset and antisymmetric inside the complement
+(both checked exactly, cof once when it is built).  Then the numerator is
+antisymmetric inside both blocks, the signed subset sum is a sum of
+alternants a_e, and only the coefficients of g * cof at those e are
+computed.  The Macdonald formula and the subset sums read a_e / a_delta
+off in the Schur basis (a_(lam+delta) = a_delta s_lam) through one
+function and turn it into monomial coordinates by a Kostka table, never
+dividing by the n!-term product.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
+from operator import add, sub
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
 from .multipoly import (
@@ -114,35 +120,90 @@ def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
     return out
 
 
-def _alternate_over_subsets(base: MultiPoly, k: int) -> MultiPoly:
-    """Sum of the signed relabelings of base over all k-subsets, divided by
-    the full Vandermonde product, read off in the Schur basis.
-
-    base is the numerator of the canonical subset {1..k} over the
-    Vandermonde product, and must be antisymmetric under exchanges inside
-    {1..k} and inside {k+1..n} (else InexactDivisionError carrying base).
-    Each term c x^e of base whose two blocks are strictly decreasing then
-    contributes c a_e to the signed subset sum, and nothing else does.
-    """
-    n, terms = base.n, base.terms
-    # exchanging x_a and x_(a+1) must negate base inside each block
-    for a in [*range(k - 1), *range(k, n - 1)]:
+def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
+    """Exchanging x_(a+1) and x_(a+2), for each a in positions, must
+    multiply f by sign (1: symmetric, -1: antisymmetric); else
+    InexactDivisionError carrying f."""
+    terms = f.terms
+    for a in positions:
         for key, c in terms.items():
             u, v = key[a], key[a + 1]
             swapped = key[:a] + (v, u) + key[a + 2:]
-            # the values are compared once per pair, from its u > v side
-            if not (terms.get(swapped) == -c if u > v else u < v and swapped in terms):
+            # the values are compared once per pair, from its u >= v side
+            if not (terms.get(swapped) == sign * c if u >= v else swapped in terms):
+                kind = "symmetric" if sign == 1 else "antisymmetric"
                 raise InexactDivisionError(
-                    f"subset numerator is not antisymmetric under exchanging "
-                    f"x{a + 1} and x{a + 2}",
-                    base,
+                    f"{name} is not {kind} under exchanging x{a + 1} and x{a + 2}", f
                 )
-    blocks_decreasing = (
-        (key, c) for key, c in terms.items()
-        if all(u > v for u, v in zip(key[:k], key[1:k]))
-        and all(u > v for u, v in zip(key[k:n], key[k + 1:n]))
-    )
-    return _schur_readoff(blocks_decreasing, n, base.ring)
+
+
+def _by_x(f: MultiPoly):
+    """{x exponent: [(aux exponents, coefficient), ...]} of f."""
+    out = {}
+    for key, c in f.terms.items():
+        out.setdefault(key[:f.n], []).append((key[f.n:], c))
+    return out
+
+
+class _Cofactor:
+    """The factor cof of a subset numerator g * cof (see
+    ``_alternate_over_subsets``), checked once to be symmetric under
+    exchanges inside the head block {1..k} and antisymmetric inside the
+    tail block {k+1..n}, and indexed by x exponent."""
+
+    __slots__ = ("poly", "k", "by_x", "degrees")
+
+    def __init__(self, poly: MultiPoly, k: int):
+        n = poly.n
+        _require_exchange_sign(poly, range(k - 1), 1, "subset cofactor")
+        _require_exchange_sign(poly, range(k, n - 1), -1, "subset cofactor")
+        self.poly, self.k = poly, k
+        self.by_x = _by_x(poly)
+        self.degrees = {sum(x) for x in self.by_x}
+
+
+def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
+    """Sum of the signed relabelings of g * cof over all k-subsets, divided
+    by the full Vandermonde product, read off in the Schur basis without
+    forming g * cof.
+
+    g * cof is the numerator of the canonical subset {1..k} over the
+    Vandermonde product.  g must be antisymmetric under exchanges inside
+    the head {1..k} and symmetric inside the tail {k+1..n} (else
+    InexactDivisionError carrying g); cof has the opposite contract.  So
+    g * cof is antisymmetric inside both blocks, and its signed subset sum
+    is sum c a_e over its terms c x^e whose two blocks are strictly
+    decreasing.  Only those coefficients are computed: for each lam of a
+    degree the product can have, and each split of lam + delta into a
+    head of k entries and a tail, both decreasing, the coefficient at that
+    e is sum over a in g of g[a] cof[e - a].  The ring must not truncate
+    (rational or one-symbol coefficients).
+    """
+    g._compat(cof.poly)
+    n, k = g.n, cof.k
+    _require_exchange_sign(g, range(k - 1), -1, "subset numerator factor")
+    _require_exchange_sign(g, range(k, n - 1), 1, "subset numerator factor")
+    g_by_x = _by_x(g)
+    offset = n * (n - 1) // 2
+    weights = {sum(x) + d - offset for x in g_by_x for d in cof.degrees}
+    # the coefficient is a convolution: loop over the smaller factor
+    small, large = sorted((g_by_x, cof.by_x), key=len)
+    terms = []
+    for w in sorted(weights):
+        for lam in partitions_of(w, n):
+            alpha = [p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))]
+            for head in combinations(alpha, k):
+                e = head + tuple(v for v in alpha if v not in head)
+                coeff = {}
+                for x, pairs in small.items():
+                    other = large.get(tuple(map(sub, e, x)))
+                    if other:
+                        for aux1, c1 in pairs:
+                            for aux2, c2 in other:
+                                aux = tuple(map(add, aux1, aux2))
+                                coeff[aux] = coeff.get(aux, 0) + c1 * c2
+                terms.extend((e + aux, c) for aux, c in coeff.items() if c)
+    return _schur_readoff(terms, n, g.ring)
 
 
 def _schur_readoff(terms, n: int, ring: Ring) -> MultiPoly:
@@ -467,12 +528,8 @@ def macdonald_scalar_part(n: int, r: int) -> MultiPoly:
     tval = BetaPoly.var()
     subset0 = tuple(range(1, r + 1))
     comp0 = tuple(range(r + 1, n + 1))
-    base = (
-        _cross_product(n, ring, subset0, tval)
-        * vandermonde(n, ring, subset0)
-        * vandermonde(n, ring, comp0)
-    )
-    return _alternate_over_subsets(base, r)
+    cof = _cross_product(n, ring, subset0, tval) * vandermonde(n, ring, comp0)
+    return _alternate_over_subsets(vandermonde(n, ring, subset0), _Cofactor(cof, r))
 
 
 # -- matrices -------------------------------------------------------------

@@ -10,10 +10,16 @@ collapses to three pattern sums that are local to a + b variables.  Those
 local sums are computed once on the canonical support {1..a+b} over its
 Vandermonde product: the patterns form one orbit of the support's
 permutations, so one exact division gives a representative's term and
-every other term is its signed relabeling.  The sums are replicated
-across supports by relabeling (valid on symmetric arguments) and read
-off over the full Vandermonde product in the Schur basis, as in
-``operators._alternate_over_subsets``, without dividing by it.
+every other term is its signed relabeling.  Combined with the argument,
+the sums give the support's numerator factor g, antisymmetric inside the
+support (the patterns are one orbit) and symmetric outside it (the
+argument is).  The cofactor V_n / V_m, built as prod_{i <= m < j}
+(x_i - x_j) times the Vandermonde product of {m+1..n}, is symmetric
+inside the support and antisymmetric outside it; it is built and checked
+once per (n, m).  ``operators._alternate_over_subsets`` takes the two
+factors and reads the signed sum of their product over all supports off
+in the Schur basis, computing only the coefficients the read-off reads
+and dividing by nothing.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -27,7 +33,14 @@ from itertools import combinations, permutations
 
 from ..errors import DomainError, NonSymmetricError
 from ..multipoly import MultiPoly, Ring, exact_div, symmetry_violation, vandermonde
-from ..operators import _alternate_over_subsets, _sum_over_subsets, b_op, l_op
+from ..operators import (
+    _alternate_over_subsets,
+    _Cofactor,
+    _cross_product,
+    _sum_over_subsets,
+    b_op,
+    l_op,
+)
 from ..rings import binom
 
 RQ = Ring.q()
@@ -171,10 +184,12 @@ def _pad(f: MultiPoly, n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _support_cofactor(n: int, m: int) -> MultiPoly:
-    """V_n / V_m: puts a pattern sum over the support Vandermonde of
-    {1..m} over the full one."""
-    return exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
+def _support_cofactor(n: int, m: int) -> _Cofactor:
+    """V_n / V_m = prod_{i <= m < j} (x_i - x_j) times the Vandermonde
+    product of {m+1..n}: puts a pattern sum over the support Vandermonde
+    of {1..m} over the full one."""
+    support, rest = tuple(range(1, m + 1)), range(m + 1, n + 1)
+    return _Cofactor(_cross_product(n, RQ, support, 1) * vandermonde(n, RQ, rest), m)
 
 
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -194,7 +209,7 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
             eu = f.euler(u)
             if eu:
                 g0 = g0 + cu * eu
-    return _alternate_over_subsets(g0 * _support_cofactor(n, m), m)
+    return _alternate_over_subsets(g0, _support_cofactor(n, m))
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

@@ -1,6 +1,7 @@
-"""The Schur read-off against the division it replaces: signed relabelings
-over all k-subsets, or the alternant sum of the Macdonald operator, then
-one exact division by the full Vandermonde product."""
+"""The Schur read-off against the division it replaces: the product of
+the two subset factors, or the alternant sum of the Macdonald operator,
+then signed relabelings over all k-subsets and one exact division by the
+full Vandermonde product."""
 
 from itertools import combinations, permutations
 
@@ -12,6 +13,7 @@ from macdunkl.multipoly import exact_div, kostka_table, partitions_of, partition
 from macdunkl import operators
 from macdunkl.operators import (
     _alternate_over_subsets,
+    _Cofactor,
     _subset_perm,
     _subset_sign,
     _schur_readoff,
@@ -25,8 +27,9 @@ from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 RQ = Ring.q()
 
 
-def alternate_by_division(base: MultiPoly, k: int) -> MultiPoly:
-    n = base.n
+def alternate_by_division(g: MultiPoly, cof: MultiPoly, k: int) -> MultiPoly:
+    n = g.n
+    base = g * cof
     total = MultiPoly.zero(n, base.ring)
     for subset in combinations(range(1, n + 1), k):
         piece = base.permute_vars(_subset_perm(subset, n))
@@ -36,12 +39,12 @@ def alternate_by_division(base: MultiPoly, k: int) -> MultiPoly:
 
 def _record_alternations(monkeypatch, module):
     """Route module._alternate_over_subsets through the division oracle,
-    keeping every (base, k) and both results."""
+    keeping every (g, cof) and both results."""
     seen = []
 
-    def spy(base, k):
-        got = _alternate_over_subsets(base, k)
-        seen.append((base.n, k, got, alternate_by_division(base, k)))
+    def spy(g, cof):
+        got = _alternate_over_subsets(g, cof)
+        seen.append((g.n, cof.k, got, alternate_by_division(g, cof.poly, cof.k)))
         return got
 
     monkeypatch.setattr(module, "_alternate_over_subsets", spy)
@@ -107,23 +110,31 @@ def test_scalar_part_matches_division(monkeypatch):
         assert got == want, (n, k)
 
 
-def test_readoff_refuses_base_without_block_antisymmetry():
+def test_readoff_refuses_factors_that_break_their_contract():
     n = 3
-    x1, x2 = MultiPoly.variable(1, n), MultiPoly.variable(2, n)
-    # x1^2 x2 is not antisymmetric in x1, x2; its signed subset sum
-    # x1^2 x2 - x1^2 x3 + x2^2 x3 is not divisible by the Vandermonde
+    x1, x2, x3 = (MultiPoly.variable(i, n) for i in (1, 2, 3))
+    one = MultiPoly.const(n, 1)
+    # g must be antisymmetric in the head: x1^2 x2 is not, and the signed
+    # subset sum x1^2 x2 - x1^2 x3 + x2^2 x3 is not divisible by V_3
     with pytest.raises(InexactDivisionError) as err:
-        _alternate_over_subsets(x1 * x1 * x2, 2)
+        _alternate_over_subsets(x1 * x1 * x2, _Cofactor(one, 2))
     assert err.value.remainder == x1 * x1 * x2
     with pytest.raises(InexactDivisionError):
-        alternate_by_division(x1 * x1 * x2, 2)
+        alternate_by_division(x1 * x1 * x2, one, 2)
     # symmetric inside {1, 2} instead of antisymmetric
     with pytest.raises(InexactDivisionError):
-        _alternate_over_subsets(x1 + x2, 2)
-    # antisymmetry in the complement block is checked too
-    x3 = MultiPoly.variable(3, n)
-    with pytest.raises(InexactDivisionError):
-        _alternate_over_subsets(x2 * x2 * x3, 1)
+        _alternate_over_subsets(x1 + x2, _Cofactor(one, 2))
+    # g must be symmetric in the tail {2, 3}
+    with pytest.raises(InexactDivisionError) as err:
+        _alternate_over_subsets(x2, _Cofactor(x2 - x3, 1))
+    assert err.value.remainder == x2
+    # cof must be symmetric in the head {1, 2} and antisymmetric in the tail
+    with pytest.raises(InexactDivisionError) as err:
+        _Cofactor(x1, 2)
+    assert err.value.remainder == x1
+    with pytest.raises(InexactDivisionError) as err:
+        _Cofactor(x2 + x3, 1)
+    assert err.value.remainder == x2 + x3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -9,7 +9,9 @@ from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
     _canonical_sums,
+    _pad,
     _patterns,
+    _support_cofactor,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -124,3 +126,10 @@ def _canonical_sums_per_pattern(tid):
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_orbit_sums_match_per_pattern_division(tid):
     assert _canonical_sums(tid) == _canonical_sums_per_pattern(tid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_support_cofactor_is_vandermonde_quotient(n):
+    for m in range(1, n + 1):
+        want = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
+        assert _support_cofactor(n, m).poly == want, (n, m)
