@@ -168,10 +168,9 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
-def _all_suite_digest(nmax):
+def _all_suite_digest(*flags):
     proc = subprocess.run(
-        [sys.executable, "-m", "macdunkl.cli", "verify",
-         "--suite", "all", "--nmax", str(nmax), "--degree", "2", "--json"],
+        [sys.executable, "-m", "macdunkl.cli", "verify", "--suite", "all", *flags, "--json"],
         capture_output=True, timeout=600,
     )
     assert proc.returncode == 0
@@ -180,15 +179,22 @@ def _all_suite_digest(nmax):
 
 def test_small_report_digest_is_pinned():
     # every suite except `types`; guards the exact bytes of a JSON report
-    assert _all_suite_digest(3) == (
+    assert _all_suite_digest("--nmax", "3", "--degree", "2") == (
         "0c01faf346fb3370c94f970371c00f2e80e8b79f8a531afbaecff82455ff5efe"
     )
 
 
 def test_report_digest_through_n5_is_pinned():
     # the Macdonald matrices at n = 4 and 5, which the n <= 3 pin never reaches
-    assert _all_suite_digest(5) == (
+    assert _all_suite_digest("--nmax", "5", "--degree", "2") == (
         "00964b90cd69061c24e5388b6c5c1790d1831872039a73cacf567db6e67c28a5"
+    )
+
+
+def test_full_report_digest_is_pinned():
+    # the whole report at its defaults: degree 4, where H_3 is largest
+    assert _all_suite_digest() == (
+        "0b3388a582ffe5f499dc1ab52b7785807c36a30a32a8e42ee0cd8ff712d0944d"
     )
 
 
