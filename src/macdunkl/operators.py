@@ -1,14 +1,21 @@
 """Linear operators on symmetric polynomials: q-shifts, Dunkl operators,
 Vandermonde-kernel operators and Macdonald operators.
 
+Dunkl operators d_i = x_i d_i + b sum_(j != i) x_i/(x_i - x_j)(1 - K_ij)
+evaluate each divided difference term by term, as a geometric sum of
+monomials, without forming a numerator or dividing by x_i - x_j.  The
+power sum H_k = sum_i d_i^k needs a symmetric argument f (checked): then
+d_i^k f is the relabeling K_1i d_1^k f, so one chain of d_1 gives all n
+terms.
+
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
 and a_e the alternant of x^e: D(n, r) m_lam = sum over the
 rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
 a_(alpha+delta) / a_delta.
 
-The other rational-prefactor operators put each subset term over the
-subset's Vandermonde product and resolve it by one exact division, whose
+The kernel operators (B_{k,l}, the pair-ratio sum) put each subset term
+over the subset's Vandermonde product and resolve it by one exact division, whose
 post-check turns any contract violation into a loud error.  Sums over
 all r-subsets (the scalar part of the Macdonald operator, the type
 families) put the canonical subset's term over the full product instead,
@@ -27,8 +34,9 @@ Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S
 equals the relabeling under s of the term attached to the canonical
 subset {1..k}.  Each operator therefore evaluates one canonical term and
-replicates it across subsets.  Literal per-subset evaluations are kept
-(functions with a ``_literal`` suffix) and the tests compare the two.
+replicates it across subsets.  Literal evaluations are kept (functions
+with a ``_literal`` suffix: per subset, per Dunkl chain, or by exact
+division) and the tests compare each with its fast path.
 """
 
 from __future__ import annotations
@@ -318,7 +326,35 @@ def _ring_power(val, e: int):
 
 
 def _dd_swap(f: MultiPoly, i: int, j: int) -> MultiPoly:
-    """x_i/(x_i - x_j) (1 - K_ij) applied to f; always a polynomial."""
+    """x_i/(x_i - x_j) (1 - K_ij) applied to f, term by term: with
+    lo = min(u, v) and hi = max(u, v),
+    x_i (x_i^u x_j^v - x_i^v x_j^u)/(x_i - x_j)
+    = sign(u - v) sum_{p < hi - lo} x_i^(lo+1+p) x_j^(hi-1-p).
+    The aux slots ride along, so every ring takes the same path."""
+    a, b = i - 1, j - 1
+    out = {}
+    for key, c in f.terms.items():
+        u, v = key[a], key[b]
+        if u == v:
+            continue
+        lo, hi = (v, u) if u > v else (u, v)
+        if u < v:
+            c = -c
+        lk = list(key)
+        for p in range(hi - lo):
+            lk[a], lk[b] = lo + 1 + p, hi - 1 - p
+            k = tuple(lk)
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return MultiPoly(f.n, f.ring, out)
+
+
+def _dd_swap_literal(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """``_dd_swap`` by forming x_i (1 - K_ij) f and dividing it exactly by
+    x_i - x_j."""
     g = f - f.swap(i, j)
     if not g:
         return g
@@ -339,7 +375,23 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
-    """H_k = sum_i d_i^k applied to f."""
+    """H_k = sum_i d_i^k on symmetric f.  d_i = K_1i d_1 K_1i and
+    K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1 and its
+    relabelings."""
+    if k < 1:
+        raise DomainError("h_op needs k >= 1")
+    _require_symmetric(f, f"H[{k}]")
+    g = f
+    for _ in range(k):
+        g = dunkl_apply(1, g)
+    out = g
+    for i in range(2, f.n + 1):
+        out = out + g.swap(1, i)
+    return out
+
+
+def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
+    """H_k = sum_i d_i^k applied to any f, one chain per i."""
     if k < 1:
         raise DomainError("h_op needs k >= 1")
     out = MultiPoly.zero(f.n, f.ring)
@@ -439,11 +491,12 @@ def reflection_square_apply(f: MultiPoly) -> MultiPoly:
     if not f:
         return f
     _require_symmetric(f, "reflection square")
-    xi = MultiPoly.variable(1, n, ring)
+    # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so each term of C_1 f
+    # is a divided difference of x_1 d_1 f
+    e1 = f.euler(1)
     g = MultiPoly.zero(n, ring)
     for j in range(2, n + 1):
-        num = xi * (f.euler(1) - f.euler(j))
-        g = g + exact_div(num, xi - MultiPoly.variable(j, n, ring))
+        g = g + _dd_swap(e1, 1, j)
     term1 = MultiPoly.zero(n, ring)
     for j in range(2, n + 1):
         term1 = term1 + _dd_swap(g, 1, j)

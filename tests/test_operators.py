@@ -12,6 +12,8 @@ from macdunkl.errors import DomainError, NonSymmetricError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
     OperatorMatrix,
+    _dd_swap,
+    _dd_swap_literal,
     b_op,
     b_op_apply,
     b_op_apply_literal,
@@ -19,6 +21,7 @@ from macdunkl.operators import (
     extract_order,
     h_op,
     h_op_apply,
+    h_op_apply_literal,
     jet_matrix,
     l_op,
     m11_op,
@@ -90,16 +93,24 @@ def test_dunkl_needs_beta_ring():
         st.tuples(
             st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
             st.integers(-3, 3),
+            st.integers(0, 2),
         ),
         max_size=4,
     )
 )
 def test_dunkl_always_polynomial(pairs):
-    f = MultiPoly.zero(3, RB)
-    for e, c in pairs:
-        f = f + MultiPoly.monomial(e, 3, RB, coeff=c)
-    for i in (1, 2, 3):
-        dunkl_apply(i, f)
+    # the termwise divided difference agrees with exact division, aux
+    # slots (powers of b and h) included
+    for ring in (Ring.q(), RB, Ring.jet(4)):
+        f = MultiPoly.zero(3, ring)
+        for e, c, a in pairs:
+            f = f + MultiPoly(3, ring, {e + (a,) * ring.aux_slots: c} if c else {})
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                if i != j:
+                    assert _dd_swap(f, i, j) == _dd_swap_literal(f, i, j), (ring, i, j)
+            if ring.kind != "q":
+                dunkl_apply(i, f)
 
 
 def test_h1_is_degree_on_msym():
@@ -124,6 +135,21 @@ def test_h2_matrix_example():
     assert to_msym_coords(img) == {(2,): 4 + 2 * b, (1, 1): 4 * b}
     img2 = h_op_apply(2, msym((1, 1), n))
     assert to_msym_coords(img2) == {(1, 1): BetaPoly.const(2)}
+
+
+def test_h_op_matches_literal():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for lam in [()] + partitions_upto(4, n):
+                f = msym(lam, n)
+                assert h_op_apply(k, f) == h_op_apply_literal(k, f), (n, k, lam)
+
+
+def test_h_op_rejects_non_symmetric():
+    f = x(1, 2, RB) + x(2, 2, RB).scale(2)
+    with pytest.raises(NonSymmetricError) as err:
+        h_op_apply(2, f)
+    assert err.value.transposition == (1, 2)
 
 
 def test_b_op_examples():
