@@ -14,8 +14,8 @@ and a_e the alternant of x^e: D(n, r) m_lam = sum over the
 rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
 a_(alpha+delta) / a_delta.
 
-The kernel operators (B_{k,l}, the pair-ratio sum) put each subset term
-over the subset's Vandermonde product and resolve it by one exact division, whose
+Kernel operators (B_{k,l}, pair ratios) put each subset term over the
+subset's Vandermonde product and resolve it by one exact division, whose
 post-check turns any contract violation into a loud error.  Sums over
 all r-subsets (the scalar part of the Macdonald operator, the type
 families) put the canonical subset's term over the full product instead,
@@ -337,9 +337,10 @@ def _dd_swap(f: MultiPoly, i: int, j: int) -> MultiPoly:
         u, v = key[a], key[b]
         if u == v:
             continue
-        lo, hi = (v, u) if u > v else (u, v)
-        if u < v:
-            c = -c
+        if u > v:
+            lo, hi = v, u
+        else:
+            lo, hi, c = u, v, -c
         lk = list(key)
         for p in range(hi - lo):
             lk[a], lk[b] = lo + 1 + p, hi - 1 - p
