@@ -1,12 +1,17 @@
 """Linear operators on symmetric polynomials: q-shifts, Dunkl operators,
 Vandermonde-kernel operators and Macdonald operators.
 
-Dunkl operators d_i = x_i d_i + b sum_(j != i) x_i/(x_i - x_j)(1 - K_ij)
-evaluate each divided difference term by term, as a geometric sum of
-monomials, without forming a numerator or dividing by x_i - x_j.  The
-power sum H_k = sum_i d_i^k needs a symmetric argument f (checked): then
-d_i^k f is the relabeling K_1i d_1^k f, so one chain of d_1 gives all n
-terms.
+Every division by x_i - x_j on an operator path is the divided
+difference d_ij f = (1 - K_ij) f / (x_i - x_j), evaluated term by term
+as a geometric sum of monomials, never by forming a numerator and
+dividing it.  The Dunkl operator is d_i = x_i d_i + b A_i with
+A_i = x_i sum_(j != i) d_ij.  The kernel operators are built from the
+same divided differences: the canonical-subset term of B_{k,l} is the
+order-(k-1) divided difference d_(k-1,k) ... d_12 (x_1^(k-1) (x_1 d_1)^l f),
+the pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
+reflection-square term is A_1 A_1 (x_1 d_1 f).  All of them, and the
+power sum H_k = sum_i d_i^k, need a symmetric argument f (checked): then
+the term of index i (or subset S) is a relabeling of the canonical one.
 
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
@@ -14,12 +19,10 @@ and a_e the alternant of x^e: D(n, r) m_lam = sum over the
 rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
 a_(alpha+delta) / a_delta.
 
-Kernel operators (B_{k,l}, pair ratios) put each subset term over the
-subset's Vandermonde product and resolve it by one exact division, whose
-post-check turns any contract violation into a loud error.  Sums over
-all r-subsets (the scalar part of the Macdonald operator, the type
-families) put the canonical subset's term over the full product instead,
-as a numerator g * cof given by its two factors and never formed.  g must
+Sums over all r-subsets whose terms are rational functions (the scalar
+part of the Macdonald operator, the type families) put the canonical
+subset's term over the full Vandermonde product, as a numerator g * cof
+given by its two factors and never formed.  g must
 be antisymmetric inside the subset and symmetric inside its complement,
 cof symmetric inside the subset and antisymmetric inside the complement
 (both checked exactly, cof once when it is built).  Then the numerator is
@@ -36,7 +39,8 @@ equals the relabeling under s of the term attached to the canonical
 subset {1..k}.  Each operator therefore evaluates one canonical term and
 replicates it across subsets.  Literal evaluations are kept (functions
 with a ``_literal`` suffix: per subset, per Dunkl chain, or by exact
-division) and the tests compare each with its fast path.
+division, the only callers of ``exact_div`` here) and the tests compare
+each with its fast path.
 """
 
 from __future__ import annotations
@@ -261,16 +265,9 @@ def _require_symmetric(f: MultiPoly, opname: str):
 
 def _exponent_weighted(f: MultiPoly, weight) -> MultiPoly:
     n = f.n
-    out = {}
-    for k, c in f.terms.items():
-        w = weight(k[:n])
-        if w:
-            s = out.get(k, 0) + c * w
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return MultiPoly(f.n, f.ring, out)
+    return MultiPoly(
+        n, f.ring, {k: c * w for k, c in f.terms.items() if (w := weight(k[:n]))}
+    )
 
 
 def l_op(k: int, n: int, ring: Ring) -> LinearOperator:
@@ -322,14 +319,14 @@ def _ring_power(val, e: int):
     return val**e
 
 
-# -- Dunkl operators ----------------------------------------------------
+# -- divided differences -------------------------------------------------
 
 
-def _dd_swap(f: MultiPoly, i: int, j: int) -> MultiPoly:
-    """x_i/(x_i - x_j) (1 - K_ij) applied to f, term by term: with
+def _divided_difference(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """d_ij f = (1 - K_ij) f / (x_i - x_j), term by term: with
     lo = min(u, v) and hi = max(u, v),
-    x_i (x_i^u x_j^v - x_i^v x_j^u)/(x_i - x_j)
-    = sign(u - v) sum_{p < hi - lo} x_i^(lo+1+p) x_j^(hi-1-p).
+    (x_i^u x_j^v - x_i^v x_j^u)/(x_i - x_j)
+    = sign(u - v) sum_{p < hi - lo} x_i^(lo+p) x_j^(hi-1-p).
     The aux slots ride along, so every ring takes the same path."""
     a, b = i - 1, j - 1
     out = {}
@@ -343,7 +340,7 @@ def _dd_swap(f: MultiPoly, i: int, j: int) -> MultiPoly:
             lo, hi, c = u, v, -c
         lk = list(key)
         for p in range(hi - lo):
-            lk[a], lk[b] = lo + 1 + p, hi - 1 - p
+            lk[a], lk[b] = lo + p, hi - 1 - p
             k = tuple(lk)
             s = out.get(k, 0) + c
             if s:
@@ -353,26 +350,35 @@ def _dd_swap(f: MultiPoly, i: int, j: int) -> MultiPoly:
     return MultiPoly(f.n, f.ring, out)
 
 
-def _dd_swap_literal(f: MultiPoly, i: int, j: int) -> MultiPoly:
-    """``_dd_swap`` by forming x_i (1 - K_ij) f and dividing it exactly by
+def _divided_difference_literal(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """``_divided_difference`` by dividing (1 - K_ij) f exactly by
     x_i - x_j."""
-    g = f - f.swap(i, j)
-    if not g:
-        return g
-    num = MultiPoly.variable(i, f.n, f.ring) * g
-    return exact_div(num, MultiPoly.variable(i, f.n, f.ring) - MultiPoly.variable(j, f.n, f.ring))
+    return exact_div(
+        f - f.swap(i, j), MultiPoly.variable(i, f.n, f.ring) - MultiPoly.variable(j, f.n, f.ring)
+    )
 
 
-def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
-    """Dunkl operator d_i = x_i d_i + b sum_{j != i} x_i/(x_i-x_j)(1-K_ij)."""
-    if f.ring.kind == "q":
-        raise DomainError("Dunkl operators need a coefficient ring containing b")
-    out = f.euler(i)
+def _reflection_sum(i: int, f: MultiPoly) -> MultiPoly:
+    """A_i f = x_i sum_{j != i} d_ij f = sum_{j != i} x_i/(x_i-x_j)(1-K_ij) f."""
     acc = MultiPoly.zero(f.n, f.ring)
     for j in range(1, f.n + 1):
         if j != i:
-            acc = acc + _dd_swap(f, i, j)
-    return out + acc.scale(beta_scalar(f.ring))
+            acc = acc + _divided_difference(f, i, j)
+    # times x_i: raise every term's x_i exponent by one
+    a = i - 1
+    return MultiPoly(
+        f.n, f.ring, {k[:a] + (k[a] + 1,) + k[i:]: c for k, c in acc.terms.items()}
+    )
+
+
+# -- Dunkl operators ----------------------------------------------------
+
+
+def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
+    """Dunkl operator d_i = x_i d_i + b A_i."""
+    if f.ring.kind == "q":
+        raise DomainError("Dunkl operators need a coefficient ring containing b")
+    return f.euler(i) + _reflection_sum(i, f).scale(beta_scalar(f.ring))
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
@@ -385,10 +391,7 @@ def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
     g = f
     for _ in range(k):
         g = dunkl_apply(1, g)
-    out = g
-    for i in range(2, f.n + 1):
-        out = out + g.swap(1, i)
-    return out
+    return _sum_over_subsets(g, 1)
 
 
 def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
@@ -411,27 +414,13 @@ def h_op(k: int, n: int, ring: Ring) -> LinearOperator:
 # -- Vandermonde-kernel family ------------------------------------------
 
 
-def _b_unit_canonical(k: int, l: int, f: MultiPoly) -> MultiPoly:
-    """The subset term of B_{k,l} for the canonical subset {1..k}:
-    sum_s x_s^{k-1} (x_s d_s)^l f / prod_{t != s}(x_s - x_t), resolved over
-    the subset Vandermonde by one exact division."""
-    n, ring = f.n, f.ring
-    subset = list(range(1, k + 1))
-    num = MultiPoly.zero(n, ring)
-    for pos, s in enumerate(subset):
-        g = f
-        for _ in range(l):
-            g = g.euler(s)
-        g = g * MultiPoly.variable(s, n, ring) ** (k - 1)
-        rest = vandermonde(n, ring, [t for t in subset if t != s])
-        term = g * rest
-        num = num + (term if pos % 2 == 0 else -term)
-    return exact_div(num, vandermonde(n, ring, subset))
-
-
 def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
-    """B_{k,l} on a symmetric polynomial: canonical unit replicated over
-    all k-subsets by relabeling."""
+    """B_{k,l} = sum over k-subsets S of sum_(s in S)
+    x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t) on symmetric f.
+    The term of S = {1..k} is the divided difference
+    d_(k-1,k) ... d_23 d_12 (x_1^(k-1) (x_1 d_1)^l f), since
+    (x_s d_s)^l f = K_1s (x_1 d_1)^l f; it is replicated over all
+    k-subsets by relabeling."""
     if k < 1 or l < 0:
         raise DomainError("b_op needs k >= 1 and l >= 0")
     n = f.n
@@ -440,11 +429,18 @@ def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
     if not f:
         return f
     _require_symmetric(f, f"B[{k},{l}]")
-    return _sum_over_subsets(_b_unit_canonical(k, l, f), k)
+    g = f
+    for _ in range(l):
+        g = g.euler(1)
+    g = MultiPoly.variable(1, n, f.ring) ** (k - 1) * g
+    for i in range(1, k):
+        g = _divided_difference(g, i, i + 1)
+    return _sum_over_subsets(g, k)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
-    """Per-subset evaluation of B_{k,l}, no relabeling shortcut."""
+    """Per-subset evaluation of B_{k,l}: each subset's numerator over its
+    Vandermonde product, resolved by exact division."""
     n, ring = f.n, f.ring
     if k > n:
         return MultiPoly.zero(n, ring)
@@ -467,17 +463,15 @@ def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
 
 
 def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
-    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f."""
+    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f.
+    x_2 d_2 f = K_12 x_1 d_1 f, so the pair {1, 2} contributes
+    (x_1 + x_2) d_12 (x_1 d_1 f)."""
     n, ring = f.n, f.ring
     if n < 2 or not f:
         return MultiPoly.zero(n, ring)
     _require_symmetric(f, "pair ratio sum")
-    g = f.euler(1) - f.euler(2)
-    num = (MultiPoly.variable(1, n, ring) + MultiPoly.variable(2, n, ring)) * g
-    unit = exact_div(
-        num, MultiPoly.variable(1, n, ring) - MultiPoly.variable(2, n, ring)
-    )
-    return _sum_over_subsets(unit, 2)
+    x12 = MultiPoly.variable(1, n, ring) + MultiPoly.variable(2, n, ring)
+    return _sum_over_subsets(x12 * _divided_difference(f.euler(1), 1, 2), 2)
 
 
 def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:
@@ -488,23 +482,11 @@ def reflection_square_apply(f: MultiPoly) -> MultiPoly:
     """The operator sum_i A_i C_i on symmetric f, where
     A_i = sum_{j != i} x_i/(x_i-x_j)(1-K_ij) and
     C_i = sum_{j != i} x_i/(x_i-x_j)(x_i d_i - x_j d_j)."""
-    n, ring = f.n, f.ring
     if not f:
         return f
     _require_symmetric(f, "reflection square")
-    # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so each term of C_1 f
-    # is a divided difference of x_1 d_1 f
-    e1 = f.euler(1)
-    g = MultiPoly.zero(n, ring)
-    for j in range(2, n + 1):
-        g = g + _dd_swap(e1, 1, j)
-    term1 = MultiPoly.zero(n, ring)
-    for j in range(2, n + 1):
-        term1 = term1 + _dd_swap(g, 1, j)
-    out = term1
-    for i in range(2, n + 1):
-        out = out + term1.swap(1, i)
-    return out
+    # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so C_1 f = A_1 (x_1 d_1 f)
+    return _sum_over_subsets(_reflection_sum(1, _reflection_sum(1, f.euler(1))), 1)
 
 
 def reflection_square_op(n: int, ring: Ring) -> LinearOperator:

@@ -160,19 +160,21 @@ def _canonical_sums(tid: int):
     keys = [_pattern_key(*pat) for pat in patterns]
     if len(set(keys)) != len(keys) or set(keys) != set(orbit):
         raise AssertionError(f"type {tid} patterns are not one orbit of S_{m}")
-    zero = MultiPoly.zero(m, RQ)
-    total = zero
-    n_in = {u: zero for u in range(1, m + 1)}
-    n_out = {u: zero for u in range(1, m + 1)}
+    total = in1 = out1 = MultiPoly.zero(m, RQ)
     for (ins, outs, _, _), sigma in orbit.items():
         piece = piece0.permute_vars(tuple(v - 1 for v in sigma))
         if sum(1 for x, y in combinations(sigma, 2) if x > y) % 2:
             piece = -piece
         total = total + piece
-        for u in ins:
-            n_in[u] = n_in[u] + piece
-        for u in outs:
-            n_out[u] = n_out[u] + piece
+        if 1 in ins:
+            in1 = in1 + piece
+        elif 1 in outs:
+            out1 = out1 + piece
+    # the orbit is S_m-invariant and K_1u carries the patterns with 1
+    # inside (outside) onto those with u inside (outside); relabeling a
+    # piece by the odd K_1u gives -1 times the relabeled pattern's piece
+    n_in = {1: in1, **{u: -in1.swap(1, u) for u in range(2, m + 1)}}
+    n_out = {1: out1, **{u: -out1.swap(1, u) for u in range(2, m + 1)}}
     return total, n_in, n_out
 
 

@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from macdunkl import BetaPoly, HJet, MultiPoly, Ring, monomial_symmetric, to_msym_coords
+import macdunkl.operators
+from macdunkl import (
+    BetaPoly,
+    HJet,
+    MultiPoly,
+    Ring,
+    exact_div,
+    monomial_symmetric,
+    to_msym_coords,
+)
 from macdunkl.errors import DomainError, NonSymmetricError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
     OperatorMatrix,
-    _dd_swap,
-    _dd_swap_literal,
+    _divided_difference,
+    _divided_difference_literal,
     b_op,
     b_op_apply,
     b_op_apply_literal,
@@ -31,8 +40,10 @@ from macdunkl.operators import (
     macdonald_specialized,
     operator_matrix,
     pair_ratio_apply,
+    pair_ratio_op,
     qshift_apply,
     reflection_square_apply,
+    reflection_square_op,
 )
 from macdunkl.rings import jet_exp, jet_q, jet_t
 from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
@@ -108,7 +119,8 @@ def test_dunkl_always_polynomial(pairs):
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 if i != j:
-                    assert _dd_swap(f, i, j) == _dd_swap_literal(f, i, j), (ring, i, j)
+                    want = _divided_difference_literal(f, i, j)
+                    assert _divided_difference(f, i, j) == want, (ring, i, j)
             if ring.kind != "q":
                 dunkl_apply(i, f)
 
@@ -169,11 +181,13 @@ def test_b_op_rejects_non_symmetric():
 
 
 def test_b_op_matches_literal():
-    for n in (3, 4):
-        for (k, l) in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)):
-            for lam in partitions_upto(3, n):
-                f = msym(lam, n)
-                assert b_op_apply(k, l, f) == b_op_apply_literal(k, l, f), (n, k, l, lam)
+    for ring in (Ring.q(), RB):
+        for n in (3, 4, 5):
+            for (k, l) in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3), (5, 1)):
+                for lam in partitions_upto(3, n):
+                    f = msym(lam, n, ring)
+                    want = b_op_apply_literal(k, l, f)
+                    assert b_op_apply(k, l, f) == want, (ring, n, k, l, lam)
 
 
 def test_pair_ratio_identity_with_b21():
@@ -182,16 +196,54 @@ def test_pair_ratio_identity_with_b21():
         for lam in partitions_upto(3, n):
             f = msym(lam, n)
             lhs = pair_ratio_apply(f)
-            rhs = b_op_apply(2, 1, f).scale(2) - l_op(1, n, RB)(f).scale(n - 1)
+            rhs = b_op_apply_literal(2, 1, f).scale(2) - l_op(1, n, RB)(f).scale(n - 1)
             assert lhs == rhs
 
 
+def _ratio(i, j, g):
+    """x_i/(x_i - x_j) g, by exact division."""
+    xi = x(i, g.n, g.ring)
+    return exact_div(xi * g, xi - x(j, g.n, g.ring))
+
+
+def reflection_square_literal(f):
+    """sum_i A_i C_i f with every factor x_i/(x_i - x_j) taken by exact
+    division."""
+    n = f.n
+    out = MultiPoly.zero(n, f.ring)
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        c = MultiPoly.zero(n, f.ring)
+        for j in others:
+            c = c + _ratio(i, j, f.euler(i) - f.euler(j))
+        for j in others:
+            out = out + _ratio(i, j, c - c.swap(i, j))
+    return out
+
+
 def test_reflection_square_small():
-    # at n=2 the operator reduces to x1/(x1-x2)(1-K) x1/(x1-x2)(x1d1-x2d2) + (1 <-> 2)
-    n = 2
-    f = msym((2,), n)
-    out = reflection_square_apply(f)
-    assert to_msym_coords(out)  # polynomial, symmetric
+    for ring in (Ring.q(), RB):
+        for n in range(1, 5):
+            for lam in [()] + partitions_upto(4, n):
+                f = msym(lam, n, ring)
+                want = reflection_square_literal(f)
+                assert reflection_square_apply(f) == want, (ring, n, lam)
+
+
+def test_kernel_operators_never_divide(monkeypatch):
+    # every operator path takes its divisions by x_i - x_j termwise
+    def refuse(*args):
+        raise AssertionError("operator path reached a polynomial division")
+
+    monkeypatch.setattr(macdunkl.operators, "exact_div", refuse)
+    monkeypatch.setattr(macdunkl.operators, "vandermonde", refuse)
+    for n in range(1, 5):
+        basis = partitions_upto(3, n)
+        ops = [h_op(k, n, RB) for k in (1, 2, 3)]
+        ops += [b_op(k, l, n, RB) for k, l in ((2, 1), (2, 2), (3, 1), (4, 1))]
+        ops += [pair_ratio_op(n, RB), reflection_square_op(n, RB)]
+        for op in ops:
+            assert operator_matrix(op, basis).n == n
 
 
 def _column(mat, lam):
@@ -394,8 +446,6 @@ def test_dunkl_swap_divisibility_all_pairs():
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     g = f - f.swap(i, j)
-                    from macdunkl import exact_div
-
                     factor = x(i, n, RB) - x(j, n, RB)
                     q = exact_div(g, factor)
                     assert q * factor == g
