@@ -168,13 +168,16 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
-def _all_suite_digest(*flags):
+def _cli_digest(*argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "macdunkl.cli", "verify", "--suite", "all", *flags, "--json"],
-        capture_output=True, timeout=600,
+        [sys.executable, "-m", "macdunkl.cli", *argv], capture_output=True, timeout=600
     )
     assert proc.returncode == 0
     return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def _all_suite_digest(*flags):
+    return _cli_digest("verify", "--suite", "all", *flags, "--json")
 
 
 def test_small_report_digest_is_pinned():
@@ -196,6 +199,17 @@ def test_full_report_digest_is_pinned():
     assert _all_suite_digest() == (
         "0b3388a582ffe5f499dc1ab52b7785807c36a30a32a8e42ee0cd8ff712d0944d"
     )
+
+
+def test_jets_beyond_order_4_are_pinned():
+    # no report reaches K > 4: the t-binomial jet at K = 7 and the h^6
+    # coefficient of D(4, 2)
+    assert _cli_digest("tbinom", "--n", "9", "--r", "4", "--K", "7", "--json") == (
+        "9346994bef6a4abfa055d41f2e609d10f5bde47403d2ff969e2d013cdced8a3e"
+    )
+    assert _cli_digest(
+        "expand", "--n", "4", "--r", "2", "--order", "6", "--K", "6", "--degree", "3", "--json"
+    ) == "d68c3f62829ae4e5ff668f251de8708f9c9c5b4e70e9928e1a4a1f3949deed08"
 
 
 def test_config_edge_cases_exit_2():
