@@ -436,8 +436,11 @@ def is_symmetric(f: MultiPoly) -> bool:
     return symmetry_violation(f) is None
 
 
-def _distinct_permutations(values):
-    """All distinct orderings of a multiset, deterministic order."""
+@lru_cache(maxsize=None)
+def _distinct_permutations(values: tuple) -> tuple:
+    """All distinct orderings of a multiset given as a tuple,
+    lexicographically decreasing.  Cached: the callers pass the same
+    padded partitions again and again."""
     values = sorted(values, reverse=True)
     out = []
 
@@ -453,7 +456,7 @@ def _distinct_permutations(values):
             rec(prefix + [v], rest[:idx] + rest[idx + 1:])
 
     rec([], values)
-    return out
+    return tuple(out)
 
 
 def monomial_symmetric(lam, n: int, ring: Ring = RING_Q) -> MultiPoly:
@@ -463,7 +466,7 @@ def monomial_symmetric(lam, n: int, ring: Ring = RING_Q) -> MultiPoly:
         raise DomainError(f"not a partition: {lam}")
     if len(lam) > n:
         raise DomainError(f"partition {lam} has more than {n} parts")
-    padded = list(lam) + [0] * (n - len(lam))
+    padded = lam + (0,) * (n - len(lam))
     aux = (0,) * ring.aux_slots
     terms = {perm + aux: 1 for perm in _distinct_permutations(padded)}
     if not lam:

@@ -17,7 +17,12 @@ Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
 and a_e the alternant of x^e: D(n, r) m_lam = sum over the
 rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
-a_(alpha+delta) / a_delta.
+a_(alpha+delta) / a_delta.  The ring enters only through the monomial
+q^a t^b, which the caller passes as a function of (a, b): powers of
+rationals at a rational (q, t); in jet mode (q = exp(h), t = exp(b h))
+the closed-form jet of exp((a + b beta) h), so no jet is raised to a
+power.  Subsets with the same (sum alpha_i, sum delta_i) share one
+monomial.
 
 Sums over all r-subsets whose terms are rational functions (the scalar
 part of the Macdonald operator, the type families) put the canonical
@@ -45,9 +50,10 @@ each with its fast path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from operator import add, sub
 
@@ -65,7 +71,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, jet_q, jet_t, qnorm
+from .rings import BetaPoly, HJet, jet_qt, qnorm
 
 
 # -- operators ----------------------------------------------------------
@@ -507,23 +513,27 @@ def _cross_product(n: int, ring: Ring, subset, tval) -> MultiPoly:
     return out
 
 
-def macdonald_apply(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
+def macdonald_apply(n: int, r: int, qt, f: MultiPoly) -> MultiPoly:
     """Macdonald operator D(n, r) on symmetric f by the alternant formula
     of the module docstring: every rearrangement alpha of every lam in the
     m-coordinates of f contributes e_r(q^alpha_i t^(n-i)) a_(alpha+delta),
-    and the sum is read off in the Schur basis."""
+    and the sum is read off in the Schur basis.  qt(a, b) is the monomial
+    q^a t^b in f's ring.  The r-subsets I are counted by
+    (sum_I alpha_i, sum_I delta_i), so e_r takes one monomial per
+    distinct pair."""
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
     delta = tuple(range(n - 1, -1, -1))
-    subsets = list(combinations(range(n), r))
-    qt = cache(lambda a, b: qval**a * tval**b)
+    subsets = [(I, sum(delta[i] for i in I)) for I in combinations(range(n), r)]
+    qt = cache(qt)
     terms = []
     for lam, c in to_msym_coords(f).items():
         for alpha in _distinct_permutations(lam + (0,) * (n - len(lam))):
             e = tuple(a + d for a, d in zip(alpha, delta))
             if len(set(e)) < n:
                 continue
-            er = sum(qt(sum(alpha[i] for i in I), sum(delta[i] for i in I)) for I in subsets)
+            counts = Counter((sum(alpha[i] for i in I), b) for I, b in subsets)
+            er = sum(m * qt(a, b) for (a, b), m in counts.items())
             terms.extend((e + aux, ac) for aux, ac in f.ring.aux_keys_of(er * c).items())
     return _schur_readoff(terms, n, f.ring)
 
@@ -547,7 +557,9 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     q, t = Fraction(q), Fraction(t)
-    return LinearOperator(n, Ring.q(), lambda f: macdonald_apply(n, r, q, t, f))
+    return LinearOperator(
+        n, Ring.q(), lambda f: macdonald_apply(n, r, lambda a, b: q**a * t**b, f)
+    )
 
 
 # -- scalar part of the Macdonald operator --------------------------------
@@ -737,8 +749,8 @@ def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
     weights 1..degree (partitions with at most n parts)."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    q, t = jet_q(order), jet_t(order)
-    op = LinearOperator(n, Ring.jet(order), lambda f: macdonald_apply(n, r, q, t, f))
+    qt = partial(jet_qt, order=order)
+    op = LinearOperator(n, Ring.jet(order), lambda f: macdonald_apply(n, r, qt, f))
     return operator_matrix(op, partitions_upto(degree, n))
 
 

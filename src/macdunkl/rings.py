@@ -10,6 +10,11 @@ Three coefficient rings appear throughout the library:
     whose coefficients are ``BetaPoly`` values.  All jet arithmetic is
     exact truncation: results are computed modulo h^(K+1).
 
+With q = exp(h) and t = exp(beta*h), beta the coupling symbol, every
+monomial q^a t^b is exp((a + b*beta) h).  ``jet_qt`` writes its jet down
+in closed form, h^k coefficient (a + b*beta)^k / k!, instead of
+multiplying jets of q and t; ``jet_exp`` stays as its oracle.
+
 ``binom`` uses the zero convention (out-of-range arguments give 0) so the
 closed-form coefficient formulas built on top of it are total.
 """
@@ -376,11 +381,24 @@ def jet_exp(u: HJet) -> HJet:
     return out
 
 
+def jet_qt(a: int, b: int, order: int = DEFAULT_JET_ORDER) -> HJet:
+    """The jet of q^a t^b = exp((a + b*beta) h): its h^k coefficient is
+    (a + b*beta)^k / k! = sum_j C(k, j) a^(k-j) b^j beta^j / k!."""
+    return HJet(
+        order,
+        [
+            BetaPoly({j: Fraction(comb(k, j) * a ** (k - j) * b**j, factorial(k))
+                      for j in range(k + 1)})
+            for k in range(order + 1)
+        ],
+    )
+
+
 def jet_q(order: int = DEFAULT_JET_ORDER) -> HJet:
     """The jet of q = exp(h)."""
-    return jet_exp(HJet.single(1, 1, order))
+    return jet_qt(1, 0, order)
 
 
 def jet_t(order: int = DEFAULT_JET_ORDER) -> HJet:
     """The jet of t = exp(b*h)."""
-    return jet_exp(HJet.single(1, BetaPoly.var(), order))
+    return jet_qt(0, 1, order)

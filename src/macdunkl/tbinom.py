@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import DomainError, InexactDivisionError
-from .rings import BetaPoly, HJet, binom, jet_exp, jet_t, qnorm
+from .rings import BetaPoly, HJet, binom, jet_qt, qnorm
 
 
 class TPoly:
@@ -111,16 +112,18 @@ class TPoly:
         return quot
 
     def substitute_jet(self, order: int) -> HJet:
-        """Substitute t = exp(b*h), truncated at the given h order."""
-        t = jet_t(order)
-        out = HJet.zero(order)
-        powers = HJet.one(order)
-        for k, c in enumerate(self.coeffs):
-            if k:
-                powers = powers * t
-            if c:
-                out = out + powers * c
-        return out
+        """Substitute t = exp(b*h), truncated at the given h order.  t^k is
+        exp(k b h), so the h^j coefficient is the moment
+        b^j / j! sum_k c_k k^j."""
+        return HJet(
+            order,
+            [
+                BetaPoly.term(
+                    Fraction(sum(c * k**j for k, c in enumerate(self.coeffs)), factorial(j)), j
+                )
+                for j in range(order + 1)
+            ],
+        )
 
     def render(self, var: str = "t") -> str:
         if not self.coeffs:
@@ -170,8 +173,7 @@ def t_binomial_jet(n: int, r: int, order: int = 4) -> HJet:
 def scaled_t_binomial_jet(n: int, r: int, order: int = 4, half: bool = True) -> HJet:
     """h-jet of t^e [n r] with e = r(r-1)/2 (default) or e = r(r-1)."""
     e = r * (r - 1) // 2 if half else r * (r - 1)
-    pref = jet_exp(HJet.single(1, BetaPoly.term(e, 1), order))
-    return pref * t_binomial_jet(n, r, order)
+    return jet_qt(0, e, order) * t_binomial_jet(n, r, order)
 
 
 def _b(c, k: int) -> BetaPoly:

@@ -212,6 +212,20 @@ def test_jets_beyond_order_4_are_pinned():
     ) == "d68c3f62829ae4e5ff668f251de8708f9c9c5b4e70e9928e1a4a1f3949deed08"
 
 
+def test_jet_order_zero_is_accepted():
+    code, out = run_cli("tbinom", "--n", "3", "--r", "1", "--K", "0")
+    assert code == 0
+    assert "  h^0: 3   closed: 3" in out
+    code, out = run_cli("expand", "--n", "3", "--r", "1", "--order", "0", "--K", "0",
+                        "--degree", "1")
+    assert code == 0
+    assert "  m[1] <- m[1]: 3" in out
+    err = StringIO()
+    with redirect_stderr(err):
+        assert run_cli("tbinom", "--n", "3", "--r", "1", "--K", "-1")[0] == 2
+    assert "jet order must be non-negative" in err.getvalue()
+
+
 def test_config_edge_cases_exit_2():
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "-1")[0] == 2
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "x")[0] == 2

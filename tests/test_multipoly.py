@@ -1,6 +1,7 @@
 """Polynomial layer tests: arithmetic, division, symmetry, partitions."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from macdunkl import (
     to_msym_coords,
     vandermonde,
 )
-from macdunkl.multipoly import dominates, is_symmetric
+from macdunkl.multipoly import _distinct_permutations, dominates, is_symmetric
 
 
 def x(i, n, ring=Ring.q()):
@@ -211,3 +212,14 @@ def test_jet_ring_truncation():
 def test_render_is_deterministic():
     f = x(2, 3) + x(1, 3) ** 2 + x(1, 3) * x(3, 3)
     assert f.render() == "x1^2 + x1*x3 + x2"
+
+
+def test_distinct_permutations_match_itertools():
+    for n in range(7):
+        for w in range(n + 3):
+            for lam in partitions_of(w, n):
+                values = lam + (0,) * (n - len(lam))
+                got = _distinct_permutations(values)
+                assert len(got) == len(set(got))
+                assert set(got) == set(permutations(values)), values
+                assert list(got) == sorted(got, reverse=True)

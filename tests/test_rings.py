@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from macdunkl import BetaPoly, DomainError, HJet, binom, jet_exp
-from macdunkl.rings import jet_q, jet_t
+from macdunkl.rings import jet_q, jet_qt, jet_t
 
 
 def test_binom_values():
@@ -122,3 +122,21 @@ def test_jet_power_exponent_law():
 
 def test_jet_q_h1_coefficient():
     assert jet_q(4).coeff(1) == BetaPoly.one()
+
+
+def test_jet_qt_matches_exp_and_powers():
+    # q^a t^b = exp((a + b*beta) h), also at order 0, where u truncates to 0
+    for K in range(7):
+        q, t = jet_q(K), jet_t(K)
+        for a in range(7):
+            for b in range(21):
+                u = HJet(K, ([0, a + b * BetaPoly.var()] + [0] * K)[: K + 1])
+                got = jet_qt(a, b, K)
+                assert got == jet_exp(u), (a, b, K)
+                assert got == q**a * t**b, (a, b, K)
+
+
+def test_jet_order_zero_and_negative():
+    assert jet_qt(3, 5, 0) == HJet.one(0)
+    with pytest.raises(DomainError, match="jet order must be non-negative"):
+        jet_qt(0, 1, -1)

@@ -3,6 +3,7 @@ the two subset factors, or the alternant sum of the Macdonald operator,
 then signed relabelings over all k-subsets and one exact division by the
 full Vandermonde product."""
 
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -20,7 +21,7 @@ from macdunkl.operators import (
     macdonald_apply,
     macdonald_scalar_part,
 )
-from macdunkl.rings import jet_q, jet_t
+from macdunkl.rings import jet_qt
 from macdunkl.verify import typesums
 from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 
@@ -90,11 +91,11 @@ def test_macdonald_jet_matches_division(monkeypatch):
 
     monkeypatch.setattr(operators, "_schur_readoff", spy)
     ring = Ring.jet(4)
-    q, t = jet_q(4), jet_t(4)
+    qt = partial(jet_qt, order=4)
     for n in range(1, 5):
         for r in range(1, n + 1):
             for lam in [()] + partitions_upto(3, n):
-                macdonald_apply(n, r, q, t, monomial_symmetric(lam, n, ring))
+                macdonald_apply(n, r, qt, monomial_symmetric(lam, n, ring))
     assert len(seen) == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
     for n, got, want in seen:
         assert got == want, n

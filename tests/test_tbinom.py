@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from macdunkl import BetaPoly, DomainError, InexactDivisionError, binom
-from macdunkl.rings import jet_exp, HJet
+from macdunkl.rings import jet_exp, jet_t, HJet
 from macdunkl.tbinom import (
     TPoly,
     scaled_t_binomial_jet,
@@ -157,3 +157,28 @@ def test_closed_examples():
 def test_scaled_jet_against_direct_product():
     jet = scaled_t_binomial_jet(2, 2, 4, half=True)
     assert jet == jet_exp(HJet.single(1, BetaPoly.var(), 4))
+
+
+def test_substitute_jet_matches_jet_power_sum():
+    # the moment formula against sum_k c_k t^k built by jet multiplication
+    for K in range(7):
+        t = jet_t(K)
+        for n in range(11):
+            for r in range(n + 1):
+                poly = t_binomial(n, r)
+                want = HJet.zero(K)
+                for k, c in enumerate(poly.coeffs):
+                    want = want + t**k * c
+                assert poly.substitute_jet(K) == want, (n, r, K)
+    assert TPoly((Fraction(1, 3), 0, -2)).substitute_jet(2) == HJet(
+        2, [Fraction(-5, 3), BetaPoly.term(-4, 1), BetaPoly.term(-4, 2)]
+    )
+
+
+def test_substitute_jet_multiplies_no_jets(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("HJet.__mul__ called")
+
+    monkeypatch.setattr(HJet, "__mul__", refuse)
+    monkeypatch.setattr(HJet, "__rmul__", refuse)
+    assert t_binomial(7, 3).substitute_jet(5).coeff(0) == 35
