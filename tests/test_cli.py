@@ -203,13 +203,17 @@ def test_full_report_digest_is_pinned():
 
 def test_jets_beyond_order_4_are_pinned():
     # no report reaches K > 4: the t-binomial jet at K = 7 and the h^6
-    # coefficient of D(4, 2)
+    # coefficients of D(4, 2) and D(8, 4)
     assert _cli_digest("tbinom", "--n", "9", "--r", "4", "--K", "7", "--json") == (
         "9346994bef6a4abfa055d41f2e609d10f5bde47403d2ff969e2d013cdced8a3e"
     )
     assert _cli_digest(
         "expand", "--n", "4", "--r", "2", "--order", "6", "--K", "6", "--degree", "3", "--json"
     ) == "d68c3f62829ae4e5ff668f251de8708f9c9c5b4e70e9928e1a4a1f3949deed08"
+    # the census size: the h^6 coefficient of D(8, 4) up to degree 6
+    assert _cli_digest(
+        "expand", "--n", "8", "--r", "4", "--order", "6", "--K", "6", "--degree", "6", "--json"
+    ) == "1d1202212c7d52c6ee55c51560df8ee11e2cccfeb84e5c89b19d71e0b7cfbcd9"
 
 
 def test_jet_order_zero_is_accepted():
