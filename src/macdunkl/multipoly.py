@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial, prod
+from operator import itemgetter
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
 from .rings import BetaPoly, HJet, qnorm
@@ -310,14 +312,14 @@ class MultiPoly:
     def permute_vars(self, perm) -> "MultiPoly":
         """Relabel variables: new position of x_{i+1} is perm[i]+1."""
         n = self.n
-        out = {}
-        for k, c in self.terms.items():
-            nk = [0] * n
-            for i in range(n):
-                if k[i]:
-                    nk[perm[i]] = k[i]
-            out[tuple(nk) + k[n:]] = c
-        return MultiPoly(self.n, self.ring, out)
+        inverse = [0] * n
+        for i, p in enumerate(perm):
+            inverse[p] = i
+        if inverse == list(range(n)):
+            return self
+        # the new key reads slot inverse[p] of the old one; aux slots stay
+        relabel = itemgetter(*inverse, *range(n, self._width()))
+        return MultiPoly(self.n, self.ring, {relabel(k): c for k, c in self.terms.items()})
 
     # -- rendering ---------------------------------------------------
 
@@ -459,13 +461,17 @@ def _distinct_permutations(values: tuple) -> tuple:
     return tuple(out)
 
 
-def monomial_symmetric(lam, n: int, ring: Ring = RING_Q) -> MultiPoly:
-    """The monomial symmetric polynomial m_lambda in n variables."""
-    lam = tuple(lam)
+def _require_partition(lam, n: int):
     if any(p <= 0 for p in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise DomainError(f"not a partition: {lam}")
     if len(lam) > n:
         raise DomainError(f"partition {lam} has more than {n} parts")
+
+
+def monomial_symmetric(lam, n: int, ring: Ring = RING_Q) -> MultiPoly:
+    """The monomial symmetric polynomial m_lambda in n variables."""
+    lam = tuple(lam)
+    _require_partition(lam, n)
     padded = lam + (0,) * (n - len(lam))
     aux = (0,) * ring.aux_slots
     terms = {perm + aux: 1 for perm in _distinct_permutations(padded)}
@@ -474,26 +480,44 @@ def monomial_symmetric(lam, n: int, ring: Ring = RING_Q) -> MultiPoly:
     return MultiPoly(n, ring, terms)
 
 
+@lru_cache(maxsize=None)
+def _orbit_size(values: tuple) -> int:
+    """Number of distinct orderings of a multiset given as a tuple."""
+    return factorial(len(values)) // prod(factorial(values.count(v)) for v in set(values))
+
+
 def to_msym_coords(f: MultiPoly):
     """Coordinates of a symmetric polynomial in the m_lambda basis.
 
-    Raises NonSymmetricError (naming a violating transposition) when f is
-    not symmetric.  The empty partition indexes the constant term.
+    f is symmetric exactly when, for every x exponent e and aux slots a,
+    the keys with a sorted x exponent of sort(e) and aux slots a are all
+    |S_n e| rearrangements of e, with one coefficient.  Checked in one pass
+    over the terms; when it fails, ``symmetry_violation`` names a
+    transposition for the NonSymmetricError.  The empty partition indexes
+    the constant term.
     """
-    bad = symmetry_violation(f)
-    if bad is not None:
-        raise NonSymmetricError(
-            f"polynomial is not symmetric: exchanging x{bad[0]} and x{bad[1]} changes it",
-            bad,
-        )
     n = f.n
-    grouped = {}
+    orbits = {}
     for k, c in f.terms.items():
-        xk = k[:n]
-        lam = tuple(sorted((e for e in xk if e), reverse=True))
-        if xk == tuple(sorted(xk, reverse=True)):
-            grouped.setdefault(lam, []).append((k[n:], c))
-    return {lam: f.ring.scalar_from_aux(pairs) for lam, pairs in grouped.items()}
+        key = (tuple(sorted(k[:n], reverse=True)), k[n:])
+        seen = orbits.get(key)
+        if seen is None:
+            orbits[key] = [c, 1]
+        elif seen[0] == c:
+            seen[1] += 1
+        else:
+            break
+    else:
+        if all(count == _orbit_size(x) for (x, _), (_, count) in orbits.items()):
+            grouped = {}
+            for (x, aux), (c, _) in orbits.items():
+                grouped.setdefault(x[:n - x.count(0)], []).append((aux, c))
+            return {lam: f.ring.scalar_from_aux(pairs) for lam, pairs in grouped.items()}
+    bad = symmetry_violation(f)
+    raise NonSymmetricError(
+        f"polynomial is not symmetric: exchanging x{bad[0]} and x{bad[1]} changes it",
+        bad,
+    )
 
 
 # -- partitions ------------------------------------------------------

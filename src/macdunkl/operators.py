@@ -17,12 +17,16 @@ Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
 and a_e the alternant of x^e: D(n, r) m_lam = sum over the
 rearrangements alpha of lam of e_r(q^alpha_1 t^(n-1), ..., q^alpha_n t^0)
-a_(alpha+delta) / a_delta.  The ring enters only through the monomial
-q^a t^b, which the caller passes as a function of (a, b): powers of
-rationals at a rational (q, t); in jet mode (q = exp(h), t = exp(b h))
-the closed-form jet of exp((a + b beta) h), so no jet is raised to a
-power.  Subsets with the same (sum alpha_i, sum delta_i) share one
-monomial.
+a_(alpha+delta) / a_delta.  So every coordinate of D(n, r) m_lam is an
+integer polynomial sum N q^a t^b.  It is computed once per (n, r, lam),
+in integers only, and cached as the column {mu: {(a, b): N}}: the
+r-subsets I of each alpha are counted by (a, b) = (sum_I alpha_i,
+sum_I delta_i), and the Schur read-off and the Kostka step run over
+those counts.  No m_lam is expanded.  Each ring evaluates the column:
+in jet mode (q = exp(h), t = exp(b h)) as the closed-form jet of
+sum N exp((a + b beta) h), read off the moments of (a, b); at a rational
+(q, t) over one common denominator; and ``macdonald_apply`` through the
+monomial q^a t^b that its caller passes as a function of (a, b).
 
 Sums over all r-subsets whose terms are rational functions (the scalar
 part of the Macdonald operator, the type families) put the canonical
@@ -62,6 +66,7 @@ from .multipoly import (
     MultiPoly,
     Ring,
     _distinct_permutations,
+    _require_partition,
     exact_div,
     kostka_table,
     monomial_symmetric,
@@ -71,7 +76,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, jet_qt, qnorm
+from .rings import BetaPoly, HJet, jet_exp_sum, qnorm
 
 
 # -- operators ----------------------------------------------------------
@@ -132,8 +137,10 @@ def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
     """Sum of the relabelings of the canonical-subset term unit over all
     k-subsets."""
     n = unit.n
-    out = MultiPoly.zero(n, unit.ring)
-    for subset in combinations(range(1, n + 1), k):
+    subsets = combinations(range(1, n + 1), k)
+    # the first subset is the canonical one: its relabeling is the identity
+    out = unit if next(subsets, None) is not None else MultiPoly.zero(n, unit.ring)
+    for subset in subsets:
         out = out + unit.permute_vars(_subset_perm(subset, n))
     return out
 
@@ -206,7 +213,7 @@ def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
     weights = {sum(x) + d - offset for x in g_by_x for d in cof.degrees}
     # the coefficient is a convolution: loop over the smaller factor
     small, large = sorted((g_by_x, cof.by_x), key=len)
-    terms = []
+    alternants = []
     for w in sorted(weights):
         for lam in partitions_of(w, n):
             alpha = [p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))]
@@ -220,39 +227,51 @@ def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
                             for aux2, c2 in other:
                                 aux = tuple(map(add, aux1, aux2))
                                 coeff[aux] = coeff.get(aux, 0) + c1 * c2
-                terms.extend((e + aux, c) for aux, c in coeff.items() if c)
-    return _schur_readoff(terms, n, g.ring)
+                alternants.append((e, coeff))
+    return _schur_readoff(alternants, n, g.ring)
 
 
-def _schur_readoff(terms, n: int, ring: Ring) -> MultiPoly:
-    """sum c a_e / a_delta over the (key, c) pairs: key is an x exponent e
-    followed by the aux slots, c is rational.  a_e / a_delta is 0 when e
-    repeats an entry, else s_(sort(e) - delta) times the sign of the
-    permutation that sorts e."""
+def _readoff_coords(alternants, n: int):
+    """sum c a_e / a_delta over the (e, {aux: c}) pairs, e an x exponent
+    and aux a tuple of extra slots, in monomial coordinates
+    {mu: {aux: c}} with no zero c.  a_e / a_delta is 0 when e repeats an
+    entry, else s_(sort(e) - delta) times the sign of the permutation that
+    sorts e, and s_lam = sum_mu K_lam_mu m_mu."""
     schur = {}
-    for key, c in terms:
-        e = key[:n]
+    for e, by_aux in alternants:
         if len(set(e)) < n:
             continue
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if e[i] < e[j])
+        odd = sum(1 for i in range(n) for j in range(i + 1, n) if e[i] < e[j]) % 2
         alpha = sorted(e, reverse=True)
         lam = tuple(p - (n - 1 - i) for i, p in enumerate(alpha) if p > n - 1 - i)
-        sk = (lam, key[n:])
-        schur[sk] = schur.get(sk, 0) + (-c if inv % 2 else c)
+        row = schur.setdefault(lam, {})
+        for aux, c in by_aux.items():
+            row[aux] = row.get(aux, 0) + (-c if odd else c)
     mcoords = {}
-    for (lam, aux), c in schur.items():
-        if not c:
+    for lam, by_aux in schur.items():
+        by_aux = [(aux, c) for aux, c in by_aux.items() if c]
+        if not by_aux:
             continue
         for mu, kk in kostka_table(sum(lam), n)[lam]:
             row = mcoords.setdefault(mu, {})
-            row[aux] = row.get(aux, 0) + c * kk
+            for aux, c in by_aux:
+                row[aux] = row.get(aux, 0) + c * kk
     out = {}
     for mu, by_aux in mcoords.items():
-        nonzero = [(aux, qnorm(c)) for aux, c in by_aux.items() if c]
+        nonzero = {aux: c for aux, c in by_aux.items() if c}
         if nonzero:
-            for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
-                for aux, c in nonzero:
-                    out[e + aux] = c
+            out[mu] = nonzero
+    return out
+
+
+def _schur_readoff(alternants, n: int, ring: Ring) -> MultiPoly:
+    """``_readoff_coords`` expanded into a polynomial whose keys are the x
+    exponents followed by the aux slots; c is rational."""
+    out = {}
+    for mu, by_aux in _readoff_coords(alternants, n).items():
+        for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
+            for aux, c in by_aux.items():
+                out[e + aux] = qnorm(c)
     return MultiPoly(n, ring, out)
 
 
@@ -513,29 +532,51 @@ def _cross_product(n: int, ring: Ring, subset, tval) -> MultiPoly:
     return out
 
 
-def macdonald_apply(n: int, r: int, qt, f: MultiPoly) -> MultiPoly:
-    """Macdonald operator D(n, r) on symmetric f by the alternant formula
-    of the module docstring: every rearrangement alpha of every lam in the
-    m-coordinates of f contributes e_r(q^alpha_i t^(n-i)) a_(alpha+delta),
-    and the sum is read off in the Schur basis.  qt(a, b) is the monomial
-    q^a t^b in f's ring.  The r-subsets I are counted by
-    (sum_I alpha_i, sum_I delta_i), so e_r takes one monomial per
-    distinct pair."""
+def _require_rank(n: int, r: int):
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
+
+
+@cache
+def _macdonald_column(n: int, r: int, lam) -> dict:
+    """D(n, r) m_lam as {mu: {(a, b): N}}: the coordinate of m_mu is the
+    integer polynomial sum N q^a t^b.  By the alternant formula of the
+    module docstring, each rearrangement alpha of lam with no repeated
+    entry in alpha + delta contributes e_r(q^alpha_i t^(n-i)) a_(alpha+delta);
+    the r-subsets I are counted by (a, b) = (sum_I alpha_i, sum_I delta_i)
+    and the counts are read off in the Schur basis.  Cached per
+    (n, r, lam); callers must not mutate it."""
+    _require_rank(n, r)
+    _require_partition(lam, n)
     delta = tuple(range(n - 1, -1, -1))
     subsets = [(I, sum(delta[i] for i in I)) for I in combinations(range(n), r)]
+    alternants = []
+    for alpha in _distinct_permutations(lam + (0,) * (n - len(lam))):
+        e = tuple(a + d for a, d in zip(alpha, delta))
+        if len(set(e)) == n:
+            alternants.append((e, Counter((sum(alpha[i] for i in I), b) for I, b in subsets)))
+    return _readoff_coords(alternants, n)
+
+
+def macdonald_apply(n: int, r: int, qt, f: MultiPoly) -> MultiPoly:
+    """Macdonald operator D(n, r) on symmetric f: the columns of the
+    m-coordinates of f, each coefficient sum N q^a t^b evaluated by
+    qt(a, b), the monomial q^a t^b in f's ring."""
+    _require_rank(n, r)
     qt = cache(qt)
-    terms = []
+    coords = {}
     for lam, c in to_msym_coords(f).items():
-        for alpha in _distinct_permutations(lam + (0,) * (n - len(lam))):
-            e = tuple(a + d for a, d in zip(alpha, delta))
-            if len(set(e)) < n:
-                continue
-            counts = Counter((sum(alpha[i] for i in I), b) for I, b in subsets)
-            er = sum(m * qt(a, b) for (a, b), m in counts.items())
-            terms.extend((e + aux, ac) for aux, ac in f.ring.aux_keys_of(er * c).items())
-    return _schur_readoff(terms, n, f.ring)
+        for mu, poly in _macdonald_column(n, r, lam).items():
+            value = sum(N * qt(a, b) for (a, b), N in poly.items()) * c
+            coords[mu] = coords[mu] + value if mu in coords else value
+    ring = f.ring
+    out = {}
+    for mu, value in coords.items():
+        aux = ring.aux_keys_of(value)
+        for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
+            for a, c in aux.items():
+                out[e + a] = qnorm(c)
+    return MultiPoly(n, ring, out)
 
 
 def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
@@ -559,6 +600,23 @@ def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     q, t = Fraction(q), Fraction(t)
     return LinearOperator(
         n, Ring.q(), lambda f: macdonald_apply(n, r, lambda a, b: q**a * t**b, f)
+    )
+
+
+def _rational_value(q: Fraction, t: Fraction, poly) -> Fraction:
+    """sum N q^a t^b over the ((a, b), N) items of poly, over the common
+    denominator qd^A td^B with A, B the largest exponents."""
+    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+    A = max(a for a, _ in poly)
+    B = max(b for _, b in poly)
+    num = sum(N * qn**a * qd ** (A - a) * tn**b * td ** (B - b) for (a, b), N in poly.items())
+    return qnorm(Fraction(num, qd**A * td**B))
+
+
+def macdonald_matrix(n: int, r: int, q, t, basis) -> OperatorMatrix:
+    """Matrix of D(n, r) at rational (q, t) on an m-basis window."""
+    return _column_matrix(
+        n, r, basis, Ring.q(), partial(_rational_value, Fraction(q), Fraction(t))
     )
 
 
@@ -740,6 +798,28 @@ def operator_matrix(op: LinearOperator, basis) -> OperatorMatrix:
     return OperatorMatrix.from_operator(op, basis, op.n, op.ring)
 
 
+def _column_matrix(n: int, r: int, basis, ring: Ring, value) -> OperatorMatrix:
+    """Matrix of D(n, r) on the basis window, read off the cached columns:
+    entry (mu, lam) is value({(a, b): N}) of the coordinate of m_mu in
+    D(n, r) m_lam, a scalar of the ring."""
+    basis = tuple(tuple(lam) for lam in basis)
+    _check_basis_closure(basis, n)
+    bset = set(basis)
+    entries = {}
+    for lam in basis:
+        for mu, poly in _macdonald_column(n, r, lam).items():
+            c = value(poly)
+            if not c:
+                continue
+            if mu not in bset:
+                raise DomainError(
+                    f"operator image leaves the basis window: m{list(mu)} "
+                    f"appears in the image of m{list(lam)}"
+                )
+            entries[(mu, lam)] = c
+    return OperatorMatrix(n, ring, basis, entries)
+
+
 # -- cached jet expansion matrices ----------------------------------------
 
 
@@ -749,9 +829,9 @@ def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
     weights 1..degree (partitions with at most n parts)."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    qt = partial(jet_qt, order=order)
-    op = LinearOperator(n, Ring.jet(order), lambda f: macdonald_apply(n, r, qt, f))
-    return operator_matrix(op, partitions_upto(degree, n))
+    return _column_matrix(
+        n, r, partitions_upto(degree, n), Ring.jet(order), partial(jet_exp_sum, order=order)
+    )
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:

@@ -11,9 +11,12 @@ Three coefficient rings appear throughout the library:
     exact truncation: results are computed modulo h^(K+1).
 
 With q = exp(h) and t = exp(beta*h), beta the coupling symbol, every
-monomial q^a t^b is exp((a + b*beta) h).  ``jet_qt`` writes its jet down
-in closed form, h^k coefficient (a + b*beta)^k / k!, instead of
-multiplying jets of q and t; ``jet_exp`` stays as its oracle.
+monomial q^a t^b is exp((a + b*beta) h).  ``jet_exp_sum`` writes the jet
+of an integer combination sum N q^a t^b down in closed form, its h^k
+coefficient sum N (a + b*beta)^k / k! read off the moments of the
+exponents, instead of multiplying jets of q and t; ``jet_qt`` (one
+monomial) and the t-polynomial jets call it, and ``jet_exp`` stays as
+its oracle.
 
 ``binom`` uses the zero convention (out-of-range arguments give 0) so the
 closed-form coefficient formulas built on top of it are total.
@@ -381,17 +384,36 @@ def jet_exp(u: HJet) -> HJet:
     return out
 
 
-def jet_qt(a: int, b: int, order: int = DEFAULT_JET_ORDER) -> HJet:
-    """The jet of q^a t^b = exp((a + b*beta) h): its h^k coefficient is
-    (a + b*beta)^k / k! = sum_j C(k, j) a^(k-j) b^j beta^j / k!."""
+def jet_exp_sum(terms, order: int = DEFAULT_JET_ORDER) -> HJet:
+    """The jet of sum N exp((a + b*beta) h) over the ((a, b), N) items of
+    terms, read off the moments of the exponents: its h^k coefficient is
+    sum_j C(k, j) beta^j / k! * sum N a^(k-j) b^j."""
+    moments = {}
+    for (a, b), c in terms.items():
+        cb = c  # c b^j
+        for j in range(order + 1):
+            m = cb  # c a^i b^j
+            for i in range(order + 1 - j):
+                moments[i, j] = moments.get((i, j), 0) + m
+                m *= a
+                if not m:
+                    break
+            cb *= b
+            if not cb:
+                break
     return HJet(
         order,
         [
-            BetaPoly({j: Fraction(comb(k, j) * a ** (k - j) * b**j, factorial(k))
-                      for j in range(k + 1)})
+            BetaPoly({j: Fraction(comb(k, j) * m, factorial(k))
+                      for j in range(k + 1) if (m := moments.get((k - j, j)))})
             for k in range(order + 1)
         ],
     )
+
+
+def jet_qt(a: int, b: int, order: int = DEFAULT_JET_ORDER) -> HJet:
+    """The jet of q^a t^b = exp((a + b*beta) h)."""
+    return jet_exp_sum({(a, b): 1}, order)
 
 
 def jet_q(order: int = DEFAULT_JET_ORDER) -> HJet:

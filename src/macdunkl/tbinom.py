@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .errors import DomainError, InexactDivisionError
-from .rings import BetaPoly, HJet, binom, jet_qt, qnorm
+from .rings import BetaPoly, HJet, binom, jet_exp_sum, jet_qt, qnorm
 
 
 class TPoly:
@@ -112,18 +111,9 @@ class TPoly:
         return quot
 
     def substitute_jet(self, order: int) -> HJet:
-        """Substitute t = exp(b*h), truncated at the given h order.  t^k is
-        exp(k b h), so the h^j coefficient is the moment
-        b^j / j! sum_k c_k k^j."""
-        return HJet(
-            order,
-            [
-                BetaPoly.term(
-                    Fraction(sum(c * k**j for k, c in enumerate(self.coeffs)), factorial(j)), j
-                )
-                for j in range(order + 1)
-            ],
-        )
+        """Substitute t = exp(b*h), truncated at the given h order: t^k is
+        exp(k b h)."""
+        return jet_exp_sum({(0, k): c for k, c in enumerate(self.coeffs) if c}, order)
 
     def render(self, var: str = "t") -> str:
         if not self.coeffs:

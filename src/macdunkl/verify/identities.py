@@ -28,7 +28,7 @@ from ..operators import (
     OperatorMatrix,
     extract_order,
     h_op,
-    macdonald_specialized,
+    macdonald_matrix,
     macdonald_scalar_part,
     operator_matrix,
     qshift_apply,
@@ -267,8 +267,8 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
     tried = []
     for q, t in _seeded_qt_pairs(n, r, s, seed):
         tried.append(f"q={q},t={t}")
-        a = operator_matrix(macdonald_specialized(n, r, q, t), basis)
-        b = operator_matrix(macdonald_specialized(n, s, q, t), basis)
+        a = macdonald_matrix(n, r, q, t, basis)
+        b = macdonald_matrix(n, s, q, t, basis)
         zero = OperatorMatrix(n, RQ, basis, {})
         residual = _matrix_residual(a.commutator_with(b), zero, f"commutator at q={q}, t={t}")
         if residual is not None:

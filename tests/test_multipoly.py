@@ -1,5 +1,6 @@
 """Polynomial layer tests: arithmetic, division, symmetry, partitions."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -223,3 +224,85 @@ def test_distinct_permutations_match_itertools():
                 assert len(got) == len(set(got))
                 assert set(got) == set(permutations(values)), values
                 assert list(got) == sorted(got, reverse=True)
+
+
+RINGS = [Ring.q(), Ring.uni("b"), Ring.jet(2)]
+
+
+def _random_key(rng, n, ring, top=3):
+    aux = tuple(rng.randint(0, 2) for _ in range(ring.aux_slots))
+    return tuple(rng.randint(0, top) for _ in range(n)) + aux
+
+
+def _random_symmetric(rng, n, ring):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        key = _random_key(rng, n, ring)
+        c = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+        for e in _distinct_permutations(key[:n]):
+            terms[e + key[n:]] = c
+    return MultiPoly(n, ring, terms)
+
+
+def _swap_verdict(f):
+    """The transposition the n - 1 adjacent swaps find, or None."""
+    for i in range(1, f.n):
+        if f.swap(i, i + 1) != f:
+            return (i, i + 1)
+    return None
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_msym_symmetry_check_matches_swaps(ring):
+    rng = random.Random(f"msym:{ring.kind}")
+    verdicts = set()
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        f = _random_symmetric(rng, n, ring)
+        terms = dict(f.terms)
+        move = trial % 4
+        if move == 1 and terms:
+            key = rng.choice(sorted(terms))
+            terms[key] = terms[key] + 1 or 2
+        elif move == 2 and terms:
+            del terms[rng.choice(sorted(terms))]
+        elif move == 3:
+            terms[_random_key(rng, n, ring)] = rng.choice([-2, 1, 5])
+        g = MultiPoly(n, ring, terms)
+        want = _swap_verdict(g)
+        verdicts.add(want is None)
+        if want is None:
+            coords = to_msym_coords(g)
+            grouped = {}
+            for k, c in g.terms.items():
+                if list(k[:n]) == sorted(k[:n], reverse=True):
+                    lam = tuple(e for e in k[:n] if e)
+                    grouped.setdefault(lam, []).append((k[n:], c))
+            assert coords == {lam: ring.scalar_from_aux(p) for lam, p in grouped.items()}
+        else:
+            with pytest.raises(NonSymmetricError) as err:
+                to_msym_coords(g)
+            assert err.value.transposition == want
+    assert verdicts == {True, False}
+
+
+def _permute_loop(f, perm):
+    n = f.n
+    out = {}
+    for k, c in f.terms.items():
+        nk = [0] * n
+        for i in range(n):
+            nk[perm[i]] = k[i]
+        out[tuple(nk) + k[n:]] = c
+    return MultiPoly(n, f.ring, out)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_permute_vars_matches_loop(ring):
+    rng = random.Random(f"perm:{ring.kind}")
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        f = MultiPoly(n, ring, {_random_key(rng, n, ring): rng.randint(1, 9) for _ in range(6)})
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert f.permute_vars(tuple(perm)) == _permute_loop(f, perm), perm

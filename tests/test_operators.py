@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,10 @@ from macdunkl import (
 from macdunkl.errors import DomainError, NonSymmetricError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
+    LinearOperator,
     OperatorMatrix,
+    _subset_perm,
+    _sum_over_subsets,
     _divided_difference,
     _divided_difference_literal,
     b_op,
@@ -37,6 +41,7 @@ from macdunkl.operators import (
     m11_op,
     macdonald_apply,
     macdonald_apply_literal,
+    macdonald_matrix,
     macdonald_scalar_part,
     macdonald_specialized,
     operator_matrix,
@@ -49,6 +54,7 @@ from macdunkl.operators import (
 from macdunkl.rings import jet_exp, jet_q, jet_qt, jet_t
 from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
 from macdunkl.verify.closedforms import _combo
+from macdunkl.verify.identities import check_macdonald_commutator
 
 
 RB = Ring.uni("b")
@@ -340,6 +346,61 @@ def test_macdonald_jet_matches_literal():
                 assert macdonald_apply(n, r, qt, f) == macdonald_apply_literal(
                     n, r, q, t, f
                 ), (n, r, lam)
+
+
+@pytest.mark.parametrize("K", [0, 4, 6])
+def test_jet_matrix_matches_literal_operator(K):
+    ring = Ring.jet(K)
+    q, t = jet_q(K), jet_t(K)
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            literal = LinearOperator(n, ring, partial(macdonald_apply_literal, n, r, q, t))
+            want = operator_matrix(literal, partitions_upto(3, n))
+            assert jet_matrix(n, r, K, 3).nonzero_cells() == want.nonzero_cells(), (n, r)
+
+
+@pytest.mark.parametrize("q, t", [(Fraction(3, 7), Fraction(5, 2)), (Fraction(-2, 3), Fraction(11, 13))])
+def test_macdonald_matrix_matches_literal_operator(q, t):
+    for n in range(1, 5):
+        basis = partitions_upto(3, n)
+        for r in range(1, n + 1):
+            literal = LinearOperator(n, Ring.q(), partial(macdonald_apply_literal, n, r, q, t))
+            want = operator_matrix(literal, basis)
+            assert macdonald_matrix(n, r, q, t, basis).nonzero_cells() == want.nonzero_cells()
+
+
+def test_macdonald_matrices_never_expand(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Macdonald matrix expanded m_lam")
+
+    monkeypatch.setattr(macdunkl.operators, "monomial_symmetric", refuse)
+    monkeypatch.setattr(macdunkl.operators, "to_msym_coords", refuse)
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            assert jet_matrix.__wrapped__(n, r, 4, 3).entries
+            for s in range(r, n + 1):
+                residual, _ = check_macdonald_commutator(n, r, s, degree=3)
+                assert residual is None, (n, r, s)
+
+
+def test_sum_over_subsets_matches_every_relabeling():
+    rng = random.Random(5)
+    for ring in (Ring.q(), RB, Ring.jet(3)):
+        for n in range(1, 6):
+            width = n + ring.aux_slots
+            unit = MultiPoly(
+                n, ring, {tuple(rng.randint(0, 2) for _ in range(width)): rng.randint(1, 5)
+                          for _ in range(4)}
+            )
+            for k in range(n + 2):
+                want = MultiPoly.zero(n, ring)
+                for subset in combinations(range(1, n + 1), k):
+                    perm = _subset_perm(subset, n)
+                    want = want + MultiPoly(n, ring, {
+                        tuple(key[perm.index(p)] for p in range(n)) + key[n:]: c
+                        for key, c in unit.terms.items()
+                    })
+                assert _sum_over_subsets(unit, k) == want, (ring, n, k)
 
 
 def test_macdonald_jet_raises_no_jet_to_a_power(monkeypatch):

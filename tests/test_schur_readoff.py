@@ -1,9 +1,8 @@
 """The Schur read-off against the division it replaces: the product of
-the two subset factors, or the alternant sum of the Macdonald operator,
-then signed relabelings over all k-subsets and one exact division by the
-full Vandermonde product."""
+the two subset factors, then signed relabelings over all k-subsets, or
+the alternant sum of the Macdonald operator; then one exact division by
+the full Vandermonde product."""
 
-from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -17,11 +16,8 @@ from macdunkl.operators import (
     _Cofactor,
     _subset_perm,
     _subset_sign,
-    _schur_readoff,
-    macdonald_apply,
     macdonald_scalar_part,
 )
-from macdunkl.rings import jet_qt
 from macdunkl.verify import typesums
 from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 
@@ -64,41 +60,37 @@ def test_type_numerators_match_division(monkeypatch):
         assert got == want, (n, k)
 
 
-def readoff_by_division(terms, n: int, ring: Ring) -> MultiPoly:
-    """sum c a_e over the (key, c) pairs, built as a polynomial and divided
-    exactly by the full Vandermonde product."""
-    numerator = {}
-    for key, c in terms:
-        e, aux = key[:n], key[n:]
-        for perm in permutations(range(n)):
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            k = tuple(e[p] for p in perm) + aux
-            numerator[k] = numerator.get(k, 0) + (-c if inv % 2 else c)
-    total = MultiPoly(n, ring, {k: c for k, c in numerator.items() if c})
-    return exact_div(total, vandermonde(n, ring))
-
-
-def test_macdonald_jet_matches_division(monkeypatch):
-    """macdonald_apply on the jet ring: its one Schur read-off of the
-    alternant sum against building that sum and dividing."""
-    seen = []
-
-    def spy(terms, n, ring):
-        terms = list(terms)
-        got = _schur_readoff(terms, n, ring)
-        seen.append((n, got, readoff_by_division(terms, n, ring)))
-        return got
-
-    monkeypatch.setattr(operators, "_schur_readoff", spy)
-    ring = Ring.jet(4)
-    qt = partial(jet_qt, order=4)
+def test_macdonald_jet_matches_division():
+    """Every Macdonald column, the integer polynomial in (q, t) that the
+    jet and the rational rings evaluate, against building the alternant
+    sum over the rearrangements alpha of lam of
+    e_r(q^alpha_i t^(n-i)) a_(alpha+delta) in x_1..x_n, q, t and dividing
+    it exactly by V_n."""
+    checked = 0
     for n in range(1, 5):
+        width = n + 2  # q and t are the variables n + 1 and n + 2
+        delta = tuple(range(n - 1, -1, -1))
+        vdm = vandermonde(width, RQ, range(1, n + 1))
         for r in range(1, n + 1):
             for lam in [()] + partitions_upto(3, n):
-                macdonald_apply(n, r, qt, monomial_symmetric(lam, n, ring))
-    assert len(seen) == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
-    for n, got, want in seen:
-        assert got == want, n
+                numerator = {}
+                for alpha in set(permutations(lam + (0,) * (n - len(lam)))):
+                    e = tuple(a + d for a, d in zip(alpha, delta))
+                    for subset in combinations(range(n), r):
+                        qt = (sum(alpha[i] for i in subset), sum(delta[i] for i in subset))
+                        for perm in permutations(range(n)):
+                            inv = sum(1 for a, b in combinations(perm, 2) if a > b)
+                            k = tuple(e[p] for p in perm) + qt
+                            numerator[k] = numerator.get(k, 0) + (-1 if inv % 2 else 1)
+                total = MultiPoly(width, RQ, {k: c for k, c in numerator.items() if c})
+                got = {}
+                for mu, poly in operators._macdonald_column(n, r, lam).items():
+                    for x in set(permutations(mu + (0,) * (n - len(mu)))):
+                        for (a, b), count in poly.items():
+                            got[x + (a, b)] = count
+                assert MultiPoly(width, RQ, got) == exact_div(total, vdm), (n, r, lam)
+                checked += 1
+    assert checked == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
 
 
 def test_scalar_part_matches_division(monkeypatch):
