@@ -489,12 +489,11 @@ def _orbit_size(values: tuple) -> int:
 def to_msym_coords(f: MultiPoly):
     """Coordinates of a symmetric polynomial in the m_lambda basis.
 
-    f is symmetric exactly when, for every x exponent e and aux slots a,
-    the keys with a sorted x exponent of sort(e) and aux slots a are all
-    |S_n e| rearrangements of e, with one coefficient.  Checked in one pass
-    over the terms; when it fails, ``symmetry_violation`` names a
-    transposition for the NonSymmetricError.  The empty partition indexes
-    the constant term.
+    f is symmetric exactly when its keys, grouped by sorted x exponent and
+    aux slots, form complete S_n orbits with one coefficient each; that is
+    checked in one pass over the terms.  When it fails,
+    ``symmetry_violation`` names a transposition for the NonSymmetricError.
+    The empty partition indexes the constant term.
     """
     n = f.n
     orbits = {}

@@ -228,7 +228,7 @@ def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
                                 aux = tuple(map(add, aux1, aux2))
                                 coeff[aux] = coeff.get(aux, 0) + c1 * c2
                 alternants.append((e, coeff))
-    return _schur_readoff(alternants, n, g.ring)
+    return _from_coords(_readoff_coords(alternants, n), n, g.ring)
 
 
 def _readoff_coords(alternants, n: int):
@@ -264,11 +264,11 @@ def _readoff_coords(alternants, n: int):
     return out
 
 
-def _schur_readoff(alternants, n: int, ring: Ring) -> MultiPoly:
-    """``_readoff_coords`` expanded into a polynomial whose keys are the x
-    exponents followed by the aux slots; c is rational."""
+def _from_coords(coords, n: int, ring: Ring) -> MultiPoly:
+    """sum over mu of m_mu times the scalar {aux: c} of coords[mu], c
+    rational."""
     out = {}
-    for mu, by_aux in _readoff_coords(alternants, n).items():
+    for mu, by_aux in coords.items():
         for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
             for aux, c in by_aux.items():
                 out[e + aux] = qnorm(c)
@@ -570,13 +570,7 @@ def macdonald_apply(n: int, r: int, qt, f: MultiPoly) -> MultiPoly:
             value = sum(N * qt(a, b) for (a, b), N in poly.items()) * c
             coords[mu] = coords[mu] + value if mu in coords else value
     ring = f.ring
-    out = {}
-    for mu, value in coords.items():
-        aux = ring.aux_keys_of(value)
-        for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
-            for a, c in aux.items():
-                out[e + a] = qnorm(c)
-    return MultiPoly(n, ring, out)
+    return _from_coords({mu: ring.aux_keys_of(v) for mu, v in coords.items()}, n, ring)
 
 
 def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
