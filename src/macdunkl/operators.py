@@ -650,13 +650,20 @@ class OperatorMatrix:
 
     @staticmethod
     def from_operator(op: LinearOperator, basis, n: int, ring: Ring) -> "OperatorMatrix":
+        return OperatorMatrix.from_columns(
+            lambda lam: to_msym_coords(op(monomial_symmetric(lam, n, ring))), basis, n, ring
+        )
+
+    @staticmethod
+    def from_columns(column, basis, n: int, ring: Ring) -> "OperatorMatrix":
+        """The matrix whose column lam is column(lam), the {mu: scalar}
+        coordinates of the image of m_lam."""
         basis = tuple(tuple(lam) for lam in basis)
         _check_basis_closure(basis, n)
         bset = set(basis)
         entries = {}
         for lam in basis:
-            image = op(monomial_symmetric(lam, n, ring))
-            for mu, c in to_msym_coords(image).items():
+            for mu, c in column(lam).items():
                 if not c:
                     continue
                 if mu not in bset:
@@ -796,22 +803,10 @@ def _column_matrix(n: int, r: int, basis, ring: Ring, value) -> OperatorMatrix:
     """Matrix of D(n, r) on the basis window, read off the cached columns:
     entry (mu, lam) is value({(a, b): N}) of the coordinate of m_mu in
     D(n, r) m_lam, a scalar of the ring."""
-    basis = tuple(tuple(lam) for lam in basis)
-    _check_basis_closure(basis, n)
-    bset = set(basis)
-    entries = {}
-    for lam in basis:
-        for mu, poly in _macdonald_column(n, r, lam).items():
-            c = value(poly)
-            if not c:
-                continue
-            if mu not in bset:
-                raise DomainError(
-                    f"operator image leaves the basis window: m{list(mu)} "
-                    f"appears in the image of m{list(lam)}"
-                )
-            entries[(mu, lam)] = c
-    return OperatorMatrix(n, ring, basis, entries)
+    return OperatorMatrix.from_columns(
+        lambda lam: {mu: value(p) for mu, p in _macdonald_column(n, r, lam).items()},
+        basis, n, ring,
+    )
 
 
 # -- cached jet expansion matrices ----------------------------------------
