@@ -27,7 +27,7 @@ from math import factorial, prod
 from operator import itemgetter
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
-from .rings import BetaPoly, HJet, qnorm
+from .rings import BetaPoly, HJet, qnorm, render_scalar
 
 Partition = tuple[int, ...]
 
@@ -95,13 +95,6 @@ class Ring:
         for (k, h), c in pairs:
             cs[h][k] = c
         return HJet(self.order, [BetaPoly(d) for d in cs])
-
-    def zero_scalar(self):
-        if self.kind == "q":
-            return 0
-        if self.kind == "uni":
-            return BetaPoly.zero()
-        return HJet.zero(self.order)
 
 
 RING_Q = Ring.q()
@@ -334,7 +327,9 @@ class MultiPoly:
                 for i, e in enumerate(xk)
                 if e
             )
-            cs = _render_scalar(scalar, self.ring)
+            cs = render_scalar(scalar, self.ring.var)
+            if " " in cs:
+                cs = f"({cs})"
             if mono:
                 body = mono if cs == "1" else f"{cs}*{mono}"
             else:
@@ -344,18 +339,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
-
-
-def _render_scalar(scalar, ring: Ring) -> str:
-    if ring.kind == "q":
-        return str(scalar)
-    if ring.kind == "uni":
-        s = scalar.render(ring.var)
-    else:
-        s = scalar.render("h", ring.var)
-    if " " in s:
-        return f"({s})"
-    return s
 
 
 def _order_key(k):
@@ -426,12 +409,40 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # -- symmetry and the monomial-symmetric basis ------------------------
 
 
-def symmetry_violation(f: MultiPoly):
-    """Return None if f is symmetric, else a violating transposition (i, i+1)."""
+def _symmetric_orbits(f: MultiPoly):
+    """{(sorted x exponent, aux slots): [coefficient, count]} of f if f is
+    symmetric, else None.  f is symmetric exactly when its keys, grouped
+    by sorted x exponent and aux slots, form complete S_n orbits with one
+    coefficient each; that is checked in one pass over the terms."""
+    n = f.n
+    orbits = {}
+    for k, c in f.terms.items():
+        key = (tuple(sorted(k[:n], reverse=True)), k[n:])
+        seen = orbits.get(key)
+        if seen is None:
+            orbits[key] = [c, 1]
+        elif seen[0] == c:
+            seen[1] += 1
+        else:
+            return None
+    if all(count == _orbit_size(x) for (x, _), (_, count) in orbits.items()):
+        return orbits
+    return None
+
+
+def _violating_swap(f: MultiPoly):
+    """The first adjacent transposition (i, i+1) that changes f; f must be
+    non-symmetric."""
     for i in range(1, f.n):
         if f.swap(i, i + 1) != f:
             return (i, i + 1)
-    return None
+
+
+def symmetry_violation(f: MultiPoly):
+    """Return None if f is symmetric, else a violating transposition (i, i+1).
+    The verdict is the one-pass orbit check; exchanges are tried only to
+    name the transposition."""
+    return None if _symmetric_orbits(f) is not None else _violating_swap(f)
 
 
 def is_symmetric(f: MultiPoly) -> bool:
@@ -489,34 +500,22 @@ def _orbit_size(values: tuple) -> int:
 def to_msym_coords(f: MultiPoly):
     """Coordinates of a symmetric polynomial in the m_lambda basis.
 
-    f is symmetric exactly when its keys, grouped by sorted x exponent and
-    aux slots, form complete S_n orbits with one coefficient each; that is
-    checked in one pass over the terms.  When it fails,
-    ``symmetry_violation`` names a transposition for the NonSymmetricError.
-    The empty partition indexes the constant term.
+    Symmetry is the one-pass orbit check of ``symmetry_violation``; when
+    it fails, the NonSymmetricError names a transposition.  The empty
+    partition indexes the constant term.
     """
     n = f.n
-    orbits = {}
-    for k, c in f.terms.items():
-        key = (tuple(sorted(k[:n], reverse=True)), k[n:])
-        seen = orbits.get(key)
-        if seen is None:
-            orbits[key] = [c, 1]
-        elif seen[0] == c:
-            seen[1] += 1
-        else:
-            break
-    else:
-        if all(count == _orbit_size(x) for (x, _), (_, count) in orbits.items()):
-            grouped = {}
-            for (x, aux), (c, _) in orbits.items():
-                grouped.setdefault(x[:n - x.count(0)], []).append((aux, c))
-            return {lam: f.ring.scalar_from_aux(pairs) for lam, pairs in grouped.items()}
-    bad = symmetry_violation(f)
-    raise NonSymmetricError(
-        f"polynomial is not symmetric: exchanging x{bad[0]} and x{bad[1]} changes it",
-        bad,
-    )
+    orbits = _symmetric_orbits(f)
+    if orbits is None:
+        bad = _violating_swap(f)
+        raise NonSymmetricError(
+            f"polynomial is not symmetric: exchanging x{bad[0]} and x{bad[1]} changes it",
+            bad,
+        )
+    grouped = {}
+    for (x, aux), (c, _) in orbits.items():
+        grouped.setdefault(x[:n - x.count(0)], []).append((aux, c))
+    return {lam: f.ring.scalar_from_aux(pairs) for lam, pairs in grouped.items()}
 
 
 # -- partitions ------------------------------------------------------

@@ -22,11 +22,11 @@ integer polynomial sum N q^a t^b.  It is computed once per (n, r, lam),
 in integers only, and cached as the column {mu: {(a, b): N}}: the
 r-subsets I of each alpha are counted by (a, b) = (sum_I alpha_i,
 sum_I delta_i), and the Schur read-off and the Kostka step run over
-those counts.  No m_lam is expanded.  Each ring evaluates the column:
-in jet mode (q = exp(h), t = exp(b h)) as the closed-form jet of
-sum N exp((a + b beta) h), read off the moments of (a, b); at a rational
-(q, t) over one common denominator; and ``macdonald_apply`` through the
-monomial q^a t^b that its caller passes as a function of (a, b).
+those counts.  No m_lam is expanded.  Each coordinate is evaluated by
+the ring's evaluator of {(a, b): N} tables in ``rings``: in jet mode
+(q = exp(h), t = exp(b h)) ``jet_exp_sum``, at a rational (q, t)
+``rational_value``.  ``jet_matrix``, ``macdonald_matrix`` and
+``macdonald_apply`` take the evaluator alike.
 
 Sums over all r-subsets whose terms are rational functions (the scalar
 part of the Macdonald operator, the type families) put the canonical
@@ -76,7 +76,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, jet_exp_sum, qnorm
+from .rings import BetaPoly, HJet, jet_exp_sum, qnorm, rational_value, render_scalar
 
 
 # -- operators ----------------------------------------------------------
@@ -558,17 +558,17 @@ def _macdonald_column(n: int, r: int, lam) -> dict:
     return _readoff_coords(alternants, n)
 
 
-def macdonald_apply(n: int, r: int, qt, f: MultiPoly) -> MultiPoly:
+def macdonald_apply(n: int, r: int, value, f: MultiPoly) -> MultiPoly:
     """Macdonald operator D(n, r) on symmetric f: the columns of the
-    m-coordinates of f, each coefficient sum N q^a t^b evaluated by
-    qt(a, b), the monomial q^a t^b in f's ring."""
+    m-coordinates of f, each coefficient {(a, b): N} evaluated by value
+    to a scalar of f's ring (``jet_exp_sum`` at the ring's jet order, or
+    ``rational_value`` at a rational (q, t))."""
     _require_rank(n, r)
-    qt = cache(qt)
     coords = {}
     for lam, c in to_msym_coords(f).items():
         for mu, poly in _macdonald_column(n, r, lam).items():
-            value = sum(N * qt(a, b) for (a, b), N in poly.items()) * c
-            coords[mu] = coords[mu] + value if mu in coords else value
+            v = value(poly) * c
+            coords[mu] = coords[mu] + v if mu in coords else v
     ring = f.ring
     return _from_coords({mu: ring.aux_keys_of(v) for mu, v in coords.items()}, n, ring)
 
@@ -591,26 +591,14 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
 
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
-    q, t = Fraction(q), Fraction(t)
-    return LinearOperator(
-        n, Ring.q(), lambda f: macdonald_apply(n, r, lambda a, b: q**a * t**b, f)
-    )
-
-
-def _rational_value(q: Fraction, t: Fraction, poly) -> Fraction:
-    """sum N q^a t^b over the ((a, b), N) items of poly, over the common
-    denominator qd^A td^B with A, B the largest exponents."""
-    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
-    A = max(a for a, _ in poly)
-    B = max(b for _, b in poly)
-    num = sum(N * qn**a * qd ** (A - a) * tn**b * td ** (B - b) for (a, b), N in poly.items())
-    return qnorm(Fraction(num, qd**A * td**B))
+    value = partial(rational_value, Fraction(q), Fraction(t))
+    return LinearOperator(n, Ring.q(), partial(macdonald_apply, n, r, value))
 
 
 def macdonald_matrix(n: int, r: int, q, t, basis) -> OperatorMatrix:
     """Matrix of D(n, r) at rational (q, t) on an m-basis window."""
     return _column_matrix(
-        n, r, basis, Ring.q(), partial(_rational_value, Fraction(q), Fraction(t))
+        n, r, basis, Ring.q(), partial(rational_value, Fraction(q), Fraction(t))
     )
 
 
@@ -678,7 +666,7 @@ class OperatorMatrix:
         self._compat(other)
         out = dict(self.entries)
         for k, c in other.entries.items():
-            s = out.get(k, self._zero()) + c
+            s = out[k] + c if k in out else c
             if s:
                 out[k] = s
             else:
@@ -708,7 +696,7 @@ class OperatorMatrix:
             for nu, c1 in col:
                 for mu, c2 in rows.get(nu, ()):
                     key = (mu, lam)
-                    s = out.get(key, self._zero()) + c2 * c1
+                    s = out[key] + c2 * c1 if key in out else c2 * c1
                     if s:
                         out[key] = s
                     else:
@@ -717,9 +705,6 @@ class OperatorMatrix:
 
     def commutator_with(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return (self @ other) - (other @ self)
-
-    def _zero(self):
-        return self.ring.zero_scalar()
 
     def _compat(self, other: "OperatorMatrix"):
         if self.basis != other.basis or self.n != other.n or self.ring != other.ring:
@@ -768,16 +753,10 @@ class OperatorMatrix:
         return [(mu, lam, self.entries[(mu, lam)]) for (mu, lam) in sorted(self.entries, key=key)]
 
     def render_cells(self):
-        out = []
-        for mu, lam, v in self.nonzero_cells():
-            if isinstance(v, (int, Fraction)):
-                s = str(v)
-            elif isinstance(v, BetaPoly):
-                s = v.render(self.ring.var)
-            else:
-                s = v.render("h", self.ring.var)
-            out.append((_pname(mu), _pname(lam), s))
-        return out
+        return [
+            (_pname(mu), _pname(lam), render_scalar(v, self.ring.var))
+            for mu, lam, v in self.nonzero_cells()
+        ]
 
 
 def _pname(lam) -> str:

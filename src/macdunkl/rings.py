@@ -10,13 +10,21 @@ Three coefficient rings appear throughout the library:
     whose coefficients are ``BetaPoly`` values.  All jet arithmetic is
     exact truncation: results are computed modulo h^(K+1).
 
-With q = exp(h) and t = exp(beta*h), beta the coupling symbol, every
-monomial q^a t^b is exp((a + b*beta) h).  ``jet_exp_sum`` writes the jet
-of an integer combination sum N q^a t^b down in closed form, its h^k
-coefficient sum N (a + b*beta)^k / k! read off the moments of the
-exponents, instead of multiplying jets of q and t; ``jet_qt`` (one
-monomial) and the t-polynomial jets call it, and ``jet_exp`` stays as
-its oracle.
+Every scalar the verifier computes from q and t is an integer
+combination sum N q^a t^b, given as a table {(a, b): N}, and each ring
+has one evaluator of such a table:
+
+  * ``jet_exp_sum``: with q = exp(h) and t = exp(beta*h), beta the
+    coupling symbol, q^a t^b is exp((a + b*beta) h), and the h^k
+    coefficient sum N (a + b*beta)^k / k! is read off the moments of the
+    exponents, with no jet multiplied; ``jet_q``, ``jet_t`` and the
+    t-polynomial jets call it, and ``jet_exp`` stays as its oracle;
+  * ``rational_value``: the exact value at a rational (q, t), over one
+    common denominator.
+
+``render_scalar`` is the one text form of a scalar of any of the three
+rings, and ``render_terms`` the one term loop of the univariate
+polynomials, so every report prints a scalar the same way.
 
 ``binom`` uses the zero convention (out-of-range arguments give 0) so the
 closed-form coefficient formulas built on top of it are total.
@@ -204,13 +212,7 @@ class BetaPoly:
 
     def render(self, var: str = "b") -> str:
         """Canonical text form, ascending powers, e.g. ``1 + 2*b + b^2``."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            parts.append(_render_term(c, var, k, first=not parts))
-        return "".join(parts)
+        return render_terms(sorted(self.coeffs.items()), var)
 
     def __repr__(self):
         return f"BetaPoly({self.render()})"
@@ -222,6 +224,16 @@ def _coerce_beta(value) -> BetaPoly:
     if isinstance(value, (int, Fraction)):
         return BetaPoly.const(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to BetaPoly")
+
+
+def render_terms(terms, var: str) -> str:
+    """Text of sum c var^k over the (k, c) pairs of terms, ascending in k,
+    zero c skipped: ``1 - 2*t + 3*t^3``; ``0`` when every c is zero."""
+    parts = []
+    for k, c in terms:
+        if c:
+            parts.append(_render_term(c, var, k, first=not parts))
+    return "".join(parts) or "0"
 
 
 def _render_term(c, var: str, k: int, first: bool) -> str:
@@ -411,16 +423,33 @@ def jet_exp_sum(terms, order: int = DEFAULT_JET_ORDER) -> HJet:
     )
 
 
-def jet_qt(a: int, b: int, order: int = DEFAULT_JET_ORDER) -> HJet:
-    """The jet of q^a t^b = exp((a + b*beta) h)."""
-    return jet_exp_sum({(a, b): 1}, order)
+def rational_value(q: Fraction, t: Fraction, terms):
+    """sum N q^a t^b over the ((a, b), N) items of terms, at rational q
+    and t, over the common denominator qd^A td^B with A, B the largest
+    exponents.  terms must not be empty."""
+    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+    A = max(a for a, _ in terms)
+    B = max(b for _, b in terms)
+    num = sum(N * qn**a * qd ** (A - a) * tn**b * td ** (B - b) for (a, b), N in terms.items())
+    return qnorm(Fraction(num, qd**A * td**B))
 
 
 def jet_q(order: int = DEFAULT_JET_ORDER) -> HJet:
     """The jet of q = exp(h)."""
-    return jet_qt(1, 0, order)
+    return jet_exp_sum({(1, 0): 1}, order)
 
 
 def jet_t(order: int = DEFAULT_JET_ORDER) -> HJet:
     """The jet of t = exp(b*h)."""
-    return jet_qt(0, 1, order)
+    return jet_exp_sum({(0, 1): 1}, order)
+
+
+def render_scalar(value, var: str = "b") -> str:
+    """Canonical text of a ring scalar: a rational as ``str`` gives it, a
+    polynomial in var, or a jet in h whose coefficients are polynomials
+    in var."""
+    if isinstance(value, HJet):
+        return value.render("h", var)
+    if isinstance(value, BetaPoly):
+        return value.render(var)
+    return str(value)

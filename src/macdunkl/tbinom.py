@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InexactDivisionError
-from .rings import BetaPoly, HJet, binom, jet_exp_sum, jet_qt, qnorm
+from .rings import BetaPoly, HJet, binom, jet_exp_sum, qnorm, render_terms
 
 
 class TPoly:
@@ -116,18 +116,7 @@ class TPoly:
         return jet_exp_sum({(0, k): c for k, c in enumerate(self.coeffs) if c}, order)
 
     def render(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                pw = var if k == 1 else f"{var}^{k}"
-                parts.append(pw if c == 1 else f"{c}*{pw}")
-        return " + ".join(parts)
+        return render_terms(enumerate(self.coeffs), var)
 
     def __repr__(self):
         return f"TPoly({self.render()})"
@@ -161,9 +150,10 @@ def t_binomial_jet(n: int, r: int, order: int = 4) -> HJet:
 
 
 def scaled_t_binomial_jet(n: int, r: int, order: int = 4, half: bool = True) -> HJet:
-    """h-jet of t^e [n r] with e = r(r-1)/2 (default) or e = r(r-1)."""
+    """h-jet of t^e [n r] with e = r(r-1)/2 (default) or e = r(r-1): the
+    t-exponents of [n r] shifted by e, substituted in one pass."""
     e = r * (r - 1) // 2 if half else r * (r - 1)
-    return jet_qt(0, e, order) * t_binomial_jet(n, r, order)
+    return (TPoly.t_power(e) * t_binomial(n, r)).substitute_jet(order)
 
 
 def _b(c, k: int) -> BetaPoly:

@@ -6,8 +6,6 @@ from .identities import (
     REGISTRY,
     SUITES,
     Verdict,
-    registry_names,
-    run_suite,
     verify_identity,
 )
 from .jack import jack_solve
@@ -22,8 +20,6 @@ __all__ = [
     "safe_coeff",
     "Verdict",
     "verify_identity",
-    "run_suite",
-    "registry_names",
     "REGISTRY",
     "SUITES",
     "jack_solve",

@@ -208,9 +208,9 @@ def first_order(n: int, r: int, basis) -> OperatorMatrix:
 
 
 def second_order(n: int, r: int, basis) -> OperatorMatrix:
-    """h^2 coefficient in Dunkl form; the H_1^2 term vanishes at r = 1."""
+    """h^2 coefficient in Dunkl form; the H_1^2 term vanishes at r = 1.
+    The scalar is the h^2 coefficient of the scaled t-binomial."""
     h1 = h_op(1, n, RB)
-    scalar2 = Fraction(r, 24) * binom_ff(n, r) * ((3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r)
     return _combo(
         n,
         RB,
@@ -219,19 +219,16 @@ def second_order(n: int, r: int, basis) -> OperatorMatrix:
             (Fraction(binom_ff(n - 2, r - 1), 2), 0, (h_op(2, n, RB),)),
             (Fraction(binom_ff(n - 2, r - 2), 2), 0, (h1, h1)),
             (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (h1,)),
-            (scalar2, 2, ()),
+            (scaled_taylor_coeff_closed(n, r, 2).coeff(2), 2, ()),
         ],
     )
 
 
-def third_order_scalar(n: int, r: int) -> Fraction:
-    return Fraction(binom_ff(n, r) * r * r * n * (n - 1), 48) * ((r + 1) * n + 1 - 3 * r)
-
-
 def _third_order_slice_terms(j: int, n: int, r: int, ring: Ring):
-    """Terms of the b^j coefficient of the h^3 coefficient, all b-free."""
+    """Terms of the b^j coefficient of the h^3 coefficient, all b-free;
+    the b^3 slice is the h^3 coefficient of the scaled t-binomial."""
     if j == 3:
-        return [(third_order_scalar(n, r), 0, ())]
+        return [(scaled_taylor_coeff_closed(n, r, 3).coeff(3), 0, ())]
     x = coeff_x(n, r)
     l1 = l_op(1, n, ring)
     l2 = l_op(2, n, ring)
@@ -298,7 +295,7 @@ def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
             (Fraction(binom_ff(n - 3, r - 3), 6), 0, (h1, h1, h1)),
             (c_h1sq / 12, 1, (h1, h1)),
             (scalar2, 2, (h1,)),
-            (third_order_scalar(n, r), 3, ()),
+            (scaled_taylor_coeff_closed(n, r, 3).coeff(3), 3, ()),
         ],
     )
 

@@ -33,7 +33,7 @@ from ..operators import (
     operator_matrix,
     qshift_apply,
 )
-from ..rings import BetaPoly, HJet, jet_q
+from ..rings import BetaPoly, HJet, jet_q, render_scalar
 from ..tbinom import (
     scaled_t_binomial_jet,
     scaled_taylor_coeff_closed,
@@ -83,9 +83,7 @@ def _poly_residual(p, label="difference"):
 def _scalar_residual(x, label="difference"):
     if not x:
         return None
-    if isinstance(x, BetaPoly):
-        return {"kind": "scalar", "label": label, "value": x.render()}
-    return {"kind": "scalar", "label": label, "value": str(x)}
+    return {"kind": "scalar", "label": label, "value": render_scalar(x)}
 
 
 def _basis(degree: int, n: int):
@@ -347,10 +345,6 @@ _CHECKS = {
 REGISTRY = {name: (fn, inspect.signature(fn)) for name, fn in _CHECKS.items()}
 
 
-def registry_names():
-    return sorted(REGISTRY)
-
-
 def verify_identity(name: str, **params) -> Verdict:
     """Run the named check on params and build its verdict.
 
@@ -544,8 +538,3 @@ def suite_plan(name: str, nmax=None, degree=None, seed=0, order=4):
     if degree is not None:
         kwargs["degree"] = degree
     return fn(**kwargs)
-
-
-def run_suite(name: str, nmax=None, degree=None, seed=0, order=4):
-    """Run a named suite (or 'all'); deterministic verdict order."""
-    return [verify_identity(nm, **ps) for nm, ps in suite_plan(name, nmax, degree, seed, order)]

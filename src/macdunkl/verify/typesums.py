@@ -31,12 +31,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from ..errors import DomainError, NonSymmetricError
-from ..multipoly import MultiPoly, Ring, exact_div, symmetry_violation, vandermonde
+from ..errors import DomainError
+from ..multipoly import MultiPoly, Ring, exact_div, vandermonde
 from ..operators import (
     _alternate_over_subsets,
     _Cofactor,
     _cross_product,
+    _require_symmetric,
     _sum_over_subsets,
     b_op,
     l_op,
@@ -220,9 +221,7 @@ def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         raise DomainError("type sums run over the rational ring")
     if not f:
         return f
-    bad = symmetry_violation(f)
-    if bad is not None:
-        raise NonSymmetricError("type sums require symmetric arguments", bad)
+    _require_symmetric(f, f"type sum {tid}")
     out = MultiPoly.zero(n, f.ring)
     for _, part in sorted(f.homogeneous_parts().items()):
         out = out + _type_raw_homogeneous(n, r, tid, part)
@@ -338,9 +337,7 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     stated per-4-subset unit sums for types 2 and 6."""
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
-    bad = symmetry_violation(f)
-    if bad is not None:
-        raise NonSymmetricError("type sums require symmetric arguments", bad)
+    _require_symmetric(f, f"type sum {tid}")
     l1 = l_op(1, n, RQ)
     b21 = b_op(2, 1, n, RQ)
     b31 = b_op(3, 1, n, RQ)

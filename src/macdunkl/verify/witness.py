@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import DomainError
 from ..operators import extract_order
+from ..rings import render_scalar
 
 
 @dataclass
@@ -51,7 +52,7 @@ def _first_nonzero_column(mat):
     lam = min(cols, key=lambda p: (sum(p), tuple(-x for x in p)))
     col = cols[lam]
     cells = sorted(col.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
-    return lam, [(mu, v.render("b")) for mu, v in cells]
+    return lam, [(mu, render_scalar(v)) for mu, v in cells]
 
 
 def noncommutativity_witness(
@@ -113,4 +114,4 @@ def reevaluate_witness(report: WitnessReport, basis_degree: int = 4, jet_order: 
         ((mu, v) for (mu, c), v in mat.entries.items() if c == lam),
         key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])),
     )
-    return [(mu, v.render("b")) for mu, v in cells]
+    return [(mu, render_scalar(v)) for mu, v in cells]

@@ -9,7 +9,7 @@ from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import extract_order, h_op, operator_matrix
 from macdunkl.rings import binom_ff
-from macdunkl.tbinom import TPoly
+from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
 from macdunkl.verify.closedforms import (
     CoeffForm,
     X_FORMS,
@@ -32,7 +32,7 @@ from macdunkl.verify.closedforms import (
     third_order_display_r2,
     third_order_dunkl,
     third_order_raw,
-    third_order_scalar,
+    third_order_slice,
 )
 
 RB = Ring.uni("b")
@@ -117,8 +117,22 @@ def test_h3_explicit_2_on_p1():
 
 
 def test_third_order_scalar_value():
-    # (2,1): beta^3 n^2(n-1)^2/24 with n=2 gives 1/6
-    assert third_order_scalar(2, 1) == Fraction(1, 6)
+    # the b^3 scalar of the h^3 coefficient is the h^3 coefficient of the
+    # scaled t-binomial; (2,1): beta^3 n^2(n-1)^2/24 with n=2 gives 1/6
+    assert scaled_taylor_coeff_closed(2, 1, 3) == BetaPoly.term(Fraction(1, 6), 3)
+    basis = partitions_upto(2, 2)
+    assert third_order_slice(3, 2, 1, basis).entries == {(lam, lam): Fraction(1, 6) for lam in basis}
+
+
+def test_printed_scalars_are_scaled_tbinom_coefficients():
+    # the b^2 scalar of the h^2 form and the b^3 scalar of the h^3 form, as
+    # printed, are the h^2 and h^3 coefficients of t^(r(r-1)/2) [n r]
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            h2 = Fraction(r, 24) * binom_ff(n, r) * ((3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r)
+            h3 = Fraction(binom_ff(n, r) * r * r * n * (n - 1), 48) * ((r + 1) * n + 1 - 3 * r)
+            assert scaled_taylor_coeff_closed(n, r, 2) == BetaPoly.term(h2, 2), (n, r)
+            assert scaled_taylor_coeff_closed(n, r, 3) == BetaPoly.term(h3, 3), (n, r)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

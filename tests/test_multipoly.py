@@ -20,7 +20,7 @@ from macdunkl import (
     to_msym_coords,
     vandermonde,
 )
-from macdunkl.multipoly import _distinct_permutations, dominates, is_symmetric
+from macdunkl.multipoly import _distinct_permutations, dominates, is_symmetric, symmetry_violation
 
 
 def x(i, n, ring=Ring.q()):
@@ -271,6 +271,7 @@ def test_msym_symmetry_check_matches_swaps(ring):
         g = MultiPoly(n, ring, terms)
         want = _swap_verdict(g)
         verdicts.add(want is None)
+        assert symmetry_violation(g) == want
         if want is None:
             coords = to_msym_coords(g)
             grouped = {}

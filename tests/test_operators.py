@@ -51,7 +51,7 @@ from macdunkl.operators import (
     reflection_square_apply,
     reflection_square_op,
 )
-from macdunkl.rings import jet_exp, jet_q, jet_qt, jet_t
+from macdunkl.rings import jet_exp, jet_exp_sum, jet_q, jet_t, rational_value
 from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
 from macdunkl.verify.closedforms import _combo
 from macdunkl.verify.identities import check_macdonald_commutator
@@ -284,14 +284,10 @@ def test_matrix_product_is_composition():
             assert _column(mat, lam) == to_msym_coords(g), (ks, lam)
 
 
-def rational_qt(q, t):
-    return lambda a, b: q**a * t**b
-
-
 def test_macdonald_constant_gives_t_binomial_eigenvalue():
     n, r = 2, 1
     one = MultiPoly.const(n, 1, Ring.q())
-    out = macdonald_apply(n, r, rational_qt(Fraction(5), Fraction(3)), one)
+    out = macdonald_apply(n, r, partial(rational_value, Fraction(5), Fraction(3)), one)
     # 1 + t at t=3 -> 4
     assert out == one.scale(4)
 
@@ -300,7 +296,7 @@ def test_macdonald_p1_eigenvalue():
     n, r = 2, 1
     q, t = Fraction(5), Fraction(3)
     p1 = monomial_symmetric((1,), n)
-    out = macdonald_apply(n, r, rational_qt(q, t), p1)
+    out = macdonald_apply(n, r, partial(rational_value, q, t), p1)
     assert out == p1.scale(q * t + 1)
 
 
@@ -308,7 +304,7 @@ def test_macdonald_top_subset():
     n, r = 2, 2
     q, t = Fraction(2), Fraction(7)
     f = monomial_symmetric((1, 1), n)
-    out = macdonald_apply(n, r, rational_qt(q, t), f)
+    out = macdonald_apply(n, r, partial(rational_value, q, t), f)
     assert out == f.scale(t * q * q)
 
 
@@ -317,7 +313,7 @@ def test_macdonald_constant_is_scaled_t_binomial_jet():
     ring = Ring.jet(4)
     for n in range(1, 7):
         for r in range(1, n + 1):
-            out = macdonald_apply(n, r, partial(jet_qt, order=4), MultiPoly.const(n, 1, ring))
+            out = macdonald_apply(n, r, partial(jet_exp_sum, order=4), MultiPoly.const(n, 1, ring))
             assert out == MultiPoly.const(n, scaled_t_binomial_jet(n, r, 4), ring), (n, r)
 
 
@@ -329,7 +325,7 @@ def test_macdonald_matches_literal():
             t = Fraction(rng.randrange(2, 9), rng.randrange(1, 5))
             for lam in [()] + partitions_upto(3, n):
                 f = monomial_symmetric(lam, n)
-                assert macdonald_apply(n, r, rational_qt(q, t), f) == macdonald_apply_literal(
+                assert macdonald_apply(n, r, partial(rational_value, q, t), f) == macdonald_apply_literal(
                     n, r, q, t, f
                 ), (n, r, lam)
 
@@ -338,12 +334,12 @@ def test_macdonald_jet_matches_literal():
     order = 4
     ring = Ring.jet(order)
     q, t = jet_q(order), jet_t(order)
-    qt = partial(jet_qt, order=order)
+    value = partial(jet_exp_sum, order=order)
     for n in range(1, 5):
         for r in range(1, n + 1):
             for lam in [()] + partitions_upto(3, n):
                 f = monomial_symmetric(lam, n, ring)
-                assert macdonald_apply(n, r, qt, f) == macdonald_apply_literal(
+                assert macdonald_apply(n, r, value, f) == macdonald_apply_literal(
                     n, r, q, t, f
                 ), (n, r, lam)
 
@@ -409,13 +405,13 @@ def test_macdonald_jet_raises_no_jet_to_a_power(monkeypatch):
 
     monkeypatch.setattr(HJet, "__pow__", refuse)
     ring = Ring.jet(4)
-    out = macdonald_apply(3, 2, partial(jet_qt, order=4), monomial_symmetric((2, 1), 3, ring))
+    out = macdonald_apply(3, 2, partial(jet_exp_sum, order=4), monomial_symmetric((2, 1), 3, ring))
     assert out
 
 
 def test_macdonald_rejects_non_symmetric():
     with pytest.raises(NonSymmetricError):
-        macdonald_apply(2, 1, rational_qt(Fraction(2), Fraction(3)), x(1, 2))
+        macdonald_apply(2, 1, partial(rational_value, Fraction(2), Fraction(3)), x(1, 2))
 
 
 def test_scalar_part_is_t_binomial():

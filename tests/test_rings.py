@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from macdunkl import BetaPoly, DomainError, HJet, binom, jet_exp
-from macdunkl.rings import jet_q, jet_qt, jet_t
+from macdunkl.rings import jet_exp_sum, jet_q, jet_t, render_scalar
 
 
 def test_binom_values():
@@ -124,19 +124,29 @@ def test_jet_q_h1_coefficient():
     assert jet_q(4).coeff(1) == BetaPoly.one()
 
 
-def test_jet_qt_matches_exp_and_powers():
+def test_jet_exp_sum_of_one_monomial_matches_exp_and_powers():
     # q^a t^b = exp((a + b*beta) h), also at order 0, where u truncates to 0
     for K in range(7):
         q, t = jet_q(K), jet_t(K)
         for a in range(7):
             for b in range(21):
                 u = HJet(K, ([0, a + b * BetaPoly.var()] + [0] * K)[: K + 1])
-                got = jet_qt(a, b, K)
+                got = jet_exp_sum({(a, b): 1}, K)
                 assert got == jet_exp(u), (a, b, K)
                 assert got == q**a * t**b, (a, b, K)
 
 
 def test_jet_order_zero_and_negative():
-    assert jet_qt(3, 5, 0) == HJet.one(0)
+    assert jet_exp_sum({(3, 5): 1}, 0) == HJet.one(0)
     with pytest.raises(DomainError, match="jet order must be non-negative"):
-        jet_qt(0, 1, -1)
+        jet_t(-1)
+
+
+def test_render_scalar_per_ring():
+    p = BetaPoly({0: 1, 1: -2, 3: Fraction(1, 2)})
+    assert render_scalar(Fraction(-3, 4)) == "-3/4"
+    assert render_scalar(7) == "7"
+    assert render_scalar(p) == "1 - 2*b + 1/2*b^3"
+    assert render_scalar(p, "t") == "1 - 2*t + 1/2*t^3"
+    jet = HJet(2, [1, 0, p])
+    assert render_scalar(jet, "t") == jet.render("h", "t") == "1 + (1 - 2*t + 1/2*t^3)*h^2"

@@ -15,6 +15,7 @@ from macdunkl.tbinom import (
     t_binomial_product,
     taylor_coeff_closed,
 )
+from macdunkl.verify.identities import suite_plan, verify_identity
 
 
 def test_tbinom_2_1():
@@ -182,3 +183,31 @@ def test_substitute_jet_multiplies_no_jets(monkeypatch):
     monkeypatch.setattr(HJet, "__mul__", refuse)
     monkeypatch.setattr(HJet, "__rmul__", refuse)
     assert t_binomial(7, 3).substitute_jet(5).coeff(0) == 35
+
+
+def test_scaled_jet_matches_jet_product():
+    # t^e [n r] substituted in one pass against jet_t^e times the jet of [n r]
+    for K in range(8):
+        t = jet_t(K)
+        for n in range(11):
+            for r in range(n + 1):
+                for half, e in ((True, r * (r - 1) // 2), (False, r * (r - 1))):
+                    want = t**e * t_binomial_jet(n, r, K)
+                    assert scaled_t_binomial_jet(n, r, K, half=half) == want, (n, r, K, half)
+
+
+def test_tbinom_suite_multiplies_no_jets(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("HJet.__mul__ called")
+
+    monkeypatch.setattr(HJet, "__mul__", refuse)
+    monkeypatch.setattr(HJet, "__rmul__", refuse)
+    verdicts = [verify_identity(name, **params) for name, params in suite_plan("tbinom")]
+    assert verdicts and all(v.passed for v in verdicts)
+
+
+def test_render_keeps_signs_like_beta_poly():
+    p = TPoly((1, -2, 0, 3))
+    assert p.render() == BetaPoly({0: 1, 1: -2, 3: 3}).render("t") == "1 - 2*t + 3*t^3"
+    assert TPoly((-1, 0, Fraction(-1, 2))).render("n") == "-1 - 1/2*n^2"
+    assert TPoly().render() == "0"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from macdunkl import MultiPoly, Ring, exact_div, monomial_symmetric
+from macdunkl import MultiPoly, NonSymmetricError, Ring, exact_div, monomial_symmetric
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
@@ -133,3 +133,12 @@ def test_support_cofactor_is_vandermonde_quotient(n):
     for m in range(1, n + 1):
         want = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
         assert _support_cofactor(n, m).poly == want, (n, m)
+
+
+@pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply])
+def test_type_sums_refuse_non_symmetric(apply):
+    x1 = MultiPoly.variable(1, 6, RQ)
+    for tid in range(1, 7):
+        with pytest.raises(NonSymmetricError, match="requires a symmetric argument") as err:
+            apply(6, 3, tid, x1)
+        assert err.value.transposition == (1, 2)
