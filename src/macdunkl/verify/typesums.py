@@ -7,19 +7,27 @@ sums: a pattern with a in-indices and b out-indices is contained in
 binom(n-a-b, r-a) subsets when the Euler variable lies in the pattern,
 and binom(n-a-b-1, r-a-1) subsets otherwise, so the whole operator
 collapses to three pattern sums that are local to a + b variables.  Those
-local sums are computed once on the canonical support {1..a+b} over its
-Vandermonde product: the patterns form one orbit of the support's
-permutations, so one exact division gives a representative's term and
-every other term is its signed relabeling.  Combined with the argument,
-the sums give the support's numerator factor g, antisymmetric inside the
-support (the patterns are one orbit) and symmetric outside it (the
-argument is).  The cofactor V_n / V_m, built as prod_{i <= m < j}
-(x_i - x_j) times the Vandermonde product of {m+1..n}, is symmetric
-inside the support and antisymmetric outside it; it is built and checked
-once per (n, m).  ``operators._alternate_over_subsets`` takes the two
-factors and reads the signed sum of their product over all supports off
-in the Schur basis, computing only the coefficients the read-off reads
-and dividing by nothing.
+local sums are computed once on the canonical support {1..m}, m = a + b,
+over its Vandermonde product V_m, and nothing is divided.  A pattern's
+piece V_m / den * mono is the signed product of the factors x_i - x_j of
+V_m that den leaves over.  The patterns form one orbit of the support's
+permutations, and the piece of a pattern relabeled by sigma is
+sign(sigma) times the relabeled piece.  So the sum over the patterns
+with x_1 on one side is antisymmetric in x_2..x_m, and by Macdonald
+(Symmetric Functions and Hall Polynomials, ch. I 3) it is fixed by its
+coefficients at strictly decreasing exponents of x_2..x_m.  Those are
+read off the representative's piece in one pass over its terms, and
+each is expanded once into its alternant.  Combined with the
+argument, the sums give the support's numerator factor g, antisymmetric
+inside the support (the patterns are one orbit) and symmetric outside it
+(the argument is).  The cofactor V_n / V_m, built as
+prod_{i <= m < j} (x_i - x_j) times the Vandermonde product of
+{m+1..n}, is symmetric inside the support and antisymmetric outside it;
+it is built and checked once per (n, m).
+``operators._alternate_over_subsets`` takes the two factors and reads
+the signed sum of their product over all supports off in the Schur
+basis, computing only the coefficients the read-off reads and dividing
+by nothing.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -30,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 from ..errors import DomainError
 from ..multipoly import MultiPoly, Ring, exact_div, vandermonde
@@ -42,7 +51,7 @@ from ..operators import (
     b_op,
     l_op,
 )
-from ..rings import binom
+from ..rings import binom, qnorm
 
 RQ = Ring.q()
 
@@ -50,10 +59,17 @@ RQ = Ring.q()
 TYPE_SHAPE = {1: (1, 3), 2: (3, 1), 3: (2, 3), 4: (3, 2), 5: (3, 3), 6: (2, 2)}
 
 
+def _shape(tid: int):
+    """The (in indices, out indices) of a type; unknown type ids are refused."""
+    if tid not in TYPE_SHAPE:
+        raise DomainError(f"unknown type id {tid}")
+    return TYPE_SHAPE[tid]
+
+
 def _patterns(tid: int):
     """Canonical patterns on support {1..a+b}: (in_set, out_set, denominator
     pairs, numerator exponents)."""
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     sup = tuple(range(1, m + 1))
     out = []
@@ -93,7 +109,7 @@ def _patterns(tid: int):
             for assign in permutations(outs):
                 pairs = tuple((ins[t], assign[t]) for t in range(3))
                 out.append((ins, tuple(assign), pairs, {v: 1 for v in ins}))
-    elif tid == 6:
+    else:  # type 6
         for i in sup:
             for j in sup:
                 if j == i:
@@ -102,14 +118,12 @@ def _patterns(tid: int):
                 for p in rest:
                     (q,) = [v for v in rest if v != p]
                     out.append(((i, j), (p, q), ((i, p), (i, q), (j, p)), {i: 2, j: 1}))
-    else:
-        raise DomainError(f"unknown type id {tid}")
     return out
 
 
 def type_term_count(n: int, r: int, tid: int) -> int:
     """Number of (subset, pattern) pairs of the given type."""
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     per_support = len(_patterns(tid))
     return binom(n, m) * per_support * binom(n - m, r - a)
@@ -125,6 +139,65 @@ def _pattern_key(ins, outs, pairs, exps):
     )
 
 
+def _pattern_piece(m: int, pairs, exps) -> MultiPoly:
+    """V_m / prod_{(i, p) in pairs} (x_i - x_p) times prod x_v^exps[v], by
+    multiplication: the factors x_i - x_j (i < j) of V_m whose pair is not
+    a denominator pair, with one sign flip per pair (i, p) with i > p."""
+    cut = {(min(i, p), max(i, p)) for i, p in pairs}
+    mono = [0] * m
+    for v, e in exps.items():
+        mono[v - 1] = e
+    sign = -1 if sum(1 for i, p in pairs if i > p) % 2 else 1
+    out = MultiPoly.monomial(tuple(mono), m, RQ, sign)
+    for i, j in combinations(range(1, m + 1), 2):
+        if (i, j) not in cut:
+            out = out * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(j, m, RQ))
+    return out
+
+
+def _inversions(seq) -> int:
+    return sum(1 for x, y in combinations(seq, 2) if x > y)
+
+
+def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
+    """The sum of the pieces of the patterns that put x_1 on ``side`` (the
+    representative's in or out indices), given the representative's piece
+    and the order of its stabilizer in S_m.
+
+    Each such piece is sign(sigma) sigma(piece0) for the |stab| relabelings
+    sigma that send a variable of ``side`` to 1, so the sum is antisymmetric
+    in x_2..x_m: it is sum_e C_e x_1^e_1 a(e_2..e_m) over strictly decreasing
+    e_2..e_m, with a(...) the alternant in x_2..x_m.  A term c x^k and a
+    position p of ``side`` give e = (k_p, the other entries of k sorted
+    decreasing) through one sigma, and add sign(sigma) c / |stab| to C_e;
+    repeated other entries give no strictly decreasing e and are skipped."""
+    m = piece0.n
+    coeffs = {}
+    for k, c in piece0.terms.items():
+        order = sorted(range(m), key=k.__getitem__, reverse=True)
+        ek = [k[v] for v in order]
+        ties = [j for j in range(m - 1) if ek[j] == ek[j + 1]]
+        if len(ties) > 1:  # a repeat is left whichever entry goes to x_1
+            continue
+        odd = _inversions(order) % 2
+        for p in side:
+            i = order.index(p - 1)
+            if ties and i not in (ties[0], ties[0] + 1):
+                continue
+            # sigma^-1 is the sequence p, then the rest in decreasing
+            # exponent: ``order`` with p moved to the front by i transpositions
+            e = (ek[i], *ek[:i], *ek[i + 1 :])
+            coeffs[e] = coeffs.get(e, 0) + (-c if (odd + i) % 2 else c)
+    signed = [(perm, _inversions(perm) % 2) for perm in permutations(range(1, m))]
+    out = {}
+    for e, c in coeffs.items():
+        if c:
+            c = qnorm(Fraction(c, stab))
+            for perm, odd in signed:
+                out[(e[0], *(e[i] for i in perm))] = -c if odd else c
+    return MultiPoly(m, RQ, out)
+
+
 @lru_cache(maxsize=None)
 def _canonical_sums(tid: int):
     """The local pattern sums over the canonical support, as polynomials on
@@ -132,51 +205,39 @@ def _canonical_sums(tid: int):
     support variable u, the sums restricted to patterns with u inside or
     outside the pattern's subset side.
 
-    The patterns form one S_m-orbit (checked exactly), so one division
-    gives the representative's piece V_m / den * mono, and relabeling by
-    sigma gives the piece of the relabeled pattern times sign(sigma), the
-    factor sigma puts on V_m.
+    The patterns form one S_m-orbit (checked exactly).  The sums n_in[1] and
+    n_out[1] over the patterns with x_1 inside and outside are read off the
+    representative's piece (``_pattern_piece``) by ``_side_sum``.  Every
+    pattern's support is its ins and outs, so the full sum is their sum.
     """
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     patterns = _patterns(tid)
     ins0, outs0, pairs0, exps0 = patterns[0]
-    den = MultiPoly.const(m, 1, RQ)
-    for i, p in pairs0:
-        den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
-    mono = [0] * m
-    for v, e in exps0.items():
-        mono[v - 1] = e
-    piece0 = exact_div(vandermonde(m, RQ), den) * MultiPoly.monomial(tuple(mono), m, RQ)
-    orbit = {}
+    orbit = set()
     for sigma in permutations(range(1, m + 1)):
         s = (0,) + sigma  # s[v] is the image of v
-        key = _pattern_key(
-            [s[v] for v in ins0],
-            [s[v] for v in outs0],
-            [(s[i], s[p]) for i, p in pairs0],
-            {s[v]: e for v, e in exps0.items()},
+        orbit.add(
+            _pattern_key(
+                [s[v] for v in ins0],
+                [s[v] for v in outs0],
+                [(s[i], s[p]) for i, p in pairs0],
+                {s[v]: e for v, e in exps0.items()},
+            )
         )
-        orbit.setdefault(key, sigma)
     keys = [_pattern_key(*pat) for pat in patterns]
-    if len(set(keys)) != len(keys) or set(keys) != set(orbit):
+    if len(set(keys)) != len(keys) or set(keys) != orbit:
         raise AssertionError(f"type {tid} patterns are not one orbit of S_{m}")
-    total = in1 = out1 = MultiPoly.zero(m, RQ)
-    for (ins, outs, _, _), sigma in orbit.items():
-        piece = piece0.permute_vars(tuple(v - 1 for v in sigma))
-        if sum(1 for x, y in combinations(sigma, 2) if x > y) % 2:
-            piece = -piece
-        total = total + piece
-        if 1 in ins:
-            in1 = in1 + piece
-        elif 1 in outs:
-            out1 = out1 + piece
+    piece0 = _pattern_piece(m, pairs0, exps0)
+    stab = factorial(m) // len(patterns)
+    in1 = _side_sum(piece0, ins0, stab)
+    out1 = _side_sum(piece0, outs0, stab)
     # the orbit is S_m-invariant and K_1u carries the patterns with 1
     # inside (outside) onto those with u inside (outside); relabeling a
     # piece by the odd K_1u gives -1 times the relabeled pattern's piece
     n_in = {1: in1, **{u: -in1.swap(1, u) for u in range(2, m + 1)}}
     n_out = {1: out1, **{u: -out1.swap(1, u) for u in range(2, m + 1)}}
-    return total, n_in, n_out
+    return in1 + out1, n_in, n_out
 
 
 def _pad(f: MultiPoly, n: int) -> MultiPoly:
@@ -196,7 +257,7 @@ def _support_cofactor(n: int, m: int) -> _Cofactor:
 
 
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     if n < m or r < a or n - r < b:
         return MultiPoly.zero(n, f.ring)
@@ -217,6 +278,7 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     """Raw subset-and-pattern sum of the given type applied to symmetric f."""
+    _shape(tid)
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
     if not f:
@@ -228,9 +290,22 @@ def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _vandermonde_quotient(n: int, pairs: tuple) -> MultiPoly:
+    """V_n / prod_{(i, p) in pairs} (x_i - x_p) by exact division, for the
+    literal oracle.  It does not depend on the argument, and each pattern
+    recurs in several subsets, so it is cached per (n, sorted pairs).  The
+    literal runs only at small n: at n = 6 the six types have 1320
+    patterns."""
+    den = MultiPoly.const(n, 1, RQ)
+    for i, p in pairs:
+        den = den * (MultiPoly.variable(i, n, RQ) - MultiPoly.variable(p, n, RQ))
+    return exact_div(vandermonde(n, RQ), den)
+
+
 def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     """Direct double sum over subsets and patterns (small n only)."""
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     if n < m or r < a or n - r < b:
         return MultiPoly.zero(n, f.ring)
@@ -259,15 +334,11 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         for ins, outs, pairs, exps in global_pats:
             if not ins <= sset or outs & sset:
                 continue
-            den = MultiPoly.const(n, 1, RQ)
-            for i, p in pairs:
-                den = den * (
-                    MultiPoly.variable(i, n, RQ) - MultiPoly.variable(p, n, RQ)
-                )
             mono = [0] * n
             for v, e in exps.items():
                 mono[v - 1] = e
-            acc = acc + exact_div(vn, den) * MultiPoly.monomial(tuple(mono), n, RQ) * ef
+            quotient = _vandermonde_quotient(n, tuple(sorted(pairs)))
+            acc = acc + quotient * MultiPoly.monomial(tuple(mono), n, RQ) * ef
     return exact_div(acc, vn)
 
 
@@ -335,6 +406,7 @@ def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     """Closed form of the type sum: kernel-operator combinations, plus the
     stated per-4-subset unit sums for types 2 and 6."""
+    _shape(tid)
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
     _require_symmetric(f, f"type sum {tid}")
@@ -364,8 +436,7 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         out = b21(f).scale(Fraction((r + 1) * r * (r - 1) * (r - 2), 8) * binom(n - 2, r + 1))
         c = Fraction(r * (r - 3) * (r**2 - 1) * (r**2 - 4), 48) * binom(n - 1, r + 2)
         return out + l1(f).scale(c)
-    if tid == 6:
-        out = l1(f).scale(Fraction(5 * r * (r + 1) * (r - 1) * (r - 2), 24) * binom(n - 1, r + 1))
-        return out + _unit_sum_type6(n, f).scale(binom(n - 4, r - 2))
-    raise DomainError(f"unknown type id {tid}")
+    # type 6
+    out = l1(f).scale(Fraction(5 * r * (r + 1) * (r - 1) * (r - 2), 24) * binom(n - 1, r + 1))
+    return out + _unit_sum_type6(n, f).scale(binom(n - 4, r - 2))
 

@@ -4,12 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from macdunkl import MultiPoly, NonSymmetricError, Ring, exact_div, monomial_symmetric
+from macdunkl import (
+    DomainError,
+    MultiPoly,
+    NonSymmetricError,
+    Ring,
+    exact_div,
+    monomial_symmetric,
+)
 from macdunkl.multipoly import partitions_upto, vandermonde
+from macdunkl.verify import typesums
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
     _canonical_sums,
     _pad,
+    _pattern_piece,
     _patterns,
     _support_cofactor,
     type_sum_closed_apply,
@@ -126,6 +135,54 @@ def _canonical_sums_per_pattern(tid):
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_orbit_sums_match_per_pattern_division(tid):
     assert _canonical_sums(tid) == _canonical_sums_per_pattern(tid)
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_canonical_sums_divide_by_nothing(tid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the canonical sums must not divide")
+
+    monkeypatch.setattr(typesums, "exact_div", refuse)
+    monkeypatch.setattr(typesums, "vandermonde", refuse)
+    total, n_in, n_out = _canonical_sums.__wrapped__(tid)
+    assert total
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_canonical_sums_structure(tid):
+    """The facts the alternant read-off relies on: the full sum is a
+    nonzero multiple of V_m, every pattern puts each support variable on
+    one side, and the multiplied piece is the divided one."""
+    a, b = TYPE_SHAPE[tid]
+    m = a + b
+    total, n_in, n_out = _canonical_sums(tid)
+    vm = vandermonde(m, RQ)
+    lead = max(vm.terms)
+    c = Fraction(total.terms.get(lead, 0), vm.terms[lead])
+    assert c and total == vm.scale(c)
+    for u in range(1, m + 1):
+        assert n_in[u] + n_out[u] == total, u
+    _, _, pairs0, exps0 = _patterns(tid)[0]
+    den = MultiPoly.const(m, 1, RQ)
+    for i, p in pairs0:
+        den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
+    mono = [0] * m
+    for v, e in exps0.items():
+        mono[v - 1] = e
+    want = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
+    assert _pattern_piece(m, pairs0, exps0) == want
+
+
+@pytest.mark.parametrize("tid", [0, 7])
+def test_unknown_type_ids_are_refused(tid):
+    f = monomial_symmetric((1,), 6)
+    with pytest.raises(DomainError, match=f"unknown type id {tid}"):
+        type_term_count(6, 3, tid)
+    with pytest.raises(DomainError, match=f"unknown type id {tid}"):
+        _patterns(tid)
+    for apply in (type_sum_raw_apply, type_sum_raw_literal, type_sum_closed_apply):
+        with pytest.raises(DomainError, match=f"unknown type id {tid}"):
+            apply(6, 3, tid, f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
