@@ -168,11 +168,11 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
-def _cli_digest(*argv):
+def _cli_digest(*argv, code=0):
     proc = subprocess.run(
         [sys.executable, "-m", "macdunkl.cli", *argv], capture_output=True, timeout=600
     )
-    assert proc.returncode == 0
+    assert proc.returncode == code
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
@@ -214,6 +214,18 @@ def test_jets_beyond_order_4_are_pinned():
     assert _cli_digest(
         "expand", "--n", "8", "--r", "4", "--order", "6", "--K", "6", "--degree", "6", "--json"
     ) == "1d1202212c7d52c6ee55c51560df8ee11e2cccfeb84e5c89b19d71e0b7cfbcd9"
+
+
+def test_commutator_residuals_are_pinned():
+    # a failing verdict whose residual prints b-polynomial cells (exit 1),
+    # and the witness search over the h^4 slices
+    assert _cli_digest(
+        "verify", "--identity", "orderwise_commutator", "--n", "3", "--r", "1", "--s", "2",
+        "--i", "4", "--j", "2", "--json", code=1,
+    ) == "17bac1bae769ae8d8ab9627e299843e48ef0ae605f1911a5ae62ebee305c7c01"
+    assert _cli_digest(
+        "witness", "--nmax", "4", "--order-max", "4", "--degree", "4", "--json"
+    ) == "cdfc915ee7e1c03959e4d717dcfeedd26736b7c639d7ba800024595f365694bc"
 
 
 def test_jet_order_zero_is_accepted():
