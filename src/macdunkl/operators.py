@@ -47,9 +47,14 @@ order-preserving variable relabeling s, the term attached to subset S
 equals the relabeling under s of the term attached to the canonical
 subset {1..k}.  Each operator therefore evaluates one canonical term and
 replicates it across subsets.  Literal evaluations are kept (functions
-with a ``_literal`` suffix: per subset, per Dunkl chain, or by exact
-division, the only callers of ``exact_div`` here) and the tests compare
-each with its fast path.
+with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
+or by exact division, the only callers of ``exact_div`` here) and the
+tests compare each with its fast path.
+
+Matrix products and commutators of rational and b-polynomial matrices
+run in integers: each operand is scaled once by the lcm of its entry
+denominators, and only the nonzero entries of the result are turned
+back into scalars, so a commuting pair builds none.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
+from math import lcm
 from operator import add, sub
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
@@ -685,26 +691,41 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._compat(other)
-        cols = {}
-        for (mu, lam), c in other.entries.items():
-            cols.setdefault(lam, []).append((mu, c))
-        rows = {}
-        for (mu, nu), c in self.entries.items():
-            rows.setdefault(nu, []).append((mu, c))
+        da, a = _integer_columns(self)
+        db, b = _integer_columns(other)
         out = {}
-        for lam, col in cols.items():
-            for nu, c1 in col:
-                for mu, c2 in rows.get(nu, ()):
-                    key = (mu, lam)
-                    s = out[key] + c2 * c1 if key in out else c2 * c1
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return OperatorMatrix(self.n, self.ring, self.basis, out)
+        _add_integer_product(out, a, b)
+        return self._from_integer_cells(out, da * db)
 
     def commutator_with(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return (self @ other) - (other @ self)
+        """self @ other - other @ self, both products accumulated in one
+        integer table, so a commuting pair builds no scalar at all."""
+        self._compat(other)
+        da, a = _integer_columns(self)
+        db, b = _integer_columns(other)
+        out = {}
+        _add_integer_product(out, a, b)
+        negated = {
+            lam: [(mu, [(e, -c) for e, c in cell]) for mu, cell in col]
+            for lam, col in a.items()
+        }
+        _add_integer_product(out, b, negated)
+        return self._from_integer_cells(out, da * db)
+
+    def _from_integer_cells(self, cells, denom: int) -> "OperatorMatrix":
+        """The matrix over this window and ring whose entry at each key of
+        cells is sum_e c/denom b^e over the {e: c} table there, zero
+        entries omitted; a quotient that is exact stays an int."""
+        uni = self.ring.kind == "uni"
+        out = {}
+        for key, cell in cells.items():
+            coeffs = {
+                e: Fraction(c, denom) if c % denom else c // denom
+                for e, c in cell.items() if c
+            }
+            if coeffs:
+                out[key] = BetaPoly(coeffs) if uni else coeffs[0]
+        return OperatorMatrix(self.n, self.ring, self.basis, out)
 
     def _compat(self, other: "OperatorMatrix"):
         if self.basis != other.basis or self.n != other.n or self.ring != other.ring:
@@ -759,6 +780,68 @@ class OperatorMatrix:
         ]
 
 
+def _integer_columns(mat: OperatorMatrix):
+    """(d, {lam: [(mu, [(e, c), ...]), ...]}): the entries of a rational or
+    b-polynomial matrix times d, the lcm of their denominators, as integer
+    coefficients c of b^e (e = 0 for a rational), grouped by column.  At
+    d = 1 the entries' own (e, c) pairs are used as they are."""
+    kind = mat.ring.kind
+    if kind == "jet":
+        raise DomainError(
+            "matrix products need rational or b-polynomial entries; "
+            "take an h_slice of a jet matrix first"
+        )
+    coeffs = [
+        (key, v.coeffs.items() if kind == "uni" else ((0, v),))
+        for key, v in mat.entries.items()
+    ]
+    d = lcm(*{c.denominator for _, cell in coeffs for _, c in cell})
+    cols = {}
+    for (mu, lam), cell in coeffs:
+        if d != 1:
+            cell = [(e, c.numerator * (d // c.denominator)) for e, c in cell]
+        cols.setdefault(lam, []).append((mu, cell))
+    return d, cols
+
+
+def _add_integer_product(out, left, right):
+    """Add the product of two ``_integer_columns`` tables into out,
+    {(mu, lam): {e: c}}; zero sums are left in place."""
+    for lam, col in right.items():
+        for nu, c1 in col:
+            for mu, c2 in left.get(nu, ()):
+                key = (mu, lam)
+                cell = out.get(key)
+                if cell is None:
+                    cell = out[key] = {}
+                for e2, n2 in c2:
+                    for e1, n1 in c1:
+                        e = e1 + e2
+                        cell[e] = cell.get(e, 0) + n1 * n2
+
+
+def _matrix_product_literal(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """a @ b entry by entry in the ring's own scalars."""
+    a._compat(b)
+    cols = {}
+    for (mu, lam), c in b.entries.items():
+        cols.setdefault(lam, []).append((mu, c))
+    rows = {}
+    for (mu, nu), c in a.entries.items():
+        rows.setdefault(nu, []).append((mu, c))
+    out = {}
+    for lam, col in cols.items():
+        for nu, c1 in col:
+            for mu, c2 in rows.get(nu, ()):
+                key = (mu, lam)
+                s = out[key] + c2 * c1 if key in out else c2 * c1
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return OperatorMatrix(a.n, a.ring, a.basis, out)
+
+
 def _pname(lam) -> str:
     return "m[" + ",".join(str(p) for p in lam) + "]"
 
@@ -788,7 +871,7 @@ def _column_matrix(n: int, r: int, basis, ring: Ring, value) -> OperatorMatrix:
     )
 
 
-# -- cached jet expansion matrices ----------------------------------------
+# -- cached matrices --------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -800,6 +883,14 @@ def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
     return _column_matrix(
         n, r, partitions_upto(degree, n), Ring.jet(order), partial(jet_exp_sum, order=order)
     )
+
+
+@lru_cache(maxsize=None)
+def h_matrix(k: int, n: int, basis) -> OperatorMatrix:
+    """Matrix of the Dunkl power sum H_k over b-polynomials on an m-basis
+    window (a tuple of partitions), built once per (k, n, basis); callers
+    must not mutate it."""
+    return operator_matrix(h_op(k, n, Ring.uni("b")), basis)
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:

@@ -27,7 +27,7 @@ from ..operators import (
     LinearOperator,
     OperatorMatrix,
     extract_order,
-    h_op,
+    h_matrix,
     macdonald_matrix,
     macdonald_scalar_part,
     operator_matrix,
@@ -149,7 +149,7 @@ def check_scalar_part(n: int, r: int):
 
 def check_h_explicit(k: int, n: int, degree: int = 4):
     basis = _basis(degree, n)
-    actual = operator_matrix(h_op(k, n, RB), basis)
+    actual = h_matrix(k, n, basis)
     if k == 1:
         return _matrix_residual(actual, closedforms.h1_explicit(n, basis))
     if k == 2:
@@ -238,8 +238,8 @@ def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
 
 def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
     basis = _basis(degree, n)
-    a = operator_matrix(h_op(i, n, RB), basis)
-    b = operator_matrix(h_op(j, n, RB), basis)
+    a = h_matrix(i, n, basis)
+    b = h_matrix(j, n, basis)
     zero = OperatorMatrix(n, RB, basis, {})
     return _matrix_residual(a.commutator_with(b), zero, "commutator")
 

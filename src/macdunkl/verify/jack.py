@@ -11,20 +11,11 @@ simultaneous eigenvectors they must be.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from ..errors import DegenerateSpectrumError, DomainError
-from ..multipoly import Ring, dominates, partitions_of
-from ..operators import OperatorMatrix, h_op, operator_matrix
+from ..multipoly import dominates, partitions_of
+from ..operators import OperatorMatrix, h_matrix
 from ..rings import qnorm
-
-RB = Ring.uni("b")
-
-
-@lru_cache(maxsize=None)
-def _h_matrix_block(k: int, n: int, weight: int) -> OperatorMatrix:
-    basis = tuple(partitions_of(weight, n))
-    return operator_matrix(h_op(k, n, RB), basis)
 
 
 def _evaluate_block(mat: OperatorMatrix, beta_value: Fraction):
@@ -49,8 +40,8 @@ def jack_solve(n: int, max_degree: int, beta_value):
         basis = tuple(partitions_of(w, n))
         if not basis:
             continue
-        m2 = _evaluate_block(_h_matrix_block(2, n, w), beta_value)
-        m3 = _evaluate_block(_h_matrix_block(3, n, w), beta_value)
+        m2 = _evaluate_block(h_matrix(2, n, basis), beta_value)
+        m3 = _evaluate_block(h_matrix(3, n, basis), beta_value)
         eig = {lam: m2.get((lam, lam), 0) for lam in basis}
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):

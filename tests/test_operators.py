@@ -24,6 +24,7 @@ from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
     LinearOperator,
     OperatorMatrix,
+    _matrix_product_literal,
     _subset_perm,
     _sum_over_subsets,
     _divided_difference,
@@ -36,6 +37,7 @@ from macdunkl.operators import (
     h_op,
     h_op_apply,
     h_op_apply_literal,
+    h_matrix,
     jet_matrix,
     l_op,
     m11_op,
@@ -506,6 +508,86 @@ def test_commutator_antisymmetry_and_linearity():
         for bb, mb in zip(ops, mats):
             assert ma.commutator_with(mb) == mb.commutator_with(ma).scale(-1)
             assert _column(ma + mb, (2, 1)) == to_msym_coords(a(f) + bb(f))
+
+
+def _random_scalar(rng, ring):
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 35, 97)))
+
+    if ring.kind == "q":
+        return frac()
+    return BetaPoly({rng.randint(0, 3): frac() for _ in range(rng.randint(1, 3))})
+
+
+def _random_matrix(rng, ring, basis, density=0.5):
+    entries = {}
+    for mu in basis:
+        for lam in basis:
+            if rng.random() < density and (c := _random_scalar(rng, ring)):
+                entries[(mu, lam)] = c
+    return OperatorMatrix(3, ring, basis, entries)
+
+
+def _assert_products_match_literal(a, b):
+    prod = a @ b
+    want = _matrix_product_literal(a, b)
+    assert (prod.ring, prod.basis, prod.entries) == (want.ring, want.basis, want.entries)
+    comm = a.commutator_with(b)
+    want = _matrix_product_literal(a, b) - _matrix_product_literal(b, a)
+    assert (comm.ring, comm.entries) == (want.ring, want.entries)
+    return comm
+
+
+def test_integer_products_match_literal():
+    rng = random.Random(14)
+    basis = tuple(partitions_upto(3, 3))
+    for ring in (Ring.q(), RB):
+        empty = OperatorMatrix(3, ring, basis, {})
+        for _ in range(25):
+            a = _random_matrix(rng, ring, basis)
+            b = _random_matrix(rng, ring, basis, density=rng.choice((0.2, 0.5, 1.0)))
+            _assert_products_match_literal(a, b)
+            _assert_products_match_literal(a, empty)
+            _assert_products_match_literal(empty, a)
+            # a commutes with a polynomial in itself: every sum cancels
+            assert _assert_products_match_literal(a, a @ a - a.scale(3)).is_zero()
+            # rows constant along each row times columns summing to zero
+            u = {mu: _random_scalar(rng, ring) for mu in basis}
+            flat = OperatorMatrix(3, ring, basis, {(mu, nu): u[mu] for mu in basis for nu in basis})
+            zero_sums = {}
+            for lam in basis:
+                col = [_random_scalar(rng, ring) for _ in basis[:-1]]
+                col.append(-sum(col))
+                zero_sums.update({(nu, lam): c for nu, c in zip(basis, col) if c})
+            zero_sums = OperatorMatrix(3, ring, basis, zero_sums)
+            assert (flat @ zero_sums).is_zero()
+            _assert_products_match_literal(flat, zero_sums)
+        _assert_products_match_literal(empty, empty)
+    # every pair of h-slices of D(n, r) and D(n, s), noncommuting i = 4 included
+    nonzero = 0
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            for s in range(r, n + 1):
+                for i in range(5):
+                    for j in range(5):
+                        a, b = extract_order(n, r, i), extract_order(n, s, j)
+                        nonzero += not _assert_products_match_literal(a, b).is_zero()
+    assert nonzero
+
+
+def test_jet_matrices_are_refused_by_products():
+    a, b = jet_matrix(2, 1, 4, 2), jet_matrix(2, 2, 4, 2)
+    with pytest.raises(DomainError, match="h_slice"):
+        a @ b
+    with pytest.raises(DomainError, match="h_slice"):
+        a.commutator_with(b)
+
+
+def test_h_matrix_is_built_once():
+    basis = tuple(partitions_upto(3, 3))
+    m = h_matrix(2, 3, basis)
+    assert h_matrix(2, 3, basis) is m
+    assert m == operator_matrix(h_op(2, 3, RB), basis)
 
 
 def test_dunkl_swap_divisibility_all_pairs():
