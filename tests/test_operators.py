@@ -551,7 +551,8 @@ def test_integer_products_match_literal():
             _assert_products_match_literal(empty, a)
             # a commutes with a polynomial in itself: every sum cancels
             assert _assert_products_match_literal(a, a @ a - a.scale(3)).is_zero()
-            # rows constant along each row times columns summing to zero
+            # each row of flat is constant and each column of zero_sums sums
+            # to zero, so every cell of flat @ zero_sums cancels
             u = {mu: _random_scalar(rng, ring) for mu in basis}
             flat = OperatorMatrix(3, ring, basis, {(mu, nu): u[mu] for mu in basis for nu in basis})
             zero_sums = {}
