@@ -108,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timings",
             action="store_true",
-            help="include measured runtimes; the cached jet matrix of each "
-            "(n, r, degree, K) is charged to the first jet check that builds it",
+            help="include measured runtimes; each cached matrix (the jet matrix "
+            "of an (n, r, degree, K), a primitive operator's matrix on a window) "
+            "is charged to the first check that builds it",
         )
         if with_out:
             p.add_argument("--out", help="write the report to this path")

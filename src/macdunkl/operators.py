@@ -538,9 +538,10 @@ def _cross_product(n: int, ring: Ring, subset, tval) -> MultiPoly:
     return out
 
 
-def _require_rank(n: int, r: int):
-    if not 1 <= r <= n:
-        raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
+def _require_rank(n: int, **ranks):
+    for name, v in ranks.items():
+        if not 1 <= v <= n:
+            raise DomainError(f"need 1 <= {name} <= n, got {name}={v}, n={n}")
 
 
 @cache
@@ -552,7 +553,7 @@ def _macdonald_column(n: int, r: int, lam) -> dict:
     the r-subsets I are counted by (a, b) = (sum_I alpha_i, sum_I delta_i)
     and the counts are read off in the Schur basis.  Cached per
     (n, r, lam); callers must not mutate it."""
-    _require_rank(n, r)
+    _require_rank(n, r=r)
     _require_partition(lam, n)
     delta = tuple(range(n - 1, -1, -1))
     subsets = [(I, sum(delta[i] for i in I)) for I in combinations(range(n), r)]
@@ -569,7 +570,7 @@ def macdonald_apply(n: int, r: int, value, f: MultiPoly) -> MultiPoly:
     m-coordinates of f, each coefficient {(a, b): N} evaluated by value
     to a scalar of f's ring (``jet_exp_sum`` at the ring's jet order, or
     ``rational_value`` at a rational (q, t))."""
-    _require_rank(n, r)
+    _require_rank(n, r=r)
     coords = {}
     for lam, c in to_msym_coords(f).items():
         for mu, poly in _macdonald_column(n, r, lam).items():
@@ -886,11 +887,14 @@ def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
-def h_matrix(k: int, n: int, basis) -> OperatorMatrix:
-    """Matrix of the Dunkl power sum H_k over b-polynomials on an m-basis
-    window (a tuple of partitions), built once per (k, n, basis); callers
-    must not mutate it."""
-    return operator_matrix(h_op(k, n, Ring.uni("b")), basis)
+def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
+    """Matrix over b-polynomials of the operator
+    factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
+    (b_op, 3, 1) for B_{3,1}, on an m-basis window (a tuple of
+    partitions); built once per (factor, n, basis), callers must not
+    mutate it."""
+    factory, *args = factor
+    return operator_matrix(factory(*args, n, Ring.uni("b")), basis)
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:

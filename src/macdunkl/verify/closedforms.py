@@ -29,15 +29,14 @@ from ..operators import (
     h_op,
     l_op,
     m11_op,
-    operator_matrix,
     pair_ratio_op,
+    primitive_matrix,
     reflection_square_op,
 )
 from ..rings import BetaPoly, binom_ff
 from ..tbinom import TPoly, scaled_taylor_coeff_closed
 
 RB = Ring.uni("b")
-RQ = Ring.q()
 
 
 # -- polynomials in n over Q, as TPoly values ---------------------------
@@ -152,39 +151,42 @@ def coeff_x(n, r):
 #
 # Each closed form is a polynomial in primitive operators: a list of terms
 # (rational, b power, factors), where the factors are primitive operators
-# composed right to left and the empty product is the identity.  _combo
-# evaluates that polynomial as a matrix on an m-basis window.  Composition
-# there is the matrix product, which is exact because the window holds
-# every partition of each weight it touches and every primitive keeps the
-# weight (operator_matrix refuses a window or an operator that breaks
-# either).
+# composed right to left and the empty product is the identity.  A factor
+# is named by its factory and arguments, e.g. (b_op, 3, 1) for B_{3,1};
+# operators.primitive_matrix builds its matrix over b-polynomials once per
+# (factor, n, window) and keeps it for the process, so a primitive's build
+# is charged to the first check that needs it.  _combo evaluates the
+# polynomial as a matrix on an m-basis window; the b-free forms are the b^0
+# slice of that matrix.  Composition is the matrix product, which is exact
+# because the window holds every partition of each weight it touches and
+# every primitive keeps the weight (the matrix builder refuses a window or
+# an operator that breaks either).
+
+L1, L2, L3, L4 = (l_op, 1), (l_op, 2), (l_op, 3), (l_op, 4)
+H1, H2, H3 = (h_op, 1), (h_op, 2), (h_op, 3)
+B21, B22, B23, B31, B32, B41 = (
+    (b_op, 2, 1), (b_op, 2, 2), (b_op, 2, 3), (b_op, 3, 1), (b_op, 3, 2), (b_op, 4, 1)
+)
+M11 = (m11_op,)
+PAIRS = (pair_ratio_op,)
+REFL2 = (reflection_square_op,)
 
 
-def _combo(n: int, ring: Ring, basis, terms) -> OperatorMatrix:
-    """Matrix of sum c * b^j * (product of factors) over the terms (c, j,
-    factors); the matrix of each distinct primitive is built once."""
+def _combo(n: int, basis, terms) -> OperatorMatrix:
+    """Matrix over b-polynomials of sum c * b^j * (product of factors) over
+    the terms (c, j, factors)."""
     basis = tuple(basis)
-    mats = {}
-    out = OperatorMatrix(n, ring, basis, {})
+    out = OperatorMatrix(n, RB, basis, {})
     for c, j, factors in terms:
         if not c:
             continue
-        if ring.kind == "uni":
-            scalar = BetaPoly.term(c, j)
-        elif ring.kind == "q":
-            if j:
-                raise DomainError("beta power in a rational-ring combination")
-            scalar = c
-        else:
-            raise DomainError("unsupported ring for closed forms")
+        scalar = BetaPoly.term(c, j)
         if not factors:
-            out = out + OperatorMatrix(n, ring, basis, {(lam, lam): scalar for lam in basis})
+            out = out + OperatorMatrix(n, RB, basis, {(lam, lam): scalar for lam in basis})
             continue
-        prod = None
-        for op in factors:
-            if op not in mats:
-                mats[op] = operator_matrix(op, basis)
-            prod = mats[op] if prod is None else prod @ mats[op]
+        prod = primitive_matrix(factors[0], n, basis)
+        for factor in factors[1:]:
+            prod = prod @ primitive_matrix(factor, n, basis)
         out = out + prod.scale(scalar)
     return out
 
@@ -198,10 +200,9 @@ def first_order(n: int, r: int, basis) -> OperatorMatrix:
     """
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(binom_ff(n - 1, r - 1)), 0, (l_op(1, n, RB),)),
+            (Fraction(binom_ff(n - 1, r - 1)), 0, (L1,)),
             (scaled_taylor_coeff_closed(n, r, 1).coeff(1), 1, ()),
         ],
     )
@@ -210,50 +211,45 @@ def first_order(n: int, r: int, basis) -> OperatorMatrix:
 def second_order(n: int, r: int, basis) -> OperatorMatrix:
     """h^2 coefficient in Dunkl form; the H_1^2 term vanishes at r = 1.
     The scalar is the h^2 coefficient of the scaled t-binomial."""
-    h1 = h_op(1, n, RB)
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(binom_ff(n - 2, r - 1), 2), 0, (h_op(2, n, RB),)),
-            (Fraction(binom_ff(n - 2, r - 2), 2), 0, (h1, h1)),
-            (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (h1,)),
+            (Fraction(binom_ff(n - 2, r - 1), 2), 0, (H2,)),
+            (Fraction(binom_ff(n - 2, r - 2), 2), 0, (H1, H1)),
+            (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (H1,)),
             (scaled_taylor_coeff_closed(n, r, 2).coeff(2), 2, ()),
         ],
     )
 
 
-def _third_order_slice_terms(j: int, n: int, r: int, ring: Ring):
+def _third_order_slice_terms(j: int, n: int, r: int):
     """Terms of the b^j coefficient of the h^3 coefficient, all b-free;
     the b^3 slice is the h^3 coefficient of the scaled t-binomial."""
     if j == 3:
         return [(scaled_taylor_coeff_closed(n, r, 3).coeff(3), 0, ())]
     x = coeff_x(n, r)
-    l1 = l_op(1, n, ring)
-    l2 = l_op(2, n, ring)
-    b21 = b_op(2, 1, n, ring)
     if j == 0:
         return [
-            (x / 6, 0, (l_op(3, n, ring),)),
-            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (l2, l1)),
-            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (l1, l1, l1)),
+            (x / 6, 0, (L3,)),
+            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (L2, L1)),
+            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (L1, L1, L1)),
         ]
     if j == 1:
         return [
-            (x / 2, 0, (b_op(2, 2, n, ring),)),
-            (Fraction(r * (r - 1) * binom_ff(n, r), 4), 0, (l2,)),
-            (Fraction(binom_ff(n - 3, r - 2)), 0, (b21, l1)),
-            (Fraction(binom_ff(n - 3, r - 3) * n * (n - 1), 2), 0, (m11_op(n, ring),)),
+            (x / 2, 0, (B22,)),
+            (Fraction(r * (r - 1) * binom_ff(n, r), 4), 0, (L2,)),
+            (Fraction(binom_ff(n - 3, r - 2)), 0, (B21, L1)),
+            (Fraction(binom_ff(n - 3, r - 3) * n * (n - 1), 2), 0, (M11,)),
         ]
     if j == 2:
         return [
-            (x, 0, (b_op(3, 1, n, ring),)),
-            (Fraction(((r - 1) * n + r) * binom_ff(n - 2, r - 1), 2), 0, (b21,)),
+            (x, 0, (B31,)),
+            (Fraction(((r - 1) * n + r) * binom_ff(n - 2, r - 1), 2), 0, (B21,)),
             (
                 Fraction(binom_ff(n - 1, r - 1) * n * (r - 1), 24) * ((3 * r - 2) * n - r),
                 0,
-                (l1,),
+                (L1,),
             ),
         ]
     raise DomainError("slice index must be 0..3")
@@ -261,7 +257,7 @@ def _third_order_slice_terms(j: int, n: int, r: int, ring: Ring):
 
 def third_order_slice(j: int, n: int, r: int, basis) -> OperatorMatrix:
     """The b^j coefficient of the h^3 coefficient, over the rationals."""
-    return _combo(n, RQ, basis, _third_order_slice_terms(j, n, r, RQ))
+    return _combo(n, basis, _third_order_slice_terms(j, n, r)).beta_slice(0)
 
 
 def third_order_raw(n: int, r: int, basis) -> OperatorMatrix:
@@ -269,9 +265,9 @@ def third_order_raw(n: int, r: int, basis) -> OperatorMatrix:
     terms = [
         (c, j, factors)
         for j in range(4)
-        for c, _, factors in _third_order_slice_terms(j, n, r, RB)
+        for c, _, factors in _third_order_slice_terms(j, n, r)
     ]
-    return _combo(n, RB, basis, terms)
+    return _combo(n, basis, terms)
 
 
 def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
@@ -279,22 +275,19 @@ def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
     x = coeff_x(n, r)
     c_h1sq = safe_coeff(H1SQ_FORMS, n, r, "H1^2 coefficient")
     c_bh2 = safe_coeff(BH2_FORMS, n, r, "H2 coefficient")
-    h1 = h_op(1, n, RB)
-    h2 = h_op(2, n, RB)
     scalar2 = Fraction(r, 24) * binom_ff(n - 1, r - 1) * (
         (3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r
     )
     return _combo(
         n,
-        RB,
         basis,
         [
-            (x / 6, 0, (h_op(3, n, RB),)),
-            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (h2, h1)),
-            (c_bh2 / 12, 1, (h2,)),
-            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (h1, h1, h1)),
-            (c_h1sq / 12, 1, (h1, h1)),
-            (scalar2, 2, (h1,)),
+            (x / 6, 0, (H3,)),
+            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (H2, H1)),
+            (c_bh2 / 12, 1, (H2,)),
+            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (H1, H1, H1)),
+            (c_h1sq / 12, 1, (H1, H1)),
+            (scalar2, 2, (H1,)),
             (scaled_taylor_coeff_closed(n, r, 3).coeff(3), 3, ()),
         ],
     )
@@ -302,16 +295,14 @@ def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
 
 def third_order_display_r1(n: int, basis) -> OperatorMatrix:
     """The printed rank-1 specialization of the h^3 Dunkl form."""
-    h1 = h_op(1, n, RB)
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(1, 6), 0, (h_op(3, n, RB),)),
-            (Fraction(2 * n - 3, 12), 1, (h_op(2, n, RB),)),
-            (Fraction(1, 12), 1, (h1, h1)),
-            (Fraction((n - 1) * (2 * n - 1), 12), 2, (h1,)),
+            (Fraction(1, 6), 0, (H3,)),
+            (Fraction(2 * n - 3, 12), 1, (H2,)),
+            (Fraction(1, 12), 1, (H1, H1)),
+            (Fraction((n - 1) * (2 * n - 1), 12), 2, (H1,)),
             (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
         ],
     )
@@ -319,36 +310,32 @@ def third_order_display_r1(n: int, basis) -> OperatorMatrix:
 
 def third_order_display_r2(n: int, basis) -> OperatorMatrix:
     """The printed rank-2 specialization of the h^3 Dunkl form."""
-    h1 = h_op(1, n, RB)
-    h2 = h_op(2, n, RB)
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(n - 4, 6), 0, (h_op(3, n, RB),)),
-            (Fraction(1, 2), 0, (h2, h1)),
-            (Fraction(5 * n * n - 14 * n + 12, 12), 1, (h2,)),
-            (Fraction(7 * n - 10, 12), 1, (h1, h1)),
-            (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, (l_op(1, n, RB),)),
+            (Fraction(n - 4, 6), 0, (H3,)),
+            (Fraction(1, 2), 0, (H2, H1)),
+            (Fraction(5 * n * n - 14 * n + 12, 12), 1, (H2,)),
+            (Fraction(7 * n - 10, 12), 1, (H1, H1)),
+            (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, (L1,)),
             (Fraction(n * n * (n - 1) * (n - 1) * (3 * n - 5), 24), 3, ()),
         ],
     )
 
 
 def h1_explicit(n: int, basis) -> OperatorMatrix:
-    return _combo(n, RB, basis, [(Fraction(1), 0, (l_op(1, n, RB),))])
+    return _combo(n, basis, [(Fraction(1), 0, (L1,))])
 
 
 def h2_explicit_pairs(n: int, basis) -> OperatorMatrix:
     """H_2 as L_2 + b * sum_{i<j} (x_i+x_j)/(x_i-x_j)(x_i d_i - x_j d_j)."""
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(1), 0, (l_op(2, n, RB),)),
-            (Fraction(1), 1, (pair_ratio_op(n, RB),)),
+            (Fraction(1), 0, (L2,)),
+            (Fraction(1), 1, (PAIRS,)),
         ],
     )
 
@@ -357,12 +344,11 @@ def h2_explicit_b(n: int, basis) -> OperatorMatrix:
     """H_2 as L_2 + 2b B_{2,1} - b(n-1) L_1."""
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(1), 0, (l_op(2, n, RB),)),
-            (Fraction(2), 1, (b_op(2, 1, n, RB),)),
-            (Fraction(-(n - 1)), 1, (l_op(1, n, RB),)),
+            (Fraction(1), 0, (L2,)),
+            (Fraction(2), 1, (B21,)),
+            (Fraction(-(n - 1)), 1, (L1,)),
         ],
     )
 
@@ -372,50 +358,47 @@ def h3_explicit(n: int, basis) -> OperatorMatrix:
            + b^2(2(3-n)B_{2,1} + 6B_{3,1} - (n-1)L_1)."""
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(1), 0, (l_op(3, n, RB),)),
-            (Fraction(3), 1, (b_op(2, 2, n, RB),)),
-            (Fraction(-(n - 1)), 1, (l_op(2, n, RB),)),
-            (Fraction(-1), 1, (m11_op(n, RB),)),
-            (Fraction(2 * (3 - n)), 2, (b_op(2, 1, n, RB),)),
-            (Fraction(6), 2, (b_op(3, 1, n, RB),)),
-            (Fraction(-(n - 1)), 2, (l_op(1, n, RB),)),
+            (Fraction(1), 0, (L3,)),
+            (Fraction(3), 1, (B22,)),
+            (Fraction(-(n - 1)), 1, (L2,)),
+            (Fraction(-1), 1, (M11,)),
+            (Fraction(2 * (3 - n)), 2, (B21,)),
+            (Fraction(6), 2, (B31,)),
+            (Fraction(-(n - 1)), 2, (L1,)),
         ],
     )
 
 
 def beta2_h3_lhs(n: int, basis) -> OperatorMatrix:
-    return _combo(n, RQ, basis, [(Fraction(1), 0, (reflection_square_op(n, RQ),))])
+    return _combo(n, basis, [(Fraction(1), 0, (REFL2,))]).beta_slice(0)
 
 
 def beta2_h3_rhs_pairs(n: int, basis) -> OperatorMatrix:
     """(3-n) * pair-ratio sum + 6 B_{3,1} - (n-1)(n-2) L_1."""
     return _combo(
         n,
-        RQ,
         basis,
         [
-            (Fraction(3 - n), 0, (pair_ratio_op(n, RQ),)),
-            (Fraction(6), 0, (b_op(3, 1, n, RQ),)),
-            (Fraction(-(n - 1) * (n - 2)), 0, (l_op(1, n, RQ),)),
+            (Fraction(3 - n), 0, (PAIRS,)),
+            (Fraction(6), 0, (B31,)),
+            (Fraction(-(n - 1) * (n - 2)), 0, (L1,)),
         ],
-    )
+    ).beta_slice(0)
 
 
 def beta2_h3_rhs_b(n: int, basis) -> OperatorMatrix:
     """2(3-n) B_{2,1} + 6 B_{3,1} - (n-1) L_1."""
     return _combo(
         n,
-        RQ,
         basis,
         [
-            (Fraction(2 * (3 - n)), 0, (b_op(2, 1, n, RQ),)),
-            (Fraction(6), 0, (b_op(3, 1, n, RQ),)),
-            (Fraction(-(n - 1)), 0, (l_op(1, n, RQ),)),
+            (Fraction(2 * (3 - n)), 0, (B21,)),
+            (Fraction(6), 0, (B31,)),
+            (Fraction(-(n - 1)), 0, (L1,)),
         ],
-    )
+    ).beta_slice(0)
 
 
 def rank1_fourth_order(n: int, basis) -> OperatorMatrix:
@@ -424,16 +407,15 @@ def rank1_fourth_order(n: int, basis) -> OperatorMatrix:
     scalar = scaled_taylor_coeff_closed(n, 1, 4).coeff(4)
     return _combo(
         n,
-        RB,
         basis,
         [
-            (Fraction(1, 24), 0, (l_op(4, n, RB),)),
-            (Fraction(1, 6), 1, (b_op(2, 3, n, RB),)),
-            (Fraction(1, 4), 2, (b_op(2, 2, n, RB),)),
-            (Fraction(1, 2), 2, (b_op(3, 2, n, RB),)),
-            (Fraction(1, 6), 3, (b_op(2, 1, n, RB),)),
-            (Fraction(1), 3, (b_op(3, 1, n, RB),)),
-            (Fraction(1), 3, (b_op(4, 1, n, RB),)),
+            (Fraction(1, 24), 0, (L4,)),
+            (Fraction(1, 6), 1, (B23,)),
+            (Fraction(1, 4), 2, (B22,)),
+            (Fraction(1, 2), 2, (B32,)),
+            (Fraction(1, 6), 3, (B21,)),
+            (Fraction(1), 3, (B31,)),
+            (Fraction(1), 3, (B41,)),
             (Fraction(scalar), 4, ()),
         ],
     )

@@ -26,11 +26,13 @@ from ..multipoly import MultiPoly, Ring, partitions_upto
 from ..operators import (
     LinearOperator,
     OperatorMatrix,
+    _require_rank,
     extract_order,
-    h_matrix,
+    h_op,
     macdonald_matrix,
     macdonald_scalar_part,
     operator_matrix,
+    primitive_matrix,
     qshift_apply,
 )
 from ..rings import BetaPoly, HJet, jet_q, render_scalar
@@ -92,12 +94,6 @@ def _basis(degree: int, n: int):
     return tuple(partitions_upto(degree, n))
 
 
-def _require_ranks(n: int, **ranks):
-    for name, v in ranks.items():
-        if not 1 <= v <= n:
-            raise DomainError(f"need 1 <= {name} <= n, got {name}={v}, n={n}")
-
-
 # -- t-binomial checks ---------------------------------------------------
 
 
@@ -149,7 +145,7 @@ def check_scalar_part(n: int, r: int):
 
 def check_h_explicit(k: int, n: int, degree: int = 4):
     basis = _basis(degree, n)
-    actual = h_matrix(k, n, basis)
+    actual = primitive_matrix((h_op, k), n, basis)
     if k == 1:
         return _matrix_residual(actual, closedforms.h1_explicit(n, basis))
     if k == 2:
@@ -238,8 +234,8 @@ def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
 
 def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
     basis = _basis(degree, n)
-    a = h_matrix(i, n, basis)
-    b = h_matrix(j, n, basis)
+    a = primitive_matrix((h_op, i), n, basis)
+    b = primitive_matrix((h_op, j), n, basis)
     zero = OperatorMatrix(n, RB, basis, {})
     return _matrix_residual(a.commutator_with(b), zero, "commutator")
 
@@ -260,7 +256,7 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
     """D(n, r) and D(n, s) commute at seeded rational (q, t); the pairs
     tried are reported as the ``qt`` finding."""
     basis = _basis(degree, n)
-    _require_ranks(n, r=r, s=s)
+    _require_rank(n, r=r, s=s)
     residual = None
     tried = []
     for q, t in _seeded_qt_pairs(n, r, s, seed):
@@ -277,7 +273,7 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
 def check_orderwise_commutator(
     n: int, r: int, s: int, i: int, j: int, degree: int = 4, K: int = 4
 ):
-    _require_ranks(n, r=r, s=s)
+    _require_rank(n, r=r, s=s)
     a = extract_order(n, r, i, degree, K)
     b = extract_order(n, s, j, degree, K)
     zero = OperatorMatrix(n, RB, a.basis, {})

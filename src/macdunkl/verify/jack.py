@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ..errors import DegenerateSpectrumError, DomainError
 from ..multipoly import dominates, partitions_of
-from ..operators import OperatorMatrix, h_matrix
+from ..operators import OperatorMatrix, h_op, primitive_matrix
 from ..rings import qnorm
 
 
@@ -40,8 +40,8 @@ def jack_solve(n: int, max_degree: int, beta_value):
         basis = tuple(partitions_of(w, n))
         if not basis:
             continue
-        m2 = _evaluate_block(h_matrix(2, n, basis), beta_value)
-        m3 = _evaluate_block(h_matrix(3, n, basis), beta_value)
+        m2 = _evaluate_block(primitive_matrix((h_op, 2), n, basis), beta_value)
+        m3 = _evaluate_block(primitive_matrix((h_op, 3), n, basis), beta_value)
         eig = {lam: m2.get((lam, lam), 0) for lam in basis}
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):

@@ -7,10 +7,20 @@ import pytest
 from macdunkl import BetaPoly, Ring
 from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
-from macdunkl.operators import extract_order, h_op, operator_matrix
+from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
 from macdunkl.rings import binom_ff
 from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
 from macdunkl.verify.closedforms import (
+    B21,
+    B22,
+    B31,
+    H1,
+    H2,
+    H3,
+    L1,
+    L2,
+    L3,
+    M11,
     CoeffForm,
     X_FORMS,
     _binom_npoly,
@@ -184,3 +194,40 @@ def test_dn1_h4_sanity_n2():
     quad = (1 + b) * (1 + b) * (1 + b) * (1 + b)
     assert _column(m, (1,)) == {(1,): quad * Fraction(1, 24)}
     assert extract_order(2, 1, 4, 1, 4).entries[((1,), (1,))] == quad * Fraction(1, 24)
+
+
+
+@pytest.mark.parametrize(
+    "n,r,factors",
+    [
+        # x = 0 at n = 2r and binom_ff(1, -1) = 0: five factors are left
+        (4, 2, {H1, H2, L1, L2, B21}),
+        (5, 3, {H1, H2, H3, L1, L2, L3, B21, B22, B31, M11}),
+    ],
+    ids=("4-2", "5-3"),
+)
+def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
+    """The h^2 and h^3 forms share their primitives: a cold evaluation
+    builds each distinct factor's matrix once, a repeat builds none."""
+    built = []
+    from_operator = OperatorMatrix.from_operator
+
+    def counting(op, basis, n, ring):
+        built.append(op)
+        return from_operator(op, basis, n, ring)
+
+    monkeypatch.setattr(OperatorMatrix, "from_operator", staticmethod(counting))
+    primitive_matrix.cache_clear()
+    basis = partitions_upto(3, n)
+
+    def evaluate():
+        second_order(n, r, basis)
+        third_order_dunkl(n, r, basis)
+        third_order_raw(n, r, basis)
+        for j in range(4):
+            third_order_slice(j, n, r, basis)
+
+    evaluate()
+    assert len(built) == len(factors)
+    evaluate()
+    assert len(built) == len(factors)

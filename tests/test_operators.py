@@ -37,7 +37,6 @@ from macdunkl.operators import (
     h_op,
     h_op_apply,
     h_op_apply_literal,
-    h_matrix,
     jet_matrix,
     l_op,
     m11_op,
@@ -49,13 +48,14 @@ from macdunkl.operators import (
     operator_matrix,
     pair_ratio_apply,
     pair_ratio_op,
+    primitive_matrix,
     qshift_apply,
     reflection_square_apply,
     reflection_square_op,
 )
 from macdunkl.rings import jet_exp, jet_exp_sum, jet_q, jet_t, rational_value
 from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
-from macdunkl.verify.closedforms import _combo
+from macdunkl.verify import closedforms
 from macdunkl.verify.identities import check_macdonald_commutator
 
 
@@ -416,6 +416,15 @@ def test_macdonald_rejects_non_symmetric():
         macdonald_apply(2, 1, partial(rational_value, Fraction(2), Fraction(3)), x(1, 2))
 
 
+def test_macdonald_refuses_a_rank_outside_1_to_n():
+    value = partial(rational_value, Fraction(2), Fraction(3))
+    for r in (0, 4):
+        with pytest.raises(DomainError, match=rf"^need 1 <= r <= n, got r={r}, n=3$"):
+            macdonald_apply(3, r, value, msym((1,), 3, Ring.q()))
+        with pytest.raises(DomainError, match=rf"^need 1 <= r <= n, got r={r}, n=3$"):
+            macdonald_matrix(3, r, 2, 3, partitions_upto(1, 3))
+
+
 def test_scalar_part_is_t_binomial():
     for n in range(2, 6):
         for r in range(1, n + 1):
@@ -459,7 +468,7 @@ def test_matrix_algebra():
     assert (a @ b) == (b @ a)
     assert (a - a).is_zero()
     assert a.scale(BetaPoly.zero()).is_zero()
-    i = _combo(n, RB, basis, [(Fraction(1), 0, ())])
+    i = closedforms._combo(n, basis, [(Fraction(1), 0, ())])
     assert (i @ a) == a
     assert (a @ i) == a
 
@@ -584,11 +593,17 @@ def test_jet_matrices_are_refused_by_products():
         a.commutator_with(b)
 
 
-def test_h_matrix_is_built_once():
-    basis = tuple(partitions_upto(3, 3))
-    m = h_matrix(2, 3, basis)
-    assert h_matrix(2, 3, basis) is m
-    assert m == operator_matrix(h_op(2, 3, RB), basis)
+@pytest.mark.parametrize(
+    "name",
+    ["L1", "L2", "L3", "L4", "H1", "H2", "H3", "B21", "B22", "B23", "B31", "B32", "B41",
+     "M11", "PAIRS", "REFL2"],
+)
+def test_primitive_matrix_is_built_once(name):
+    factory, *args = factor = getattr(closedforms, name)
+    basis = tuple(partitions_upto(3, 4))
+    m = primitive_matrix(factor, 4, basis)
+    assert primitive_matrix(factor, 4, basis) is m
+    assert m == operator_matrix(factory(*args, 4, RB), basis)
 
 
 def test_dunkl_swap_divisibility_all_pairs():
