@@ -186,9 +186,6 @@ def _validate_common(args):
                 raise DomainError(f"--{key} needs --n")
             if not 0 <= val <= n:
                 raise DomainError(f"need 0 <= {key} <= n, got {key}={val}, n={n}")
-    k = getattr(args, "k", None)
-    if k is not None and getattr(args, "K", None) is not None and k > args.K:
-        raise DomainError(f"k={k} exceeds the jet order K={args.K}")
 
 
 def _run_verify(args) -> int:

@@ -6,24 +6,27 @@ times the subset Euler operator sum.  The raw evaluator exchanges the two
 sums: a pattern with a in-indices and b out-indices is contained in
 binom(n-a-b, r-a) subsets when the Euler variable lies in the pattern,
 and binom(n-a-b-1, r-a-1) subsets otherwise, so the whole operator
-collapses to three pattern sums that are local to a + b variables.  Those
-local sums are computed once on the canonical support {1..m}, m = a + b,
-over its Vandermonde product V_m, and nothing is divided.  A pattern's
-piece V_m / den * mono is the signed product of the factors x_i - x_j of
-V_m that den leaves over.  The patterns form one orbit of the support's
+collapses to pattern sums that are local to m = a + b variables.  Those
+local sums are computed once on the canonical support {1..m}, over its
+Vandermonde product V_m, and nothing is divided.  A pattern's piece
+V_m / den * mono is the signed product of the factors x_i - x_j of V_m
+that den leaves over.  The patterns form one orbit of the support's
 permutations, and the piece of a pattern relabeled by sigma is
 sign(sigma) times the relabeled piece.  So the sum over the patterns
-with x_1 on one side is antisymmetric in x_2..x_m, and by Macdonald
-(Symmetric Functions and Hall Polynomials, ch. I 3) it is fixed by its
-coefficients at strictly decreasing exponents of x_2..x_m.  Those are
-read off the representative's piece in one pass over its terms, and
-each is expanded once into its alternant.  Combined with the
-argument, the sums give the support's numerator factor g, antisymmetric
-inside the support (the patterns are one orbit) and symmetric outside it
-(the argument is).  The cofactor V_n / V_m, built as
-prod_{i <= m < j} (x_i - x_j) times the Vandermonde product of
-{m+1..n}, is symmetric inside the support and antisymmetric outside it;
-it is built and checked once per (n, m).
+with x_1 inside the subset side is antisymmetric in x_2..x_m, and by
+Macdonald (Symmetric Functions and Hall Polynomials, ch. I 3) it is
+fixed by its coefficients at strictly decreasing exponents of x_2..x_m.
+Those are read off the representative's piece in one pass over its
+terms, and each is expanded once into its alternant.  The same orbit
+argument makes the sum over all patterns a constant multiple c V_m, and
+the sum with x_u inside the relabeling of the x_1 one by the exchange
+of x_1 and x_u, with sign -1.  So the raw operator needs one product,
+of the x_1 sum with E_1 f: its relabelings give the support's
+numerator factor g, antisymmetric inside the support and symmetric
+outside it, and the full sum adds a multiple of f.  The cofactor
+V_n / V_m, built as prod_{i <= m < j} (x_i - x_j) times the Vandermonde
+product of {m+1..n}, is symmetric inside the support and antisymmetric
+outside it; it is built and checked once per (n, m).
 ``operators._alternate_over_subsets`` takes the two factors and reads
 the signed sum of their product over all supports off in the Schur
 basis, computing only the coefficients the read-off reads and dividing
@@ -200,15 +203,16 @@ def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _canonical_sums(tid: int):
-    """The local pattern sums over the canonical support, as polynomials on
-    m variables over the support Vandermonde: the full sum and, for each
-    support variable u, the sums restricted to patterns with u inside or
-    outside the pattern's subset side.
+    """(c, n_in1): the local pattern sums over the canonical support, as
+    polynomials on m variables over the support Vandermonde V_m.  n_in1
+    sums the patterns with x_1 inside the pattern's subset side, and c V_m
+    is the sum of all patterns.
 
-    The patterns form one S_m-orbit (checked exactly).  The sums n_in[1] and
-    n_out[1] over the patterns with x_1 inside and outside are read off the
-    representative's piece (``_pattern_piece``) by ``_side_sum``.  Every
-    pattern's support is its ins and outs, so the full sum is their sum.
+    The patterns form one S_m-orbit (checked exactly).  The sums over the
+    patterns with x_1 inside and outside are read off the representative's
+    piece (``_pattern_piece``) by ``_side_sum``.  Every pattern's support
+    is its ins and outs, so the full sum is their sum; it is antisymmetric
+    of the degree of V_m, and is checked exactly to be c V_m.
     """
     a, b = _shape(tid)
     m = a + b
@@ -231,13 +235,12 @@ def _canonical_sums(tid: int):
     piece0 = _pattern_piece(m, pairs0, exps0)
     stab = factorial(m) // len(patterns)
     in1 = _side_sum(piece0, ins0, stab)
-    out1 = _side_sum(piece0, outs0, stab)
-    # the orbit is S_m-invariant and K_1u carries the patterns with 1
-    # inside (outside) onto those with u inside (outside); relabeling a
-    # piece by the odd K_1u gives -1 times the relabeled pattern's piece
-    n_in = {1: in1, **{u: -in1.swap(1, u) for u in range(2, m + 1)}}
-    n_out = {1: out1, **{u: -out1.swap(1, u) for u in range(2, m + 1)}}
-    return in1 + out1, n_in, n_out
+    total = in1 + _side_sum(piece0, outs0, stab)
+    vm = _pattern_piece(m, (), {})
+    c = total.terms.get(max(vm.terms), 0)  # the leading coefficient of V_m is 1
+    if total != vm.scale(c):
+        raise AssertionError(f"type {tid} pattern sum is not a multiple of V_{m}")
+    return c, in1
 
 
 def _pad(f: MultiPoly, n: int) -> MultiPoly:
@@ -259,21 +262,24 @@ def _support_cofactor(n: int, m: int) -> _Cofactor:
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     a, b = _shape(tid)
     m = a + b
-    if n < m or r < a or n - r < b:
-        return MultiPoly.zero(n, f.ring)
+    # subsets holding a pattern; both are 0 when no subset holds one
     ca = binom(n - m, r - a)
     cb = binom(n - m - 1, r - a - 1)
-    total_m, in_m, out_m = _canonical_sums(tid)
-    total = _pad(total_m, n)
-    deg = f.total_degree()
-    g0 = (total * f).scale(cb * deg) if cb and deg else MultiPoly.zero(n, f.ring)
-    for u in range(1, m + 1):
-        cu = _pad(in_m[u], n).scale(ca - cb) - _pad(out_m[u], n).scale(cb)
-        if cu:
-            eu = f.euler(u)
-            if eu:
-                g0 = g0 + cu * eu
-    return _alternate_over_subsets(g0, _support_cofactor(n, m))
+    c, in1 = _canonical_sums(tid)
+    # The support numerator is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f
+    # + cb d c V_m f, for f symmetric and homogeneous of degree d.  With
+    # n_in[u] + n_out[u] = c V_m, n_in[u] = -K_1u n_in[1] and, f being
+    # symmetric, E_u f = K_1u E_1 f, it is ca (g1 - sum_{u>1} K_1u g1) with
+    # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  The subset sum of the
+    # latter is cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
+    out = f.scale(cb * c * f.total_degree() * binom(n - 1, m))
+    if ca:
+        g1 = _pad(in1, n) * f.euler(1)
+        g = g1
+        for u in range(2, m + 1):
+            g = g - g1.swap(1, u)
+        out = out + _alternate_over_subsets(g, _support_cofactor(n, m)).scale(ca)
+    return out
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -347,26 +353,17 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 
 def _unit_sum_type2(n: int, f: MultiPoly) -> MultiPoly:
     """Per 4-subset unit: the four terms x_a x_b x_c (E_a+E_b+E_c) over
-    prod (x_. - x_excluded), resolved over the subset Vandermonde and
-    replicated by relabeling."""
+    prod (x_. - x_excluded), which are the type 2 patterns, resolved over
+    the subset Vandermonde and replicated by relabeling."""
     if n < 4:
         return MultiPoly.zero(n, f.ring)
-    sup = (1, 2, 3, 4)
-    vs = vandermonde(n, RQ, sup)
     num = MultiPoly.zero(n, f.ring)
-    for w in sup:
-        abc = [v for v in sup if v != w]
-        mono = [0] * n
-        for v in abc:
-            mono[v - 1] = 1
+    for ins, _, pairs, exps in _patterns(2):
         ef = MultiPoly.zero(n, f.ring)
-        for v in abc:
+        for v in ins:
             ef = ef + f.euler(v)
-        den = MultiPoly.const(n, 1, RQ)
-        for v in abc:
-            den = den * (MultiPoly.variable(v, n, RQ) - MultiPoly.variable(w, n, RQ))
-        num = num + exact_div(vs, den) * MultiPoly.monomial(tuple(mono), n, RQ) * ef
-    return _sum_over_subsets(exact_div(num, vs), 4)
+        num = num + _pad(_pattern_piece(4, pairs, exps), n) * ef
+    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
 
 
 def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
@@ -375,32 +372,18 @@ def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
     if n < 4:
         return MultiPoly.zero(n, f.ring)
     sup = (1, 2, 3, 4)
-    vs = vandermonde(n, RQ, sup)
+    x = {v: MultiPoly.variable(v, 4, RQ) for v in sup}
     num = MultiPoly.zero(n, f.ring)
-    for jset in combinations(sup, 2):
-        pset = tuple(v for v in sup if v not in jset)
-        ej = MultiPoly.zero(n, f.ring)
-        for v in jset:
-            ej = ej + f.euler(v)
+    for i, j in combinations(sup, 2):
+        p, q = (v for v in sup if v not in (i, j))
+        ej = f.euler(i) + f.euler(j)
         if not ej:
             continue
-        xj = MultiPoly.const(n, 1, RQ)
-        sj = MultiPoly.zero(n, RQ)
-        for v in jset:
-            xj = xj * MultiPoly.variable(v, n, RQ)
-            sj = sj + MultiPoly.variable(v, n, RQ)
-        sp = MultiPoly.zero(n, RQ)
-        for p in pset:
-            sp = sp + MultiPoly.variable(p, n, RQ)
-        den = MultiPoly.const(n, 1, RQ)
-        for u in jset:
-            for p in pset:
-                den = den * (
-                    MultiPoly.variable(u, n, RQ) - MultiPoly.variable(p, n, RQ)
-                )
-        local = (xj * xj).scale(4) - xj * sj * sp
-        num = num + exact_div(vs, den) * local * ej
-    return _sum_over_subsets(exact_div(num, vs), 4)
+        # V_S / den * x_i x_j, times 4 x_i x_j - (x_i + x_j)(x_p + x_q)
+        piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
+        local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
+        num = num + _pad(piece * local, n) * ej
+    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, sup)), 4)
 
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

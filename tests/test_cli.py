@@ -276,6 +276,12 @@ def test_config_edge_cases_exit_2():
         with redirect_stderr(err):
             assert run_cli("verify", "--suite", *argv)[0] == 2
         assert f"suite '{argv[0]}' has no checks with {' '.join(argv[1:3])}" in err.getvalue()
+    # --k is checked by the identity that takes it, not against a jet order
+    err = StringIO()
+    with redirect_stderr(err):
+        assert run_cli("verify", "--identity", "tbinom_taylor", "--n", "3", "--r", "1",
+                       "--k", "5")[0] == 2
+    assert "closed Taylor coefficients are available for k = 0..4" in err.getvalue()
     # suite mode refuses the flags it has no use for
     assert run_cli("verify", "--suite", "dunkl", "--nmax", "2", "--degree", "1",
                    "--i", "3", "--k", "9", "--K", "9")[0] == 2

@@ -1,6 +1,7 @@
 """Type-sum tests: raw vs literal, counts, the partial-fraction identity."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -9,11 +10,13 @@ from macdunkl import (
     MultiPoly,
     NonSymmetricError,
     Ring,
+    binom,
     exact_div,
     monomial_symmetric,
 )
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl.verify import typesums
+from macdunkl.verify.identities import verify_identity
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
     _canonical_sums,
@@ -107,8 +110,10 @@ def test_raw_equals_closed_at_6_3_degree2(tid):
         assert raw == closed, (tid, lam)
 
 
+@lru_cache(maxsize=None)
 def _canonical_sums_per_pattern(tid):
-    """The pattern sums with one exact division per pattern."""
+    """The pattern sums with one exact division per pattern (cached: two
+    tests read them)."""
     a, b = TYPE_SHAPE[tid]
     m = a + b
     vm = vandermonde(m, RQ)
@@ -132,9 +137,25 @@ def _canonical_sums_per_pattern(tid):
     return total, n_in, n_out
 
 
+def _full_sum_factor(total, m):
+    """c with total == c V_m, or None when total is no multiple of V_m."""
+    vm = vandermonde(m, RQ)
+    lead = max(vm.terms)
+    c = Fraction(total.terms.get(lead, 0), vm.terms[lead])
+    return c if total == vm.scale(c) else None
+
+
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_orbit_sums_match_per_pattern_division(tid):
-    assert _canonical_sums(tid) == _canonical_sums_per_pattern(tid)
+    """(c, n_in[1]) is the oracle's (total / V_m, n_in[1]), and the oracle's
+    sums obey the relabeling law the raw path relies on: n_in[u] and
+    n_out[u] are -K_1u of the u = 1 sums."""
+    m = sum(TYPE_SHAPE[tid])
+    total, n_in, n_out = _canonical_sums_per_pattern(tid)
+    assert _canonical_sums(tid) == (_full_sum_factor(total, m), n_in[1])
+    for u in range(2, m + 1):
+        assert n_in[u] == -n_in[1].swap(1, u), u
+        assert n_out[u] == -n_out[1].swap(1, u), u
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
@@ -144,8 +165,8 @@ def test_canonical_sums_divide_by_nothing(tid, monkeypatch):
 
     monkeypatch.setattr(typesums, "exact_div", refuse)
     monkeypatch.setattr(typesums, "vandermonde", refuse)
-    total, n_in, n_out = _canonical_sums.__wrapped__(tid)
-    assert total
+    c, in1 = _canonical_sums.__wrapped__(tid)
+    assert c and in1
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
@@ -155,13 +176,13 @@ def test_canonical_sums_structure(tid):
     one side, and the multiplied piece is the divided one."""
     a, b = TYPE_SHAPE[tid]
     m = a + b
-    total, n_in, n_out = _canonical_sums(tid)
-    vm = vandermonde(m, RQ)
-    lead = max(vm.terms)
-    c = Fraction(total.terms.get(lead, 0), vm.terms[lead])
-    assert c and total == vm.scale(c)
+    total, n_in, n_out = _canonical_sums_per_pattern(tid)
+    c = _full_sum_factor(total, m)
+    assert c and c == _canonical_sums(tid)[0]
     for u in range(1, m + 1):
         assert n_in[u] + n_out[u] == total, u
+    vm = vandermonde(m, RQ)
+    assert _pattern_piece(m, (), {}) == vm
     _, _, pairs0, exps0 = _patterns(tid)[0]
     den = MultiPoly.const(m, 1, RQ)
     for i, p in pairs0:
@@ -171,6 +192,49 @@ def test_canonical_sums_structure(tid):
         mono[v - 1] = e
     want = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
     assert _pattern_piece(m, pairs0, exps0) == want
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
+    """Warm, the raw path multiplies once per homogeneous part that has a
+    subset count ca = binom(n - m, r - a) != 0: n_in[1] by E_1 f."""
+    n, r = 6, 3
+    a, b = TYPE_SHAPE[tid]
+    assert binom(n - a - b, r - a)
+    f = monomial_symmetric((2, 1), n)
+    type_sum_raw_apply(n, r, tid, f)
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    type_sum_raw_apply(n, r, tid, f)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tid", [2, 6])
+def test_closed_units_divide_only_by_the_unit_vandermonde(tid, monkeypatch):
+    n, r = 6, 3
+    divisors = []
+    div = typesums.exact_div
+
+    def recorded(num, den):
+        divisors.append(den)
+        return div(num, den)
+
+    monkeypatch.setattr(typesums, "exact_div", recorded)
+    type_sum_closed_apply(n, r, tid, monomial_symmetric((2, 1), n))
+    assert divisors == [vandermonde(n, RQ, (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_raw_equals_closed_at_8_4_degree2(tid):
+    """The type families beyond the suite grid: (n, r) = (8, 4), degree 2."""
+    v = verify_identity(f"type{tid}_matches", n=8, r=4, degree=2)
+    assert v.passed, v.residual
 
 
 @pytest.mark.parametrize("tid", [0, 7])
