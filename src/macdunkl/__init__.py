@@ -12,7 +12,7 @@ from .errors import (
     InexactDivisionError,
     NonSymmetricError,
 )
-from .rings import BetaPoly, HJet, binom, binom_ff, jet_exp, jet_q, jet_t
+from .rings import BetaPoly, binom, binom_ff, exp_sum_slice
 from .multipoly import (
     MultiPoly,
     Ring,
@@ -40,16 +40,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaPoly",
-    "HJet",
     "MultiPoly",
     "Ring",
     "LinearOperator",
     "OperatorMatrix",
     "binom",
     "binom_ff",
-    "jet_exp",
-    "jet_q",
-    "jet_t",
+    "exp_sum_slice",
     "dunkl_apply",
     "h_op_apply",
     "extract_order",

@@ -21,12 +21,7 @@ from fractions import Fraction
 from .errors import DegenerateSpectrumError, DomainError
 from .operators import extract_order
 from .rings import binom
-from .tbinom import (
-    scaled_taylor_coeff_closed,
-    t_binomial,
-    t_binomial_jet,
-    taylor_coeff_closed,
-)
+from .tbinom import scaled_taylor_coeff_closed, t_binomial, taylor_coeff_closed
 from .verify.identities import SUITES, suite_plan, verify_identity
 from .verify.jack import jack_solve
 from .verify.witness import noncommutativity_witness
@@ -108,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timings",
             action="store_true",
-            help="include measured runtimes; each cached matrix (the jet matrix "
-            "of an (n, r, degree, K), a primitive operator's matrix on a window) "
-            "is charged to the first check that builds it",
+            help="include measured runtimes; each cached matrix (the h^k "
+            "coefficient of an (n, r, k, degree), a primitive operator's matrix "
+            "on a window) is charged to the first check that builds it",
         )
         if with_out:
             p.add_argument("--out", help="write the report to this path")
@@ -178,6 +173,8 @@ def _verify_args_to_params(args) -> dict:
 def _validate_common(args):
     if getattr(args, "degree", None) is not None and args.degree < 1:
         raise DomainError("degree must be at least 1")
+    if getattr(args, "K", None) is not None and args.K < 0:
+        raise DomainError("jet order must be non-negative")
     n = getattr(args, "n", None)
     for key in ("r", "s"):
         val = getattr(args, key, None)
@@ -253,7 +250,7 @@ def _run_tbinom(args) -> int:
     _validate_common(args)
     n, r = args.n, args.r
     poly = t_binomial(n, r)
-    jet = t_binomial_jet(n, r, args.K)
+    jet = [poly.h_coeff(k) for k in range(args.K + 1)]
     closed = [taylor_coeff_closed(n, r, k) for k in range(min(args.K, 4) + 1)]
     scaled = [scaled_taylor_coeff_closed(n, r, k) for k in range(min(args.K, 4) + 1)]
     if args.json:
@@ -262,7 +259,7 @@ def _run_tbinom(args) -> int:
             "r": r,
             "K": args.K,
             "t_polynomial": poly.render("t"),
-            "jet": [jet.coeff(k).render("b") for k in range(args.K + 1)],
+            "jet": [c.render("b") for c in jet],
             "closed": [c.render("b") for c in closed],
             "closed_scaled": [c.render("b") for c in scaled],
             "coefficient_sum": binom(n, r),
@@ -273,11 +270,9 @@ def _run_tbinom(args) -> int:
             f"t-binomial [{n} {r}] = {poly.render('t')}",
             f"jet at t = exp(b*h), order {args.K}:",
         ]
-        for k in range(args.K + 1):
+        for k, c in enumerate(jet):
             closed_txt = closed[k].render("b") if k < len(closed) else "-"
-            lines.append(
-                f"  h^{k}: {jet.coeff(k).render('b')}   closed: {closed_txt}"
-            )
+            lines.append(f"  h^{k}: {c.render('b')}   closed: {closed_txt}")
         lines.append("scaled closed coefficients (prefactor exponent r(r-1)/2):")
         for k, c in enumerate(scaled):
             lines.append(f"  h^{k}: {c.render('b')}")

@@ -6,9 +6,7 @@ coefficient ring may add trailing slots:
 
   * ``Ring.q()``       rational coefficients, no extra slots;
   * ``Ring.uni(var)``  one extra slot holding the exponent of an auxiliary
-    symbol (the coupling parameter ``b``, or ``t`` for t-polynomials);
-  * ``Ring.jet(K)``    two extra slots (symbol exponent, h exponent), with
-    every product truncated at h^K.
+    symbol (the coupling parameter ``b``, or ``t`` for t-polynomials).
 
 Keeping the auxiliary symbols in the exponent key keeps all stored
 coefficients plain ``int``/``Fraction`` values, which is what makes the
@@ -27,7 +25,7 @@ from math import factorial, prod
 from operator import itemgetter
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
-from .rings import BetaPoly, HJet, qnorm, render_scalar
+from .rings import BetaPoly, qnorm, render_scalar
 
 Partition = tuple[int, ...]
 
@@ -36,9 +34,8 @@ Partition = tuple[int, ...]
 class Ring:
     """Coefficient ring descriptor for MultiPoly."""
 
-    kind: str          # 'q', 'uni' or 'jet'
+    kind: str          # 'q' or 'uni'
     var: str = "b"     # auxiliary symbol name used for rendering
-    order: int = 0     # truncation order, jet rings only
 
     @staticmethod
     def q() -> "Ring":
@@ -48,13 +45,9 @@ class Ring:
     def uni(var: str = "b") -> "Ring":
         return Ring("uni", var)
 
-    @staticmethod
-    def jet(order: int = 4, var: str = "b") -> "Ring":
-        return Ring("jet", var, order)
-
     @property
     def aux_slots(self) -> int:
-        return {"q": 0, "uni": 1, "jet": 2}[self.kind]
+        return 0 if self.kind == "q" else 1
 
     def aux_keys_of(self, scalar):
         """Expand a ring scalar into {aux_exponents: rational} pairs."""
@@ -62,25 +55,11 @@ class Ring:
             if isinstance(scalar, (int, Fraction)):
                 return {(): scalar} if scalar else {}
             raise TypeError("rational ring scalar expected")
-        if self.kind == "uni":
-            if isinstance(scalar, (int, Fraction)):
-                scalar = BetaPoly.const(scalar)
-            if isinstance(scalar, BetaPoly):
-                return {(k,): c for k, c in scalar.coeffs.items()}
-            raise TypeError("BetaPoly ring scalar expected")
         if isinstance(scalar, (int, Fraction)):
-            scalar = HJet.const(scalar, self.order)
+            scalar = BetaPoly.const(scalar)
         if isinstance(scalar, BetaPoly):
-            scalar = HJet.const(scalar, self.order)
-        if isinstance(scalar, HJet):
-            if scalar.order != self.order:
-                raise DomainError("jet order mismatch with ring")
-            out = {}
-            for h, bp in enumerate(scalar.coeffs):
-                for k, c in bp.coeffs.items():
-                    out[(k, h)] = c
-            return out
-        raise TypeError("HJet ring scalar expected")
+            return {(k,): c for k, c in scalar.coeffs.items()}
+        raise TypeError("BetaPoly ring scalar expected")
 
     def scalar_from_aux(self, pairs):
         """Rebuild a ring scalar from {aux_exponents: rational} pairs."""
@@ -89,12 +68,7 @@ class Ring:
             for _, c in pairs:
                 acc += c
             return qnorm(acc)
-        if self.kind == "uni":
-            return BetaPoly({k[0]: c for k, c in pairs})
-        cs = [dict() for _ in range(self.order + 1)]
-        for (k, h), c in pairs:
-            cs[h][k] = c
-        return HJet(self.order, [BetaPoly(d) for d in cs])
+        return BetaPoly({k[0]: c for k, c in pairs})
 
 
 RING_Q = Ring.q()
@@ -218,13 +192,9 @@ class MultiPoly:
         if len(a) > len(b):
             a, b = b, a
         out = {}
-        hcap = self.ring.order if self.ring.kind == "jet" else None
-        hslot = self._width() - 1
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 k = tuple(x + y for x, y in zip(k1, k2))
-                if hcap is not None and k[hslot] > hcap:
-                    continue
                 s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
@@ -257,13 +227,9 @@ class MultiPoly:
             return MultiPoly.zero(self.n, self.ring)
         n = self.n
         out = {}
-        hcap = self.ring.order if self.ring.kind == "jet" else None
-        hslot = self._width() - 1
         for k, c in self.terms.items():
             for ak, ac in aux.items():
                 nk = k[:n] + tuple(x + y for x, y in zip(k[n:], ak))
-                if hcap is not None and nk[hslot] > hcap:
-                    continue
                 s = out.get(nk, 0) + c * ac
                 if s:
                     out[nk] = s

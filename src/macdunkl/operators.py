@@ -22,11 +22,12 @@ integer polynomial sum N q^a t^b.  It is computed once per (n, r, lam),
 in integers only, and cached as the column {mu: {(a, b): N}}: the
 r-subsets I of each alpha are counted by (a, b) = (sum_I alpha_i,
 sum_I delta_i), and the Schur read-off and the Kostka step run over
-those counts.  No m_lam is expanded.  Each coordinate is evaluated by
-the ring's evaluator of {(a, b): N} tables in ``rings``: in jet mode
-(q = exp(h), t = exp(b h)) ``jet_exp_sum``, at a rational (q, t)
-``rational_value``.  ``jet_matrix``, ``macdonald_matrix`` and
-``macdonald_apply`` take the evaluator alike.
+those counts.  No m_lam is expanded.  Each coordinate is read by one of
+the two readers of {(a, b): N} tables in ``rings``: its h^k coefficient
+under q = exp(h), t = exp(b h) (``exp_sum_slice``, one b-polynomial per
+h order), or its value at a rational (q, t) (``rational_value``).
+``extract_order``, ``macdonald_matrix`` and ``macdonald_apply`` take the
+reader alike.
 
 Sums over all r-subsets whose terms are rational functions (the scalar
 part of the Macdonald operator, the type families) put the canonical
@@ -82,7 +83,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, jet_exp_sum, qnorm, rational_value, render_scalar
+from .rings import BetaPoly, HJet, exp_sum_slice, qnorm, rational_value, render_scalar
 
 
 # -- operators ----------------------------------------------------------
@@ -102,15 +103,6 @@ class LinearOperator:
         if f.n != self.n or f.ring != self.ring:
             raise DomainError("operator got a polynomial over a different space")
         return self.fn(f)
-
-
-def beta_scalar(ring: Ring):
-    """The coupling symbol as a ring scalar."""
-    if ring.kind == "uni":
-        return BetaPoly.var()
-    if ring.kind == "jet":
-        return HJet.const(BetaPoly.var(), ring.order)
-    raise DomainError("this ring has no coupling symbol")
 
 
 # -- relabeling helpers ------------------------------------------------
@@ -207,8 +199,7 @@ def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
     decreasing.  Only those coefficients are computed: for each lam of a
     degree the product can have, and each split of lam + delta into a
     head of k entries and a tail, both decreasing, the coefficient at that
-    e is sum over a in g of g[a] cof[e - a].  The ring must not truncate
-    (rational or one-symbol coefficients).
+    e is sum over a in g of g[a] cof[e - a].
     """
     g._compat(cof.poly)
     n, k = g.n, cof.k
@@ -323,31 +314,39 @@ def m11_op(n: int, ring: Ring) -> LinearOperator:
 
 
 def qshift_apply(i: int, qval, f: MultiPoly) -> MultiPoly:
-    """Substitute x_i -> q x_i: scale each monomial by qval^(x_i exponent)."""
+    """Substitute x_i -> q x_i at a rational q: scale each monomial by
+    qval^(x_i exponent)."""
     if not 1 <= i <= f.n:
         raise DomainError("shift index out of range")
-    return _shift_subset(f, (i,), qval)
+    return _shift_subset(f, (i,), partial(_rational_power, qval))
 
 
-def _shift_subset(f: MultiPoly, subset, qval) -> MultiPoly:
-    """Apply the q-shift in every variable of the subset."""
+def qshift_slice(i: int, k: int, f: MultiPoly) -> MultiPoly:
+    """The h^k coefficient of f with x_i -> q x_i at q = exp(h): each
+    monomial scaled by the h^k coefficient of exp(e h), e its x_i
+    exponent.  f must have b-polynomial coefficients."""
+    if not 1 <= i <= f.n:
+        raise DomainError("shift index out of range")
+    return _shift_subset(f, (i,), lambda e: exp_sum_slice({(e, 0): 1}, k))
+
+
+def _shift_subset(f: MultiPoly, subset, power) -> MultiPoly:
+    """Scale each monomial of f by the ring scalar power(e), e its total
+    exponent in the variables of the subset."""
     n, ring = f.n, f.ring
-    powers = {}
+    pieces = {}
     idx = [i - 1 for i in subset]
     for k, c in f.terms.items():
         e = sum(k[i] for i in idx)
-        powers.setdefault(e, {})[k] = c
+        pieces.setdefault(e, {})[k] = c
     acc = MultiPoly.zero(n, ring)
-    for e, terms in sorted(powers.items()):
-        piece = MultiPoly(n, ring, terms)
-        acc = acc + (piece if e == 0 else piece.scale(_ring_power(qval, e)))
+    for e, terms in sorted(pieces.items()):
+        acc = acc + MultiPoly(n, ring, terms).scale(power(e))
     return acc
 
 
-def _ring_power(val, e: int):
-    if isinstance(val, (int, Fraction)):
-        return qnorm(Fraction(val) ** e)
-    return val**e
+def _rational_power(val, e: int):
+    return qnorm(Fraction(val) ** e)
 
 
 # -- divided differences -------------------------------------------------
@@ -409,7 +408,7 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
     """Dunkl operator d_i = x_i d_i + b A_i."""
     if f.ring.kind == "q":
         raise DomainError("Dunkl operators need a coefficient ring containing b")
-    return f.euler(i) + _reflection_sum(i, f).scale(beta_scalar(f.ring))
+    return f.euler(i) + _reflection_sum(i, f).scale(BetaPoly.var())
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
@@ -567,9 +566,9 @@ def _macdonald_column(n: int, r: int, lam) -> dict:
 
 def macdonald_apply(n: int, r: int, value, f: MultiPoly) -> MultiPoly:
     """Macdonald operator D(n, r) on symmetric f: the columns of the
-    m-coordinates of f, each coefficient {(a, b): N} evaluated by value
-    to a scalar of f's ring (``jet_exp_sum`` at the ring's jet order, or
-    ``rational_value`` at a rational (q, t))."""
+    m-coordinates of f, each coefficient {(a, b): N} read by value as a
+    scalar of f's ring (``exp_sum_slice`` at one h order over
+    b-polynomials, or ``rational_value`` at a rational (q, t))."""
     _require_rank(n, r=r)
     coords = {}
     for lam, c in to_msym_coords(f).items():
@@ -590,11 +589,11 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
             _cross_product(n, ring, subset, tval)
             * vandermonde(n, ring, subset)
             * vandermonde(n, ring, comp)
-            * _shift_subset(f, subset, qval)
+            * _shift_subset(f, subset, partial(_rational_power, qval))
         )
         total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
     quot = exact_div(total, vandermonde(n, ring))
-    return quot.scale(_ring_power(tval, r * (r - 1) // 2))
+    return quot.scale(_rational_power(tval, r * (r - 1) // 2))
 
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
@@ -755,17 +754,6 @@ class OperatorMatrix:
                 out[k] = c
         return OperatorMatrix(self.n, Ring.q(), self.basis, out)
 
-    def h_slice(self, k: int) -> "OperatorMatrix":
-        """Coefficient of h^k entrywise; entries become b-polynomials."""
-        if self.ring.kind != "jet":
-            raise DomainError("h_slice needs a jet matrix")
-        out = {}
-        for key, v in self.entries.items():
-            c = v.coeff(k)
-            if c:
-                out[key] = c
-        return OperatorMatrix(self.n, Ring.uni(self.ring.var), self.basis, out)
-
     def nonzero_cells(self):
         """Deterministically ordered (row, col, value) triples."""
         def key(cell):
@@ -787,11 +775,6 @@ def _integer_columns(mat: OperatorMatrix):
     coefficients c of b^e (e = 0 for a rational), grouped by column.  At
     d = 1 the entries' own (e, c) pairs are used as they are."""
     kind = mat.ring.kind
-    if kind == "jet":
-        raise DomainError(
-            "matrix products need rational or b-polynomial entries; "
-            "take an h_slice of a jet matrix first"
-        )
     coeffs = [
         (key, v.coeffs.items() if kind == "uni" else ((0, v),))
         for key, v in mat.entries.items()
@@ -876,17 +859,6 @@ def _column_matrix(n: int, r: int, basis, ring: Ring, value) -> OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
-def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
-    """Matrix of the jet-mode Macdonald operator on the m-basis window of
-    weights 1..degree (partitions with at most n parts)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    return _column_matrix(
-        n, r, partitions_upto(degree, n), Ring.jet(order), partial(jet_exp_sum, order=order)
-    )
-
-
-@lru_cache(maxsize=None)
 def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     """Matrix over b-polynomials of the operator
     factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
@@ -897,9 +869,36 @@ def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     return operator_matrix(factory(*args, n, Ring.uni("b")), basis)
 
 
+@lru_cache(maxsize=None)
+def _order_matrix(n: int, r: int, k: int, degree: int) -> OperatorMatrix:
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    return _column_matrix(
+        n, r, partitions_upto(degree, n), Ring.uni("b"), partial(exp_sum_slice, k=k)
+    )
+
+
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:
-    """The h^k coefficient of the jet-mode Macdonald operator as an exact
-    matrix over b-polynomials."""
+    """The h^k coefficient of D(n, r) under q = exp(h), t = exp(b h), as an
+    exact matrix over b-polynomials on the m-basis window of weights
+    1..degree.  No slice depends on the jet order, which only bounds k:
+    each is built once per (n, r, k, degree), and callers must not mutate
+    it."""
     if not 0 <= k <= order:
         raise DomainError("h order outside the jet order")
-    return jet_matrix(n, r, order, degree).h_slice(k)
+    return _order_matrix(n, r, k, degree)
+
+
+@lru_cache(maxsize=None)
+def jet_matrix(n: int, r: int, order: int, degree: int) -> OperatorMatrix:
+    """The slices h^0..h^order of ``extract_order`` stacked into one
+    ``HJet`` per entry.  Nothing in src/ reads it: it stays for the
+    benchmark's independent checks, which read whole jets."""
+    if order < 0:
+        raise DomainError("jet order must be non-negative")
+    slices = [extract_order(n, r, k, degree, order) for k in range(order + 1)]
+    keys = dict.fromkeys(key for s in slices for key in s.entries)
+    entries = {
+        key: HJet(order, [s.entries.get(key, BetaPoly.zero()) for s in slices]) for key in keys
+    }
+    return OperatorMatrix(n, Ring.uni("b"), slices[0].basis, entries)

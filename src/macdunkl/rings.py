@@ -1,30 +1,28 @@
-"""Exact coefficient scalars: rationals, beta-polynomials and h-jets.
+"""Exact coefficient scalars: rationals and beta-polynomials.
 
-Three coefficient rings appear throughout the library:
+Two coefficient rings appear throughout the library:
 
   * plain rationals, held as Python ``int`` or ``Fraction`` (always exact);
   * ``BetaPoly``, sparse polynomials in one symbol (written ``b`` by
     default) with rational coefficients, stored as ``{exponent: coeff}``
-    with no zero values;
-  * ``HJet``, truncated power series in ``h`` of a fixed order ``K``
-    whose coefficients are ``BetaPoly`` values.  All jet arithmetic is
-    exact truncation: results are computed modulo h^(K+1).
+    with no zero values.
 
 Every scalar the verifier computes from q and t is an integer
-combination sum N q^a t^b, given as a table {(a, b): N}, and each ring
-has one evaluator of such a table:
+combination sum N q^a t^b, given as a table {(a, b): N}, and it is read
+in one of two ways:
 
-  * ``jet_exp_sum``: with q = exp(h) and t = exp(beta*h), beta the
+  * ``exp_sum_slice``: with q = exp(h) and t = exp(beta*h), beta the
     coupling symbol, q^a t^b is exp((a + b*beta) h), and the h^k
-    coefficient sum N (a + b*beta)^k / k! is read off the moments of the
-    exponents, with no jet multiplied; ``jet_q``, ``jet_t`` and the
-    t-polynomial jets call it, and ``jet_exp`` stays as its oracle;
+    coefficient sum N (a + b*beta)^k / k! is one ``BetaPoly``, read off
+    the moments of the exponents; each h order is read on its own, with
+    no truncated series;
   * ``rational_value``: the exact value at a rational (q, t), over one
     common denominator.
 
-``render_scalar`` is the one text form of a scalar of any of the three
-rings, and ``render_terms`` the one term loop of the univariate
-polynomials, so every report prints a scalar the same way.
+``render_scalar`` is the one text form of a scalar of either ring, and
+``render_terms`` the one term loop of the univariate polynomials, so
+every report prints a scalar the same way.  ``HJet`` only holds the
+slices h^0..h^K side by side, with no arithmetic.
 
 ``binom`` uses the zero convention (out-of-range arguments give 0) so the
 closed-form coefficient formulas built on top of it are total.
@@ -36,8 +34,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError
-
-DEFAULT_JET_ORDER = 4
 
 Q = int | Fraction
 
@@ -254,172 +250,45 @@ def _render_term(c, var: str, k: int, first: bool) -> str:
 
 
 class HJet:
-    """Truncated series in h of fixed order K with ``BetaPoly`` coefficients.
+    """The h^0..h^order coefficients of a series in h, each a ``BetaPoly``.
 
-    ``coeffs[k]`` is the coefficient of h^k.  Mixing jets of different
-    orders is a domain error; all products are truncated at order K.
+    A value only, with no arithmetic: ``operators.jet_matrix`` stacks the
+    h^k slices of a Macdonald matrix into one per entry.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int = DEFAULT_JET_ORDER, coeffs=None):
+    def __init__(self, order: int, coeffs):
         if order < 0:
             raise DomainError("jet order must be non-negative")
+        if len(coeffs) != order + 1:
+            raise DomainError("jet needs exactly order+1 coefficients")
         self.order = order
-        if coeffs is None:
-            self.coeffs = tuple(BetaPoly.zero() for _ in range(order + 1))
-        else:
-            cs = [_coerce_beta(c) for c in coeffs]
-            if len(cs) != order + 1:
-                raise DomainError("jet needs exactly order+1 coefficients")
-            self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c, order: int = DEFAULT_JET_ORDER) -> "HJet":
-        out = [_coerce_beta(c)] + [BetaPoly.zero()] * order
-        return HJet(order, out)
-
-    @staticmethod
-    def one(order: int = DEFAULT_JET_ORDER) -> "HJet":
-        return HJet.const(1, order)
-
-    @staticmethod
-    def zero(order: int = DEFAULT_JET_ORDER) -> "HJet":
-        return HJet(order)
-
-    @staticmethod
-    def single(k: int, coeff, order: int = DEFAULT_JET_ORDER) -> "HJet":
-        """The jet  coeff * h^k."""
-        if not 0 <= k <= order:
-            raise DomainError("h power outside jet order")
-        cs = [BetaPoly.zero()] * (order + 1)
-        cs[k] = _coerce_beta(coeff)
-        return HJet(order, cs)
+        self.coeffs = tuple(coeffs)
 
     def coeff(self, k: int) -> BetaPoly:
         return self.coeffs[k] if 0 <= k <= self.order else BetaPoly.zero()
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HJet):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def _check(self, other: "HJet"):
-        if self.order != other.order:
-            raise DomainError("jets of different orders cannot be combined")
 
-    def __add__(self, other) -> "HJet":
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = HJet.const(other, self.order)
-        self._check(other)
-        return HJet(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HJet":
-        return HJet(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other) -> "HJet":
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = HJet.const(other, self.order)
-        return self + (-other)
-
-    def __mul__(self, other) -> "HJet":
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            b = _coerce_beta(other)
-            return HJet(self.order, [a * b for a in self.coeffs])
-        if not isinstance(other, HJet):
-            return NotImplemented
-        self._check(other)
-        K = self.order
-        out = [BetaPoly.zero() for _ in range(K + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(K + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return HJet(K, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> "HJet":
-        if m < 0:
-            raise DomainError("negative jet power")
-        out = HJet.one(self.order)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def render(self, hvar: str = "h", bvar: str = "b") -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            body = c.render(bvar)
-            if k > 0:
-                if body != "1":
-                    body = f"({body})" if (" " in body) else body
-                pw = hvar if k == 1 else f"{hvar}^{k}"
-                body = pw if body == "1" else f"{body}*{pw}"
-            parts.append(body)
-        if not parts:
-            return "0"
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"HJet[{self.order}]({self.render()})"
-
-
-def jet_exp(u: HJet) -> HJet:
-    """exp of a jet with zero constant term, truncated at the jet order.
-
-    Computed as the finite sum of u^k / k! for k up to the order; the
-    zero constant term makes every higher power vanish.
-    """
-    if u.coeffs[0]:
-        raise DomainError("jet_exp needs a zero constant term")
-    K = u.order
-    out = HJet.one(K)
-    power = HJet.one(K)
-    for k in range(1, K + 1):
-        power = power * u
-        out = out + power * Fraction(1, factorial(k))
-    return out
-
-
-def jet_exp_sum(terms, order: int = DEFAULT_JET_ORDER) -> HJet:
-    """The jet of sum N exp((a + b*beta) h) over the ((a, b), N) items of
-    terms, read off the moments of the exponents: its h^k coefficient is
-    sum_j C(k, j) beta^j / k! * sum N a^(k-j) b^j."""
-    moments = {}
+def exp_sum_slice(terms, k: int) -> BetaPoly:
+    """The h^k coefficient of sum N exp((a + b*beta) h) over the
+    ((a, b), N) items of terms, that is sum N (a + b*beta)^k / k!, read off
+    the moments of the exponents: its beta^j coefficient is
+    C(k, j) / k! * sum N a^(k-j) b^j.  With q = exp(h) and t = exp(beta h)
+    it is the h^k coefficient of sum N q^a t^b."""
+    if k < 0:
+        raise DomainError("h order must be non-negative")
+    moments = [0] * (k + 1)
     for (a, b), c in terms.items():
-        cb = c  # c b^j
-        for j in range(order + 1):
-            m = cb  # c a^i b^j
-            for i in range(order + 1 - j):
-                moments[i, j] = moments.get((i, j), 0) + m
-                m *= a
-                if not m:
-                    break
-            cb *= b
-            if not cb:
-                break
-    return HJet(
-        order,
-        [
-            BetaPoly({j: Fraction(comb(k, j) * m, factorial(k))
-                      for j in range(k + 1) if (m := moments.get((k - j, j)))})
-            for k in range(order + 1)
-        ],
+        for j in range(k + 1):
+            moments[j] += c * a ** (k - j) * b**j
+    return BetaPoly(
+        {j: Fraction(comb(k, j) * m, factorial(k)) for j, m in enumerate(moments) if m}
     )
 
 
@@ -434,22 +303,9 @@ def rational_value(q: Fraction, t: Fraction, terms):
     return qnorm(Fraction(num, qd**A * td**B))
 
 
-def jet_q(order: int = DEFAULT_JET_ORDER) -> HJet:
-    """The jet of q = exp(h)."""
-    return jet_exp_sum({(1, 0): 1}, order)
-
-
-def jet_t(order: int = DEFAULT_JET_ORDER) -> HJet:
-    """The jet of t = exp(b*h)."""
-    return jet_exp_sum({(0, 1): 1}, order)
-
-
 def render_scalar(value, var: str = "b") -> str:
-    """Canonical text of a ring scalar: a rational as ``str`` gives it, a
-    polynomial in var, or a jet in h whose coefficients are polynomials
-    in var."""
-    if isinstance(value, HJet):
-        return value.render("h", var)
+    """Canonical text of a ring scalar: a rational as ``str`` gives it, or
+    a polynomial in var."""
     if isinstance(value, BetaPoly):
         return value.render(var)
     return str(value)

@@ -1,4 +1,4 @@
-"""t-binomial coefficients as exact polynomials in t, and their h-jets.
+"""t-binomial coefficients as exact polynomials in t, and their h-slices.
 
 The t-binomial [n r] is computed from the Pascal-type recurrence
 
@@ -8,11 +8,12 @@ and independently from the product formula
 prod_k (1 - t^(n-k+1)) / (1 - t^k) via exact univariate division; the two
 constructions are compared in the tests and the verification suite.
 
-Substituting t = exp(b*h) turns a t-polynomial into an h-jet.  The module
-also provides the closed forms for the first five Taylor coefficients of
-[n r] and of the scaled product t^(r(r-1)/2) [n r]; the h^4 closed form
-of the scaled product is stated for an ambiguous scaling exponent in its
-source, so the verifier tests both candidates (see verify.identities).
+Under t = exp(b*h) each h^k coefficient of a t-polynomial is one
+b-polynomial, read by ``TPoly.h_coeff``.  The module also provides the
+closed forms for the first five Taylor coefficients of [n r] and of the
+scaled product t^(r(r-1)/2) [n r]; the h^4 closed form of the scaled
+product is stated for an ambiguous scaling exponent in its source, so
+the verifier tests both candidates (see verify.identities).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InexactDivisionError
-from .rings import BetaPoly, HJet, binom, jet_exp_sum, qnorm, render_terms
+from .rings import BetaPoly, binom, exp_sum_slice, qnorm, render_terms
 
 
 class TPoly:
@@ -110,10 +111,9 @@ class TPoly:
             raise InexactDivisionError("inexact t-polynomial division", rem)
         return quot
 
-    def substitute_jet(self, order: int) -> HJet:
-        """Substitute t = exp(b*h), truncated at the given h order: t^k is
-        exp(k b h)."""
-        return jet_exp_sum({(0, k): c for k, c in enumerate(self.coeffs) if c}, order)
+    def h_coeff(self, k: int) -> BetaPoly:
+        """The h^k coefficient under t = exp(b*h): t^j is exp(j b h)."""
+        return exp_sum_slice({(0, j): c for j, c in enumerate(self.coeffs) if c}, k)
 
     def render(self, var: str = "t") -> str:
         return render_terms(enumerate(self.coeffs), var)
@@ -144,16 +144,10 @@ def t_binomial_product(n: int, r: int) -> TPoly:
     return num.exact_divide(den)
 
 
-def t_binomial_jet(n: int, r: int, order: int = 4) -> HJet:
-    """h-jet of [n r] under t = exp(b*h)."""
-    return t_binomial(n, r).substitute_jet(order)
-
-
-def scaled_t_binomial_jet(n: int, r: int, order: int = 4, half: bool = True) -> HJet:
-    """h-jet of t^e [n r] with e = r(r-1)/2 (default) or e = r(r-1): the
-    t-exponents of [n r] shifted by e, substituted in one pass."""
+def scaled_t_binomial(n: int, r: int, half: bool = True) -> TPoly:
+    """t^e [n r] with e = r(r-1)/2 (default) or e = r(r-1)."""
     e = r * (r - 1) // 2 if half else r * (r - 1)
-    return (TPoly.t_power(e) * t_binomial(n, r)).substitute_jet(order)
+    return TPoly.t_power(e) * t_binomial(n, r)
 
 
 def _b(c, k: int) -> BetaPoly:
@@ -175,7 +169,7 @@ def taylor_coeff_closed(n: int, r: int, k: int) -> BetaPoly:
         return _b(Fraction(r * r * (r + 1), 48) * c * (n - r + 1) * (n - r) ** 2, 3)
     if k == 4:
         # The n-free term carries a factor r^2; without it the form only
-        # matches the jet oracle at r <= 1.
+        # matches the h^4 coefficient of [n r] at r <= 1.
         quint = (
             (15 * r**3 + 30 * r**2 + 5 * r - 2) * n**3
             + (-3 * r + 1) * (15 * r**3 + 25 * r**2 - 4) * n**2

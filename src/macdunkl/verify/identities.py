@@ -33,14 +33,13 @@ from ..operators import (
     macdonald_scalar_part,
     operator_matrix,
     primitive_matrix,
-    qshift_apply,
+    qshift_slice,
 )
-from ..rings import BetaPoly, HJet, jet_q, render_scalar
+from ..rings import BetaPoly, render_scalar
 from ..tbinom import (
-    scaled_t_binomial_jet,
+    scaled_t_binomial,
     scaled_taylor_coeff_closed,
     t_binomial,
-    t_binomial_jet,
     t_binomial_product,
     taylor_coeff_closed,
 )
@@ -99,20 +98,20 @@ def _basis(degree: int, n: int):
 
 def check_tbinom_taylor(n: int, r: int, k: int):
     closed = taylor_coeff_closed(n, r, k)
-    return _scalar_residual(closed - t_binomial_jet(n, r, 4).coeff(k))
+    return _scalar_residual(closed - t_binomial(n, r).h_coeff(k))
 
 
 def check_tbinom_taylor_scaled(n: int, r: int, k: int):
     closed = scaled_taylor_coeff_closed(n, r, k)
-    return _scalar_residual(closed - scaled_t_binomial_jet(n, r, 4, half=True).coeff(k))
+    return _scalar_residual(closed - scaled_t_binomial(n, r).h_coeff(k))
 
 
 def check_tbinom_h4_scaling(n: int, r: int):
     """Which scaling exponent the h^4 closed form of the scaled t-binomial
     matches: r(r-1)/2, r(r-1), both (they coincide for r < 2) or neither."""
     closed = scaled_taylor_coeff_closed(n, r, 4)
-    half = scaled_t_binomial_jet(n, r, 4, half=True).coeff(4)
-    full = scaled_t_binomial_jet(n, r, 4, half=False).coeff(4)
+    half = scaled_t_binomial(n, r).h_coeff(4)
+    full = scaled_t_binomial(n, r, half=False).h_coeff(4)
     match_half = closed == half
     match_full = closed == full
     if match_half and match_full:
@@ -292,26 +291,25 @@ def _random_poly(n: int, rng: random.Random, ring: Ring, terms=4, maxdeg=3):
 
 
 def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3):
-    """Jet q-shift by monomial scaling against the truncated sum of Euler
-    derivative powers; the two must agree on arbitrary polynomials."""
+    """The h^k coefficient of the q-shift x_i -> q x_i at q = exp(h), by
+    monomial scaling, against (x_i d_i)^k / k!, for every k <= K; the two
+    must agree on arbitrary polynomials."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    ring = Ring.jet(K)
-    qjet = jet_q(K)
+    if K < 0:
+        raise DomainError("jet order must be non-negative")
     rng = random.Random(f"{seed}:eq1:{n}")
     for _ in range(trials):
-        f = _random_poly(n, rng, ring)
+        f = _random_poly(n, rng, RB)
         for i in range(1, n + 1):
-            lhs = qshift_apply(i, qjet, f)
-            rhs = MultiPoly.zero(n, ring)
             g = f
             for k in range(K + 1):
                 if k:
                     g = g.euler(i)
-                rhs = rhs + g.scale(HJet.single(k, Fraction(1, factorial(k)), K))
-            residual = _poly_residual(lhs - rhs)
-            if residual is not None:
-                return residual
+                diff = qshift_slice(i, k, f) - g.scale(Fraction(1, factorial(k)))
+                residual = _poly_residual(diff)
+                if residual is not None:
+                    return residual
     return None
 
 

@@ -16,10 +16,9 @@ from macdunkl.multipoly import Ring, partitions_upto
 from macdunkl.operators import extract_order, h_op, operator_matrix
 from macdunkl.rings import binom
 from macdunkl.tbinom import (
-    scaled_t_binomial_jet,
+    scaled_t_binomial,
     scaled_taylor_coeff_closed,
     t_binomial,
-    t_binomial_jet,
     taylor_coeff_closed,
 )
 from macdunkl.verify.identities import verify_identity
@@ -37,17 +36,17 @@ def _announce(name, ok, detail=""):
 
 
 def test_criterion_01_tbinom_taylor_closed_forms():
-    """Closed Taylor coefficients equal jet substitution for n <= 10, k <= 4;
-    the h^4 scaled form matches the r(r-1)/2 prefactor exponent."""
+    """Closed Taylor coefficients equal the h^k coefficients at
+    t = exp(b*h) for n <= 10, k <= 4; the h^4 scaled form matches the
+    r(r-1)/2 prefactor exponent."""
     strict_half = 0
     for n in range(0, 11):
         for r in range(0, n + 1):
-            jet = t_binomial_jet(n, r, 4)
-            sjet = scaled_t_binomial_jet(n, r, 4, half=True)
+            tb, scaled = t_binomial(n, r), scaled_t_binomial(n, r)
             for k in range(5):
-                assert taylor_coeff_closed(n, r, k) == jet.coeff(k), (n, r, k)
-                assert scaled_taylor_coeff_closed(n, r, k) == sjet.coeff(k), (n, r, k)
-            full = scaled_t_binomial_jet(n, r, 4, half=False).coeff(4)
+                assert taylor_coeff_closed(n, r, k) == tb.h_coeff(k), (n, r, k)
+                assert scaled_taylor_coeff_closed(n, r, k) == scaled.h_coeff(k), (n, r, k)
+            full = scaled_t_binomial(n, r, half=False).h_coeff(4)
             if scaled_taylor_coeff_closed(n, r, 4) != full:
                 strict_half += 1
     _announce(

@@ -240,6 +240,10 @@ def test_jet_order_zero_is_accepted():
     with redirect_stderr(err):
         assert run_cli("tbinom", "--n", "3", "--r", "1", "--K", "-1")[0] == 2
     assert "jet order must be non-negative" in err.getvalue()
+    err = StringIO()
+    with redirect_stderr(err):
+        assert run_cli("verify", "--identity", "eq1_shift_form", "--n", "2", "--K", "-1")[0] == 2
+    assert "jet order must be non-negative" in err.getvalue()
 
 
 def test_config_edge_cases_exit_2():

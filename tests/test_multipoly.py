@@ -201,15 +201,6 @@ def test_uni_ring_scale_and_coords():
     assert coords == {(1,): BetaPoly.var()}
 
 
-def test_jet_ring_truncation():
-    from macdunkl import HJet
-
-    ring = Ring.jet(2)
-    h = MultiPoly.const(2, HJet.single(1, 1, 2), ring)
-    cube = h * h * h
-    assert cube == MultiPoly.zero(2, ring)
-
-
 def test_render_is_deterministic():
     f = x(2, 3) + x(1, 3) ** 2 + x(1, 3) * x(3, 3)
     assert f.render() == "x1^2 + x1*x3 + x2"
@@ -226,7 +217,7 @@ def test_distinct_permutations_match_itertools():
                 assert list(got) == sorted(got, reverse=True)
 
 
-RINGS = [Ring.q(), Ring.uni("b"), Ring.jet(2)]
+RINGS = [Ring.q(), Ring.uni("b")]
 
 
 def _random_key(rng, n, ring, top=3):

@@ -12,7 +12,6 @@ import hypothesis.strategies as st
 import macdunkl.operators
 from macdunkl import (
     BetaPoly,
-    HJet,
     MultiPoly,
     Ring,
     exact_div,
@@ -24,7 +23,9 @@ from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
     LinearOperator,
     OperatorMatrix,
+    _macdonald_column,
     _matrix_product_literal,
+    _order_matrix,
     _subset_perm,
     _sum_over_subsets,
     _divided_difference,
@@ -50,11 +51,12 @@ from macdunkl.operators import (
     pair_ratio_op,
     primitive_matrix,
     qshift_apply,
+    qshift_slice,
     reflection_square_apply,
     reflection_square_op,
 )
-from macdunkl.rings import jet_exp, jet_exp_sum, jet_q, jet_t, rational_value
-from macdunkl.tbinom import scaled_t_binomial_jet, t_binomial
+from macdunkl.rings import HJet, exp_sum_slice, rational_value
+from macdunkl.tbinom import scaled_t_binomial, t_binomial
 from macdunkl.verify import closedforms
 from macdunkl.verify.identities import check_macdonald_commutator
 
@@ -76,12 +78,10 @@ def test_qshift_rational():
 
 
 def test_qshift_jet_example():
-    ring = Ring.jet(2)
-    f = MultiPoly.variable(1, 1, ring) ** 2
-    q = jet_exp(HJet.single(1, 1, 2))
-    shifted = qshift_apply(1, q, f)
-    want = f.scale(HJet(2, [1, 2, 2]))
-    assert shifted == want
+    # x_1^2 -> exp(2h) x_1^2, whose h^0, h^1, h^2 coefficients are 1, 2, 2
+    f = MultiPoly.variable(1, 1, RB) ** 2
+    for k, c in enumerate([1, 2, 2]):
+        assert qshift_slice(1, k, f) == f.scale(c)
 
 
 def test_qshift_two_vars_multiplies():
@@ -119,9 +119,9 @@ def test_dunkl_needs_beta_ring():
     )
 )
 def test_dunkl_always_polynomial(pairs):
-    # the termwise divided difference agrees with exact division, aux
-    # slots (powers of b and h) included
-    for ring in (Ring.q(), RB, Ring.jet(4)):
+    # the termwise divided difference agrees with exact division, the aux
+    # slot (powers of b) included
+    for ring in (Ring.q(), RB):
         f = MultiPoly.zero(3, ring)
         for e, c, a in pairs:
             f = f + MultiPoly(3, ring, {e + (a,) * ring.aux_slots: c} if c else {})
@@ -311,12 +311,13 @@ def test_macdonald_top_subset():
 
 
 def test_macdonald_constant_is_scaled_t_binomial_jet():
-    # D(n, r) 1 = e_r(t^(n-1), ..., t, 1) = t^(r(r-1)/2) [n r]_t
-    ring = Ring.jet(4)
+    # D(n, r) 1 = e_r(t^(n-1), ..., t, 1) = t^(r(r-1)/2) [n r]_t, at every h order
     for n in range(1, 7):
         for r in range(1, n + 1):
-            out = macdonald_apply(n, r, partial(jet_exp_sum, order=4), MultiPoly.const(n, 1, ring))
-            assert out == MultiPoly.const(n, scaled_t_binomial_jet(n, r, 4), ring), (n, r)
+            for k in range(5):
+                out = macdonald_apply(n, r, partial(exp_sum_slice, k=k), MultiPoly.const(n, 1, RB))
+                want = MultiPoly.const(n, scaled_t_binomial(n, r).h_coeff(k), RB)
+                assert out == want, (n, r, k)
 
 
 def test_macdonald_matches_literal():
@@ -332,29 +333,26 @@ def test_macdonald_matches_literal():
                 ), (n, r, lam)
 
 
-def test_macdonald_jet_matches_literal():
-    order = 4
-    ring = Ring.jet(order)
-    q, t = jet_q(order), jet_t(order)
-    value = partial(jet_exp_sum, order=order)
+def test_macdonald_columns_match_literal_on_a_grid():
+    """Each coordinate of a column, sum N q^a t^b, has degree at most |lam|
+    in q and r(2n-r-1)/2 in t, so its values on a full grid of that many
+    distinct rationals plus one in each variable determine it; the literal
+    operator must give the same values there."""
+    points = 0
     for n in range(1, 5):
         for r in range(1, n + 1):
+            tdeg = r * (2 * n - r - 1) // 2
             for lam in [()] + partitions_upto(3, n):
-                f = monomial_symmetric(lam, n, ring)
-                assert macdonald_apply(n, r, value, f) == macdonald_apply_literal(
-                    n, r, q, t, f
-                ), (n, r, lam)
-
-
-@pytest.mark.parametrize("K", [0, 4, 6])
-def test_jet_matrix_matches_literal_operator(K):
-    ring = Ring.jet(K)
-    q, t = jet_q(K), jet_t(K)
-    for n in range(1, 5):
-        for r in range(1, n + 1):
-            literal = LinearOperator(n, ring, partial(macdonald_apply_literal, n, r, q, t))
-            want = operator_matrix(literal, partitions_upto(3, n))
-            assert jet_matrix(n, r, K, 3).nonzero_cells() == want.nonzero_cells(), (n, r)
+                for poly in _macdonald_column(n, r, lam).values():
+                    assert all(a <= sum(lam) and b <= tdeg for a, b in poly), (n, r, lam)
+                f = monomial_symmetric(lam, n)
+                for i in range(sum(lam) + 1):
+                    for j in range(tdeg + 1):
+                        q, t = Fraction(2 * i + 1, 3), Fraction(-j - 2, 5)
+                        got = macdonald_apply(n, r, partial(rational_value, q, t), f)
+                        assert got == macdonald_apply_literal(n, r, q, t, f), (n, r, lam, q, t)
+                        points += 1
+    assert points > 800
 
 
 @pytest.mark.parametrize("q, t", [(Fraction(3, 7), Fraction(5, 2)), (Fraction(-2, 3), Fraction(11, 13))])
@@ -375,7 +373,8 @@ def test_macdonald_matrices_never_expand(monkeypatch):
     monkeypatch.setattr(macdunkl.operators, "to_msym_coords", refuse)
     for n in range(1, 5):
         for r in range(1, n + 1):
-            assert jet_matrix.__wrapped__(n, r, 4, 3).entries
+            for k in range(5):
+                assert _order_matrix.__wrapped__(n, r, k, 3).entries
             for s in range(r, n + 1):
                 residual, _ = check_macdonald_commutator(n, r, s, degree=3)
                 assert residual is None, (n, r, s)
@@ -383,7 +382,7 @@ def test_macdonald_matrices_never_expand(monkeypatch):
 
 def test_sum_over_subsets_matches_every_relabeling():
     rng = random.Random(5)
-    for ring in (Ring.q(), RB, Ring.jet(3)):
+    for ring in (Ring.q(), RB):
         for n in range(1, 6):
             width = n + ring.aux_slots
             unit = MultiPoly(
@@ -399,16 +398,6 @@ def test_sum_over_subsets_matches_every_relabeling():
                         for key, c in unit.terms.items()
                     })
                 assert _sum_over_subsets(unit, k) == want, (ring, n, k)
-
-
-def test_macdonald_jet_raises_no_jet_to_a_power(monkeypatch):
-    def refuse(self, m):
-        raise AssertionError("HJet.__pow__ called")
-
-    monkeypatch.setattr(HJet, "__pow__", refuse)
-    ring = Ring.jet(4)
-    out = macdonald_apply(3, 2, partial(jet_exp_sum, order=4), monomial_symmetric((2, 1), 3, ring))
-    assert out
 
 
 def test_macdonald_rejects_non_symmetric():
@@ -449,6 +438,31 @@ def test_jet_matrix_degree_preservation():
     m = jet_matrix(3, 2, 2, 3)
     for (mu, lam) in m.entries:
         assert sum(mu) == sum(lam)
+
+
+def test_extract_order_does_not_depend_on_the_jet_order():
+    for n, r in ((2, 1), (3, 2), (4, 2)):
+        for k in range(5):
+            m = extract_order(n, r, k, 3, k)
+            assert extract_order(n, r, k, 3, k + 3).entries == m.entries, (n, r, k)
+            assert _order_matrix.__wrapped__(n, r, k, 3) == m, (n, r, k)
+        with pytest.raises(DomainError, match="h order outside the jet order"):
+            extract_order(n, r, 3, 3, 2)
+
+
+@pytest.mark.parametrize("K", [0, 4, 6])
+def test_jet_matrix_stacks_the_slices(K):
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            m = jet_matrix(n, r, K, 3)
+            slices = [extract_order(n, r, k, 3, K) for k in range(K + 1)]
+            assert set(m.entries) == {key for s in slices for key in s.entries}
+            for key, jet in m.entries.items():
+                assert isinstance(jet, HJet) and jet.order == K
+                assert list(jet.coeffs) == [s.entries.get(key, 0) for s in slices]
+                assert jet.coeff(K + 1) == 0
+    with pytest.raises(DomainError, match="jet order must be non-negative"):
+        jet_matrix(2, 1, -1, 3)
 
 
 def test_operator_matrix_euler_block():
@@ -583,14 +597,6 @@ def test_integer_products_match_literal():
                         a, b = extract_order(n, r, i), extract_order(n, s, j)
                         nonzero += not _assert_products_match_literal(a, b).is_zero()
     assert nonzero
-
-
-def test_jet_matrices_are_refused_by_products():
-    a, b = jet_matrix(2, 1, 4, 2), jet_matrix(2, 2, 4, 2)
-    with pytest.raises(DomainError, match="h_slice"):
-        a @ b
-    with pytest.raises(DomainError, match="h_slice"):
-        a.commutator_with(b)
 
 
 @pytest.mark.parametrize(

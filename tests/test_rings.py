@@ -1,13 +1,14 @@
-"""Scalar ring tests: rational binomials, beta-polynomials, h-jets."""
+"""Scalar ring tests: rational binomials, beta-polynomials, h-slices."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from macdunkl import BetaPoly, DomainError, HJet, binom, jet_exp
-from macdunkl.rings import jet_exp_sum, jet_q, jet_t, render_scalar
+from macdunkl import BetaPoly, DomainError, binom
+from macdunkl.rings import exp_sum_slice, render_scalar
 
 
 def test_binom_values():
@@ -50,96 +51,84 @@ def test_beta_poly_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(15, 4)
 
 
-betas = st.builds(
-    BetaPoly,
-    st.dictionaries(st.integers(0, 3), st.integers(-4, 4), max_size=3),
+def _product_slice(u, v, k):
+    """The h^k coefficient of the product of the series of the tables u
+    and v, from their slices."""
+    return sum((exp_sum_slice(u, i) * exp_sum_slice(v, k - i) for i in range(k + 1)),
+               BetaPoly.zero())
+
+
+def _table_product(u, v):
+    out = {}
+    for (a1, b1), c1 in u.items():
+        for (a2, b2), c2 in v.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+tables = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4), max_size=3
 )
-small_jets = st.builds(lambda cs: HJet(3, cs), st.lists(betas, min_size=4, max_size=4))
-
-
-@settings(max_examples=60)
-@given(small_jets, small_jets, small_jets)
-def test_jet_ring_axioms(a, b, c):
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-
-
-def zero_const_jets():
-    return st.builds(
-        lambda cs: HJet(3, [BetaPoly.zero()] + cs),
-        st.lists(betas, min_size=3, max_size=3),
-    )
 
 
 @settings(max_examples=40)
-@given(zero_const_jets(), zero_const_jets())
+@given(tables, tables)
 def test_jet_exp_is_a_homomorphism(u, v):
-    assert jet_exp(u) * jet_exp(v) == jet_exp(u + v)
-
-
-def test_jet_exp_rejects_constant_term():
-    with pytest.raises(DomainError):
-        jet_exp(HJet.const(1, 3))
+    # the slices of a product of tables are the Cauchy products of slices
+    w = _table_product(u, v)
+    for k in range(5):
+        assert exp_sum_slice(w, k) == _product_slice(u, v, k), k
 
 
 def test_jet_exp_of_zero_is_one():
-    assert jet_exp(HJet.zero(4)) == HJet.one(4)
+    for k in range(5):
+        assert exp_sum_slice({(0, 0): 1}, k) == (1 if k == 0 else 0)
 
 
 def test_jet_exp_beta_h_taylor():
-    t = jet_t(4)
     f = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
     for k in range(5):
-        assert t.coeff(k) == BetaPoly.term(f[k], k)
+        assert exp_sum_slice({(0, 1): 1}, k) == BetaPoly.term(f[k], k)
 
 
 def test_jet_exp_inverse_pair():
-    u = HJet.single(1, 2, 4)
-    assert jet_exp(u) * jet_exp(-u) == HJet.one(4)
+    for k in range(5):
+        assert _product_slice({(2, 0): 1}, {(-2, 0): 1}, k) == (1 if k == 0 else 0)
 
 
 def test_jet_t_times_inverse_is_one():
-    t = jet_t(4)
-    assert t * jet_exp(HJet.single(1, -BetaPoly.var(), 4)) == HJet.one(4)
-
-
-def test_jet_geometric_inverse():
-    one_plus_h = HJet.one(4) + HJet.single(1, 1, 4)
-    geo = HJet(4, [1, -1, 1, -1, 1])
-    assert one_plus_h * geo == HJet.one(4)
-
-
-def test_jet_inverse_of_one_minus_beta_h():
-    a = HJet.one(2) - HJet.single(1, BetaPoly.var(), 2)
-    b = BetaPoly.var()
-    assert a * HJet(2, [BetaPoly.one(), b, b * b]) == HJet.one(2)
+    for k in range(5):
+        assert _product_slice({(0, 1): 1}, {(0, -1): 1}, k) == (1 if k == 0 else 0)
 
 
 def test_jet_power_exponent_law():
-    assert jet_exp(HJet.single(1, 1, 4)) ** 3 == jet_exp(HJet.single(1, 3, 4))
+    # exp(h)^3 = exp(3h)
+    q, q2 = {(1, 0): 1}, {(2, 0): 1}
+    for k in range(5):
+        cubed = sum((_product_slice(q, q, i) * exp_sum_slice(q, k - i) for i in range(k + 1)),
+                    BetaPoly.zero())
+        assert cubed == exp_sum_slice({(3, 0): 1}, k) == _product_slice(q2, q, k), k
 
 
 def test_jet_q_h1_coefficient():
-    assert jet_q(4).coeff(1) == BetaPoly.one()
+    assert exp_sum_slice({(1, 0): 1}, 1) == BetaPoly.one()
 
 
-def test_jet_exp_sum_of_one_monomial_matches_exp_and_powers():
-    # q^a t^b = exp((a + b*beta) h), also at order 0, where u truncates to 0
-    for K in range(7):
-        q, t = jet_q(K), jet_t(K)
-        for a in range(7):
-            for b in range(21):
-                u = HJet(K, ([0, a + b * BetaPoly.var()] + [0] * K)[: K + 1])
-                got = jet_exp_sum({(a, b): 1}, K)
-                assert got == jet_exp(u), (a, b, K)
-                assert got == q**a * t**b, (a, b, K)
+def test_exp_sum_slice_of_one_monomial_is_a_power():
+    # q^a t^b = exp((a + b*beta) h), whose h^k coefficient is (a + b*beta)^k / k!
+    beta = BetaPoly.var()
+    for a in range(7):
+        for b in range(21):
+            for k in range(7):
+                want = (a + b * beta) ** k * Fraction(1, factorial(k))
+                assert exp_sum_slice({(a, b): 1}, k) == want, (a, b, k)
 
 
 def test_jet_order_zero_and_negative():
-    assert jet_exp_sum({(3, 5): 1}, 0) == HJet.one(0)
-    with pytest.raises(DomainError, match="jet order must be non-negative"):
-        jet_t(-1)
+    assert exp_sum_slice({(3, 5): 1, (1, 0): -2}, 0) == -1
+    with pytest.raises(DomainError, match="h order must be non-negative"):
+        exp_sum_slice({(0, 1): 1}, -1)
 
 
 def test_render_scalar_per_ring():
@@ -148,5 +137,3 @@ def test_render_scalar_per_ring():
     assert render_scalar(7) == "7"
     assert render_scalar(p) == "1 - 2*b + 1/2*b^3"
     assert render_scalar(p, "t") == "1 - 2*t + 1/2*t^3"
-    jet = HJet(2, [1, 0, p])
-    assert render_scalar(jet, "t") == jet.render("h", "t") == "1 + (1 - 2*t + 1/2*t^3)*h^2"

@@ -62,7 +62,7 @@ def test_type_numerators_match_division(monkeypatch):
 
 def test_macdonald_jet_matches_division():
     """Every Macdonald column, the integer polynomial in (q, t) that the
-    jet and the rational rings evaluate, against building the alternant
+    h-slice and the rational readers evaluate, against building the alternant
     sum over the rearrangements alpha of lam of
     e_r(q^alpha_i t^(n-i)) a_(alpha+delta) in x_1..x_n, q, t and dividing
     it exactly by V_n."""

@@ -1,17 +1,16 @@
-"""t-binomial tests: recurrences, product formula, jets, closed Taylor forms."""
+"""t-binomial tests: recurrences, product formula, h-slices, closed Taylor forms."""
 
 from fractions import Fraction
 
 import pytest
 
 from macdunkl import BetaPoly, DomainError, InexactDivisionError, binom
-from macdunkl.rings import jet_exp, jet_t, HJet
+from macdunkl.rings import HJet, exp_sum_slice
 from macdunkl.tbinom import (
     TPoly,
-    scaled_t_binomial_jet,
+    scaled_t_binomial,
     scaled_taylor_coeff_closed,
     t_binomial,
-    t_binomial_jet,
     t_binomial_product,
     taylor_coeff_closed,
 )
@@ -102,34 +101,34 @@ def test_structure_invariants():
 
 
 def test_jet_2_1_is_one_plus_exp():
-    jet = t_binomial_jet(2, 1, 4)
-    assert jet.coeff(0) == BetaPoly.const(2)
-    assert jet.coeff(1) == BetaPoly.var()
-    assert jet.coeff(2) == BetaPoly.term(Fraction(1, 2), 2)
+    tb = t_binomial(2, 1)
+    assert tb.h_coeff(0) == BetaPoly.const(2)
+    assert tb.h_coeff(1) == BetaPoly.var()
+    assert tb.h_coeff(2) == BetaPoly.term(Fraction(1, 2), 2)
 
 
 def test_jet_constant_terms():
-    assert t_binomial_jet(5, 2, 4).coeff(0) == BetaPoly.const(10)
+    assert t_binomial(5, 2).h_coeff(0) == BetaPoly.const(10)
 
 
 def test_jet_h1_3_1():
-    assert t_binomial_jet(3, 1, 4).coeff(1) == BetaPoly.term(3, 1)
+    assert t_binomial(3, 1).h_coeff(1) == BetaPoly.term(3, 1)
 
 
 def test_closed_forms_match_jets():
     for n in range(0, 11):
         for r in range(0, n + 1):
-            jet = t_binomial_jet(n, r, 4)
+            tb = t_binomial(n, r)
             for k in range(5):
-                assert taylor_coeff_closed(n, r, k) == jet.coeff(k), (n, r, k)
+                assert taylor_coeff_closed(n, r, k) == tb.h_coeff(k), (n, r, k)
 
 
 def test_scaled_closed_forms_match_jets_k_le_3():
     for n in range(0, 11):
         for r in range(0, n + 1):
-            jet = scaled_t_binomial_jet(n, r, 4, half=True)
+            scaled = scaled_t_binomial(n, r)
             for k in range(4):
-                assert scaled_taylor_coeff_closed(n, r, k) == jet.coeff(k), (n, r, k)
+                assert scaled_taylor_coeff_closed(n, r, k) == scaled.h_coeff(k), (n, r, k)
 
 
 def test_scaled_h4_uses_half_exponent():
@@ -139,8 +138,8 @@ def test_scaled_h4_uses_half_exponent():
     for n in range(0, 11):
         for r in range(0, n + 1):
             closed = scaled_taylor_coeff_closed(n, r, 4)
-            assert closed == scaled_t_binomial_jet(n, r, 4, half=True).coeff(4), (n, r)
-            if closed != scaled_t_binomial_jet(n, r, 4, half=False).coeff(4):
+            assert closed == scaled_t_binomial(n, r).h_coeff(4), (n, r)
+            if closed != scaled_t_binomial(n, r, half=False).h_coeff(4):
                 mismatch_full += 1
     assert mismatch_full > 0
 
@@ -156,52 +155,47 @@ def test_closed_examples():
 
 
 def test_scaled_jet_against_direct_product():
-    jet = scaled_t_binomial_jet(2, 2, 4, half=True)
-    assert jet == jet_exp(HJet.single(1, BetaPoly.var(), 4))
+    # t^1 [2 2] = t = exp(b h)
+    for k in range(5):
+        assert scaled_t_binomial(2, 2).h_coeff(k) == exp_sum_slice({(0, 1): 1}, k)
 
 
-def test_substitute_jet_matches_jet_power_sum():
-    # the moment formula against sum_k c_k t^k built by jet multiplication
-    for K in range(7):
-        t = jet_t(K)
+def test_h_coeff_matches_power_sum():
+    # the moment formula against sum_j c_j times the h^k coefficient of t^j
+    for k in range(7):
         for n in range(11):
             for r in range(n + 1):
                 poly = t_binomial(n, r)
-                want = HJet.zero(K)
-                for k, c in enumerate(poly.coeffs):
-                    want = want + t**k * c
-                assert poly.substitute_jet(K) == want, (n, r, K)
-    assert TPoly((Fraction(1, 3), 0, -2)).substitute_jet(2) == HJet(
-        2, [Fraction(-5, 3), BetaPoly.term(-4, 1), BetaPoly.term(-4, 2)]
-    )
-
-
-def test_substitute_jet_multiplies_no_jets(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError("HJet.__mul__ called")
-
-    monkeypatch.setattr(HJet, "__mul__", refuse)
-    monkeypatch.setattr(HJet, "__rmul__", refuse)
-    assert t_binomial(7, 3).substitute_jet(5).coeff(0) == 35
+                want = BetaPoly.zero()
+                for j, c in enumerate(poly.coeffs):
+                    want = want + exp_sum_slice({(0, j): 1}, k) * c
+                assert poly.h_coeff(k) == want, (n, r, k)
+    poly = TPoly((Fraction(1, 3), 0, -2))
+    assert [poly.h_coeff(k) for k in range(3)] == [
+        Fraction(-5, 3), BetaPoly.term(-4, 1), BetaPoly.term(-4, 2)
+    ]
 
 
 def test_scaled_jet_matches_jet_product():
-    # t^e [n r] substituted in one pass against jet_t^e times the jet of [n r]
+    # t^e [n r] read in one pass against the Cauchy product of the slices
+    # of t^e and of [n r]
     for K in range(8):
-        t = jet_t(K)
         for n in range(11):
             for r in range(n + 1):
                 for half, e in ((True, r * (r - 1) // 2), (False, r * (r - 1))):
-                    want = t**e * t_binomial_jet(n, r, K)
-                    assert scaled_t_binomial_jet(n, r, K, half=half) == want, (n, r, K, half)
+                    want = sum(
+                        (exp_sum_slice({(0, e): 1}, i) * t_binomial(n, r).h_coeff(K - i)
+                         for i in range(K + 1)),
+                        BetaPoly.zero(),
+                    )
+                    assert scaled_t_binomial(n, r, half=half).h_coeff(K) == want, (n, r, K, half)
 
 
 def test_tbinom_suite_multiplies_no_jets(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError("HJet.__mul__ called")
+    def refuse(self, *args):
+        raise AssertionError("HJet built")
 
-    monkeypatch.setattr(HJet, "__mul__", refuse)
-    monkeypatch.setattr(HJet, "__rmul__", refuse)
+    monkeypatch.setattr(HJet, "__init__", refuse)
     verdicts = [verify_identity(name, **params) for name, params in suite_plan("tbinom")]
     assert verdicts and all(v.passed for v in verdicts)
 
