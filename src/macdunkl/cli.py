@@ -13,10 +13,10 @@ that reruns compare equal).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateSpectrumError, DomainError
 from .operators import extract_order
@@ -25,6 +25,9 @@ from .tbinom import scaled_taylor_coeff_closed, t_binomial, taylor_coeff_closed
 from .verify.identities import SUITES, suite_plan, verify_identity
 from .verify.jack import jack_solve
 from .verify.witness import noncommutativity_witness
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _emit(text: str, out_path: str | None):
@@ -92,6 +95,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here: library users import this module for emit_report only
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="macdunkl",
         description="Exact verification of the h-expansion of Macdonald operators.",

@@ -6,9 +6,11 @@ inside the validity range.  Each such coefficient is evaluated, for the
 fixed integer r at hand, as an exact rational function of n: binomials
 with lower index depending on r become falling-factorial polynomials in n
 (identically zero when the lower index is negative), the fraction is
-reduced by a polynomial gcd, and only then is n substituted.  Where the
-printed denominator does not involve n (the (n-2r)/(r-1) coefficient), an
-equivalent rewritten form with an n-dependent denominator is tried next.
+reduced by a polynomial gcd, and only then is n substituted.  The reduced
+fraction is built once per (form, r) and kept; each n only substitutes
+into it.  Where the printed denominator does not involve n (the
+(n-2r)/(r-1) coefficient), an equivalent rewritten form with an
+n-dependent denominator is tried next.
 Evaluation fails only if every equivalent form stays singular.
 
 Coefficient sanity at the singular parameters (r = 1, r = n, n = 2) was
@@ -19,6 +21,7 @@ operators, which are plain exponentials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from ..errors import DomainError
@@ -79,26 +82,37 @@ class CoeffForm:
 
     def evaluate(self, n: int, r: int):
         """Exact value, or None when the reduced denominator is singular."""
-        cval = self.const(r) if callable(self.const) else self.const
-        num = TPoly((cval,))
-        for a, b in self.binoms:
-            num = num * _binom_npoly(a, r + b)
-        for fac in self.num:
-            num = num * TPoly(fac(r))
-        den = TPoly.one()
-        for fac in self.den:
-            den = den * TPoly(fac(r))
-        if not den:
+        reduced = _reduced(self, r)
+        if reduced is None:
             return None
-        if num:
-            g = _gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_divide(g)
-                den = den.exact_divide(g)
+        num, den = reduced
         dval = _value(den, n)
         if not dval:
             return None
         return _value(num, n) / dval
+
+
+@cache
+def _reduced(form: CoeffForm, r: int):
+    """The form at rank r as (num, den), polynomials in n reduced by their
+    gcd, or None when den is identically zero; built once per (form, r)."""
+    cval = form.const(r) if callable(form.const) else form.const
+    num = TPoly((cval,))
+    for a, b in form.binoms:
+        num = num * _binom_npoly(a, r + b)
+    for fac in form.num:
+        num = num * TPoly(fac(r))
+    den = TPoly.one()
+    for fac in form.den:
+        den = den * TPoly(fac(r))
+    if not den:
+        return None
+    if num:
+        g = _gcd(num, den)
+        if g.degree() > 0:
+            num = num.exact_divide(g)
+            den = den.exact_divide(g)
+    return num, den
 
 
 def lin(cn=0, cr=0, c0=0):
@@ -157,7 +171,10 @@ def coeff_x(n, r):
 # (factor, n, window) and keeps it for the process, so a primitive's build
 # is charged to the first check that needs it.  _combo evaluates the
 # polynomial as a matrix on an m-basis window; the b-free forms are the b^0
-# slice of that matrix.  Composition is the matrix product, which is exact
+# slice of that matrix.  Composition is the matrix product; _product keeps
+# each product once per (factors, n, window), shared like the primitives,
+# so a repeated check multiplies no matrices and only scales and adds the
+# cached products.  The product is exact
 # because the window holds every partition of each weight it touches and
 # every primitive keeps the weight (the matrix builder refuses a window or
 # an operator that breaks either).
@@ -184,11 +201,19 @@ def _combo(n: int, basis, terms) -> OperatorMatrix:
         if not factors:
             out = out + OperatorMatrix(n, RB, basis, {(lam, lam): scalar for lam in basis})
             continue
-        prod = primitive_matrix(factors[0], n, basis)
-        for factor in factors[1:]:
-            prod = prod @ primitive_matrix(factor, n, basis)
-        out = out + prod.scale(scalar)
+        out = out + _product(factors, n, basis).scale(scalar)
     return out
+
+
+@cache
+def _product(factors, n: int, basis) -> OperatorMatrix:
+    """Matrix of the primitives composed right to left, built once per
+    (factors, n, basis) on the cached product of all but the last factor;
+    callers must not mutate it."""
+    last = primitive_matrix(factors[-1], n, basis)
+    if len(factors) == 1:
+        return last
+    return _product(factors[:-1], n, basis) @ last
 
 
 def first_order(n: int, r: int, basis) -> OperatorMatrix:

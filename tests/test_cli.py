@@ -157,6 +157,19 @@ def test_witness_golden_file():
         assert proc.stdout == fh.read()
 
 
+def test_importing_the_cli_leaves_argparse_out():
+    # library users import the module for emit_report and build no parser
+    code = (
+        "import sys\n"
+        "import macdunkl.cli as cli\n"
+        "assert 'argparse' not in sys.modules\n"
+        "assert cli.main(['tbinom', '--n', '2', '--r', '1']) == 0\n"
+        "assert 'argparse' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_reports_byte_identical_across_processes():
     args = [
         sys.executable, "-m", "macdunkl.cli", "verify",

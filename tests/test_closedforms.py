@@ -10,6 +10,7 @@ from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
 from macdunkl.rings import binom_ff
 from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
+from macdunkl.verify import closedforms
 from macdunkl.verify.closedforms import (
     B21,
     B22,
@@ -21,10 +22,14 @@ from macdunkl.verify.closedforms import (
     L2,
     L3,
     M11,
+    BH2_FORMS,
+    H1SQ_FORMS,
     CoeffForm,
     X_FORMS,
     _binom_npoly,
     _gcd,
+    _product,
+    _reduced,
     beta2_h3_lhs,
     beta2_h3_rhs_b,
     beta2_h3_rhs_pairs,
@@ -99,6 +104,79 @@ def test_safe_coeff_singular_everywhere():
     form = CoeffForm(1, num=[lin(0, 0, 1)], den=[lin(0, 1, -1)])
     with pytest.raises(DomainError):
         safe_coeff((form,), 5, 1, "test coefficient")
+
+
+ALL_FORMS = X_FORMS + H1SQ_FORMS + BH2_FORMS
+
+
+def _unreduced_value(form, n, r):
+    """The form at (n, r) from its unreduced polynomials in n: common
+    factors n - n0 are divided out one at a time, with no gcd and no cache;
+    None when the denominator still vanishes at n0."""
+    const = form.const(r) if callable(form.const) else form.const
+    num = TPoly((const,))
+    for a, b in form.binoms:
+        num = num * _binom_npoly(a, r + b)
+    for fac in form.num:
+        num = num * TPoly(fac(r))
+    den = TPoly.one()
+    for fac in form.den:
+        den = den * TPoly(fac(r))
+
+    def at(p):
+        return sum(Fraction(c) * n**i for i, c in enumerate(p.coeffs))
+
+    if not den:
+        return None
+    while num and not at(num) and not at(den):
+        num = num.exact_divide(TPoly((-n, 1)))
+        den = den.exact_divide(TPoly((-n, 1)))
+    if not at(den):
+        return None
+    return at(num) / at(den)
+
+
+def test_coefficients_match_the_unreduced_oracle():
+    singular = set()
+    for i, form in enumerate(ALL_FORMS):
+        for n in range(2, 13):
+            for r in range(0, n + 2):
+                expected = _unreduced_value(form, n, r)
+                assert form.evaluate(n, r) == expected, (i, n, r)
+                if expected is None:
+                    singular.add((i, n, r))
+    # r = 1 leaves the first X form's denominator r - 1 identically zero;
+    # at r = 0 the H_2 form's numerator is zero and its n - 2 vanishes at n = 2
+    assert singular == {(0, n, 1) for n in range(2, 13)} | {(3, 2, 0)}
+    assert _reduced(X_FORMS[0], 1) is None
+    assert _reduced(BH2_FORMS[0], 0) is not None
+    # at r = n = 2 the reduced first X form is regular: binom_ff(n-3, 0) = 1
+    assert X_FORMS[0].evaluate(2, 2) == -2
+
+
+def test_each_coefficient_is_reduced_once_per_rank(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return _gcd(a, b)
+
+    monkeypatch.setattr(closedforms, "_gcd", counting)
+    _reduced.cache_clear()
+    for form in ALL_FORMS:
+        for r in range(0, 14):
+            before = len(calls)
+            for n in range(max(2, r - 1), 13):
+                form.evaluate(n, r)
+            reduced = _reduced(form, r)
+            assert len(calls) - before == (1 if reduced and reduced[0] else 0), r
+    assert calls
+    before = len(calls)
+    for form in ALL_FORMS:
+        for n in range(2, 13):
+            for r in range(0, n + 2):
+                form.evaluate(n, r)
+    assert len(calls) == before
 
 
 def _column(mat, lam):
@@ -207,17 +285,26 @@ def test_dn1_h4_sanity_n2():
     ids=("4-2", "5-3"),
 )
 def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
-    """The h^2 and h^3 forms share their primitives: a cold evaluation
-    builds each distinct factor's matrix once, a repeat builds none."""
+    """The h^2 and h^3 forms share their primitives and their products: a
+    cold evaluation builds each distinct factor's matrix once, a repeat
+    builds none and multiplies no matrices."""
     built = []
+    products = []
     from_operator = OperatorMatrix.from_operator
+    matmul = OperatorMatrix.__matmul__
 
     def counting(op, basis, n, ring):
         built.append(op)
         return from_operator(op, basis, n, ring)
 
+    def counting_products(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
     monkeypatch.setattr(OperatorMatrix, "from_operator", staticmethod(counting))
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_products)
     primitive_matrix.cache_clear()
+    _product.cache_clear()
     basis = partitions_upto(3, n)
 
     def evaluate():
@@ -229,5 +316,42 @@ def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
 
     evaluate()
     assert len(built) == len(factors)
+    assert products
+    del products[:]
     evaluate()
     assert len(built) == len(factors)
+    assert products == []
+
+
+def test_cached_products_equal_fresh_builds(monkeypatch):
+    """Callers share the cached products: after every closed form has been
+    evaluated on the windows of n <= 5, each product seen still equals one
+    built afresh from fresh primitive matrices."""
+    seen = set()
+
+    def recording(factors, n, basis):
+        seen.add((factors, n, basis))
+        return _product(factors, n, basis)
+
+    monkeypatch.setattr(closedforms, "_product", recording)
+    for n in range(2, 6):
+        basis = tuple(partitions_upto(3, n))
+        for r in range(1, n + 1):
+            first_order(n, r, basis)
+            second_order(n, r, basis)
+            third_order_dunkl(n, r, basis)
+            third_order_raw(n, r, basis)
+            for j in range(4):
+                third_order_slice(j, n, r, basis)
+        for form in (
+            third_order_display_r1, third_order_display_r2, h1_explicit, h2_explicit_b,
+            h2_explicit_pairs, h3_explicit, beta2_h3_lhs, beta2_h3_rhs_b,
+            beta2_h3_rhs_pairs, rank1_fourth_order,
+        ):
+            form(n, basis)
+    assert {factors for factors, _, _ in seen} >= {(H1, H1), (H1, H1, H1), (B21, L1)}
+    for factors, n, basis in seen:
+        fresh = primitive_matrix.__wrapped__(factors[0], n, basis)
+        for factor in factors[1:]:
+            fresh = fresh @ primitive_matrix.__wrapped__(factor, n, basis)
+        assert _product(factors, n, basis) == fresh, factors
