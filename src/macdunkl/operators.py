@@ -30,9 +30,9 @@ h order), or its value at a rational (q, t) (``rational_value``).
 reader alike.
 
 Sums over all r-subsets whose terms are rational functions (the scalar
-part of the Macdonald operator, the type families) put the canonical
-subset's term over the full Vandermonde product, as a numerator g * cof
-given by its two factors and never formed.  g must
+part of the Macdonald operator) put the canonical subset's term over
+the full Vandermonde product, as a numerator g * cof given by its two
+factors and never formed.  g must
 be antisymmetric inside the subset and symmetric inside its complement,
 cof symmetric inside the subset and antisymmetric inside the complement
 (both checked exactly, cof once when it is built).  Then the numerator is
@@ -41,7 +41,9 @@ alternants a_e, and only the coefficients of g * cof at those e are
 computed.  The Macdonald formula and the subset sums read a_e / a_delta
 off in the Schur basis (a_(lam+delta) = a_delta s_lam) through one
 function and turn it into monomial coordinates by a Kostka table, never
-dividing by the n!-term product.
+dividing by the n!-term product.  The type families (``verify.typesums``)
+reduce their subset sums to alternant coefficients of their own and
+convert them through the same function.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S

@@ -12,43 +12,54 @@ Vandermonde product V_m, and nothing is divided.  A pattern's piece
 V_m / den * mono is the signed product of the factors x_i - x_j of V_m
 that den leaves over.  The patterns form one orbit of the support's
 permutations, and the piece of a pattern relabeled by sigma is
-sign(sigma) times the relabeled piece.  So the sum over the patterns
-with x_1 inside the subset side is antisymmetric in x_2..x_m, and by
-Macdonald (Symmetric Functions and Hall Polynomials, ch. I 3) it is
-fixed by its coefficients at strictly decreasing exponents of x_2..x_m.
-Those are read off the representative's piece in one pass over its
-terms, and each is expanded once into its alternant.  The same orbit
-argument makes the sum over all patterns a constant multiple c V_m, and
-the sum with x_u inside the relabeling of the x_1 one by the exchange
-of x_1 and x_u, with sign -1.  So the raw operator needs one product,
-of the x_1 sum with E_1 f: its relabelings give the support's
-numerator factor g, antisymmetric inside the support and symmetric
-outside it, and the full sum adds a multiple of f.  The cofactor
-V_n / V_m, built as prod_{i <= m < j} (x_i - x_j) times the Vandermonde
-product of {m+1..n}, is symmetric inside the support and antisymmetric
-outside it; it is built and checked once per (n, m).
-``operators._alternate_over_subsets`` takes the two factors and reads
-the signed sum of their product over all supports off in the Schur
-basis, computing only the coefficients the read-off reads and dividing
-by nothing.
+sign(sigma) times the relabeled piece.  So the sum n_in[1] over the
+patterns with x_1 inside the subset side is antisymmetric in x_2..x_m,
+and by Macdonald (Symmetric Functions and Hall Polynomials, ch. I 3) it
+is fixed by its coefficients at strictly decreasing exponents of
+x_2..x_m.  Those are read off the representative's piece in one pass
+over its terms, and each is expanded once into its alternant.  The same
+orbit argument makes the sum over all patterns a constant multiple
+c V_m, and the sum with x_u inside the relabeling of the x_1 one by the
+exchange K_1u of x_1 and x_u, with sign -1.
+
+Over the full Vandermonde product V_n the support's numerator is
+g cof, with g = g1 - sum_{u=2..m} K_1u g1, g1 = n_in[1] E_1 f, and the
+cofactor cof = V_n / V_m = prod_{i <= m < j} (x_i - x_j) times the
+Vandermonde product of {m+1..n}, symmetric inside the support and
+antisymmetric outside it.  Its sum over all supports is Alt(g cof) /
+(m! (n-m)!), Alt the signed sum over S_n.  As cof is symmetric inside
+the support, Alt(K_1u g1 cof) = -Alt(g1 cof), so Alt(g cof) =
+m Alt(g1 cof).  g1 cof = P E_1 f, with P = n_in[1] cof antisymmetric
+inside {2..m} and inside {m+1..n} and E_1 f symmetric inside both, so
+Alt(P E_1 f) is (m-1)! (n-m)! times sum_e [P E_1 f]_e a_e, e strictly
+decreasing inside both blocks.  The normalisations cancel: the support
+sum is exactly sum_e [P E_1 f]_e a_e / a_delta, read off in the Schur
+basis by the read-off the Macdonald operator uses.  P does not depend
+on f, and is never formed: its coefficients at block-decreasing
+exponents are computed on demand and kept per (n, type), and each
+coefficient of P E_1 f loops only over the terms of E_1 f.  The
+contracts are checked exactly (InexactDivisionError otherwise): n_in[1]
+once per (n, type), cof once when it is built, E_1 f on every call.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import sub
+from typing import NamedTuple
 
 from ..errors import DomainError
-from ..multipoly import MultiPoly, Ring, exact_div, vandermonde
+from ..multipoly import MultiPoly, Ring, exact_div, partitions_of, vandermonde
 from ..operators import (
-    _alternate_over_subsets,
-    _Cofactor,
     _cross_product,
+    _from_coords,
+    _readoff_coords,
+    _require_exchange_sign,
     _require_symmetric,
     _sum_over_subsets,
     b_op,
@@ -250,13 +261,126 @@ def _pad(f: MultiPoly, n: int) -> MultiPoly:
     return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
 
 
+class _SupportCofactor(NamedTuple):
+    """V_n / V_m and its terms indexed by tail exponent:
+    by_tail[key[m:]][key[:m]] is the coefficient at key."""
+
+    poly: MultiPoly
+    by_tail: dict
+
+
 @lru_cache(maxsize=None)
-def _support_cofactor(n: int, m: int) -> _Cofactor:
+def _support_cofactor(n: int, m: int) -> _SupportCofactor:
     """V_n / V_m = prod_{i <= m < j} (x_i - x_j) times the Vandermonde
     product of {m+1..n}: puts a pattern sum over the support Vandermonde
-    of {1..m} over the full one."""
+    of {1..m} over the full one.  Checked once to be symmetric inside the
+    support and antisymmetric outside it."""
     support, rest = tuple(range(1, m + 1)), range(m + 1, n + 1)
-    return _Cofactor(_cross_product(n, RQ, support, 1) * vandermonde(n, RQ, rest), m)
+    poly = _cross_product(n, RQ, support, 1) * vandermonde(n, RQ, rest)
+    _require_exchange_sign(poly, range(m - 1), 1, "support cofactor")
+    _require_exchange_sign(poly, range(m, n - 1), -1, "support cofactor")
+    by_tail = {}
+    for key, c in poly.terms.items():
+        by_tail.setdefault(key[m:], {})[key[:m]] = c
+    return _SupportCofactor(poly, by_tail)
+
+
+class _SupportProduct:
+    """P = n_in[1] cof on n variables, cof = V_n / V_m, never formed.
+
+    n_in[1] (on the m support variables) is checked once to be
+    antisymmetric in x_2..x_m, so P is antisymmetric inside {2..m} and
+    inside {m+1..n}.  ``memo`` keeps its coefficients at the exponents
+    strictly decreasing inside both blocks, each computed on first use as
+    sum_y n_in[1]_y cof_(z - y): y has no tail, so only the cofactor's
+    terms with the tail of z take part."""
+
+    __slots__ = ("n", "m", "in1", "cof", "degree", "memo")
+
+    def __init__(self, in1: MultiPoly, cof: _SupportCofactor):
+        m = in1.n
+        _require_exchange_sign(in1, range(1, m - 1), -1, "support sum n_in[1]")
+        self.n, self.m = cof.poly.n, m
+        self.in1, self.cof = in1, cof
+        self.degree = in1.total_degree() + cof.poly.total_degree()
+        self.memo = {}
+
+    def coeff(self, z):
+        """[P]_z at a block-decreasing z."""
+        c = self.memo.get(z)
+        if c is None:
+            m = self.m
+            head = z[:m]
+            # the convolution loops over the smaller factor
+            small = self.in1.terms
+            large = self.cof.by_tail.get(z[m:], {})
+            if len(large) < len(small):
+                small, large = large, small
+            c = 0
+            for y, cy in small.items():
+                other = large.get(tuple(map(sub, head, y)))
+                if other:
+                    c += cy * other
+            self.memo[z] = c
+        return c
+
+
+@lru_cache(maxsize=None)
+def _support_product(n: int, tid: int) -> _SupportProduct:
+    """P of the type's support at n variables, with its memo."""
+    return _SupportProduct(_canonical_sums(tid)[1], _support_cofactor(n, sum(_shape(tid))))
+
+
+@lru_cache(maxsize=None)
+def _decreasing(block):
+    """(block sorted decreasing, parity of that sort), or None when block
+    repeats an entry or has a negative one."""
+    odd = 0
+    for i, v in enumerate(block):
+        if v < 0:
+            return None
+        for w in block[i + 1 :]:
+            if v < w:
+                odd ^= 1
+            elif v == w:
+                return None
+    return tuple(sorted(block, reverse=True)), odd
+
+
+def _readoff_support(prod: _SupportProduct, e1f: MultiPoly) -> MultiPoly:
+    """sum_e [P E_1 f]_e a_e / a_delta over the e strictly decreasing inside
+    {2..m} and inside {m+1..n}: the support sum of the module docstring,
+    in the Schur basis.  E_1 f must be symmetric inside both blocks (else
+    InexactDivisionError carrying it).  For each lam of the product's
+    weight and each split of lam + delta into a head of m - 1 entries, a
+    first entry and a tail, the coefficient is sum_x [E_1 f]_x P_(e-x),
+    with P_(e-x) read at the block-sorted key and signed by the sort.  The
+    head's sort depends only on (head, x), so it is shared by every
+    first entry."""
+    n, m = prod.n, prod.m
+    _require_exchange_sign(e1f, [*range(1, m - 1), *range(m, n - 1)], 1, "E_1 f")
+    split = [(x[0], x[1:m], x[m:], c) for x, c in e1f.terms.items()]
+    alternants = []
+    weight = prod.degree + e1f.total_degree() - n * (n - 1) // 2
+    for lam in partitions_of(weight, n) if split else ():
+        alpha = [p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))]
+        for head in combinations(alpha, m - 1):
+            rest = [v for v in alpha if v not in head]
+            firsts = [(first, rest[:j] + rest[j + 1 :]) for j, first in enumerate(rest)]
+            coeffs = [0] * len(firsts)
+            for x0, xh, xt, cx in split:
+                head_z = _decreasing(tuple(map(sub, head, xh)))
+                if head_z is None:
+                    continue
+                for j, (first, tail) in enumerate(firsts):
+                    tail_z = first >= x0 and _decreasing(tuple(map(sub, tail, xt)))
+                    if tail_z:
+                        c = prod.coeff((first - x0, *head_z[0], *tail_z[0]))
+                        coeffs[j] += -cx * c if head_z[1] ^ tail_z[1] else cx * c
+            for (first, tail), c in zip(firsts, coeffs):
+                if c:
+                    alternants.append(((first, *head, *tail), {(): c}))
+    return _from_coords(_readoff_coords(alternants, n), n, RQ)
 
 
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -265,20 +389,17 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     # subsets holding a pattern; both are 0 when no subset holds one
     ca = binom(n - m, r - a)
     cb = binom(n - m - 1, r - a - 1)
-    c, in1 = _canonical_sums(tid)
+    c = _canonical_sums(tid)[0]
     # The support numerator is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f
     # + cb d c V_m f, for f symmetric and homogeneous of degree d.  With
     # n_in[u] + n_out[u] = c V_m, n_in[u] = -K_1u n_in[1] and, f being
     # symmetric, E_u f = K_1u E_1 f, it is ca (g1 - sum_{u>1} K_1u g1) with
-    # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  The subset sum of the
-    # latter is cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
+    # g1 = n_in[1] E_1 f, whose support sum is read off P E_1 f, plus
+    # cb c V_m (E - E_S) f.  The subset sum of the latter is
+    # cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
     out = f.scale(cb * c * f.total_degree() * binom(n - 1, m))
     if ca:
-        g1 = _pad(in1, n) * f.euler(1)
-        g = g1
-        for u in range(2, m + 1):
-            g = g - g1.swap(1, u)
-        out = out + _alternate_over_subsets(g, _support_cofactor(n, m)).scale(ca)
+        out = out + _readoff_support(_support_product(n, tid), f.euler(1)).scale(ca)
     return out
 
 
@@ -351,39 +472,44 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 # -- closed forms -------------------------------------------------------
 
 
-def _unit_sum_type2(n: int, f: MultiPoly) -> MultiPoly:
-    """Per 4-subset unit: the four terms x_a x_b x_c (E_a+E_b+E_c) over
-    prod (x_. - x_excluded), which are the type 2 patterns, resolved over
-    the subset Vandermonde and replicated by relabeling."""
-    if n < 4:
-        return MultiPoly.zero(n, f.ring)
-    num = MultiPoly.zero(n, f.ring)
-    for ins, _, pairs, exps in _patterns(2):
-        ef = MultiPoly.zero(n, f.ring)
-        for v in ins:
-            ef = ef + f.euler(v)
-        num = num + _pad(_pattern_piece(4, pairs, exps), n) * ef
-    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
+@lru_cache(maxsize=None)
+def _unit_pieces(tid: int):
+    """The per-4-subset unit of type 2 or 6 over the subset Vandermonde
+    V_S, as (J, piece) pairs on 4 variables: the unit is
+    sum_J piece E_J f / V_S, with E_J the sum of the Euler operators of J.
 
-
-def _unit_sum_type6(n: int, f: MultiPoly) -> MultiPoly:
-    """Per 4-subset unit over pairs J: 4 (prod_J x^2)(E_J) minus
-    (prod_J x)(sum_J x)(sum_out x)(E_J), over prod_{u in J, p out}(x_u-x_p)."""
-    if n < 4:
-        return MultiPoly.zero(n, f.ring)
-    sup = (1, 2, 3, 4)
-    x = {v: MultiPoly.variable(v, 4, RQ) for v in sup}
-    num = MultiPoly.zero(n, f.ring)
-    for i, j in combinations(sup, 2):
-        p, q = (v for v in sup if v not in (i, j))
-        ej = f.euler(i) + f.euler(j)
-        if not ej:
-            continue
+    Type 2: the four terms x_a x_b x_c (E_a + E_b + E_c) over
+    prod (x_. - x_excluded), which are the type 2 patterns, so each piece
+    is a pattern's piece.  Type 6: over the pairs J = {i, j} with
+    complement {p, q}, 4 (prod_J x^2) - (prod_J x)(sum_J x)(sum_out x)
+    over prod_{u in J, v out} (x_u - x_v)."""
+    if tid == 2:
+        pats = _patterns(2)
+        return tuple((ins, _pattern_piece(4, pairs, exps)) for ins, _, pairs, exps in pats)
+    x = {v: MultiPoly.variable(v, 4, RQ) for v in range(1, 5)}
+    out = []
+    for i, j in combinations(range(1, 5), 2):
+        p, q = (v for v in range(1, 5) if v not in (i, j))
         # V_S / den * x_i x_j, times 4 x_i x_j - (x_i + x_j)(x_p + x_q)
         piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
         local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
-        num = num + _pad(piece * local, n) * ej
-    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, sup)), 4)
+        out.append(((i, j), piece * local))
+    return tuple(out)
+
+
+def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
+    """The unit of ``_unit_pieces`` summed over all 4-subsets: its
+    canonical-subset term divided once by V_S, then relabeled."""
+    if n < 4:
+        return MultiPoly.zero(n, f.ring)
+    num = MultiPoly.zero(n, f.ring)
+    for ins, piece in _unit_pieces(tid):
+        ef = MultiPoly.zero(n, f.ring)
+        for v in ins:
+            ef = ef + f.euler(v)
+        if ef:
+            num = num + _pad(piece, n) * ef
+    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
 
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -401,7 +527,7 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         c = Fraction((r + 2) * (r**3 - r), 24) * binom(n - 1, r + 2)
         return out + l1(f).scale(c)
     if tid == 2:
-        out = _unit_sum_type2(n, f).scale(binom(n - 4, r - 3))
+        out = _unit_sum(2, n, f).scale(binom(n - 4, r - 3))
         c = Fraction(r * (r - 1) * (r - 2) * (r - 3), 24) * binom(n - 1, r)
         return out + l1(f).scale(c)
     if tid == 3:
@@ -421,5 +547,5 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         return out + l1(f).scale(c)
     # type 6
     out = l1(f).scale(Fraction(5 * r * (r + 1) * (r - 1) * (r - 2), 24) * binom(n - 1, r + 1))
-    return out + _unit_sum_type6(n, f).scale(binom(n - 4, r - 2))
+    return out + _unit_sum(6, n, f).scale(binom(n - 4, r - 2))
 

@@ -19,7 +19,14 @@ from macdunkl.operators import (
     macdonald_scalar_part,
 )
 from macdunkl.verify import typesums
-from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
+from macdunkl.verify.typesums import (
+    TYPE_SHAPE,
+    _pad,
+    _readoff_support,
+    _support_cofactor,
+    _SupportProduct,
+    type_sum_raw_apply,
+)
 
 RQ = Ring.q()
 
@@ -49,7 +56,22 @@ def _record_alternations(monkeypatch, module):
 
 
 def test_type_numerators_match_division(monkeypatch):
-    seen = _record_alternations(monkeypatch, typesums)
+    """Each support read-off of P E_1 f against the numerator it stands
+    for: g cof with g = g1 - sum_(u=2..m) K_1u g1 and g1 = n_in[1] E_1 f,
+    summed with signs over all m-subsets and divided exactly by V_n."""
+    seen = []
+    readoff = typesums._readoff_support
+
+    def spy(prod, e1f):
+        got = readoff(prod, e1f)
+        g1 = _pad(prod.in1, prod.n) * e1f
+        g = g1
+        for u in range(2, prod.m + 1):
+            g = g - g1.swap(1, u)
+        seen.append((prod.n, prod.m, got, alternate_by_division(g, prod.cof.poly, prod.m)))
+        return got
+
+    monkeypatch.setattr(typesums, "_readoff_support", spy)
     for n in (4, 5, 6):
         for r in range(1, n + 1):
             for tid in TYPE_SHAPE:
@@ -128,6 +150,25 @@ def test_readoff_refuses_factors_that_break_their_contract():
     with pytest.raises(InexactDivisionError) as err:
         _Cofactor(x2 + x3, 1)
     assert err.value.remainder == x2 + x3
+
+
+def test_support_readoff_refuses_factors_that_break_their_contract():
+    n, m = 6, 4
+    x1, x2, x5, x6 = (MultiPoly.variable(i, n) for i in (1, 2, 5, 6))
+    prod = typesums._support_product(n, 1)
+    # E_1 f must be symmetric inside {2..m} (x1 x2 is not) and inside
+    # {m+1..n} (x1 x5^2 x6 is not)
+    for bad in (x1 * x2, x1 * x5 * x5 * x6):
+        with pytest.raises(InexactDivisionError) as err:
+            _readoff_support(prod, bad)
+        assert err.value.remainder == bad
+    # n_in[1] must be antisymmetric in x_2..x_m
+    cof = _support_cofactor(n, m)
+    y2, y3 = (MultiPoly.variable(i, m) for i in (2, 3))
+    for bad in (y2, y2 + y3):
+        with pytest.raises(InexactDivisionError) as err:
+            _SupportProduct(bad, cof)
+        assert err.value.remainder == bad
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -24,6 +24,7 @@ from macdunkl.verify.typesums import (
     _pattern_piece,
     _patterns,
     _support_cofactor,
+    _support_product,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -196,8 +197,9 @@ def test_canonical_sums_structure(tid):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
-    """Warm, the raw path multiplies once per homogeneous part that has a
-    subset count ca = binom(n - m, r - a) != 0: n_in[1] by E_1 f."""
+    """Warm, the raw path multiplies nothing: each homogeneous part with a
+    subset count ca = binom(n - m, r - a) != 0 reads the one product
+    P E_1 f off P's memoized coefficients and the terms of E_1 f."""
     n, r = 6, 3
     a, b = TYPE_SHAPE[tid]
     assert binom(n - a - b, r - a)
@@ -212,7 +214,7 @@ def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     type_sum_raw_apply(n, r, tid, f)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("tid", [2, 6])
@@ -254,6 +256,26 @@ def test_support_cofactor_is_vandermonde_quotient(n):
     for m in range(1, n + 1):
         want = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
         assert _support_cofactor(n, m).poly == want, (n, m)
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_support_product_memo_matches_full_product(tid):
+    """Every memoized coefficient of P = n_in[1] V_n / V_m is the
+    coefficient of the formed product at the same key, and every key is
+    strictly decreasing inside {2..m} and inside {m+1..n}."""
+    a, b = TYPE_SHAPE[tid]
+    m = a + b
+    _, in1 = _canonical_sums(tid)
+    for n in range(m, 8):
+        for lam in partitions_upto(2, n):
+            type_sum_raw_apply(n, a, tid, monomial_symmetric(lam, n))
+        memo = _support_product(n, tid).memo
+        assert memo, n
+        full = (_pad(in1, n) * _support_cofactor(n, m).poly).terms
+        for z, c in memo.items():
+            for block in (z[1:m], z[m:]):
+                assert all(u > v for u, v in zip(block, block[1:])), (n, z)
+            assert c == full.get(z, 0), (n, z)
 
 
 @pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply])
