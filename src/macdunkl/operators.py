@@ -5,13 +5,20 @@ Every division by x_i - x_j on an operator path is the divided
 difference d_ij f = (1 - K_ij) f / (x_i - x_j), evaluated term by term
 as a geometric sum of monomials, never by forming a numerator and
 dividing it.  The Dunkl operator is d_i = x_i d_i + b A_i with
-A_i = x_i sum_(j != i) d_ij.  The kernel operators are built from the
-same divided differences: the canonical-subset term of B_{k,l} is the
-order-(k-1) divided difference d_(k-1,k) ... d_12 (x_1^(k-1) (x_1 d_1)^l f),
-the pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
-reflection-square term is A_1 A_1 (x_1 d_1 f).  All of them, and the
-power sum H_k = sum_i d_i^k, need a symmetric argument f (checked): then
-the term of index i (or subset S) is a relabeling of the canonical one.
+A_i = x_i sum_(j != i) d_ij.  A sum over the r-subsets I of {1..k} of
+the relabelings of g / prod_(i <= r < j <= k) (x_i - x_j), with g
+symmetric inside {1..r} and inside {r+1..k} (checked), is one block
+divided difference: r (k - r) steps d_(j,j+1) along a reduced word
+(``_block_divided_difference``).  The canonical-subset term of B_{k,l}
+is the block r = 1 of x_1^(k-1) (x_1 d_1)^l f, the scalar part of the
+Macdonald operator the block (r, n - r) of prod_(i <= r < j)(t x_i - x_j)
+with t symbolic, and the closed units of the type families
+(``verify.typesums``) the blocks (3, 1) and (2, 2) on four variables.
+The pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
+reflection-square term is A_1 A_1 (x_1 d_1 f).  The kernel operators and
+the power sum H_k = sum_i d_i^k need a symmetric argument f (checked):
+then the term of index i (or subset S) is a relabeling of the canonical
+one.
 
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
@@ -29,21 +36,11 @@ h order), or its value at a rational (q, t) (``rational_value``).
 ``extract_order``, ``macdonald_matrix`` and ``macdonald_apply`` take the
 reader alike.
 
-Sums over all r-subsets whose terms are rational functions (the scalar
-part of the Macdonald operator) put the canonical subset's term over
-the full Vandermonde product, as a numerator g * cof given by its two
-factors and never formed.  g must
-be antisymmetric inside the subset and symmetric inside its complement,
-cof symmetric inside the subset and antisymmetric inside the complement
-(both checked exactly, cof once when it is built).  Then the numerator is
-antisymmetric inside both blocks, the signed subset sum is a sum of
-alternants a_e, and only the coefficients of g * cof at those e are
-computed.  The Macdonald formula and the subset sums read a_e / a_delta
-off in the Schur basis (a_(lam+delta) = a_delta s_lam) through one
-function and turn it into monomial coordinates by a Kostka table, never
-dividing by the n!-term product.  The type families (``verify.typesums``)
-reduce their subset sums to alternant coefficients of their own and
-convert them through the same function.
+The Macdonald formula reads a_e / a_delta off in the Schur basis
+(a_(lam+delta) = a_delta s_lam) and turns it into monomial coordinates
+by a Kostka table, never dividing by the n!-term product.  The raw type
+sums (``verify.typesums``) reduce their subset sums to alternant
+coefficients of their own and convert them through the same function.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S
@@ -68,7 +65,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
 from math import lcm
-from operator import add, sub
 
 from .errors import DomainError, InexactDivisionError, NonSymmetricError
 from .multipoly import (
@@ -160,74 +156,6 @@ def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
                 raise InexactDivisionError(
                     f"{name} is not {kind} under exchanging x{a + 1} and x{a + 2}", f
                 )
-
-
-def _by_x(f: MultiPoly):
-    """{x exponent: [(aux exponents, coefficient), ...]} of f."""
-    out = {}
-    for key, c in f.terms.items():
-        out.setdefault(key[:f.n], []).append((key[f.n:], c))
-    return out
-
-
-class _Cofactor:
-    """The factor cof of a subset numerator g * cof (see
-    ``_alternate_over_subsets``), checked once to be symmetric under
-    exchanges inside the head block {1..k} and antisymmetric inside the
-    tail block {k+1..n}, and indexed by x exponent."""
-
-    __slots__ = ("poly", "k", "by_x", "degrees")
-
-    def __init__(self, poly: MultiPoly, k: int):
-        n = poly.n
-        _require_exchange_sign(poly, range(k - 1), 1, "subset cofactor")
-        _require_exchange_sign(poly, range(k, n - 1), -1, "subset cofactor")
-        self.poly, self.k = poly, k
-        self.by_x = _by_x(poly)
-        self.degrees = {sum(x) for x in self.by_x}
-
-
-def _alternate_over_subsets(g: MultiPoly, cof: _Cofactor) -> MultiPoly:
-    """Sum of the signed relabelings of g * cof over all k-subsets, divided
-    by the full Vandermonde product, read off in the Schur basis without
-    forming g * cof.
-
-    g * cof is the numerator of the canonical subset {1..k} over the
-    Vandermonde product.  g must be antisymmetric under exchanges inside
-    the head {1..k} and symmetric inside the tail {k+1..n} (else
-    InexactDivisionError carrying g); cof has the opposite contract.  So
-    g * cof is antisymmetric inside both blocks, and its signed subset sum
-    is sum c a_e over its terms c x^e whose two blocks are strictly
-    decreasing.  Only those coefficients are computed: for each lam of a
-    degree the product can have, and each split of lam + delta into a
-    head of k entries and a tail, both decreasing, the coefficient at that
-    e is sum over a in g of g[a] cof[e - a].
-    """
-    g._compat(cof.poly)
-    n, k = g.n, cof.k
-    _require_exchange_sign(g, range(k - 1), -1, "subset numerator factor")
-    _require_exchange_sign(g, range(k, n - 1), 1, "subset numerator factor")
-    g_by_x = _by_x(g)
-    offset = n * (n - 1) // 2
-    weights = {sum(x) + d - offset for x in g_by_x for d in cof.degrees}
-    # the coefficient is a convolution: loop over the smaller factor
-    small, large = sorted((g_by_x, cof.by_x), key=len)
-    alternants = []
-    for w in sorted(weights):
-        for lam in partitions_of(w, n):
-            alpha = [p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))]
-            for head in combinations(alpha, k):
-                e = head + tuple(v for v in alpha if v not in head)
-                coeff = {}
-                for x, pairs in small.items():
-                    other = large.get(tuple(map(sub, e, x)))
-                    if other:
-                        for aux1, c1 in pairs:
-                            for aux2, c2 in other:
-                                aux = tuple(map(add, aux1, aux2))
-                                coeff[aux] = coeff.get(aux, 0) + c1 * c2
-                alternants.append((e, coeff))
-    return _from_coords(_readoff_coords(alternants, n), n, g.ring)
 
 
 def _readoff_coords(alternants, n: int):
@@ -382,6 +310,23 @@ def _divided_difference(f: MultiPoly, i: int, j: int) -> MultiPoly:
     return MultiPoly(f.n, f.ring, out)
 
 
+def _block_divided_difference(g: MultiPoly, r: int, k: int) -> MultiPoly:
+    """sum over the r-subsets I of {1..k} of the relabeling of
+    g / prod_(i <= r < j <= k) (x_i - x_j) that sends {1..r} onto I and
+    {r+1..k} onto its complement, both order-preserving.  g must be
+    symmetric inside {1..r} and inside {r+1..k} (else InexactDivisionError
+    carrying g); then the sum is the product of r (k - r) divided
+    differences d_(j,j+1) along a reduced word (Macdonald, Notes on
+    Schubert Polynomials, ch. II): for top = r, ..., 1, the steps
+    j = top, ..., top + k - r - 1 carry x_top to x_(top+k-r).  Variables
+    above k pass through."""
+    _require_exchange_sign(g, [*range(r - 1), *range(r, k - 1)], 1, "block numerator")
+    for top in range(r, 0, -1):
+        for j in range(top, top + k - r):
+            g = _divided_difference(g, j, j + 1)
+    return g
+
+
 def _divided_difference_literal(f: MultiPoly, i: int, j: int) -> MultiPoly:
     """``_divided_difference`` by dividing (1 - K_ij) f exactly by
     x_i - x_j."""
@@ -465,9 +410,7 @@ def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
     for _ in range(l):
         g = g.euler(1)
     g = MultiPoly.variable(1, n, f.ring) ** (k - 1) * g
-    for i in range(1, k):
-        g = _divided_difference(g, i, i + 1)
-    return _sum_over_subsets(g, k)
+    return _sum_over_subsets(_block_divided_difference(g, 1, k), k)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
@@ -615,17 +558,15 @@ def macdonald_matrix(n: int, r: int, q, t, basis) -> OperatorMatrix:
 
 def macdonald_scalar_part(n: int, r: int) -> MultiPoly:
     """The subset sum with all shifts removed, applied to 1, over the
-    t-polynomial ring.  A constant polynomial when the kernel sums
-    telescope; compared against the t-binomial by the verifier.  It stays
-    on the kernel-sum path because the alternant formula gives it as
-    e_r(t^(n-1), ..., 1) t^(-r(r-1)/2), which is the t-binomial by the
-    q-binomial theorem, so the check would verify nothing."""
-    ring = Ring.uni("t")
-    tval = BetaPoly.var()
-    subset0 = tuple(range(1, r + 1))
-    comp0 = tuple(range(r + 1, n + 1))
-    cof = _cross_product(n, ring, subset0, tval) * vandermonde(n, ring, comp0)
-    return _alternate_over_subsets(vandermonde(n, ring, subset0), _Cofactor(cof, r))
+    t-polynomial ring: the block divided difference (r, n - r) of the
+    cross product prod_(i <= r < j)(t x_i - x_j), t symbolic.  A constant
+    polynomial when the kernel sums telescope; compared against the
+    t-binomial by the verifier.  It stays on the kernel-sum path because
+    the alternant formula gives it as e_r(t^(n-1), ..., 1) t^(-r(r-1)/2),
+    which is the t-binomial by the q-binomial theorem, so the check would
+    verify nothing."""
+    cross = _cross_product(n, Ring.uni("t"), range(1, r + 1), BetaPoly.var())
+    return _block_divided_difference(cross, r, n)
 
 
 # -- matrices -------------------------------------------------------------

@@ -56,6 +56,7 @@ from typing import NamedTuple
 from ..errors import DomainError
 from ..multipoly import MultiPoly, Ring, exact_div, partitions_of, vandermonde
 from ..operators import (
+    _block_divided_difference,
     _cross_product,
     _from_coords,
     _readoff_coords,
@@ -252,13 +253,6 @@ def _canonical_sums(tid: int):
     if total != vm.scale(c):
         raise AssertionError(f"type {tid} pattern sum is not a multiple of V_{m}")
     return c, in1
-
-
-def _pad(f: MultiPoly, n: int) -> MultiPoly:
-    if f.n == n:
-        return f
-    pad = (0,) * (n - f.n)
-    return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
 
 
 class _SupportCofactor(NamedTuple):
@@ -472,44 +466,26 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 # -- closed forms -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _unit_pieces(tid: int):
-    """The per-4-subset unit of type 2 or 6 over the subset Vandermonde
-    V_S, as (J, piece) pairs on 4 variables: the unit is
-    sum_J piece E_J f / V_S, with E_J the sum of the Euler operators of J.
-
-    Type 2: the four terms x_a x_b x_c (E_a + E_b + E_c) over
-    prod (x_. - x_excluded), which are the type 2 patterns, so each piece
-    is a pattern's piece.  Type 6: over the pairs J = {i, j} with
-    complement {p, q}, 4 (prod_J x^2) - (prod_J x)(sum_J x)(sum_out x)
-    over prod_{u in J, v out} (x_u - x_v)."""
-    if tid == 2:
-        pats = _patterns(2)
-        return tuple((ins, _pattern_piece(4, pairs, exps)) for ins, _, pairs, exps in pats)
-    x = {v: MultiPoly.variable(v, 4, RQ) for v in range(1, 5)}
-    out = []
-    for i, j in combinations(range(1, 5), 2):
-        p, q = (v for v in range(1, 5) if v not in (i, j))
-        # V_S / den * x_i x_j, times 4 x_i x_j - (x_i + x_j)(x_p + x_q)
-        piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
-        local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
-        out.append(((i, j), piece * local))
-    return tuple(out)
-
-
 def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
-    """The unit of ``_unit_pieces`` summed over all 4-subsets: its
-    canonical-subset term divided once by V_S, then relabeled."""
+    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets.
+    On S = {1..4} the unit is a sum over the r-subsets I of S, each term a
+    relabeling of g / prod_(i <= r < j <= 4) (x_i - x_j), so it is one
+    ``_block_divided_difference`` of g.  Type 2, r = 3: the type 2 patterns
+    x_a x_b x_c (E_a + E_b + E_c) f / prod (x_. - x_excluded), so
+    g = x_1 x_2 x_3 (E_1 + E_2 + E_3) f.  Type 6, r = 2: for each pair
+    J = {i, j} with complement {p, q}, (4 (prod_J x^2) -
+    (prod_J x)(sum_J x)(sum_out x)) E_J f / prod_(u in J, v out) (x_u - x_v),
+    so g = (4 x_1 x_2 - (x_1 + x_2)(x_3 + x_4)) x_1 x_2 (E_1 + E_2) f.
+    E_J is the sum of the Euler operators of J."""
     if n < 4:
         return MultiPoly.zero(n, f.ring)
-    num = MultiPoly.zero(n, f.ring)
-    for ins, piece in _unit_pieces(tid):
-        ef = MultiPoly.zero(n, f.ring)
-        for v in ins:
-            ef = ef + f.euler(v)
-        if ef:
-            num = num + _pad(piece, n) * ef
-    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
+    x1, x2, x3, x4 = (MultiPoly.variable(v, n, f.ring) for v in range(1, 5))
+    if tid == 2:
+        r, g = 3, x1 * x2 * x3 * (f.euler(1) + f.euler(2) + f.euler(3))
+    else:
+        local = (x1 * x2).scale(4) - (x1 + x2) * (x3 + x4)
+        r, g = 2, local * x1 * x2 * (f.euler(1) + f.euler(2))
+    return _sum_over_subsets(_block_divided_difference(g, r, 4), 4)
 
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:

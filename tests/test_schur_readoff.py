@@ -1,19 +1,20 @@
-"""The Schur read-off against the division it replaces: the product of
-the two subset factors, then signed relabelings over all k-subsets, or
-the alternant sum of the Macdonald operator; then one exact division by
-the full Vandermonde product."""
+"""The Schur read-off and the block divided difference against the
+division they replace: the product of the two subset factors, then
+signed relabelings over all k-subsets, or the alternant sum of the
+Macdonald operator; then one exact division by the Vandermonde
+product."""
 
 from itertools import combinations, permutations
 
 import pytest
 
-from macdunkl import MultiPoly, Ring, monomial_symmetric, to_msym_coords
+from macdunkl import BetaPoly, MultiPoly, Ring, monomial_symmetric, to_msym_coords
 from macdunkl.errors import InexactDivisionError
 from macdunkl.multipoly import exact_div, kostka_table, partitions_of, partitions_upto, vandermonde
 from macdunkl import operators
 from macdunkl.operators import (
-    _alternate_over_subsets,
-    _Cofactor,
+    _block_divided_difference,
+    _cross_product,
     _subset_perm,
     _subset_sign,
     macdonald_scalar_part,
@@ -21,7 +22,6 @@ from macdunkl.operators import (
 from macdunkl.verify import typesums
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
-    _pad,
     _readoff_support,
     _support_cofactor,
     _SupportProduct,
@@ -31,28 +31,24 @@ from macdunkl.verify.typesums import (
 RQ = Ring.q()
 
 
-def alternate_by_division(g: MultiPoly, cof: MultiPoly, k: int) -> MultiPoly:
+def alternate_by_division(g: MultiPoly, cof: MultiPoly, k: int, width: int | None = None) -> MultiPoly:
+    """The signed relabelings of g * cof that send {1..k} onto each
+    k-subset of {1..width}, summed and divided exactly by the Vandermonde
+    product of {1..width}.  width defaults to all the variables; those
+    above it pass through."""
     n = g.n
+    width = n if width is None else width
     base = g * cof
     total = MultiPoly.zero(n, base.ring)
-    for subset in combinations(range(1, n + 1), k):
-        piece = base.permute_vars(_subset_perm(subset, n))
-        total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
-    return exact_div(total, vandermonde(n, base.ring))
+    for subset in combinations(range(1, width + 1), k):
+        piece = base.permute_vars(_subset_perm(subset, width) + tuple(range(width, n)))
+        total = total + (piece if _subset_sign(subset, width) == 1 else -piece)
+    return exact_div(total, vandermonde(n, base.ring, range(1, width + 1)))
 
 
-def _record_alternations(monkeypatch, module):
-    """Route module._alternate_over_subsets through the division oracle,
-    keeping every (g, cof) and both results."""
-    seen = []
-
-    def spy(g, cof):
-        got = _alternate_over_subsets(g, cof)
-        seen.append((g.n, cof.k, got, alternate_by_division(g, cof.poly, cof.k)))
-        return got
-
-    monkeypatch.setattr(module, "_alternate_over_subsets", spy)
-    return seen
+def _pad(f: MultiPoly, n: int) -> MultiPoly:
+    pad = (0,) * (n - f.n)
+    return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
 
 
 def test_type_numerators_match_division(monkeypatch):
@@ -115,41 +111,67 @@ def test_macdonald_jet_matches_division():
     assert checked == sum(n * (1 + len(partitions_upto(3, n))) for n in range(1, 5))
 
 
-def test_scalar_part_matches_division(monkeypatch):
-    seen = _record_alternations(monkeypatch, operators)
-    for n in range(1, 6):
+def test_scalar_part_matches_division():
+    """The scalar part against its kernel sum: V_r times the cross product
+    prod_(i <= r < j)(t x_i - x_j) times V_(r+1..n), alternated over the
+    r-subsets and divided by V_n."""
+    t = Ring.uni("t")
+    for n in range(1, 7):
         for r in range(1, n + 1):
-            macdonald_scalar_part(n, r)
-    assert len(seen) == 15
-    for n, k, got, want in seen:
-        assert got == want, (n, k)
+            head, tail = range(1, r + 1), range(r + 1, n + 1)
+            cof = _cross_product(n, t, head, BetaPoly.var()) * vandermonde(n, t, tail)
+            want = alternate_by_division(vandermonde(n, t, head), cof, r)
+            assert macdonald_scalar_part(n, r) == want, (n, r)
 
 
-def test_readoff_refuses_factors_that_break_their_contract():
-    n = 3
-    x1, x2, x3 = (MultiPoly.variable(i, n) for i in (1, 2, 3))
-    one = MultiPoly.const(n, 1)
-    # g must be antisymmetric in the head: x1^2 x2 is not, and the signed
-    # subset sum x1^2 x2 - x1^2 x3 + x2^2 x3 is not divisible by V_3
-    with pytest.raises(InexactDivisionError) as err:
-        _alternate_over_subsets(x1 * x1 * x2, _Cofactor(one, 2))
-    assert err.value.remainder == x1 * x1 * x2
+def _block_symmetric_samples(r: int, k: int, ring: Ring):
+    """Polynomials on k + 1 variables symmetric inside {1..r} and inside
+    {r+1..k}, x_(k+1) passive."""
+    n = k + 1
+    x = [MultiPoly.variable(i, n, ring) for i in range(1, n + 1)]
+    one = MultiPoly.const(n, 1, ring)
+    coeff = MultiPoly.const(n, BetaPoly.var() if ring.kind == "uni" else 3, ring)
+    zero = MultiPoly.zero(n, ring)
+    e1 = sum(x[:r], zero)
+    p2 = sum((v * v for v in x[r:k]), zero)
+    e2 = sum((u * v for u, v in combinations(x[r:k], 2)), zero)
+    return [
+        one,
+        (e1 * e1 + coeff) * (p2 + x[k]) * x[k],
+        (e1 * x[k] - one) * (e2 * e1 + p2 * coeff) + coeff,
+    ]
+
+
+@pytest.mark.parametrize("ring", [Ring.q(), Ring.uni("t")], ids=["q", "t"])
+def test_block_divided_difference_matches_division(ring):
+    """The helper against its kernel sum: g V_r V_(r+1..k), alternated over
+    the r-subsets of {1..k} and divided by V_k; empty blocks return g."""
+    checked = 0
+    for k in range(6):
+        for r in range(k + 1):
+            n = k + 1
+            cof = vandermonde(n, ring, range(1, r + 1)) * vandermonde(n, ring, range(r + 1, k + 1))
+            for g in _block_symmetric_samples(r, k, ring):
+                got = _block_divided_difference(g, r, k)
+                assert got == alternate_by_division(g, cof, r, k), (k, r, g)
+                if r in (0, k):
+                    assert got == g
+                checked += 1
+    assert checked == 3 * 21
+
+
+def test_block_divided_difference_refuses_non_block_symmetric():
+    n = 4
+    x1, x2, x3, x4 = (MultiPoly.variable(i, n) for i in (1, 2, 3, 4))
+    # x1^2 x2 is not symmetric inside the head {1, 2}, x2 not inside the
+    # tail {2, 3}, x1 x4 not inside the one block {1..4} of r = 0
+    for bad, r, k in ((x1 * x1 * x2, 2, 3), (x2, 1, 3), (x1 * x4, 0, 4), (x3, 2, 4)):
+        with pytest.raises(InexactDivisionError) as err:
+            _block_divided_difference(bad, r, k)
+        assert err.value.remainder == bad, (r, k)
+    # x1^2 x2 over (x1 - x3)(x2 - x3), alternated, is no polynomial
     with pytest.raises(InexactDivisionError):
-        alternate_by_division(x1 * x1 * x2, one, 2)
-    # symmetric inside {1, 2} instead of antisymmetric
-    with pytest.raises(InexactDivisionError):
-        _alternate_over_subsets(x1 + x2, _Cofactor(one, 2))
-    # g must be symmetric in the tail {2, 3}
-    with pytest.raises(InexactDivisionError) as err:
-        _alternate_over_subsets(x2, _Cofactor(x2 - x3, 1))
-    assert err.value.remainder == x2
-    # cof must be symmetric in the head {1, 2} and antisymmetric in the tail
-    with pytest.raises(InexactDivisionError) as err:
-        _Cofactor(x1, 2)
-    assert err.value.remainder == x1
-    with pytest.raises(InexactDivisionError) as err:
-        _Cofactor(x2 + x3, 1)
-    assert err.value.remainder == x2 + x3
+        alternate_by_division(x1 * x1 * x2, x1 - x2, 2, 3)
 
 
 def test_support_readoff_refuses_factors_that_break_their_contract():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -15,16 +16,18 @@ from macdunkl import (
     monomial_symmetric,
 )
 from macdunkl.multipoly import partitions_upto, vandermonde
+from macdunkl import operators
+from macdunkl.operators import _sum_over_subsets
 from macdunkl.verify import typesums
 from macdunkl.verify.identities import verify_identity
 from macdunkl.verify.typesums import (
     TYPE_SHAPE,
     _canonical_sums,
-    _pad,
     _pattern_piece,
     _patterns,
     _support_cofactor,
     _support_product,
+    _unit_sum,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -32,6 +35,11 @@ from macdunkl.verify.typesums import (
 )
 
 RQ = Ring.q()
+
+
+def _pad(f: MultiPoly, n: int) -> MultiPoly:
+    pad = (0,) * (n - f.n)
+    return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
 
 
 def test_type1_count_example():
@@ -218,18 +226,49 @@ def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
 
 
 @pytest.mark.parametrize("tid", [2, 6])
-def test_closed_units_divide_only_by_the_unit_vandermonde(tid, monkeypatch):
+def test_closed_units_divide_by_nothing(tid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed side must not divide")
+
+    monkeypatch.setattr(typesums, "exact_div", refuse)
+    monkeypatch.setattr(operators, "exact_div", refuse)
     n, r = 6, 3
-    divisors = []
-    div = typesums.exact_div
+    f = monomial_symmetric((2, 1), n)
+    assert type_sum_closed_apply(n, r, tid, f)
 
-    def recorded(num, den):
-        divisors.append(den)
-        return div(num, den)
 
-    monkeypatch.setattr(typesums, "exact_div", recorded)
-    type_sum_closed_apply(n, r, tid, monomial_symmetric((2, 1), n))
-    assert divisors == [vandermonde(n, RQ, (1, 2, 3, 4))]
+def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
+    """The per-4-subset unit as sum_J piece_J E_J f over the subset
+    Vandermonde V_S = V_(1234), divided exactly, then summed over all
+    4-subsets.  Type 2: the pieces of the type 2 patterns, J their in
+    indices.  Type 6: for each pair J = {i, j} with complement {p, q},
+    V_S / prod_(u in J, v out)(x_u - x_v) x_i x_j times
+    4 x_i x_j - (x_i + x_j)(x_p + x_q)."""
+    if tid == 2:
+        pieces = [(ins, _pattern_piece(4, pairs, exps)) for ins, _, pairs, exps in _patterns(2)]
+    else:
+        x = {v: MultiPoly.variable(v, 4, RQ) for v in range(1, 5)}
+        pieces = []
+        for i, j in combinations(range(1, 5), 2):
+            p, q = (v for v in range(1, 5) if v not in (i, j))
+            piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
+            local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
+            pieces.append(((i, j), piece * local))
+    num = MultiPoly.zero(n, RQ)
+    for ins, piece in pieces:
+        ef = MultiPoly.zero(n, RQ)
+        for v in ins:
+            ef = ef + f.euler(v)
+        num = num + _pad(piece, n) * ef
+    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
+
+
+@pytest.mark.parametrize("tid", [2, 6])
+def test_unit_sums_match_division_by_the_unit_vandermonde(tid):
+    for n in range(4, 8):
+        for lam in partitions_upto(3, n):
+            f = monomial_symmetric(lam, n)
+            assert _unit_sum(tid, n, f) == _unit_sum_by_division(tid, n, f), (n, lam)
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
