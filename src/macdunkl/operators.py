@@ -12,8 +12,9 @@ divided difference: r (k - r) steps d_(j,j+1) along a reduced word
 (``_block_divided_difference``).  The canonical-subset term of B_{k,l}
 is the block r = 1 of x_1^(k-1) (x_1 d_1)^l f, the scalar part of the
 Macdonald operator the block (r, n - r) of prod_(i <= r < j)(t x_i - x_j)
-with t symbolic, and the closed units of the type families
-(``verify.typesums``) the blocks (3, 1) and (2, 2) on four variables.
+with t symbolic, the raw type sums (``verify.typesums``) the block
+(1, m - 1) of q E_1 f, and their closed units the blocks (3, 1) and
+(2, 2) on four variables.
 The pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
 reflection-square term is A_1 A_1 (x_1 d_1 f).  The kernel operators and
 the power sum H_k = sum_i d_i^k need a symmetric argument f (checked):
@@ -39,8 +40,8 @@ reader alike.
 The Macdonald formula reads a_e / a_delta off in the Schur basis
 (a_(lam+delta) = a_delta s_lam) and turns it into monomial coordinates
 by a Kostka table, never dividing by the n!-term product.  The raw type
-sums (``verify.typesums``) reduce their subset sums to alternant
-coefficients of their own and convert them through the same function.
+sums (``verify.typesums``) read their pattern sums over V_(2..m) off
+alternant coefficients of their own through the same function.
 
 Subset sums exploit symmetry: for a symmetric argument f and an
 order-preserving variable relabeling s, the term attached to subset S

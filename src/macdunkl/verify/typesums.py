@@ -17,29 +17,22 @@ patterns with x_1 inside the subset side is antisymmetric in x_2..x_m,
 and by Macdonald (Symmetric Functions and Hall Polynomials, ch. I 3) it
 is fixed by its coefficients at strictly decreasing exponents of
 x_2..x_m.  Those are read off the representative's piece in one pass
-over its terms, and each is expanded once into its alternant.  The same
-orbit argument makes the sum over all patterns a constant multiple
+over its terms.  Over the Vandermonde product V_(2..m) of x_2..x_m each
+alternant is a Schur polynomial, so q = n_in[1] / V_(2..m) is a
+polynomial, symmetric in x_2..x_m and independent of f, read off in
+monomial coordinates by the read-off the Macdonald operator uses.  The
+same orbit argument makes the sum over all patterns a constant multiple
 c V_m, and the sum with x_u inside the relabeling of the x_1 one by the
 exchange K_1u of x_1 and x_u, with sign -1.
 
-Over the full Vandermonde product V_n the support's numerator is
-g cof, with g = g1 - sum_{u=2..m} K_1u g1, g1 = n_in[1] E_1 f, and the
-cofactor cof = V_n / V_m = prod_{i <= m < j} (x_i - x_j) times the
-Vandermonde product of {m+1..n}, symmetric inside the support and
-antisymmetric outside it.  Its sum over all supports is Alt(g cof) /
-(m! (n-m)!), Alt the signed sum over S_n.  As cof is symmetric inside
-the support, Alt(K_1u g1 cof) = -Alt(g1 cof), so Alt(g cof) =
-m Alt(g1 cof).  g1 cof = P E_1 f, with P = n_in[1] cof antisymmetric
-inside {2..m} and inside {m+1..n} and E_1 f symmetric inside both, so
-Alt(P E_1 f) is (m-1)! (n-m)! times sum_e [P E_1 f]_e a_e, e strictly
-decreasing inside both blocks.  The normalisations cancel: the support
-sum is exactly sum_e [P E_1 f]_e a_e / a_delta, read off in the Schur
-basis by the read-off the Macdonald operator uses.  P does not depend
-on f, and is never formed: its coefficients at block-decreasing
-exponents are computed on demand and kept per (n, type), and each
-coefficient of P E_1 f loops only over the terms of E_1 f.  The
-contracts are checked exactly (InexactDivisionError otherwise): n_in[1]
-once per (n, type), cof once when it is built, E_1 f on every call.
+The support's numerator over V_m is g = g1 - sum_{u=2..m} K_1u g1, with
+g1 = n_in[1] E_1 f.  V_m = V_(2..m) prod_(j=2..m)(x_1 - x_j) is
+antisymmetric, so g / V_m = sum_{u=1..m} K_1u (q E_1 f /
+prod_(j=2..m)(x_1 - x_j)), K_11 the identity: the block divided
+difference (1, m - 1) of q E_1 f, which checks that q E_1 f is symmetric
+in x_2..x_m (InexactDivisionError otherwise), summed over the supports
+by relabeling.  This is the shape of B_{k,l} with q in place of x_1^(k-1);
+for type 1, q = x_1^3 and the sum is B_{4,1} f.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -50,17 +43,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
-from operator import sub
-from typing import NamedTuple
 
 from ..errors import DomainError
-from ..multipoly import MultiPoly, Ring, exact_div, partitions_of, vandermonde
+from ..multipoly import MultiPoly, Ring, _distinct_permutations, exact_div, vandermonde
 from ..operators import (
     _block_divided_difference,
     _cross_product,
-    _from_coords,
     _readoff_coords,
-    _require_exchange_sign,
     _require_symmetric,
     _sum_over_subsets,
     b_op,
@@ -176,8 +165,9 @@ def _inversions(seq) -> int:
 
 def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
     """The sum of the pieces of the patterns that put x_1 on ``side`` (the
-    representative's in or out indices), given the representative's piece
-    and the order of its stabilizer in S_m.
+    representative's in or out indices), divided by the Vandermonde
+    product V_(2..m) of x_2..x_m, given the representative's piece and the
+    order of its stabilizer in S_m.
 
     Each such piece is sign(sigma) sigma(piece0) for the |stab| relabelings
     sigma that send a variable of ``side`` to 1, so the sum is antisymmetric
@@ -185,7 +175,9 @@ def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
     e_2..e_m, with a(...) the alternant in x_2..x_m.  A term c x^k and a
     position p of ``side`` give e = (k_p, the other entries of k sorted
     decreasing) through one sigma, and add sign(sigma) c / |stab| to C_e;
-    repeated other entries give no strictly decreasing e and are skipped."""
+    repeated other entries give no strictly decreasing e and are skipped.
+    Over V_(2..m) each alternant is a Schur polynomial, read off in
+    monomial coordinates with x_1's exponent riding as the aux slot."""
     m = piece0.n
     coeffs = {}
     for k, c in piece0.terms.items():
@@ -203,28 +195,27 @@ def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
             # exponent: ``order`` with p moved to the front by i transpositions
             e = (ek[i], *ek[:i], *ek[i + 1 :])
             coeffs[e] = coeffs.get(e, 0) + (-c if (odd + i) % 2 else c)
-    signed = [(perm, _inversions(perm) % 2) for perm in permutations(range(1, m))]
+    alternants = [(e[1:], {e[:1]: Fraction(c, stab)}) for e, c in coeffs.items() if c]
     out = {}
-    for e, c in coeffs.items():
-        if c:
-            c = qnorm(Fraction(c, stab))
-            for perm, odd in signed:
-                out[(e[0], *(e[i] for i in perm))] = -c if odd else c
+    for mu, by_first in _readoff_coords(alternants, m - 1).items():
+        for rest in _distinct_permutations(mu + (0,) * (m - 1 - len(mu))):
+            for first, c in by_first.items():
+                out[first + rest] = qnorm(c)
     return MultiPoly(m, RQ, out)
 
 
 @lru_cache(maxsize=None)
 def _canonical_sums(tid: int):
-    """(c, n_in1): the local pattern sums over the canonical support, as
-    polynomials on m variables over the support Vandermonde V_m.  n_in1
-    sums the patterns with x_1 inside the pattern's subset side, and c V_m
-    is the sum of all patterns.
+    """(c, q): the local pattern sums over the canonical support, as
+    polynomials on m variables.  q V_(2..m) sums the patterns with x_1
+    inside the pattern's subset side, and c V_m is the sum of all
+    patterns.
 
     The patterns form one S_m-orbit (checked exactly).  The sums over the
-    patterns with x_1 inside and outside are read off the representative's
-    piece (``_pattern_piece``) by ``_side_sum``.  Every pattern's support
-    is its ins and outs, so the full sum is their sum; it is antisymmetric
-    of the degree of V_m, and is checked exactly to be c V_m.
+    patterns with x_1 inside and outside, over V_(2..m), are read off the
+    representative's piece (``_pattern_piece``) by ``_side_sum``.  Every
+    pattern's support is its ins and outs, so the full sum over V_(2..m)
+    is their sum, and is checked exactly to be c prod_(j=2..m)(x_1 - x_j).
     """
     a, b = _shape(tid)
     m = a + b
@@ -246,135 +237,13 @@ def _canonical_sums(tid: int):
         raise AssertionError(f"type {tid} patterns are not one orbit of S_{m}")
     piece0 = _pattern_piece(m, pairs0, exps0)
     stab = factorial(m) // len(patterns)
-    in1 = _side_sum(piece0, ins0, stab)
-    total = in1 + _side_sum(piece0, outs0, stab)
-    vm = _pattern_piece(m, (), {})
-    c = total.terms.get(max(vm.terms), 0)  # the leading coefficient of V_m is 1
-    if total != vm.scale(c):
+    q_in = _side_sum(piece0, ins0, stab)
+    total = q_in + _side_sum(piece0, outs0, stab)
+    cross = _cross_product(m, RQ, (1,), 1)
+    c = total.terms.get(max(cross.terms), 0)  # the leading coefficient of cross is 1
+    if total != cross.scale(c):
         raise AssertionError(f"type {tid} pattern sum is not a multiple of V_{m}")
-    return c, in1
-
-
-class _SupportCofactor(NamedTuple):
-    """V_n / V_m and its terms indexed by tail exponent:
-    by_tail[key[m:]][key[:m]] is the coefficient at key."""
-
-    poly: MultiPoly
-    by_tail: dict
-
-
-@lru_cache(maxsize=None)
-def _support_cofactor(n: int, m: int) -> _SupportCofactor:
-    """V_n / V_m = prod_{i <= m < j} (x_i - x_j) times the Vandermonde
-    product of {m+1..n}: puts a pattern sum over the support Vandermonde
-    of {1..m} over the full one.  Checked once to be symmetric inside the
-    support and antisymmetric outside it."""
-    support, rest = tuple(range(1, m + 1)), range(m + 1, n + 1)
-    poly = _cross_product(n, RQ, support, 1) * vandermonde(n, RQ, rest)
-    _require_exchange_sign(poly, range(m - 1), 1, "support cofactor")
-    _require_exchange_sign(poly, range(m, n - 1), -1, "support cofactor")
-    by_tail = {}
-    for key, c in poly.terms.items():
-        by_tail.setdefault(key[m:], {})[key[:m]] = c
-    return _SupportCofactor(poly, by_tail)
-
-
-class _SupportProduct:
-    """P = n_in[1] cof on n variables, cof = V_n / V_m, never formed.
-
-    n_in[1] (on the m support variables) is checked once to be
-    antisymmetric in x_2..x_m, so P is antisymmetric inside {2..m} and
-    inside {m+1..n}.  ``memo`` keeps its coefficients at the exponents
-    strictly decreasing inside both blocks, each computed on first use as
-    sum_y n_in[1]_y cof_(z - y): y has no tail, so only the cofactor's
-    terms with the tail of z take part."""
-
-    __slots__ = ("n", "m", "in1", "cof", "degree", "memo")
-
-    def __init__(self, in1: MultiPoly, cof: _SupportCofactor):
-        m = in1.n
-        _require_exchange_sign(in1, range(1, m - 1), -1, "support sum n_in[1]")
-        self.n, self.m = cof.poly.n, m
-        self.in1, self.cof = in1, cof
-        self.degree = in1.total_degree() + cof.poly.total_degree()
-        self.memo = {}
-
-    def coeff(self, z):
-        """[P]_z at a block-decreasing z."""
-        c = self.memo.get(z)
-        if c is None:
-            m = self.m
-            head = z[:m]
-            # the convolution loops over the smaller factor
-            small = self.in1.terms
-            large = self.cof.by_tail.get(z[m:], {})
-            if len(large) < len(small):
-                small, large = large, small
-            c = 0
-            for y, cy in small.items():
-                other = large.get(tuple(map(sub, head, y)))
-                if other:
-                    c += cy * other
-            self.memo[z] = c
-        return c
-
-
-@lru_cache(maxsize=None)
-def _support_product(n: int, tid: int) -> _SupportProduct:
-    """P of the type's support at n variables, with its memo."""
-    return _SupportProduct(_canonical_sums(tid)[1], _support_cofactor(n, sum(_shape(tid))))
-
-
-@lru_cache(maxsize=None)
-def _decreasing(block):
-    """(block sorted decreasing, parity of that sort), or None when block
-    repeats an entry or has a negative one."""
-    odd = 0
-    for i, v in enumerate(block):
-        if v < 0:
-            return None
-        for w in block[i + 1 :]:
-            if v < w:
-                odd ^= 1
-            elif v == w:
-                return None
-    return tuple(sorted(block, reverse=True)), odd
-
-
-def _readoff_support(prod: _SupportProduct, e1f: MultiPoly) -> MultiPoly:
-    """sum_e [P E_1 f]_e a_e / a_delta over the e strictly decreasing inside
-    {2..m} and inside {m+1..n}: the support sum of the module docstring,
-    in the Schur basis.  E_1 f must be symmetric inside both blocks (else
-    InexactDivisionError carrying it).  For each lam of the product's
-    weight and each split of lam + delta into a head of m - 1 entries, a
-    first entry and a tail, the coefficient is sum_x [E_1 f]_x P_(e-x),
-    with P_(e-x) read at the block-sorted key and signed by the sort.  The
-    head's sort depends only on (head, x), so it is shared by every
-    first entry."""
-    n, m = prod.n, prod.m
-    _require_exchange_sign(e1f, [*range(1, m - 1), *range(m, n - 1)], 1, "E_1 f")
-    split = [(x[0], x[1:m], x[m:], c) for x, c in e1f.terms.items()]
-    alternants = []
-    weight = prod.degree + e1f.total_degree() - n * (n - 1) // 2
-    for lam in partitions_of(weight, n) if split else ():
-        alpha = [p + n - 1 - i for i, p in enumerate(lam + (0,) * (n - len(lam)))]
-        for head in combinations(alpha, m - 1):
-            rest = [v for v in alpha if v not in head]
-            firsts = [(first, rest[:j] + rest[j + 1 :]) for j, first in enumerate(rest)]
-            coeffs = [0] * len(firsts)
-            for x0, xh, xt, cx in split:
-                head_z = _decreasing(tuple(map(sub, head, xh)))
-                if head_z is None:
-                    continue
-                for j, (first, tail) in enumerate(firsts):
-                    tail_z = first >= x0 and _decreasing(tuple(map(sub, tail, xt)))
-                    if tail_z:
-                        c = prod.coeff((first - x0, *head_z[0], *tail_z[0]))
-                        coeffs[j] += -cx * c if head_z[1] ^ tail_z[1] else cx * c
-            for (first, tail), c in zip(firsts, coeffs):
-                if c:
-                    alternants.append(((first, *head, *tail), {(): c}))
-    return _from_coords(_readoff_coords(alternants, n), n, RQ)
+    return c, q_in
 
 
 def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
@@ -383,17 +252,20 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     # subsets holding a pattern; both are 0 when no subset holds one
     ca = binom(n - m, r - a)
     cb = binom(n - m - 1, r - a - 1)
-    c = _canonical_sums(tid)[0]
+    c, q = _canonical_sums(tid)
     # The support numerator is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f
     # + cb d c V_m f, for f symmetric and homogeneous of degree d.  With
     # n_in[u] + n_out[u] = c V_m, n_in[u] = -K_1u n_in[1] and, f being
     # symmetric, E_u f = K_1u E_1 f, it is ca (g1 - sum_{u>1} K_1u g1) with
-    # g1 = n_in[1] E_1 f, whose support sum is read off P E_1 f, plus
-    # cb c V_m (E - E_S) f.  The subset sum of the latter is
+    # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  Over V_m the first is
+    # the block (1, m - 1) of q E_1 f; the subset sum of the latter is
     # cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
     out = f.scale(cb * c * f.total_degree() * binom(n - 1, m))
     if ca:
-        out = out + _readoff_support(_support_product(n, tid), f.euler(1)).scale(ca)
+        pad = (0,) * (n - m)
+        q = MultiPoly(n, RQ, {k + pad: v for k, v in q.terms.items()})
+        unit = _block_divided_difference(q * f.euler(1), 1, m)
+        out = out + _sum_over_subsets(unit, m).scale(ca)
     return out
 
 
@@ -512,8 +384,9 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         c = Fraction(r * (r**2 - 1) * (r**2 - 4), 12) * binom(n - 1, r + 2)
         return out + l1(f).scale(c)
     if tid == 4:
-        out = b21(f).scale(Fraction(r * (r - 1) * (r - 2), 6) * binom(n - 2, r))
-        mix = b21(f).scale(n - 2) - b31(f)
+        b21f = b21(f)
+        out = b21f.scale(Fraction(r * (r - 1) * (r - 2), 6) * binom(n - 2, r))
+        mix = b21f.scale(n - 2) - b31(f)
         out = out + mix.scale(Fraction((r - 1) * (r - 2), 2) * binom(n - 3, r - 1))
         c = Fraction((r + 1) * r * (r - 1) * (r - 2) * (r - 3), 12) * binom(n - 1, r + 1)
         return out + l1(f).scale(c)

@@ -20,13 +20,7 @@ from macdunkl.operators import (
     macdonald_scalar_part,
 )
 from macdunkl.verify import typesums
-from macdunkl.verify.typesums import (
-    TYPE_SHAPE,
-    _readoff_support,
-    _support_cofactor,
-    _SupportProduct,
-    type_sum_raw_apply,
-)
+from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 
 RQ = Ring.q()
 
@@ -46,36 +40,35 @@ def alternate_by_division(g: MultiPoly, cof: MultiPoly, k: int, width: int | Non
     return exact_div(total, vandermonde(n, base.ring, range(1, width + 1)))
 
 
-def _pad(f: MultiPoly, n: int) -> MultiPoly:
-    pad = (0,) * (n - f.n)
-    return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
-
-
 def test_type_numerators_match_division(monkeypatch):
-    """Each support read-off of P E_1 f against the numerator it stands
-    for: g cof with g = g1 - sum_(u=2..m) K_1u g1 and g1 = n_in[1] E_1 f,
-    summed with signs over all m-subsets and divided exactly by V_n."""
+    """Each support step of the raw type sum, the block (1, m - 1) of
+    q E_1 f summed over all m-subsets, against the numerator it stands
+    for: g cof with g = g1 - sum_(u=2..m) K_1u g1, g1 = n_in[1] E_1 f,
+    n_in[1] = q V_(2..m) and cof = V_n / V_m, summed with signs over all
+    m-subsets and divided exactly by V_n."""
     seen = []
-    readoff = typesums._readoff_support
+    block = typesums._block_divided_difference
 
-    def spy(prod, e1f):
-        got = readoff(prod, e1f)
-        g1 = _pad(prod.in1, prod.n) * e1f
+    def spy(h, r, k):
+        got = block(h, r, k)
+        n = h.n
+        g1 = h * vandermonde(n, RQ, range(2, k + 1))
         g = g1
-        for u in range(2, prod.m + 1):
+        for u in range(2, k + 1):
             g = g - g1.swap(1, u)
-        seen.append((prod.n, prod.m, got, alternate_by_division(g, prod.cof.poly, prod.m)))
+        cof = exact_div(vandermonde(n, RQ), vandermonde(n, RQ, range(1, k + 1)))
+        seen.append((n, k, r, operators._sum_over_subsets(got, k), alternate_by_division(g, cof, k)))
         return got
 
-    monkeypatch.setattr(typesums, "_readoff_support", spy)
+    monkeypatch.setattr(typesums, "_block_divided_difference", spy)
     for n in (4, 5, 6):
         for r in range(1, n + 1):
             for tid in TYPE_SHAPE:
                 for lam in partitions_upto(3, n):
                     type_sum_raw_apply(n, r, tid, monomial_symmetric(lam, n))
     assert len(seen) > 100
-    for n, k, got, want in seen:
-        assert got == want, (n, k)
+    for n, k, r, got, want in seen:
+        assert r == 1 and got == want, (n, k)
 
 
 def test_macdonald_jet_matches_division():
@@ -164,7 +157,8 @@ def test_block_divided_difference_refuses_non_block_symmetric():
     n = 4
     x1, x2, x3, x4 = (MultiPoly.variable(i, n) for i in (1, 2, 3, 4))
     # x1^2 x2 is not symmetric inside the head {1, 2}, x2 not inside the
-    # tail {2, 3}, x1 x4 not inside the one block {1..4} of r = 0
+    # tail {2, 3} (the block shape r = 1 of B_{k,l} and of the raw type
+    # sums' q E_1 f), x1 x4 not inside the one block {1..4} of r = 0
     for bad, r, k in ((x1 * x1 * x2, 2, 3), (x2, 1, 3), (x1 * x4, 0, 4), (x3, 2, 4)):
         with pytest.raises(InexactDivisionError) as err:
             _block_divided_difference(bad, r, k)
@@ -172,25 +166,6 @@ def test_block_divided_difference_refuses_non_block_symmetric():
     # x1^2 x2 over (x1 - x3)(x2 - x3), alternated, is no polynomial
     with pytest.raises(InexactDivisionError):
         alternate_by_division(x1 * x1 * x2, x1 - x2, 2, 3)
-
-
-def test_support_readoff_refuses_factors_that_break_their_contract():
-    n, m = 6, 4
-    x1, x2, x5, x6 = (MultiPoly.variable(i, n) for i in (1, 2, 5, 6))
-    prod = typesums._support_product(n, 1)
-    # E_1 f must be symmetric inside {2..m} (x1 x2 is not) and inside
-    # {m+1..n} (x1 x5^2 x6 is not)
-    for bad in (x1 * x2, x1 * x5 * x5 * x6):
-        with pytest.raises(InexactDivisionError) as err:
-            _readoff_support(prod, bad)
-        assert err.value.remainder == bad
-    # n_in[1] must be antisymmetric in x_2..x_m
-    cof = _support_cofactor(n, m)
-    y2, y3 = (MultiPoly.variable(i, m) for i in (2, 3))
-    for bad in (y2, y2 + y3):
-        with pytest.raises(InexactDivisionError) as err:
-            _SupportProduct(bad, cof)
-        assert err.value.remainder == bad
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -25,8 +25,6 @@ from macdunkl.verify.typesums import (
     _canonical_sums,
     _pattern_piece,
     _patterns,
-    _support_cofactor,
-    _support_product,
     _unit_sum,
     type_sum_closed_apply,
     type_sum_raw_apply,
@@ -156,12 +154,19 @@ def _full_sum_factor(total, m):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_orbit_sums_match_per_pattern_division(tid):
-    """(c, n_in[1]) is the oracle's (total / V_m, n_in[1]), and the oracle's
-    sums obey the relabeling law the raw path relies on: n_in[u] and
-    n_out[u] are -K_1u of the u = 1 sums."""
+    """(c, q) is the oracle's (total / V_m, n_in[1] / V_(2..m)), q is
+    symmetric in x_2..x_m (x_1^3 for type 1, the numerator of B_{4,1}),
+    and the oracle's sums obey the relabeling law the raw path relies on:
+    n_in[u] and n_out[u] are -K_1u of the u = 1 sums."""
     m = sum(TYPE_SHAPE[tid])
     total, n_in, n_out = _canonical_sums_per_pattern(tid)
-    assert _canonical_sums(tid) == (_full_sum_factor(total, m), n_in[1])
+    c, q = _canonical_sums(tid)
+    assert c == _full_sum_factor(total, m)
+    assert q * vandermonde(m, RQ, range(2, m + 1)) == n_in[1]
+    for j in range(2, m):
+        assert q.swap(j, j + 1) == q, j
+    if tid == 1:
+        assert q == MultiPoly.monomial((3, 0, 0, 0), m, RQ)
     for u in range(2, m + 1):
         assert n_in[u] == -n_in[1].swap(1, u), u
         assert n_out[u] == -n_out[1].swap(1, u), u
@@ -174,8 +179,8 @@ def test_canonical_sums_divide_by_nothing(tid, monkeypatch):
 
     monkeypatch.setattr(typesums, "exact_div", refuse)
     monkeypatch.setattr(typesums, "vandermonde", refuse)
-    c, in1 = _canonical_sums.__wrapped__(tid)
-    assert c and in1
+    c, q = _canonical_sums.__wrapped__(tid)
+    assert c and q
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
@@ -205,13 +210,13 @@ def test_canonical_sums_structure(tid):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
-    """Warm, the raw path multiplies nothing: each homogeneous part with a
-    subset count ca = binom(n - m, r - a) != 0 reads the one product
-    P E_1 f off P's memoized coefficients and the terms of E_1 f."""
+    """Warm, the raw path multiplies once per homogeneous part with a
+    subset count ca = binom(n - m, r - a) != 0: the one product q E_1 f
+    that its two kernels divide and relabel."""
     n, r = 6, 3
     a, b = TYPE_SHAPE[tid]
     assert binom(n - a - b, r - a)
-    f = monomial_symmetric((2, 1), n)
+    f = monomial_symmetric((2, 1), n) + monomial_symmetric((1,), n)
     type_sum_raw_apply(n, r, tid, f)
     calls = []
     mul = MultiPoly.__mul__
@@ -222,7 +227,7 @@ def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     type_sum_raw_apply(n, r, tid, f)
-    assert len(calls) == 0
+    assert len(calls) == len(f.homogeneous_parts()) == 2
 
 
 @pytest.mark.parametrize("tid", [2, 6])
@@ -235,6 +240,22 @@ def test_closed_units_divide_by_nothing(tid, monkeypatch):
     n, r = 6, 3
     f = monomial_symmetric((2, 1), n)
     assert type_sum_closed_apply(n, r, tid, f)
+
+
+@pytest.mark.parametrize("tid, calls", [(1, 1), (2, 0), (3, 2), (4, 2), (5, 1), (6, 0)])
+def test_closed_side_applies_each_kernel_operator_once(tid, calls, monkeypatch):
+    """Each B_{k,l} that a closed form names is applied to f once: type 4
+    reuses its one B_{2,1} f in both of its terms."""
+    seen = []
+    apply = operators.b_op_apply
+
+    def counted(k, l, f):
+        seen.append((k, l))
+        return apply(k, l, f)
+
+    monkeypatch.setattr(operators, "b_op_apply", counted)
+    type_sum_closed_apply(6, 3, tid, monomial_symmetric((2, 1), 6))
+    assert len(seen) == len(set(seen)) == calls, seen
 
 
 def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
@@ -278,6 +299,14 @@ def test_raw_equals_closed_at_8_4_degree2(tid):
     assert v.passed, v.residual
 
 
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_raw_equals_closed_at_9_4_and_10_5_degree2(tid):
+    """The type families at n > 8: (n, r) = (9, 4) and (10, 5), degree 2."""
+    for n, r in ((9, 4), (10, 5)):
+        v = verify_identity(f"type{tid}_matches", n=n, r=r, degree=2)
+        assert v.passed, (n, r, v.residual)
+
+
 @pytest.mark.parametrize("tid", [0, 7])
 def test_unknown_type_ids_are_refused(tid):
     f = monomial_symmetric((1,), 6)
@@ -288,33 +317,6 @@ def test_unknown_type_ids_are_refused(tid):
     for apply in (type_sum_raw_apply, type_sum_raw_literal, type_sum_closed_apply):
         with pytest.raises(DomainError, match=f"unknown type id {tid}"):
             apply(6, 3, tid, f)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_support_cofactor_is_vandermonde_quotient(n):
-    for m in range(1, n + 1):
-        want = exact_div(vandermonde(n, RQ), _pad(vandermonde(m, RQ), n))
-        assert _support_cofactor(n, m).poly == want, (n, m)
-
-
-@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
-def test_support_product_memo_matches_full_product(tid):
-    """Every memoized coefficient of P = n_in[1] V_n / V_m is the
-    coefficient of the formed product at the same key, and every key is
-    strictly decreasing inside {2..m} and inside {m+1..n}."""
-    a, b = TYPE_SHAPE[tid]
-    m = a + b
-    _, in1 = _canonical_sums(tid)
-    for n in range(m, 8):
-        for lam in partitions_upto(2, n):
-            type_sum_raw_apply(n, a, tid, monomial_symmetric(lam, n))
-        memo = _support_product(n, tid).memo
-        assert memo, n
-        full = (_pad(in1, n) * _support_cofactor(n, m).poly).terms
-        for z, c in memo.items():
-            for block in (z[1:m], z[m:]):
-                assert all(u > v for u, v in zip(block, block[1:])), (n, z)
-            assert c == full.get(z, 0), (n, z)
 
 
 @pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply])
