@@ -18,8 +18,7 @@ with t symbolic, the raw type sums (``verify.typesums``) the block
 The pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
 reflection-square term is A_1 A_1 (x_1 d_1 f).  The kernel operators and
 the power sum H_k = sum_i d_i^k need a symmetric argument f (checked):
-then the term of index i (or subset S) is a relabeling of the canonical
-one.
+then each sum over indices i (or subsets S) symmetrizes one term.
 
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
@@ -43,11 +42,10 @@ by a Kostka table, never dividing by the n!-term product.  The raw type
 sums (``verify.typesums``) read their pattern sums over V_(2..m) off
 alternant coefficients of their own through the same function.
 
-Subset sums exploit symmetry: for a symmetric argument f and an
-order-preserving variable relabeling s, the term attached to subset S
-equals the relabeling under s of the term attached to the canonical
-subset {1..k}.  Each operator therefore evaluates one canonical term and
-replicates it across subsets.  Literal evaluations are kept (functions
+Subset sums exploit symmetry: for a symmetric argument f the term of
+the subset S is the order-preserving relabeling of the term of {1..k},
+so each operator evaluates one canonical term and symmetrizes it once
+(``_sum_over_subsets``).  Literal evaluations are kept (functions
 with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
 or by exact division, the only callers of ``exact_div`` here) and the
 tests compare each with its fast path.
@@ -72,6 +70,7 @@ from .multipoly import (
     MultiPoly,
     Ring,
     _distinct_permutations,
+    _orbit_size,
     _require_partition,
     exact_div,
     kostka_table,
@@ -82,7 +81,7 @@ from .multipoly import (
     to_msym_coords,
     vandermonde,
 )
-from .rings import BetaPoly, HJet, exp_sum_slice, qnorm, rational_value, render_scalar
+from .rings import BetaPoly, HJet, binom, exp_sum_slice, qnorm, rational_value, render_scalar
 
 
 # -- operators ----------------------------------------------------------
@@ -104,25 +103,12 @@ class LinearOperator:
         return self.fn(f)
 
 
-# -- relabeling helpers ------------------------------------------------
-
-
-def _subset_perm(subset, n: int):
-    """Permutation sending 1..k onto the subset and the rest onto its
-    complement, both order-preserving.  Entry p[i] is the 0-based new
-    position of old variable i+1."""
-    comp = [v for v in range(1, n + 1) if v not in subset]
-    perm = [0] * n
-    for i, v in enumerate(subset):
-        perm[i] = v - 1
-    for i, v in enumerate(comp):
-        perm[len(subset) + i] = v - 1
-    return tuple(perm)
+# -- subset sums ----------------------------------------------------------
 
 
 def _subset_sign(subset, n: int) -> int:
-    """Sign of ``_subset_perm(subset, n)``: the parity of the pairs v > w
-    with v in the subset and w outside it."""
+    """Sign of the order-preserving relabeling of {1..k} onto the subset:
+    the parity of the pairs v > w with v in the subset and w outside it."""
     inv = 0
     sset = set(subset)
     for i in subset:
@@ -131,15 +117,28 @@ def _subset_sign(subset, n: int) -> int:
 
 
 def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
-    """Sum of the relabelings of the canonical-subset term unit over all
-    k-subsets."""
+    """sum over the k-subsets S of {1..n} of sigma_S u (u = unit), sigma_S
+    the order-preserving relabeling of {1..k} onto S and of {k+1..n} onto
+    its complement.  u must be symmetric inside {1..k} and inside {k+1..n}
+    (else InexactDivisionError carrying u), so sigma_S u is the mean of u's
+    relabelings over the coset sigma_S (S_k x S_(n-k)), and
+    sum_S sigma_S u = binom(n, k) Sym(u), Sym(u) the mean over S_n.  The
+    m_lam coordinate of Sym(u) is the mean of u's coefficients over the
+    S_n orbit of lam: one pass sums them per orbit and aux slots."""
     n = unit.n
-    subsets = combinations(range(1, n + 1), k)
-    # the first subset is the canonical one: its relabeling is the identity
-    out = unit if next(subsets, None) is not None else MultiPoly.zero(n, unit.ring)
-    for subset in subsets:
-        out = out + unit.permute_vars(_subset_perm(subset, n))
-    return out
+    if k > n:
+        return MultiPoly.zero(n, unit.ring)
+    _require_exchange_sign(unit, [*range(k - 1), *range(k, n - 1)], 1, "subset-sum unit")
+    sums = {}
+    for key, c in unit.terms.items():
+        row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
+        row[key[n:]] = row.get(key[n:], 0) + c
+    count = binom(n, k)
+    coords = {
+        lam: {aux: Fraction(c * count, _orbit_size(lam)) for aux, c in row.items() if c}
+        for lam, row in sums.items()
+    }
+    return _from_coords(coords, n, unit.ring)
 
 
 def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
@@ -361,8 +360,8 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
     """H_k = sum_i d_i^k on symmetric f.  d_i = K_1i d_1 K_1i and
-    K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1 and its
-    relabelings."""
+    K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1, symmetrized
+    once."""
     if k < 1:
         raise DomainError("h_op needs k >= 1")
     _require_symmetric(f, f"H[{k}]")
@@ -397,8 +396,8 @@ def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
     x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t) on symmetric f.
     The term of S = {1..k} is the divided difference
     d_(k-1,k) ... d_23 d_12 (x_1^(k-1) (x_1 d_1)^l f), since
-    (x_s d_s)^l f = K_1s (x_1 d_1)^l f; it is replicated over all
-    k-subsets by relabeling."""
+    (x_s d_s)^l f = K_1s (x_1 d_1)^l f; its sum over all k-subsets is one
+    symmetrization."""
     if k < 1 or l < 0:
         raise DomainError("b_op needs k >= 1 and l >= 0")
     n = f.n

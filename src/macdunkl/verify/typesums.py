@@ -10,29 +10,32 @@ collapses to pattern sums that are local to m = a + b variables.  Those
 local sums are computed once on the canonical support {1..m}, over its
 Vandermonde product V_m, and nothing is divided.  A pattern's piece
 V_m / den * mono is the signed product of the factors x_i - x_j of V_m
-that den leaves over.  The patterns form one orbit of the support's
-permutations, and the piece of a pattern relabeled by sigma is
-sign(sigma) times the relabeled piece.  So the sum n_in[1] over the
-patterns with x_1 inside the subset side is antisymmetric in x_2..x_m,
-and by Macdonald (Symmetric Functions and Hall Polynomials, ch. I 3) it
-is fixed by its coefficients at strictly decreasing exponents of
-x_2..x_m.  Those are read off the representative's piece in one pass
-over its terms.  Over the Vandermonde product V_(2..m) of x_2..x_m each
-alternant is a Schur polynomial, so q = n_in[1] / V_(2..m) is a
-polynomial, symmetric in x_2..x_m and independent of f, read off in
-monomial coordinates by the read-off the Macdonald operator uses.  The
-same orbit argument makes the sum over all patterns a constant multiple
-c V_m, and the sum with x_u inside the relabeling of the x_1 one by the
-exchange K_1u of x_1 and x_u, with sign -1.
+that den leaves over.  A type's patterns are the orbit of one
+representative (``TYPE_PATTERN``) under the support's permutations, and
+the piece of a pattern relabeled by sigma is sign(sigma) times the
+relabeled piece.  So the sum n_in[1] over the patterns with x_1 inside
+the subset side is antisymmetric in x_2..x_m, and by Macdonald
+(Symmetric Functions and Hall Polynomials, ch. I 3) it is fixed by its
+coefficients at strictly decreasing exponents of x_2..x_m.  Those are
+read off the representative's piece in one pass over its terms.  Over
+the Vandermonde product V_(2..m) of x_2..x_m each alternant is a Schur
+polynomial, so q = n_in[1] / V_(2..m) is a polynomial, symmetric in
+x_2..x_m and independent of f, read off in monomial coordinates by the
+read-off the Macdonald operator uses.  The same orbit argument makes the
+sum over all patterns a constant multiple c V_m, and the sum with x_u
+inside the relabeling of the x_1 one by the exchange K_1u of x_1 and
+x_u, with sign -1.
 
 The support's numerator over V_m is g = g1 - sum_{u=2..m} K_1u g1, with
 g1 = n_in[1] E_1 f.  V_m = V_(2..m) prod_(j=2..m)(x_1 - x_j) is
 antisymmetric, so g / V_m = sum_{u=1..m} K_1u (q E_1 f /
 prod_(j=2..m)(x_1 - x_j)), K_11 the identity: the block divided
 difference (1, m - 1) of q E_1 f, which checks that q E_1 f is symmetric
-in x_2..x_m (InexactDivisionError otherwise), summed over the supports
-by relabeling.  This is the shape of B_{k,l} with q in place of x_1^(k-1);
-for type 1, q = x_1^3 and the sum is B_{4,1} f.
+in x_2..x_m (InexactDivisionError otherwise).  That unit is symmetric
+inside {1..m} and inside {m+1..n}, so its sum over the supports is
+binom(n, m) times its symmetrization (``_sum_over_subsets``).  This is
+the shape of B_{k,l} with q in place of x_1^(k-1); for type 1, q = x_1^3
+and the sum is B_{4,1} f.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -59,8 +62,19 @@ from ..rings import binom, qnorm
 
 RQ = Ring.q()
 
+# one representative (in indices, out indices, denominator pairs (i, p),
+# numerator exponents {v: e}) per type on the support {1..m}
+TYPE_PATTERN = {
+    1: ((1,), (2, 3, 4), ((1, 2), (1, 3), (1, 4)), {1: 3}),
+    2: ((2, 3, 4), (1,), ((2, 1), (3, 1), (4, 1)), {2: 1, 3: 1, 4: 1}),
+    3: ((1, 2), (3, 4, 5), ((1, 3), (1, 4), (2, 5)), {1: 2, 2: 1}),
+    4: ((1, 2, 3), (4, 5), ((1, 4), (2, 4), (3, 5)), {1: 1, 2: 1, 3: 1}),
+    5: ((1, 2, 3), (4, 5, 6), ((1, 4), (2, 5), (3, 6)), {1: 1, 2: 1, 3: 1}),
+    6: ((1, 2), (3, 4), ((1, 3), (1, 4), (2, 3)), {1: 2, 2: 1}),
+}
+
 # (in indices, out indices) per type
-TYPE_SHAPE = {1: (1, 3), 2: (3, 1), 3: (2, 3), 4: (3, 2), 5: (3, 3), 6: (2, 2)}
+TYPE_SHAPE = {tid: (len(ins), len(outs)) for tid, (ins, outs, _, _) in TYPE_PATTERN.items()}
 
 
 def _shape(tid: int):
@@ -71,58 +85,23 @@ def _shape(tid: int):
 
 
 def _patterns(tid: int):
-    """Canonical patterns on support {1..a+b}: (in_set, out_set, denominator
-    pairs, numerator exponents)."""
-    a, b = _shape(tid)
-    m = a + b
-    sup = tuple(range(1, m + 1))
-    out = []
-    if tid == 1:
-        for i in sup:
-            rest = tuple(v for v in sup if v != i)
-            out.append(((i,), rest, tuple((i, p) for p in rest), {i: 3}))
-    elif tid == 2:
-        for p in sup:
-            ins = tuple(v for v in sup if v != p)
-            out.append((ins, (p,), tuple((i, p) for i in ins), {i: 1 for i in ins}))
-    elif tid == 3:
-        for i in sup:
-            for j in sup:
-                if j == i:
-                    continue
-                rest = [v for v in sup if v not in (i, j)]
-                for p, q in combinations(rest, 2):
-                    (s,) = [v for v in rest if v not in (p, q)]
-                    out.append(
-                        ((i, j), (p, q, s), ((i, p), (i, q), (j, s)), {i: 2, j: 1})
-                    )
-    elif tid == 4:
-        for i, j in combinations(sup, 2):
-            rest = [v for v in sup if v not in (i, j)]
-            for k in rest:
-                for p in rest:
-                    if p == k:
-                        continue
-                    (q,) = [v for v in rest if v not in (k, p)]
-                    out.append(
-                        ((i, j, k), (p, q), ((i, p), (j, p), (k, q)), {i: 1, j: 1, k: 1})
-                    )
-    elif tid == 5:
-        for ins in combinations(sup, 3):
-            outs = [v for v in sup if v not in ins]
-            for assign in permutations(outs):
-                pairs = tuple((ins[t], assign[t]) for t in range(3))
-                out.append((ins, tuple(assign), pairs, {v: 1 for v in ins}))
-    else:  # type 6
-        for i in sup:
-            for j in sup:
-                if j == i:
-                    continue
-                rest = [v for v in sup if v not in (i, j)]
-                for p in rest:
-                    (q,) = [v for v in rest if v != p]
-                    out.append(((i, j), (p, q), ((i, p), (i, q), (j, p)), {i: 2, j: 1}))
-    return out
+    """The patterns of a type on the support {1..a+b}, as (in_set, out_set,
+    denominator pairs, numerator exponents): the distinct images of its
+    representative under the permutations of the support, the
+    representative first."""
+    m = sum(_shape(tid))
+    ins, outs, pairs, exps = TYPE_PATTERN[tid]
+    orbit = {}
+    for sigma in permutations(range(1, m + 1)):  # the identity first
+        s = (0,) + sigma  # s[v] is the image of v
+        image = (
+            tuple(s[v] for v in ins),
+            tuple(s[v] for v in outs),
+            tuple((s[i], s[p]) for i, p in pairs),
+            {s[v]: e for v, e in exps.items()},
+        )
+        orbit.setdefault(_pattern_key(*image), image)
+    return tuple(orbit.values())
 
 
 def type_term_count(n: int, r: int, tid: int) -> int:
@@ -211,32 +190,17 @@ def _canonical_sums(tid: int):
     inside the pattern's subset side, and c V_m is the sum of all
     patterns.
 
-    The patterns form one S_m-orbit (checked exactly).  The sums over the
-    patterns with x_1 inside and outside, over V_(2..m), are read off the
-    representative's piece (``_pattern_piece``) by ``_side_sum``.  Every
-    pattern's support is its ins and outs, so the full sum over V_(2..m)
-    is their sum, and is checked exactly to be c prod_(j=2..m)(x_1 - x_j).
+    The patterns are the S_m orbit of the representative (``_patterns``).
+    The sums over the patterns with x_1 inside and outside, over
+    V_(2..m), are read off the representative's piece
+    (``_pattern_piece``) by ``_side_sum``.  Every pattern's support is
+    its ins and outs, so the full sum over V_(2..m) is their sum, and is
+    checked exactly to be c prod_(j=2..m)(x_1 - x_j).
     """
-    a, b = _shape(tid)
-    m = a + b
-    patterns = _patterns(tid)
-    ins0, outs0, pairs0, exps0 = patterns[0]
-    orbit = set()
-    for sigma in permutations(range(1, m + 1)):
-        s = (0,) + sigma  # s[v] is the image of v
-        orbit.add(
-            _pattern_key(
-                [s[v] for v in ins0],
-                [s[v] for v in outs0],
-                [(s[i], s[p]) for i, p in pairs0],
-                {s[v]: e for v, e in exps0.items()},
-            )
-        )
-    keys = [_pattern_key(*pat) for pat in patterns]
-    if len(set(keys)) != len(keys) or set(keys) != orbit:
-        raise AssertionError(f"type {tid} patterns are not one orbit of S_{m}")
+    m = sum(_shape(tid))
+    ins0, outs0, pairs0, exps0 = TYPE_PATTERN[tid]
     piece0 = _pattern_piece(m, pairs0, exps0)
-    stab = factorial(m) // len(patterns)
+    stab = factorial(m) // len(_patterns(tid))
     q_in = _side_sum(piece0, ins0, stab)
     total = q_in + _side_sum(piece0, outs0, stab)
     cross = _cross_product(m, RQ, (1,), 1)

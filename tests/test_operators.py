@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from macdunkl import (
     monomial_symmetric,
     to_msym_coords,
 )
-from macdunkl.errors import DomainError, NonSymmetricError
+from macdunkl.errors import DomainError, InexactDivisionError, NonSymmetricError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import (
     LinearOperator,
@@ -26,7 +26,6 @@ from macdunkl.operators import (
     _macdonald_column,
     _matrix_product_literal,
     _order_matrix,
-    _subset_perm,
     _sum_over_subsets,
     _divided_difference,
     _divided_difference_literal,
@@ -57,8 +56,8 @@ from macdunkl.operators import (
 )
 from macdunkl.rings import HJet, exp_sum_slice, rational_value
 from macdunkl.tbinom import scaled_t_binomial, t_binomial
-from macdunkl.verify import closedforms
-from macdunkl.verify.identities import check_macdonald_commutator
+from macdunkl.verify import closedforms, typesums
+from macdunkl.verify.identities import check_macdonald_commutator, suite_plan, verify_identity
 
 
 RB = Ring.uni("b")
@@ -380,16 +379,43 @@ def test_macdonald_matrices_never_expand(monkeypatch):
                 assert residual is None, (n, r, s)
 
 
+def _subset_perm(subset, n: int):
+    """Permutation sending 1..k onto the subset and the rest onto its
+    complement, both order-preserving.  Entry p[i] is the 0-based new
+    position of old variable i+1."""
+    comp = [v for v in range(1, n + 1) if v not in subset]
+    perm = [0] * n
+    for i, v in enumerate(subset):
+        perm[i] = v - 1
+    for i, v in enumerate(comp):
+        perm[len(subset) + i] = v - 1
+    return tuple(perm)
+
+
+def _block_symmetrized(unit: MultiPoly, k: int) -> MultiPoly:
+    """The sum of unit's relabelings under S_k x S_(n-k): symmetric inside
+    {1..k} and inside {k+1..n}."""
+    n = unit.n
+    out = MultiPoly.zero(n, unit.ring)
+    for head in permutations(range(k)):
+        for tail in permutations(range(k, n)):
+            out = out + unit.permute_vars(head + tail)
+    return out
+
+
 def test_sum_over_subsets_matches_every_relabeling():
+    """The sum over the k-subsets, formed as one symmetrization, against
+    the explicit sum of the relabelings of a block-symmetric unit."""
     rng = random.Random(5)
     for ring in (Ring.q(), RB):
         for n in range(1, 6):
             width = n + ring.aux_slots
-            unit = MultiPoly(
+            raw = MultiPoly(
                 n, ring, {tuple(rng.randint(0, 2) for _ in range(width)): rng.randint(1, 5)
                           for _ in range(4)}
             )
             for k in range(n + 2):
+                unit = _block_symmetrized(raw, min(k, n))
                 want = MultiPoly.zero(n, ring)
                 for subset in combinations(range(1, n + 1), k):
                     perm = _subset_perm(subset, n)
@@ -398,6 +424,39 @@ def test_sum_over_subsets_matches_every_relabeling():
                         for key, c in unit.terms.items()
                     })
                 assert _sum_over_subsets(unit, k) == want, (ring, n, k)
+
+
+def test_sum_over_subsets_refuses_a_unit_that_is_not_block_symmetric():
+    n = 4
+    inside = x(1, n) ** 2 * x(2, n)  # not symmetric inside {1, 2}
+    outside = x(3, n) ** 2  # not symmetric inside {3, 4}
+    for unit in (inside, outside):
+        with pytest.raises(InexactDivisionError, match="subset-sum unit is not symmetric"):
+            _sum_over_subsets(unit, 2)
+
+
+def test_no_operator_path_relabels(monkeypatch):
+    """The subset sums symmetrize: building the kernel-operator matrices
+    and a cold and a warm pass of the types suite relabel nothing."""
+    calls = []
+    permute = MultiPoly.permute_vars
+
+    def counted(self, perm):
+        calls.append(perm)
+        return permute(self, perm)
+
+    monkeypatch.setattr(MultiPoly, "permute_vars", counted)
+    n, basis = 5, partitions_upto(3, 5)
+    ops = [h_op(k, n, RB) for k in (1, 2, 3)]
+    ops += [b_op(k, 1, n, RB) for k in (2, 3, 4)]
+    ops += [pair_ratio_op(n, RB), reflection_square_op(n, RB)]
+    for op in ops:
+        assert operator_matrix(op, basis).entries
+    typesums._canonical_sums.cache_clear()
+    for _ in range(2):
+        for name, params in suite_plan("types"):
+            assert verify_identity(name, **params).passed, (name, params)
+    assert calls == []
 
 
 def test_macdonald_rejects_non_symmetric():

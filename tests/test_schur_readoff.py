@@ -15,12 +15,12 @@ from macdunkl import operators
 from macdunkl.operators import (
     _block_divided_difference,
     _cross_product,
-    _subset_perm,
     _subset_sign,
     macdonald_scalar_part,
 )
 from macdunkl.verify import typesums
 from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
+from test_operators import _subset_perm
 
 RQ = Ring.q()
 

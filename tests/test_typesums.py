@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,8 +21,10 @@ from macdunkl.operators import _sum_over_subsets
 from macdunkl.verify import typesums
 from macdunkl.verify.identities import verify_identity
 from macdunkl.verify.typesums import (
+    TYPE_PATTERN,
     TYPE_SHAPE,
     _canonical_sums,
+    _pattern_key,
     _pattern_piece,
     _patterns,
     _unit_sum,
@@ -115,6 +117,75 @@ def test_raw_equals_closed_at_6_3_degree2(tid):
         raw = type_sum_raw_apply(n, r, tid, f)
         closed = type_sum_closed_apply(n, r, tid, f)
         assert raw == closed, (tid, lam)
+
+
+def _patterns_by_hand(tid: int):
+    """The patterns of each type on support {1..a+b}, enumerated by hand:
+    (in_set, out_set, denominator pairs, numerator exponents)."""
+    a, b = TYPE_SHAPE[tid]
+    m = a + b
+    sup = tuple(range(1, m + 1))
+    out = []
+    if tid == 1:
+        for i in sup:
+            rest = tuple(v for v in sup if v != i)
+            out.append(((i,), rest, tuple((i, p) for p in rest), {i: 3}))
+    elif tid == 2:
+        for p in sup:
+            ins = tuple(v for v in sup if v != p)
+            out.append((ins, (p,), tuple((i, p) for i in ins), {i: 1 for i in ins}))
+    elif tid == 3:
+        for i in sup:
+            for j in sup:
+                if j == i:
+                    continue
+                rest = [v for v in sup if v not in (i, j)]
+                for p, q in combinations(rest, 2):
+                    (s,) = [v for v in rest if v not in (p, q)]
+                    out.append(
+                        ((i, j), (p, q, s), ((i, p), (i, q), (j, s)), {i: 2, j: 1})
+                    )
+    elif tid == 4:
+        for i, j in combinations(sup, 2):
+            rest = [v for v in sup if v not in (i, j)]
+            for k in rest:
+                for p in rest:
+                    if p == k:
+                        continue
+                    (q,) = [v for v in rest if v not in (k, p)]
+                    out.append(
+                        ((i, j, k), (p, q), ((i, p), (j, p), (k, q)), {i: 1, j: 1, k: 1})
+                    )
+    elif tid == 5:
+        for ins in combinations(sup, 3):
+            outs = [v for v in sup if v not in ins]
+            for assign in permutations(outs):
+                pairs = tuple((ins[t], assign[t]) for t in range(3))
+                out.append((ins, tuple(assign), pairs, {v: 1 for v in ins}))
+    else:  # type 6
+        for i in sup:
+            for j in sup:
+                if j == i:
+                    continue
+                rest = [v for v in sup if v not in (i, j)]
+                for p in rest:
+                    (q,) = [v for v in rest if v != p]
+                    out.append(((i, j), (p, q), ((i, p), (i, q), (j, p)), {i: 2, j: 1}))
+    return out
+
+
+@pytest.mark.parametrize("tid, count", [(1, 4), (2, 4), (3, 60), (4, 60), (5, 120), (6, 24)])
+def test_pattern_orbits_match_the_hand_enumeration(tid, count):
+    """Each type's patterns, generated as the orbit of its representative,
+    are the hand-enumerated ones: the same set, no duplicate, the
+    representative first."""
+    by_hand = [_pattern_key(*pat) for pat in _patterns_by_hand(tid)]
+    orbit = [_pattern_key(*pat) for pat in _patterns(tid)]
+    assert isinstance(_patterns(tid), tuple)
+    assert set(orbit) == set(by_hand)
+    assert len(orbit) == len(set(orbit)) == len(by_hand) == count
+    assert _patterns(tid)[0] == TYPE_PATTERN[tid]
+    assert _patterns_by_hand(tid)[0] == TYPE_PATTERN[tid]
 
 
 @lru_cache(maxsize=None)
