@@ -67,8 +67,8 @@ def binom_ff(upper: int, lower: int) -> int:
 
     Agrees with ``binom`` for upper >= 0; for negative upper it takes the
     polynomial value (nonzero), which is the evaluation rule for the
-    closed-form coefficients of the h-expansion: those are rational
-    functions of n, not subset counts.  Zero when lower < 0.
+    closed-form coefficients of the h-expansion: those are polynomials
+    in n, not subset counts.  Zero when lower < 0.
     """
     if lower < 0:
         return 0

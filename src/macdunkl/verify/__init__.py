@@ -1,7 +1,6 @@
 """Verification layer: closed-form operators, identity registry, witness
 search and the triangular eigenfunction solver."""
 
-from .closedforms import safe_coeff
 from .identities import (
     REGISTRY,
     SUITES,
@@ -17,7 +16,6 @@ from .typesums import (
 from .witness import WitnessReport, noncommutativity_witness, reevaluate_witness
 
 __all__ = [
-    "safe_coeff",
     "Verdict",
     "verify_identity",
     "REGISTRY",

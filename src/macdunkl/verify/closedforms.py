@@ -1,28 +1,21 @@
 """Closed-form operators for the h-expansion coefficients.
 
-Several closed-form coefficients are printed as binomials times rational
-functions whose denominators (r-1, n-2, (n-r)(n-r-1), ...) can vanish
-inside the validity range.  Each such coefficient is evaluated, for the
-fixed integer r at hand, as an exact rational function of n: binomials
-with lower index depending on r become falling-factorial polynomials in n
-(identically zero when the lower index is negative), the fraction is
-reduced by a polynomial gcd, and only then is n substituted.  The reduced
-fraction is built once per (form, r) and kept; each n only substitutes
-into it.  Where the printed denominator does not involve n (the
-(n-2r)/(r-1) coefficient), an equivalent rewritten form with an
-n-dependent denominator is tried next.
-Evaluation fails only if every equivalent form stays singular.
-
-Coefficient sanity at the singular parameters (r = 1, r = n, n = 2) was
-desk-checked against direct expansions of the rank-1 and top-rank
-operators, which are plain exponentials.
+Three coefficients of the h^3 Dunkl form are printed as binomials times
+fractions whose denominators, (r-1), (n-2) and (n-r)(n-r-1), vanish
+inside the range.  At every integer r each of them is a polynomial in n:
+with b(k) = binom_ff(n-3, k), absorption b(k) = b(k-1)(n-2-k)/k divides
+the printed denominator out and leaves a sum of at most three binomials
+b(k), so the coefficient is exact at every (n, r), singular points
+included, and its degree in n is read off the top binomial (r-1 for the
+H_3 and H_1^2 coefficients, r for the H_2 one).  The tests check these
+sums against the printed fractions and against the printed rank-1 and
+rank-2 specializations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
 
 from ..errors import DomainError
 from ..multipoly import Ring
@@ -37,128 +30,39 @@ from ..operators import (
     reflection_square_op,
 )
 from ..rings import BetaPoly, binom_ff
-from ..tbinom import TPoly, scaled_taylor_coeff_closed
+from ..tbinom import scaled_taylor_coeff_closed
 
 RB = Ring.uni("b")
 
 
-# -- polynomials in n over Q, as TPoly values ---------------------------
+# -- the h^3 coefficients printed over vanishing denominators -------------
 
 
-def _gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic greatest common divisor of two polynomials, a nonzero."""
-    while b:
-        a, b = b, a.divmod(b)[1]
-    return TPoly([Fraction(c) / a.coeffs[-1] for c in a.coeffs])
+def coeff_x(n: int, r: int) -> Fraction:
+    """binom(n-3, r-2)(n-2r)/(r-1), the coefficient of H_3/6,
+    as b(r-1) - b(r-2)."""
+    return Fraction(binom_ff(n - 3, r - 1) - binom_ff(n - 3, r - 2))
 
 
-def _value(a: TPoly, n: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a.coeffs):
-        acc = acc * n + c
-    return acc
+def coeff_h1sq(n: int, r: int) -> Fraction:
+    """binom(n-3, r-1)((3r^2-3r+1)n^2 + (6r-9r^2)n + 8r^2-6r)/((n-r)(n-r-1)),
+    the coefficient of b H_1^2/12, as
+    3r(r-1) b(r-3) + (6r^2-6r-1) b(r-2) + (3r^2-3r+1) b(r-1)."""
+    return Fraction(
+        3 * r * (r - 1) * binom_ff(n - 3, r - 3)
+        + (6 * r * r - 6 * r - 1) * binom_ff(n - 3, r - 2)
+        + (3 * r * r - 3 * r + 1) * binom_ff(n - 3, r - 1)
+    )
 
 
-def _binom_npoly(a_shift: int, k: int) -> TPoly:
-    """binom_ff(n + a_shift, k) as a polynomial in n; zero when k < 0."""
-    if k < 0:
-        return TPoly()
-    out = TPoly((Fraction(1, factorial(k)),))
-    for t in range(k):
-        out = out * TPoly((a_shift - t, 1))
-    return out
-
-
-class CoeffForm:
-    """const * prod binom_ff(n+a, r+b) * prod num_i(n; r) / prod den_j(n; r),
-    where each polynomial factor is given as a function r -> ascending
-    n-coefficients."""
-
-    def __init__(self, const, binoms=(), num=(), den=()):
-        self.const = const
-        self.binoms = tuple(binoms)
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    def evaluate(self, n: int, r: int):
-        """Exact value, or None when the reduced denominator is singular."""
-        reduced = _reduced(self, r)
-        if reduced is None:
-            return None
-        num, den = reduced
-        dval = _value(den, n)
-        if not dval:
-            return None
-        return _value(num, n) / dval
-
-
-@cache
-def _reduced(form: CoeffForm, r: int):
-    """The form at rank r as (num, den), polynomials in n reduced by their
-    gcd, or None when den is identically zero; built once per (form, r)."""
-    cval = form.const(r) if callable(form.const) else form.const
-    num = TPoly((cval,))
-    for a, b in form.binoms:
-        num = num * _binom_npoly(a, r + b)
-    for fac in form.num:
-        num = num * TPoly(fac(r))
-    den = TPoly.one()
-    for fac in form.den:
-        den = den * TPoly(fac(r))
-    if not den:
-        return None
-    if num:
-        g = _gcd(num, den)
-        if g.degree() > 0:
-            num = num.exact_divide(g)
-            den = den.exact_divide(g)
-    return num, den
-
-
-def lin(cn=0, cr=0, c0=0):
-    """The factor cn*n + cr*r + c0 as an n-polynomial builder."""
-    return lambda r: [cr * r + c0, cn]
-
-
-def safe_coeff(forms, n: int, r: int, name: str = "coefficient") -> Fraction:
-    """Evaluate the first applicable equivalent form."""
-    for form in forms:
-        val = form.evaluate(n, r)
-        if val is not None:
-            return val
-    raise DomainError(f"{name} is singular at (n, r) = ({n}, {r}) in every known form")
-
-
-# The coefficient binom_ff(n-3, r-2)(n-2r)/(r-1) and its rewriting with an
-# n-dependent denominator, binom_ff(n-3, r-1)(n-2r)/(n-r-1).
-X_FORMS = (
-    CoeffForm(1, binoms=[(-3, -2)], num=[lin(1, -2, 0)], den=[lin(0, 1, -1)]),
-    CoeffForm(1, binoms=[(-3, -1)], num=[lin(1, -2, 0)], den=[lin(1, -1, -1)]),
-)
-
-# binom_ff(n-3, r-1) * ((3r^2-3r+1)n^2 + (-9r^2+6r)n + (8r^2-6r)) / ((n-r)(n-r-1))
-H1SQ_FORMS = (
-    CoeffForm(
-        1,
-        binoms=[(-3, -1)],
-        num=[lambda r: [8 * r * r - 6 * r, -9 * r * r + 6 * r, 3 * r * r - 3 * r + 1]],
-        den=[lin(1, -1, 0), lin(1, -1, -1)],
-    ),
-)
-
-# binom_ff(n-2, r-1) * (n^2(3r-1) - 7rn + 6r) / (n-2)
-BH2_FORMS = (
-    CoeffForm(
-        1,
-        binoms=[(-2, -1)],
-        num=[lambda r: [6 * r, -7 * r, 3 * r - 1]],
-        den=[lin(1, 0, -2)],
-    ),
-)
-
-
-def coeff_x(n, r):
-    return safe_coeff(X_FORMS, n, r, "binom_ff(n-3,r-2)(n-2r)/(r-1)")
+def coeff_bh2(n: int, r: int) -> Fraction:
+    """binom(n-2, r-1)((3r-1)n^2 - 7rn + 6r)/(n-2), the coefficient of
+    b H_2/12, as (3r^2+r+1) b(r-2) + (6r^2-3) b(r-1) + r(3r-1) b(r)."""
+    return Fraction(
+        (3 * r * r + r + 1) * binom_ff(n - 3, r - 2)
+        + (6 * r * r - 3) * binom_ff(n - 3, r - 1)
+        + r * (3 * r - 1) * binom_ff(n - 3, r)
+    )
 
 
 # -- operator assembly -------------------------------------------------
@@ -298,8 +202,6 @@ def third_order_raw(n: int, r: int, basis) -> OperatorMatrix:
 def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
     """h^3 coefficient as a polynomial in the Dunkl power sums H_k."""
     x = coeff_x(n, r)
-    c_h1sq = safe_coeff(H1SQ_FORMS, n, r, "H1^2 coefficient")
-    c_bh2 = safe_coeff(BH2_FORMS, n, r, "H2 coefficient")
     scalar2 = Fraction(r, 24) * binom_ff(n - 1, r - 1) * (
         (3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r
     )
@@ -309,9 +211,9 @@ def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
         [
             (x / 6, 0, (H3,)),
             (Fraction(binom_ff(n - 3, r - 2), 2), 0, (H2, H1)),
-            (c_bh2 / 12, 1, (H2,)),
+            (coeff_bh2(n, r) / 12, 1, (H2,)),
             (Fraction(binom_ff(n - 3, r - 3), 6), 0, (H1, H1, H1)),
-            (c_h1sq / 12, 1, (H1, H1)),
+            (coeff_h1sq(n, r) / 12, 1, (H1, H1)),
             (scalar2, 2, (H1,)),
             (scaled_taylor_coeff_closed(n, r, 3).coeff(3), 3, ()),
         ],

@@ -187,6 +187,7 @@ def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4):
 
 
 def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4):
+    _require_rank(n, r=r)
     basis = _basis(degree, n)
     raw = closedforms.third_order_raw(n, r, basis)
     return _matrix_residual(raw, closedforms.third_order_dunkl(n, r, basis))

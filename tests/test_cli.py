@@ -259,6 +259,22 @@ def test_jet_order_zero_is_accepted():
     assert "jet order must be non-negative" in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "n,r,bounds",
+    # the command line takes r = 0 for the t-binomial checks and refuses a
+    # negative r itself; the h^3 check refuses r = 0
+    [(1, 0, "1 <= r <= n"), (2, 0, "1 <= r <= n"), (4, 0, "1 <= r <= n"),
+     (4, -1, "0 <= r <= n")],
+)
+def test_ord3_raw_eq_dunkl_refuses_a_rank_outside_1_to_n(n, r, bounds):
+    err = StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("verify", "--identity", "ord3_raw_eq_dunkl",
+                            "--n", str(n), "--r", str(r))
+    assert (code, out) == (2, "")
+    assert f"need {bounds}, got r={r}, n={n}" in err.getvalue()
+
+
 def test_config_edge_cases_exit_2():
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "-1")[0] == 2
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "x")[0] == 2

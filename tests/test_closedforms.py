@@ -1,16 +1,16 @@
-"""Closed-form operator tests: safe coefficients, order matching, Dunkl forms."""
+"""Closed-form operator tests: the h^3 coefficients, order matching, Dunkl forms."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from macdunkl import BetaPoly, Ring
-from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
 from macdunkl.rings import binom_ff
 from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
-from macdunkl.verify import closedforms
+from macdunkl.verify import closedforms, verify_identity
 from macdunkl.verify.closedforms import (
     B21,
     B22,
@@ -22,26 +22,19 @@ from macdunkl.verify.closedforms import (
     L2,
     L3,
     M11,
-    BH2_FORMS,
-    H1SQ_FORMS,
-    CoeffForm,
-    X_FORMS,
-    _binom_npoly,
-    _gcd,
     _product,
-    _reduced,
     beta2_h3_lhs,
     beta2_h3_rhs_b,
     beta2_h3_rhs_pairs,
+    coeff_bh2,
+    coeff_h1sq,
     coeff_x,
     first_order,
     h1_explicit,
     h2_explicit_b,
     h2_explicit_pairs,
     h3_explicit,
-    lin,
     rank1_fourth_order,
-    safe_coeff,
     second_order,
     third_order_display_r1,
     third_order_display_r2,
@@ -78,49 +71,45 @@ def test_coeff_x_stays_exact():
             assert type(coeff_x(n, r)) is Fraction
 
 
-def test_gcd_of_polynomials_in_n():
-    # (n-1)(n-2) and (n-2)(n+3) share n-2; the gcd is monic
-    assert _gcd(TPoly((2, -3, 1)), TPoly((-6, 1, 1))) == TPoly((-2, 1))
-    # 2(n-2)(n+1) and 3(n-2)
-    assert _gcd(TPoly((-4, -2, 2)), TPoly((-6, 3))) == TPoly((-2, 1))
-    # coprime
-    assert _gcd(TPoly((1, 1)), TPoly((1, 0, 1))) == TPoly.one()
-    g = _gcd(TPoly((2, -3, 1)), TPoly((-6, 1, 1)))
-    assert TPoly((2, -3, 1)).exact_divide(g) == TPoly((-1, 1))
+def _binom_npoly(a_shift, k):
+    """binom_ff(n + a_shift, k) as a polynomial in n; zero when k < 0."""
+    if k < 0:
+        return TPoly()
+    out = TPoly((Fraction(1, factorial(k)),))
+    for t in range(k):
+        out = out * TPoly((a_shift - t, 1))
+    return out
 
 
-def test_binom_npoly_is_the_falling_factorial():
-    for a in range(-3, 2):
-        for k in range(-1, 5):
-            p = _binom_npoly(a, k)
-            for n in range(0, 9):
-                value = Fraction(0)
-                for c in reversed(p.coeffs):
-                    value = value * n + c
-                assert value == binom_ff(n + a, k), (a, k, n)
-
-
-def test_safe_coeff_singular_everywhere():
-    form = CoeffForm(1, num=[lin(0, 0, 1)], den=[lin(0, 1, -1)])
-    with pytest.raises(DomainError):
-        safe_coeff((form,), 5, 1, "test coefficient")
-
-
-ALL_FORMS = X_FORMS + H1SQ_FORMS + BH2_FORMS
+# The coefficients as printed: prod binom_ff(n + a, r + c) over binoms
+# (a, c), times the numerator factors over the denominator factors, each
+# factor a map r -> ascending coefficients in n.  The X coefficient's
+# denominator r - 1 is identically zero at r = 1, where its rewritten form
+# binom(n-3, r-1)(n-2r)/(n-r-1) is printed instead.
+PRINTED = {
+    "x": ([(-3, -2)], [lambda r: [-2 * r, 1]], [lambda r: [r - 1]]),
+    "x at r = 1": ([(-3, -1)], [lambda r: [-2 * r, 1]], [lambda r: [-r - 1, 1]]),
+    "h1sq": (
+        [(-3, -1)],
+        [lambda r: [8 * r * r - 6 * r, -9 * r * r + 6 * r, 3 * r * r - 3 * r + 1]],
+        [lambda r: [-r, 1], lambda r: [-r - 1, 1]],
+    ),
+    "bh2": ([(-2, -1)], [lambda r: [6 * r, -7 * r, 3 * r - 1]], [lambda r: [-2, 1]]),
+}
 
 
 def _unreduced_value(form, n, r):
     """The form at (n, r) from its unreduced polynomials in n: common
     factors n - n0 are divided out one at a time, with no gcd and no cache;
     None when the denominator still vanishes at n0."""
-    const = form.const(r) if callable(form.const) else form.const
-    num = TPoly((const,))
-    for a, b in form.binoms:
+    binoms, nums, dens = form
+    num = TPoly((1,))
+    for a, b in binoms:
         num = num * _binom_npoly(a, r + b)
-    for fac in form.num:
+    for fac in nums:
         num = num * TPoly(fac(r))
     den = TPoly.one()
-    for fac in form.den:
+    for fac in dens:
         den = den * TPoly(fac(r))
 
     def at(p):
@@ -137,46 +126,58 @@ def _unreduced_value(form, n, r):
 
 
 def test_coefficients_match_the_unreduced_oracle():
-    singular = set()
-    for i, form in enumerate(ALL_FORMS):
-        for n in range(2, 13):
-            for r in range(0, n + 2):
+    for n in range(2, 13):
+        for r in range(1, n + 2):
+            x_form = PRINTED["x at r = 1" if r == 1 else "x"]
+            for name, form, coeff in (
+                ("x", x_form, coeff_x),
+                ("h1sq", PRINTED["h1sq"], coeff_h1sq),
+                ("bh2", PRINTED["bh2"], coeff_bh2),
+            ):
                 expected = _unreduced_value(form, n, r)
-                assert form.evaluate(n, r) == expected, (i, n, r)
-                if expected is None:
-                    singular.add((i, n, r))
-    # r = 1 leaves the first X form's denominator r - 1 identically zero;
-    # at r = 0 the H_2 form's numerator is zero and its n - 2 vanishes at n = 2
-    assert singular == {(0, n, 1) for n in range(2, 13)} | {(3, 2, 0)}
-    assert _reduced(X_FORMS[0], 1) is None
-    assert _reduced(BH2_FORMS[0], 0) is not None
-    # at r = n = 2 the reduced first X form is regular: binom_ff(n-3, 0) = 1
-    assert X_FORMS[0].evaluate(2, 2) == -2
+                assert expected is not None, (name, n, r)
+                assert coeff(n, r) == expected, (name, n, r)
+    # as printed, the X coefficient is singular at r = 1 for every n
+    assert all(_unreduced_value(PRINTED["x"], n, 1) is None for n in range(2, 13))
 
 
-def test_each_coefficient_is_reduced_once_per_rank(monkeypatch):
-    calls = []
+def test_coefficients_at_the_printed_ranks():
+    """(X, H_2, H_1^2) at r = 1 and r = 2 are the coefficients printed in
+    third_order_display_r1 and third_order_display_r2."""
+    for n in range(1, 31):
+        assert (coeff_x(n, 1), coeff_bh2(n, 1), coeff_h1sq(n, 1)) == (1, 2 * n - 3, 1), n
+        assert (coeff_x(n, 2), coeff_bh2(n, 2), coeff_h1sq(n, 2)) == (
+            n - 4, 5 * n * n - 14 * n + 12, 7 * n - 10
+        ), n
 
-    def counting(a, b):
-        calls.append((a, b))
-        return _gcd(a, b)
 
-    monkeypatch.setattr(closedforms, "_gcd", counting)
-    _reduced.cache_clear()
-    for form in ALL_FORMS:
-        for r in range(0, 14):
-            before = len(calls)
-            for n in range(max(2, r - 1), 13):
-                form.evaluate(n, r)
-            reduced = _reduced(form, r)
-            assert len(calls) - before == (1 if reduced and reduced[0] else 0), r
-    assert calls
-    before = len(calls)
-    for form in ALL_FORMS:
-        for n in range(2, 13):
-            for r in range(0, n + 2):
-                form.evaluate(n, r)
-    assert len(calls) == before
+def _forward_difference(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_coefficient_degrees_in_n(r):
+    """At rank r the X and H_1^2 coefficients have degree r - 1 in n and
+    the H_2 one degree r: over n = 0..44 the next forward difference
+    vanishes and the one before it does not."""
+    for coeff, degree in ((coeff_x, r - 1), (coeff_h1sq, r - 1), (coeff_bh2, r)):
+        values = [coeff(n, r) for n in range(45)]
+        assert not any(_forward_difference(values, degree + 1)), (coeff.__name__, r)
+        assert any(_forward_difference(values, degree)), (coeff.__name__, r)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_third_order_forms_beyond_the_suite_grid(n):
+    """The h^3 forms at degree 3 against the Macdonald expansion for every
+    rank, past the order3 suite's n <= 5; this reaches the H_1^2
+    coefficient's printed-singular points n = r and n = r + 1."""
+    names = ["ord3_matches", "ord3_raw_eq_dunkl"] + [f"ord5_beta{j}" for j in range(4)]
+    for r in range(1, n + 1):
+        for name in names:
+            verdict = verify_identity(name, n=n, r=r, degree=3)
+            assert verdict.status == "pass", (name, n, r, verdict.residual)
 
 
 def _column(mat, lam):

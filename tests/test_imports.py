@@ -1,8 +1,10 @@
-"""Every top-level import of the package is used: a scan of each module's
-syntax tree for imported names that no expression and no ``__all__``
-entry reads."""
+"""Every top-level import of the package is used, and so is every
+top-level definition: scans of the modules' syntax trees for imported
+names that no expression and no ``__all__`` entry reads, and for
+functions and classes that no module, test or benchmark script reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,10 @@ import macdunkl
 
 PACKAGE = Path(macdunkl.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+READERS = MODULES + [
+    path for folder in ("tests", "perfbench") for path in sorted((REPO / folder).glob("*.py"))
+]
 
 
 def _imported_names(tree: ast.Module):
@@ -52,3 +58,58 @@ def test_no_unused_top_level_import(path):
 def test_the_scan_flags_an_unused_import():
     tree = ast.parse("from operator import add, sub\n\nx = add(1, 2)\n")
     assert [name for name, _ in _imported_names(tree) if name not in _read_names(tree)] == ["sub"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under node: as a name, an attribute, an
+    imported name or an ``__all__`` entry."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            reads[sub.attr] += 1
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            reads.update(part for alias in sub.names for part in alias.name.split("."))
+        elif isinstance(sub, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets
+        ):
+            reads.update(elt.value for elt in sub.value.elts if isinstance(elt, ast.Constant))
+    return reads
+
+
+def _dead_definitions(defining, readers):
+    """Top-level functions and classes of the defining trees that no reader
+    tree reads outside the definition itself."""
+    reads = Counter()
+    for tree in readers:
+        reads.update(_reads(tree))
+    return [
+        node.name
+        for tree in defining
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and reads[node.name] <= _reads(node)[node.name]
+    ]
+
+
+def test_the_definition_scan_sees_tests_and_benchmarks():
+    names = {path.relative_to(REPO).as_posix() for path in READERS}
+    assert {"tests/test_imports.py", "perfbench/run.py", "src/macdunkl/cli.py"} <= names
+
+
+def test_no_dead_top_level_definition():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in READERS]
+    assert _dead_definitions(trees[: len(MODULES)], trees) == []
+
+
+def test_the_scan_flags_a_dead_definition():
+    tree = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else used()\n\n"
+        "class Gone:\n    pass\n\n"
+        "def exported():\n    pass\n\n"
+        "__all__ = ['exported']\n"
+    )
+    reader = ast.parse("import m\n\nm.used()\n")
+    assert _dead_definitions([tree], [tree, reader]) == ["recursive", "Gone"]

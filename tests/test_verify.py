@@ -17,6 +17,12 @@ def test_unknown_parameter_rejected():
         verify_identity("scalar_part", n=3, r=1, bogus=7)
 
 
+@pytest.mark.parametrize("r", [-1, 0, 5])
+def test_ord3_raw_eq_dunkl_refuses_a_rank_outside_1_to_n(r):
+    with pytest.raises(DomainError, match=rf"^need 1 <= r <= n, got r={r}, n=4$"):
+        verify_identity("ord3_raw_eq_dunkl", n=4, r=r)
+
+
 def test_dispatch_matches_direct_call():
     v = verify_identity("scalar_part", n=3, r=2)
     assert v.identity == "scalar_part"
