@@ -201,7 +201,7 @@ def _run_verify(args) -> int:
     args.seed = params.get("seed", 0)
     _validate_common(args)
     if args.identity:
-        # binding to the check's signature refuses the flags it does not take
+        # binding to the check's parameters refuses the flags it does not take
         verdicts = [verify_identity(args.identity, **params)]
     else:
         if args.suite != "all" and args.suite not in SUITES:

@@ -17,7 +17,6 @@ are plain tuples of weakly decreasing positive integers.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -30,12 +29,23 @@ from .rings import BetaPoly, qnorm, render_scalar
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Ring:
-    """Coefficient ring descriptor for MultiPoly."""
+    """Coefficient ring descriptor for MultiPoly; a value, equal and
+    hashing equal by (kind, var), so rings serve as cache keys."""
 
-    kind: str          # 'q' or 'uni'
-    var: str = "b"     # auxiliary symbol name used for rendering
+    __slots__ = ("kind", "var")
+
+    def __init__(self, kind: str, var: str = "b"):
+        self.kind = kind   # 'q' or 'uni'
+        self.var = var     # auxiliary symbol name used for rendering
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self.kind == other.kind and self.var == other.var
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.var))
 
     @staticmethod
     def q() -> "Ring":

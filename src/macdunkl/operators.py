@@ -59,7 +59,6 @@ back into scalars, so a commuting pair builds none.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
@@ -262,17 +261,26 @@ def qshift_slice(i: int, k: int, f: MultiPoly) -> MultiPoly:
 
 def _shift_subset(f: MultiPoly, subset, power) -> MultiPoly:
     """Scale each monomial of f by the ring scalar power(e), e its total
-    exponent in the variables of the subset."""
+    exponent in the variables of the subset, in one pass: power(e) is
+    expanded into aux pairs once per distinct e."""
     n, ring = f.n, f.ring
-    pieces = {}
     idx = [i - 1 for i in subset]
+    scalars = {}
+    out = {}
     for k, c in f.terms.items():
         e = sum(k[i] for i in idx)
-        pieces.setdefault(e, {})[k] = c
-    acc = MultiPoly.zero(n, ring)
-    for e, terms in sorted(pieces.items()):
-        acc = acc + MultiPoly(n, ring, terms).scale(power(e))
-    return acc
+        aux = scalars.get(e)
+        if aux is None:
+            aux = scalars[e] = ring.aux_keys_of(power(e))
+        head, tail = k[:n], k[n:]
+        for ak, ac in aux.items():
+            nk = head + tuple(x + y for x, y in zip(tail, ak))
+            s = out.get(nk, 0) + c * ac
+            if s:
+                out[nk] = qnorm(s)
+            else:
+                del out[nk]
+    return MultiPoly(n, ring, out)
 
 
 def _rational_power(val, e: int):
@@ -572,7 +580,6 @@ def macdonald_scalar_part(n: int, r: int) -> MultiPoly:
 # -- matrices -------------------------------------------------------------
 
 
-@dataclass
 class OperatorMatrix:
     """Exact matrix of a degree-preserving operator on an m-basis window.
 
@@ -580,10 +587,13 @@ class OperatorMatrix:
     m_lam; zero entries are omitted.
     """
 
-    n: int
-    ring: Ring
-    basis: tuple
-    entries: dict
+    __slots__ = ("n", "ring", "basis", "entries")
+
+    def __init__(self, n: int, ring: Ring, basis: tuple, entries: dict):
+        self.n = n
+        self.ring = ring
+        self.basis = basis
+        self.entries = entries
 
     @staticmethod
     def from_operator(op: LinearOperator, basis, n: int, ring: Ring) -> "OperatorMatrix":

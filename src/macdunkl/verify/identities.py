@@ -5,18 +5,20 @@ b-polynomials, or polynomials in x) and returns their residual: None
 when they agree, else an exact rendering of the difference.  A check
 that also reports findings returns ``(residual, findings)``.  There are
 no tolerances anywhere.  ``verify_identity`` is the one place that
-builds a Verdict: it binds the parameters to the check's signature,
-times the call, and records the bound parameters in signature order,
-defaults included, followed by the findings.  Matrix windows default to
-weights 1..4, so the window size is in every matrix verdict's parameters.
+builds a Verdict: it binds the parameters to the check's parameter list,
+times the call, and records the bound parameters in that order,
+defaults included, followed by the findings.  Each check's parameter
+list is read once, at import, from its function's code object and
+defaults; an entry that is a ``functools.partial`` drops the parameters
+its positional arguments fill and fixes its keywords.  Matrix windows
+default to weights 1..4, so the window size is in every matrix verdict's
+parameters.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -50,15 +52,24 @@ RB = Ring.uni("b")
 RQ = Ring.q()
 
 
-@dataclass
 class Verdict:
     """Outcome of one named identity check."""
 
-    identity: str
-    params: dict
-    status: str                      # "pass" | "fail"
-    residual: dict | None = None     # None iff status == "pass"
-    runtime_ms: int = 0
+    __slots__ = ("identity", "params", "status", "residual", "runtime_ms")
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict,
+        status: str,
+        residual: dict | None = None,
+        runtime_ms: int = 0,
+    ):
+        self.identity = identity
+        self.params = params
+        self.status = status          # "pass" | "fail"
+        self.residual = residual      # None iff status == "pass"
+        self.runtime_ms = runtime_ms
 
     @property
     def passed(self) -> bool:
@@ -336,38 +347,59 @@ _CHECKS = {
     "eq1_shift_form": check_eq1_shift_form,
 }
 
-# name -> (check, its signature, which names the accepted parameters)
-REGISTRY = {name: (fn, inspect.signature(fn)) for name, fn in _CHECKS.items()}
+
+def _parameters(check):
+    """(names, defaults, fixed) of a check: its parameter names in call
+    order, {name: default}, and {name: value} of the keywords a partial
+    fixes, which are also their defaults.  A partial's positional
+    arguments fill its leading parameters, which drop out."""
+    fixed = getattr(check, "keywords", {})
+    fn = getattr(check, "func", check)
+    code = fn.__code__
+    names = code.co_varnames[: code.co_argcount]
+    values = fn.__defaults__ or ()
+    defaults = dict(zip(names[len(names) - len(values):], values))
+    return names[len(getattr(check, "args", ())):], {**defaults, **fixed}, fixed
+
+
+# name -> (check, parameter names, {name: default}, {name: fixed value})
+REGISTRY = {name: (fn, *_parameters(fn)) for name, fn in _CHECKS.items()}
 
 
 def verify_identity(name: str, **params) -> Verdict:
     """Run the named check on params and build its verdict.
 
-    The params are bound to the check's signature, so an unknown one is
-    refused, and a value other than the one the registry entry fixes
-    (the r of ``ord3_display_r1``) is refused too.  The verdict records
-    the bound parameters in signature order, defaults included, then the
-    check's findings, and the time of the one call.
+    The params are bound to the check's parameter names, so an unknown
+    or a missing one is refused, and a value other than the one the
+    registry entry fixes (the r of ``ord3_display_r1``) is refused too.
+    The verdict records the bound parameters in call order, defaults
+    included, then the check's findings, and the time of the one call.
     """
     if name not in REGISTRY:
         raise DomainError(f"unknown identity {name!r}")
-    fn, sig = REGISTRY[name]
-    try:
-        bound = sig.bind(**params)
-    except TypeError as exc:
-        raise DomainError(f"{name} takes {tuple(sig.parameters)}: {exc}") from None
-    bound.apply_defaults()
-    for key, fixed in getattr(fn, "keywords", {}).items():
-        if bound.arguments[key] != fixed:
-            raise DomainError(f"{name} fixes {key}={fixed}, got {key}={bound.arguments[key]}")
+    fn, names, defaults, fixed = REGISTRY[name]
+    bound = {}
+    for key in names:
+        if key in params:
+            bound[key] = params[key]
+        elif key in defaults:
+            bound[key] = defaults[key]
+        else:
+            raise DomainError(f"{name} takes {names}: missing a required argument: {key!r}")
+    for key in params:
+        if key not in bound:
+            raise DomainError(f"{name} takes {names}: got an unexpected keyword argument {key!r}")
+    for key, value in fixed.items():
+        if bound[key] != value:
+            raise DomainError(f"{name} fixes {key}={value}, got {key}={bound[key]}")
     t0 = time.monotonic()
-    residual = fn(*bound.args, **bound.kwargs)
+    residual = fn(**bound)
     ms = int((time.monotonic() - t0) * 1000)
     findings = {}
     if isinstance(residual, tuple):
         residual, findings = residual
     status = "pass" if residual is None else "fail"
-    return Verdict(name, {**bound.arguments, **findings}, status, residual, ms)
+    return Verdict(name, {**bound, **findings}, status, residual, ms)
 
 
 # -- suites ------------------------------------------------------------------

@@ -10,18 +10,18 @@ column; re-evaluating the witness reproduces the residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError
 from ..operators import extract_order
 from ..rings import render_scalar
 
 
-@dataclass
 class WitnessReport:
-    grid: str
-    found: bool
-    witness: dict | None = None
+    __slots__ = ("grid", "found", "witness")
+
+    def __init__(self, grid: str, found: bool, witness: dict | None = None):
+        self.grid = grid
+        self.found = found
+        self.witness = witness
 
     def to_json_dict(self):
         out = {"grid": self.grid, "found": self.found}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -71,6 +72,22 @@ def test_add_negation_cancels():
 def test_difference_of_squares():
     n = 2
     assert (x(1, n) - x(2, n)) * (x(1, n) + x(2, n)) == x(1, n) ** 2 - x(2, n) ** 2
+
+
+def test_rings_are_values():
+    assert Ring.q() != Ring.uni()
+    assert Ring.uni("b") != Ring.uni("t")
+    assert Ring.uni("t") == Ring.uni("t") and Ring.q() == Ring.q()
+    assert hash(Ring.uni("t")) == hash(Ring.uni("t")) and hash(Ring.q()) == hash(Ring.q())
+    built = []
+
+    @lru_cache(maxsize=None)
+    def keyed(ring):
+        built.append(ring)
+        return ring.aux_slots
+
+    assert [keyed(Ring.uni("t")), keyed(Ring.q()), keyed(Ring.uni("t")), keyed(Ring.q())] == [1, 0, 1, 0]
+    assert built == [Ring.uni("t"), Ring.q()]
 
 
 def test_mismatched_n_rejected():

@@ -26,6 +26,8 @@ from macdunkl.operators import (
     _macdonald_column,
     _matrix_product_literal,
     _order_matrix,
+    _rational_power,
+    _shift_subset,
     _sum_over_subsets,
     _divided_difference,
     _divided_difference_literal,
@@ -88,6 +90,44 @@ def test_qshift_two_vars_multiplies():
     f = x(1, 2) * x(2, 2)
     g = qshift_apply(2, Fraction(3), qshift_apply(1, Fraction(3), f))
     assert g == f.scale(9)
+
+
+def _shift_subset_grouped(f, subset, power):
+    """Oracle for _shift_subset: one polynomial per exponent group e,
+    scaled by power(e) and added into a growing sum."""
+    n, ring = f.n, f.ring
+    pieces = {}
+    for k, c in f.terms.items():
+        pieces.setdefault(sum(k[i - 1] for i in subset), {})[k] = c
+    acc = MultiPoly.zero(n, ring)
+    for e, terms in sorted(pieces.items()):
+        acc = acc + MultiPoly(n, ring, terms).scale(power(e))
+    return acc
+
+
+@pytest.mark.parametrize("ring", [Ring.q(), RB], ids=["q", "b"])
+def test_shift_subset_matches_grouped_scaling(ring):
+    rng = random.Random(45)
+    powers = [partial(_rational_power, Fraction(-3, 2)), partial(_rational_power, 5)]
+    if ring == RB:
+        # the h^k coefficients of q^e (the q-shift slices) and of q^e t,
+        # whose several b-powers make terms of f collide
+        powers += [
+            partial(lambda k, b, e: exp_sum_slice({(e, b): 1}, k), k, b)
+            for k in range(5)
+            for b in (0, 1)
+        ]
+    for n in range(1, 5):
+        for _ in range(4):
+            f = MultiPoly.zero(n, ring)
+            for _ in range(6):
+                exps = [rng.randint(0, 3) for _ in range(n)]
+                f = f + MultiPoly.monomial(exps, n, ring).scale(_random_scalar(rng, ring))
+            for size in range(n + 1):
+                for subset in combinations(range(1, n + 1), size):
+                    for power in powers:
+                        want = _shift_subset_grouped(f, subset, power)
+                        assert _shift_subset(f, subset, power) == want, (n, subset, f.render())
 
 
 def test_dunkl_examples():
@@ -544,6 +584,11 @@ def test_matrix_algebra():
     i = closedforms._combo(n, basis, [(Fraction(1), 0, ())])
     assert (i @ a) == a
     assert (a @ i) == a
+
+
+def test_operator_matrices_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(OperatorMatrix(2, RB, ((1,),), {}))
 
 
 def test_beta_slice():

@@ -1,10 +1,14 @@
 """Registry and report tests: dispatch, reproducibility, honest failures."""
 
+import inspect
+import re
+
 import pytest
 
-from macdunkl.cli import emit_report
+from macdunkl.cli import emit_report, main
 from macdunkl.errors import DomainError
-from macdunkl.verify.identities import REGISTRY, suite_plan, verify_identity
+from macdunkl.verify.identities import REGISTRY, Verdict, suite_plan, verify_identity
+from macdunkl.verify.witness import WitnessReport
 
 
 def test_unknown_identity():
@@ -115,12 +119,15 @@ def test_suite_plans_deterministic_and_filterable():
 
 def test_plans_bind_to_check_signatures():
     # runs no checks: every planned entry is a valid call of its check,
-    # and names n and r whenever the check takes them
+    # keeps the values the entry fixes, and names n and r whenever the
+    # check takes them
     for name, params in suite_plan("all"):
-        fn, sig = REGISTRY[name]
-        sig.bind(**params)
+        _, names, defaults, fixed = REGISTRY[name]
+        assert set(params) <= set(names), (name, params)
+        assert set(names) - set(defaults) <= set(params), (name, params)
+        assert all(params.get(key, value) == value for key, value in fixed.items()), (name, params)
         for key in ("n", "r"):
-            if key in sig.parameters:
+            if key in names:
                 assert key in params, (name, params)
 
 
@@ -130,6 +137,75 @@ def test_verdict_params_follow_the_signature():
     v = verify_identity("macdonald_commutator", n=2, r=1, s=2, degree=1)
     assert list(v.params) == ["n", "r", "s", "seed", "degree", "qt"]
     assert len(v.params["qt"]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_parameters_match_the_signature(name):
+    fn, names, defaults, fixed = REGISTRY[name]
+    sig = inspect.signature(fn)
+    assert names == tuple(sig.parameters)
+    assert defaults == {
+        key: p.default for key, p in sig.parameters.items() if p.default is not p.empty
+    }
+    assert fixed == getattr(fn, "keywords", {})
+
+
+# (identity, params, the same refusal through the CLI, message)
+REFUSALS = [
+    (
+        "scalar_part",
+        {"n": 3, "r": 1, "s": 1},
+        ["--n", "3", "--r", "1", "--s", "1"],
+        r"^scalar_part takes \('n', 'r'\): got an unexpected keyword argument 's'$",
+    ),
+    (
+        "ord1_matches",
+        {"n": 3, "degree": 2},
+        ["--n", "3", "--degree", "2"],
+        r"^ord1_matches takes \('n', 'r', 'degree', 'K'\): "
+        r"missing a required argument: 'r'$",
+    ),
+    (
+        "ord3_display_r1",
+        {"n": 3, "r": 2},
+        ["--n", "3", "--r", "2"],
+        r"^ord3_display_r1 fixes r=1, got r=2$",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, params, flags, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_binding_refusals(name, params, flags, message, capsys):
+    with pytest.raises(DomainError, match=message):
+        verify_identity(name, **params)
+    assert main(["verify", "--identity", name, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.match(message, err.removeprefix("error: ").rstrip())
+
+
+def test_verdict_defaults():
+    v = Verdict("scalar_part", {"n": 3, "r": 2}, "pass")
+    assert v.residual is None and v.runtime_ms == 0 and v.passed
+    assert not Verdict("scalar_part", {}, "fail", {"kind": "scalar"}, 5).passed
+
+
+def test_witness_report_json():
+    found = WitnessReport(
+        "n <= 2",
+        True,
+        {"n": 2, "r": 1, "s": 2, "i": 4, "j": 2, "lam": (2,), "residual": [((1, 1), "1/2")]},
+    )
+    assert found.to_json_dict() == {
+        "grid": "n <= 2",
+        "found": True,
+        "witness": {
+            "n": 2, "r": 1, "s": 2, "i": 4, "j": 2, "lam": [2], "residual": [{"m": [1, 1], "value": "1/2"}],
+        },
+    }
+    assert found.witness["lam"] == (2,)
+    assert WitnessReport("n <= 2", False).to_json_dict() == {
+        "grid": "n <= 2", "found": False, "witness": None
+    }
 
 
 def test_types_suite_plan_grid():
