@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="include measured runtimes; each cached matrix (the h^k "
             "coefficient of an (n, r, k, degree), a primitive operator's matrix "
-            "on a window) is charged to the first check that builds it",
+            "on a window, the type closed sides' primitives included) is charged "
+            "to the first check that builds it",
         )
         if with_out:
             p.add_argument("--out", help="write the report to this path")

@@ -44,11 +44,15 @@ alternant coefficients of their own through the same function.
 
 Subset sums exploit symmetry: for a symmetric argument f the term of
 the subset S is the order-preserving relabeling of the term of {1..k},
-so each operator evaluates one canonical term and symmetrizes it once
-(``_sum_over_subsets``).  Literal evaluations are kept (functions
-with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
-or by exact division, the only callers of ``exact_div`` here) and the
-tests compare each with its fast path.
+so each operator evaluates one canonical term and symmetrizes it once,
+straight into m-coordinates (``_subset_sum_coords``).  Each kernel
+operator is a coordinate function (``_h_coords``, ``_b_coords``, ...):
+its ``_apply`` expands the coordinates into a polynomial, and
+``primitive_matrix`` reads its matrix columns off them, so no column is
+expanded only to be collapsed again.  Literal evaluations are kept
+(functions with a ``_literal`` suffix: per subset, per Dunkl chain,
+entry by entry, or by exact division, the only callers of ``exact_div``
+here) and the tests compare each with its fast path.
 
 Matrix products and commutators of rational and b-polynomial matrices
 run in integers: each operand is scaled once by the lcm of its entry
@@ -87,14 +91,18 @@ from .rings import BetaPoly, HJet, binom, exp_sum_slice, qnorm, rational_value, 
 
 
 class LinearOperator:
-    """A linear map on MultiPoly over a fixed (n, ring) space."""
+    """A linear map on MultiPoly over a fixed (n, ring) space.  A kernel
+    operator also carries coords, the map from a symmetric f to the
+    m-coordinates {mu: {aux: c}} of its image, which fn expands and
+    ``primitive_matrix`` reads its columns off."""
 
-    __slots__ = ("n", "ring", "fn")
+    __slots__ = ("n", "ring", "fn", "coords")
 
-    def __init__(self, n: int, ring: Ring, fn):
+    def __init__(self, n: int, ring: Ring, fn, coords=None):
         self.n = n
         self.ring = ring
         self.fn = fn
+        self.coords = coords
 
     def __call__(self, f: MultiPoly) -> MultiPoly:
         if f.n != self.n or f.ring != self.ring:
@@ -115,10 +123,11 @@ def _subset_sign(subset, n: int) -> int:
     return -1 if inv % 2 else 1
 
 
-def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
-    """sum over the k-subsets S of {1..n} of sigma_S u (u = unit), sigma_S
-    the order-preserving relabeling of {1..k} onto S and of {k+1..n} onto
-    its complement.  u must be symmetric inside {1..k} and inside {k+1..n}
+def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
+    """The m-coordinates {mu: {aux: c}}, no zero c, of the sum over the
+    k-subsets S of {1..n} of sigma_S u (u = unit), sigma_S the
+    order-preserving relabeling of {1..k} onto S and of {k+1..n} onto its
+    complement.  u must be symmetric inside {1..k} and inside {k+1..n}
     (else InexactDivisionError carrying u), so sigma_S u is the mean of u's
     relabelings over the coset sigma_S (S_k x S_(n-k)), and
     sum_S sigma_S u = binom(n, k) Sym(u), Sym(u) the mean over S_n.  The
@@ -126,18 +135,20 @@ def _sum_over_subsets(unit: MultiPoly, k: int) -> MultiPoly:
     S_n orbit of lam: one pass sums them per orbit and aux slots."""
     n = unit.n
     if k > n:
-        return MultiPoly.zero(n, unit.ring)
+        return {}
     _require_exchange_sign(unit, [*range(k - 1), *range(k, n - 1)], 1, "subset-sum unit")
     sums = {}
     for key, c in unit.terms.items():
         row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
         row[key[n:]] = row.get(key[n:], 0) + c
     count = binom(n, k)
-    coords = {
-        lam: {aux: Fraction(c * count, _orbit_size(lam)) for aux, c in row.items() if c}
-        for lam, row in sums.items()
-    }
-    return _from_coords(coords, n, unit.ring)
+    coords = {}
+    for lam, row in sums.items():
+        size = _orbit_size(lam)
+        by_aux = {aux: Fraction(c * count, size) for aux, c in row.items() if c}
+        if by_aux:
+            coords[lam[: n - lam.count(0)]] = by_aux
+    return coords
 
 
 def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
@@ -148,9 +159,15 @@ def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
     for a in positions:
         for key, c in terms.items():
             u, v = key[a], key[a + 1]
+            if u == v and sign == 1:
+                continue
             swapped = key[:a] + (v, u) + key[a + 2:]
             # the values are compared once per pair, from its u >= v side
-            if not (terms.get(swapped) == sign * c if u >= v else swapped in terms):
+            if u < v:
+                ok = swapped in terms
+            else:
+                ok = terms.get(swapped) == (c if sign == 1 else -c)
+            if not ok:
                 kind = "symmetric" if sign == 1 else "antisymmetric"
                 raise InexactDivisionError(
                     f"{name} is not {kind} under exchanging x{a + 1} and x{a + 2}", f
@@ -366,17 +383,22 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
     return f.euler(i) + _reflection_sum(i, f).scale(BetaPoly.var())
 
 
-def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
-    """H_k = sum_i d_i^k on symmetric f.  d_i = K_1i d_1 K_1i and
-    K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1, symmetrized
-    once."""
+def _h_coords(k: int, f: MultiPoly) -> dict:
+    """H_k = sum_i d_i^k on symmetric f, in m-coordinates.  d_i = K_1i d_1
+    K_1i and K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1,
+    symmetrized once."""
     if k < 1:
         raise DomainError("h_op needs k >= 1")
     _require_symmetric(f, f"H[{k}]")
     g = f
     for _ in range(k):
         g = dunkl_apply(1, g)
-    return _sum_over_subsets(g, 1)
+    return _subset_sum_coords(g, 1)
+
+
+def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
+    """H_k f on symmetric f, expanded from ``_h_coords``."""
+    return _from_coords(_h_coords(k, f), f.n, f.ring)
 
 
 def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
@@ -393,32 +415,35 @@ def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
 
 
 def h_op(k: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: h_op_apply(k, f))
+    return LinearOperator(n, ring, lambda f: h_op_apply(k, f), lambda f: _h_coords(k, f))
 
 
 # -- Vandermonde-kernel family ------------------------------------------
 
 
-def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
+def _b_coords(k: int, l: int, f: MultiPoly) -> dict:
     """B_{k,l} = sum over k-subsets S of sum_(s in S)
-    x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t) on symmetric f.
-    The term of S = {1..k} is the divided difference
+    x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t) on symmetric f,
+    in m-coordinates.  The term of S = {1..k} is the divided difference
     d_(k-1,k) ... d_23 d_12 (x_1^(k-1) (x_1 d_1)^l f), since
     (x_s d_s)^l f = K_1s (x_1 d_1)^l f; its sum over all k-subsets is one
     symmetrization."""
     if k < 1 or l < 0:
         raise DomainError("b_op needs k >= 1 and l >= 0")
     n = f.n
-    if k > n:
-        return MultiPoly.zero(n, f.ring)
-    if not f:
-        return f
+    if k > n or not f:
+        return {}
     _require_symmetric(f, f"B[{k},{l}]")
     g = f
     for _ in range(l):
         g = g.euler(1)
     g = MultiPoly.variable(1, n, f.ring) ** (k - 1) * g
-    return _sum_over_subsets(_block_divided_difference(g, 1, k), k)
+    return _subset_sum_coords(_block_divided_difference(g, 1, k), k)
+
+
+def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
+    """B_{k,l} f on symmetric f, expanded from ``_b_coords``."""
+    return _from_coords(_b_coords(k, l, f), f.n, f.ring)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
@@ -442,38 +467,49 @@ def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
 
 
 def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: b_op_apply(k, l, f))
+    return LinearOperator(n, ring, lambda f: b_op_apply(k, l, f), lambda f: _b_coords(k, l, f))
+
+
+def _pair_ratio_coords(f: MultiPoly) -> dict:
+    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f, in
+    m-coordinates.  x_2 d_2 f = K_12 x_1 d_1 f, so the pair {1, 2}
+    contributes (x_1 + x_2) d_12 (x_1 d_1 f)."""
+    n, ring = f.n, f.ring
+    if n < 2 or not f:
+        return {}
+    _require_symmetric(f, "pair ratio sum")
+    x12 = MultiPoly.variable(1, n, ring) + MultiPoly.variable(2, n, ring)
+    return _subset_sum_coords(x12 * _divided_difference(f.euler(1), 1, 2), 2)
 
 
 def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
-    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f.
-    x_2 d_2 f = K_12 x_1 d_1 f, so the pair {1, 2} contributes
-    (x_1 + x_2) d_12 (x_1 d_1 f)."""
-    n, ring = f.n, f.ring
-    if n < 2 or not f:
-        return MultiPoly.zero(n, ring)
-    _require_symmetric(f, "pair ratio sum")
-    x12 = MultiPoly.variable(1, n, ring) + MultiPoly.variable(2, n, ring)
-    return _sum_over_subsets(x12 * _divided_difference(f.euler(1), 1, 2), 2)
+    """The pair-ratio sum of symmetric f, expanded from ``_pair_ratio_coords``."""
+    return _from_coords(_pair_ratio_coords(f), f.n, f.ring)
 
 
 def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, pair_ratio_apply)
+    return LinearOperator(n, ring, pair_ratio_apply, _pair_ratio_coords)
 
 
-def reflection_square_apply(f: MultiPoly) -> MultiPoly:
-    """The operator sum_i A_i C_i on symmetric f, where
+def _reflection_square_coords(f: MultiPoly) -> dict:
+    """The operator sum_i A_i C_i on symmetric f, in m-coordinates, where
     A_i = sum_{j != i} x_i/(x_i-x_j)(1-K_ij) and
     C_i = sum_{j != i} x_i/(x_i-x_j)(x_i d_i - x_j d_j)."""
     if not f:
-        return f
+        return {}
     _require_symmetric(f, "reflection square")
     # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so C_1 f = A_1 (x_1 d_1 f)
-    return _sum_over_subsets(_reflection_sum(1, _reflection_sum(1, f.euler(1))), 1)
+    return _subset_sum_coords(_reflection_sum(1, _reflection_sum(1, f.euler(1))), 1)
+
+
+def reflection_square_apply(f: MultiPoly) -> MultiPoly:
+    """sum_i A_i C_i f on symmetric f, expanded from
+    ``_reflection_square_coords``."""
+    return _from_coords(_reflection_square_coords(f), f.n, f.ring)
 
 
 def reflection_square_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, reflection_square_apply)
+    return LinearOperator(n, ring, reflection_square_apply, _reflection_square_coords)
 
 
 # -- Macdonald operators -------------------------------------------------
@@ -600,6 +636,18 @@ class OperatorMatrix:
         return OperatorMatrix.from_columns(
             lambda lam: to_msym_coords(op(monomial_symmetric(lam, n, ring))), basis, n, ring
         )
+
+    @staticmethod
+    def from_coords(coords, basis, n: int, ring: Ring) -> "OperatorMatrix":
+        """The matrix whose column lam is read off coords(m_lam), the
+        m-coordinates {mu: {aux: c}} of the image of m_lam: no image is
+        expanded or collapsed."""
+
+        def column(lam):
+            image = coords(monomial_symmetric(lam, n, ring))
+            return {mu: ring.scalar_from_aux(by_aux.items()) for mu, by_aux in image.items()}
+
+        return OperatorMatrix.from_columns(column, basis, n, ring)
 
     @staticmethod
     def from_columns(column, basis, n: int, ring: Ring) -> "OperatorMatrix":
@@ -817,9 +865,14 @@ def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
     (b_op, 3, 1) for B_{3,1}, on an m-basis window (a tuple of
     partitions); built once per (factor, n, basis), callers must not
-    mutate it."""
+    mutate it.  A kernel operator's columns are read off its coords, any
+    other operator's off its images."""
     factory, *args = factor
-    return operator_matrix(factory(*args, n, Ring.uni("b")), basis)
+    ring = Ring.uni("b")
+    op = factory(*args, n, ring)
+    if op.coords is None:
+        return operator_matrix(op, basis)
+    return OperatorMatrix.from_coords(op.coords, basis, n, ring)
 
 
 @lru_cache(maxsize=None)

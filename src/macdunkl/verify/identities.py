@@ -26,14 +26,12 @@ from math import factorial
 from ..errors import DomainError
 from ..multipoly import MultiPoly, Ring, partitions_upto
 from ..operators import (
-    LinearOperator,
     OperatorMatrix,
     _require_rank,
     extract_order,
     h_op,
     macdonald_matrix,
     macdonald_scalar_part,
-    operator_matrix,
     primitive_matrix,
     qshift_slice,
 )
@@ -46,7 +44,7 @@ from ..tbinom import (
     taylor_coeff_closed,
 )
 from . import closedforms
-from .typesums import type_sum_closed_apply, type_sum_raw_apply
+from .typesums import _closed_terms, type_sum_raw_coords
 
 RB = Ring.uni("b")
 RQ = Ring.q()
@@ -232,11 +230,14 @@ def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
 
 
 def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
+    """The raw type sum against its closed form, 0 <= r <= n: the raw
+    matrix read off each column's m-coordinates, the closed one a
+    combination of cached primitive matrices."""
     basis = _basis(degree, n)
-    raw = operator_matrix(LinearOperator(n, RQ, partial(type_sum_raw_apply, n, r, tid)), basis)
-    closed = operator_matrix(
-        LinearOperator(n, RQ, partial(type_sum_closed_apply, n, r, tid)), basis
-    )
+    if not 0 <= r <= n:
+        raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
+    raw = OperatorMatrix.from_coords(partial(type_sum_raw_coords, n, r, tid), basis, n, RQ)
+    closed = closedforms._combo(n, basis, _closed_terms(n, r, tid)).beta_slice(0)
     return _matrix_residual(raw, closed)
 
 

@@ -33,9 +33,19 @@ prod_(j=2..m)(x_1 - x_j)), K_11 the identity: the block divided
 difference (1, m - 1) of q E_1 f, which checks that q E_1 f is symmetric
 in x_2..x_m (InexactDivisionError otherwise).  That unit is symmetric
 inside {1..m} and inside {m+1..n}, so its sum over the supports is
-binom(n, m) times its symmetrization (``_sum_over_subsets``).  This is
-the shape of B_{k,l} with q in place of x_1^(k-1); for type 1, q = x_1^3
-and the sum is B_{4,1} f.
+binom(n, m) times its symmetrization, formed straight in m-coordinates
+(``_subset_sum_coords``): ``type_sum_raw_coords`` gives the raw sum's
+coordinates, which the type checks read their matrix columns off and
+``type_sum_raw_apply`` expands.  This is the shape of B_{k,l} with q in
+place of x_1^(k-1); for type 1, q = x_1^3 and the sum is B_{4,1} f.
+
+The closed side is one term table per type (``_closed_terms``):
+rationals times B_{4,1}, B_{2,1}, B_{3,1}, L_1 and, for types 2 and 6,
+a per-4-subset unit sum (``unit_op``).  Each factor is a
+``primitive_matrix`` key, so a type check evaluates the table as a
+combination of primitive matrices cached per (factor, n, window), each
+charged to the first check that builds it; ``type_sum_closed_apply``
+evaluates the same table on a polynomial.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -50,15 +60,16 @@ from math import factorial
 from ..errors import DomainError
 from ..multipoly import MultiPoly, Ring, _distinct_permutations, exact_div, vandermonde
 from ..operators import (
+    LinearOperator,
     _block_divided_difference,
     _cross_product,
+    _from_coords,
     _readoff_coords,
     _require_symmetric,
-    _sum_over_subsets,
-    b_op,
-    l_op,
+    _subset_sum_coords,
 )
 from ..rings import binom, qnorm
+from .closedforms import B21, B31, B41, L1
 
 RQ = Ring.q()
 
@@ -210,7 +221,7 @@ def _canonical_sums(tid: int):
     return c, q_in
 
 
-def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
+def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> dict:
     a, b = _shape(tid)
     m = a + b
     # subsets holding a pattern; both are 0 when no subset holds one
@@ -224,27 +235,37 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  Over V_m the first is
     # the block (1, m - 1) of q E_1 f; the subset sum of the latter is
     # cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
-    out = f.scale(cb * c * f.total_degree() * binom(n - 1, m))
+    # The subset sum of symmetric f is binom(n, m) f, so that term rides in
+    # the unit as f / binom(n, m) times the same factor, and ca rides in q.
+    unit = MultiPoly.zero(n, RQ)
     if ca:
         pad = (0,) * (n - m)
-        q = MultiPoly(n, RQ, {k + pad: v for k, v in q.terms.items()})
+        q = MultiPoly(n, RQ, {k + pad: qnorm(v * ca) for k, v in q.terms.items()})
         unit = _block_divided_difference(q * f.euler(1), 1, m)
-        out = out + _sum_over_subsets(unit, m).scale(ca)
-    return out
+    s = cb * c * f.total_degree() * binom(n - 1, m)
+    if s:
+        unit = unit + f.scale(Fraction(s, binom(n, m)))
+    return _subset_sum_coords(unit, m)
 
 
-def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    """Raw subset-and-pattern sum of the given type applied to symmetric f."""
+def type_sum_raw_coords(n: int, r: int, tid: int, f: MultiPoly) -> dict:
+    """Raw subset-and-pattern sum of the given type applied to symmetric
+    f, in m-coordinates {mu: {(): c}}."""
     _shape(tid)
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
-    if not f:
-        return f
     _require_symmetric(f, f"type sum {tid}")
-    out = MultiPoly.zero(n, f.ring)
-    for _, part in sorted(f.homogeneous_parts().items()):
-        out = out + _type_raw_homogeneous(n, r, tid, part)
-    return out
+    coords = {}
+    # the parts' images have distinct weights
+    for part in f.homogeneous_parts().values():
+        coords.update(_type_raw_homogeneous(n, r, tid, part))
+    return coords
+
+
+def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
+    """Raw subset-and-pattern sum of the given type applied to symmetric f,
+    expanded from ``type_sum_raw_coords``."""
+    return _from_coords(type_sum_raw_coords(n, r, tid, f), n, RQ)
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +323,9 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 # -- closed forms -------------------------------------------------------
 
 
-def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
-    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets.
+def _unit_coords(tid: int, n: int, f: MultiPoly) -> dict:
+    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets, in
+    m-coordinates.
     On S = {1..4} the unit is a sum over the r-subsets I of S, each term a
     relabeling of g / prod_(i <= r < j <= 4) (x_i - x_j), so it is one
     ``_block_divided_difference`` of g.  Type 2, r = 3: the type 2 patterns
@@ -314,51 +336,95 @@ def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
     so g = (4 x_1 x_2 - (x_1 + x_2)(x_3 + x_4)) x_1 x_2 (E_1 + E_2) f.
     E_J is the sum of the Euler operators of J."""
     if n < 4:
-        return MultiPoly.zero(n, f.ring)
+        return {}
     x1, x2, x3, x4 = (MultiPoly.variable(v, n, f.ring) for v in range(1, 5))
     if tid == 2:
         r, g = 3, x1 * x2 * x3 * (f.euler(1) + f.euler(2) + f.euler(3))
     else:
         local = (x1 * x2).scale(4) - (x1 + x2) * (x3 + x4)
         r, g = 2, local * x1 * x2 * (f.euler(1) + f.euler(2))
-    return _sum_over_subsets(_block_divided_difference(g, r, 4), 4)
+    return _subset_sum_coords(_block_divided_difference(g, r, 4), 4)
+
+
+def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
+    """The unit sum of type 2 or 6, expanded from ``_unit_coords``."""
+    return _from_coords(_unit_coords(tid, n, f), n, f.ring)
+
+
+def unit_op(tid: int, n: int, ring: Ring) -> LinearOperator:
+    """The unit sum of type 2 or 6 as a kernel operator: the primitive
+    (unit_op, tid) of the closed forms."""
+    return LinearOperator(
+        n, ring, lambda f: _unit_sum(tid, n, f), lambda f: _unit_coords(tid, n, f)
+    )
+
+
+U2, U6 = (unit_op, 2), (unit_op, 6)
+
+
+def _closed_terms(n: int, r: int, tid: int):
+    """Closed form of the type sum as a polynomial in primitives, the
+    terms (c, 0, factors) of ``closedforms._combo``: kernel operators
+    B_{k,1} and L_1, plus the stated per-4-subset unit sums for types 2
+    and 6.  Each factor is a ``primitive_matrix`` key."""
+    _shape(tid)
+    if tid == 1:
+        return [
+            (Fraction(binom(n - 4, r - 1)), 0, (B41,)),
+            (Fraction((r + 2) * (r**3 - r), 24) * binom(n - 1, r + 2), 0, (L1,)),
+        ]
+    if tid == 2:
+        return [
+            (Fraction(binom(n - 4, r - 3)), 0, (U2,)),
+            (Fraction(r * (r - 1) * (r - 2) * (r - 3), 24) * binom(n - 1, r), 0, (L1,)),
+        ]
+    if tid == 3:
+        return [
+            (Fraction(r * (r + 1) * (r - 1), 6) * binom(n - 2, r + 1), 0, (B21,)),
+            (Fraction(r * (r - 1), 2) * binom(n - 3, r), 0, (B31,)),
+            (Fraction(r * (r**2 - 1) * (r**2 - 4), 12) * binom(n - 1, r + 2), 0, (L1,)),
+        ]
+    if tid == 4:
+        # the second and third terms are ((n - 2) B_{2,1} - B_{3,1}) times mix
+        mix = Fraction((r - 1) * (r - 2), 2) * binom(n - 3, r - 1)
+        return [
+            (Fraction(r * (r - 1) * (r - 2), 6) * binom(n - 2, r), 0, (B21,)),
+            (mix * (n - 2), 0, (B21,)),
+            (-mix, 0, (B31,)),
+            (
+                Fraction((r + 1) * r * (r - 1) * (r - 2) * (r - 3), 12) * binom(n - 1, r + 1),
+                0,
+                (L1,),
+            ),
+        ]
+    if tid == 5:
+        return [
+            (Fraction((r + 1) * r * (r - 1) * (r - 2), 8) * binom(n - 2, r + 1), 0, (B21,)),
+            (Fraction(r * (r - 3) * (r**2 - 1) * (r**2 - 4), 48) * binom(n - 1, r + 2), 0, (L1,)),
+        ]
+    return [
+        (Fraction(5 * r * (r + 1) * (r - 1) * (r - 2), 24) * binom(n - 1, r + 1), 0, (L1,)),
+        (Fraction(binom(n - 4, r - 2)), 0, (U6,)),
+    ]
 
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    """Closed form of the type sum: kernel-operator combinations, plus the
-    stated per-4-subset unit sums for types 2 and 6."""
-    _shape(tid)
+    """Closed form of the type sum applied to symmetric f: the terms of
+    ``_closed_terms`` evaluated on f, each product of factors applied to f
+    once, right to left."""
+    terms = _closed_terms(n, r, tid)
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
     _require_symmetric(f, f"type sum {tid}")
-    l1 = l_op(1, n, RQ)
-    b21 = b_op(2, 1, n, RQ)
-    b31 = b_op(3, 1, n, RQ)
-    if tid == 1:
-        out = b_op(4, 1, n, RQ)(f).scale(binom(n - 4, r - 1))
-        c = Fraction((r + 2) * (r**3 - r), 24) * binom(n - 1, r + 2)
-        return out + l1(f).scale(c)
-    if tid == 2:
-        out = _unit_sum(2, n, f).scale(binom(n - 4, r - 3))
-        c = Fraction(r * (r - 1) * (r - 2) * (r - 3), 24) * binom(n - 1, r)
-        return out + l1(f).scale(c)
-    if tid == 3:
-        out = b21(f).scale(Fraction(r * (r + 1) * (r - 1), 6) * binom(n - 2, r + 1))
-        out = out + b31(f).scale(Fraction(r * (r - 1), 2) * binom(n - 3, r))
-        c = Fraction(r * (r**2 - 1) * (r**2 - 4), 12) * binom(n - 1, r + 2)
-        return out + l1(f).scale(c)
-    if tid == 4:
-        b21f = b21(f)
-        out = b21f.scale(Fraction(r * (r - 1) * (r - 2), 6) * binom(n - 2, r))
-        mix = b21f.scale(n - 2) - b31(f)
-        out = out + mix.scale(Fraction((r - 1) * (r - 2), 2) * binom(n - 3, r - 1))
-        c = Fraction((r + 1) * r * (r - 1) * (r - 2) * (r - 3), 12) * binom(n - 1, r + 1)
-        return out + l1(f).scale(c)
-    if tid == 5:
-        out = b21(f).scale(Fraction((r + 1) * r * (r - 1) * (r - 2), 8) * binom(n - 2, r + 1))
-        c = Fraction(r * (r - 3) * (r**2 - 1) * (r**2 - 4), 48) * binom(n - 1, r + 2)
-        return out + l1(f).scale(c)
-    # type 6
-    out = l1(f).scale(Fraction(5 * r * (r + 1) * (r - 1) * (r - 2), 24) * binom(n - 1, r + 1))
-    return out + _unit_sum(6, n, f).scale(binom(n - 4, r - 2))
-
+    images = {}
+    out = MultiPoly.zero(n, RQ)
+    for c, _, factors in terms:
+        if not c:
+            continue
+        if factors not in images:
+            g = f
+            for factory, *args in reversed(factors):
+                g = factory(*args, n, RQ)(g)
+            images[factors] = g
+        out = out + images[factors].scale(c)
+    return out

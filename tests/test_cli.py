@@ -275,6 +275,15 @@ def test_ord3_raw_eq_dunkl_refuses_a_rank_outside_1_to_n(n, r, bounds):
     assert f"need {bounds}, got r={r}, n={n}" in err.getvalue()
 
 
+@pytest.mark.parametrize("r", [-1, 9])
+def test_type_check_refuses_a_rank_outside_0_to_n(r):
+    err = StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("verify", "--identity", "type3_matches", "--n", "5", "--r", str(r))
+    assert (code, out) == (2, "")
+    assert f"need 0 <= r <= n, got r={r}, n=5" in err.getvalue()
+
+
 def test_config_edge_cases_exit_2():
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "-1")[0] == 2
     assert run_cli("jack", "--n", "2", "--degree", "2", "--beta", "x")[0] == 2

@@ -5,16 +5,17 @@ from math import factorial
 
 import pytest
 
-from macdunkl import BetaPoly, Ring
+from macdunkl import BetaPoly, Ring, operators
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
 from macdunkl.rings import binom_ff
 from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
-from macdunkl.verify import closedforms, verify_identity
+from macdunkl.verify import closedforms, typesums, verify_identity
 from macdunkl.verify.closedforms import (
     B21,
     B22,
     B31,
+    B41,
     H1,
     H2,
     H3,
@@ -22,6 +23,7 @@ from macdunkl.verify.closedforms import (
     L2,
     L3,
     M11,
+    _combo,
     _product,
     beta2_h3_lhs,
     beta2_h3_rhs_b,
@@ -287,22 +289,19 @@ def test_dn1_h4_sanity_n2():
 )
 def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
     """The h^2 and h^3 forms share their primitives and their products: a
-    cold evaluation builds each distinct factor's matrix once, a repeat
-    builds none and multiplies no matrices."""
-    built = []
+    cold evaluation builds each distinct factor's matrix once (one
+    ``primitive_matrix`` cache miss each), a repeat builds none and
+    multiplies no matrices."""
     products = []
-    from_operator = OperatorMatrix.from_operator
     matmul = OperatorMatrix.__matmul__
-
-    def counting(op, basis, n, ring):
-        built.append(op)
-        return from_operator(op, basis, n, ring)
 
     def counting_products(a, b):
         products.append((a, b))
         return matmul(a, b)
 
-    monkeypatch.setattr(OperatorMatrix, "from_operator", staticmethod(counting))
+    def built():
+        return primitive_matrix.cache_info().misses
+
     monkeypatch.setattr(OperatorMatrix, "__matmul__", counting_products)
     primitive_matrix.cache_clear()
     _product.cache_clear()
@@ -316,12 +315,53 @@ def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
             third_order_slice(j, n, r, basis)
 
     evaluate()
-    assert len(built) == len(factors)
+    assert built() == len(factors)
     assert products
     del products[:]
     evaluate()
-    assert len(built) == len(factors)
+    assert built() == len(factors)
     assert products == []
+
+
+def test_type_closed_sides_share_their_primitives(monkeypatch):
+    """The six type closed sides at one (n, window) build each factor once:
+    B_{2,1}, B_{3,1} and L_1 serve types 3-5 (and L_1 all six).  A second
+    pass builds no primitive and applies no kernel operator."""
+    n, r, basis = 6, 3, tuple(partitions_upto(2, 6))
+    calls = []
+    for module, name in (
+        (operators, "b_op_apply"),
+        (operators, "_b_coords"),
+        (typesums, "_unit_sum"),
+        (typesums, "_unit_coords"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    primitive_matrix.cache_clear()
+    _product.cache_clear()
+
+    def evaluate():
+        return [
+            _combo(n, basis, typesums._closed_terms(n, r, tid)).beta_slice(0)
+            for tid in range(1, 7)
+        ]
+
+    first = evaluate()
+    factors = {
+        f for tid in range(1, 7) for c, _, fs in typesums._closed_terms(n, r, tid) if c for f in fs
+    }
+    assert factors == {B41, B21, B31, L1, typesums.U2, typesums.U6}
+    assert primitive_matrix.cache_info().misses == len(factors)
+    assert {"_b_coords", "_unit_coords"} <= set(calls)
+    del calls[:]
+    assert evaluate() == first
+    assert primitive_matrix.cache_info().misses == len(factors)
+    assert calls == []
 
 
 def test_cached_products_equal_fresh_builds(monkeypatch):

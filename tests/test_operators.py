@@ -28,9 +28,10 @@ from macdunkl.operators import (
     _order_matrix,
     _rational_power,
     _shift_subset,
-    _sum_over_subsets,
+    _subset_sum_coords,
     _divided_difference,
     _divided_difference_literal,
+    _from_coords,
     b_op,
     b_op_apply,
     b_op_apply_literal,
@@ -294,6 +295,31 @@ def test_kernel_operators_never_divide(monkeypatch):
             assert operator_matrix(op, basis).n == n
 
 
+# every kernel primitive that a closed form or a type table names
+KERNEL_FACTORS = [
+    *((h_op, k) for k in (1, 2, 3, 4)),
+    *((b_op, k, l) for k, l in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))),
+    (pair_ratio_op,),
+    (reflection_square_op,),
+    typesums.U2,
+    typesums.U6,
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_columns_from_coordinates_match_the_round_trip(n):
+    """A kernel primitive's matrix, read off the m-coordinates of each
+    column, against expanding each image and collapsing it again."""
+    basis = tuple(partitions_upto(4, n))
+    for factor in KERNEL_FACTORS:
+        factory, *args = factor
+        op = factory(*args, n, RB)
+        assert op.coords is not None, factor
+        got = primitive_matrix.__wrapped__(factor, n, basis)
+        want = OperatorMatrix.from_operator(op, basis, n, RB)
+        assert (got.basis, got.entries) == (want.basis, want.entries), (factor, n)
+
+
 def _column(mat, lam):
     return {mu: v for (mu, col), v in mat.entries.items() if col == lam}
 
@@ -463,7 +489,7 @@ def test_sum_over_subsets_matches_every_relabeling():
                         tuple(key[perm.index(p)] for p in range(n)) + key[n:]: c
                         for key, c in unit.terms.items()
                     })
-                assert _sum_over_subsets(unit, k) == want, (ring, n, k)
+                assert _from_coords(_subset_sum_coords(unit, k), n, ring) == want, (ring, n, k)
 
 
 def test_sum_over_subsets_refuses_a_unit_that_is_not_block_symmetric():
@@ -472,7 +498,7 @@ def test_sum_over_subsets_refuses_a_unit_that_is_not_block_symmetric():
     outside = x(3, n) ** 2  # not symmetric inside {3, 4}
     for unit in (inside, outside):
         with pytest.raises(InexactDivisionError, match="subset-sum unit is not symmetric"):
-            _sum_over_subsets(unit, 2)
+            _subset_sum_coords(unit, 2)
 
 
 def test_no_operator_path_relabels(monkeypatch):

@@ -57,7 +57,8 @@ def test_type_numerators_match_division(monkeypatch):
         for u in range(2, k + 1):
             g = g - g1.swap(1, u)
         cof = exact_div(vandermonde(n, RQ), vandermonde(n, RQ, range(1, k + 1)))
-        seen.append((n, k, r, operators._sum_over_subsets(got, k), alternate_by_division(g, cof, k)))
+        total = operators._from_coords(operators._subset_sum_coords(got, k), n, RQ)
+        seen.append((n, k, r, total, alternate_by_division(g, cof, k)))
         return got
 
     monkeypatch.setattr(typesums, "_block_divided_difference", spy)

@@ -1,10 +1,14 @@
-"""The per-layer tracer of perfbench still finds every layer it patches.
+"""The per-layer tracer of perfbench still finds every layer it patches,
+and the benchmark's scripts still import.
 
 The tracer reads a layer that the package no longer has as zero without
 failing, so a rename in src would silently zero that layer's metrics.
 Only the layers of the retired h-jet arithmetic are expected to be gone:
 ``HJet`` holds values with no product, and the t-binomial is read one h
-order at a time by ``TPoly.h_coeff``.
+order at a time by ``TPoly.h_coeff``.  The scripts import package names
+of their own (the independent checks call ``operator_matrix``,
+``type_sum_closed_apply`` and others), and the per-identity rows are
+registry names.
 """
 
 import json
@@ -17,10 +21,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _INSTALL = """
 import json, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
-from tracing import Tracer
+from tracing import IDENTITIES, Tracer
 tracer = Tracer()
 tracer.install()
-print(json.dumps(tracer.unpatched))
+import independent, round, run, workloads
+from macdunkl.verify.identities import REGISTRY
+print(json.dumps([tracer.unpatched, [name for name in IDENTITIES if name not in REGISTRY]]))
 """
 
 
@@ -28,12 +34,15 @@ def test_tracer_patches_every_layer():
     code = _INSTALL.format(
         src=os.path.join(ROOT, "src"), perfbench=os.path.join(ROOT, "perfbench")
     )
+    # -B: the check reads perfbench/ and writes nothing there
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
+    unpatched, unknown_identities = json.loads(proc.stdout.splitlines()[-1])
+    assert unpatched == [
         "HJet.__mul__",
         "macdunkl.tbinom.t_binomial_jet",
         "macdunkl.tbinom.scaled_t_binomial_jet",
     ]
+    assert unknown_identities == []

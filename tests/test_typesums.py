@@ -1,7 +1,7 @@
 """Type-sum tests: raw vs literal, counts, the partial-fraction identity."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 import pytest
@@ -17,19 +17,28 @@ from macdunkl import (
 )
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl import operators
-from macdunkl.operators import _sum_over_subsets
+from macdunkl.operators import (
+    LinearOperator,
+    OperatorMatrix,
+    _from_coords,
+    _subset_sum_coords,
+    operator_matrix,
+)
 from macdunkl.verify import typesums
-from macdunkl.verify.identities import verify_identity
+from macdunkl.verify.closedforms import _combo
+from macdunkl.verify.identities import TYPE_GRID, verify_identity
 from macdunkl.verify.typesums import (
     TYPE_PATTERN,
     TYPE_SHAPE,
     _canonical_sums,
+    _closed_terms,
     _pattern_key,
     _pattern_piece,
     _patterns,
     _unit_sum,
     type_sum_closed_apply,
     type_sum_raw_apply,
+    type_sum_raw_coords,
     type_sum_raw_literal,
     type_term_count,
 )
@@ -117,6 +126,33 @@ def test_raw_equals_closed_at_6_3_degree2(tid):
         raw = type_sum_raw_apply(n, r, tid, f)
         closed = type_sum_closed_apply(n, r, tid, f)
         assert raw == closed, (tid, lam)
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_closed_table_has_one_value_under_both_evaluators(tid):
+    """The closed term table, as a combination of cached primitive
+    matrices, against applying it to each basis polynomial."""
+    grid = [(n, r, 2) for n in range(4, 8) for r in range(n + 1)]
+    grid += [(n, r, 3) for n, r in TYPE_GRID]
+    for n, r, degree in grid:
+        basis = tuple(partitions_upto(degree, n))
+        combo = _combo(n, basis, _closed_terms(n, r, tid)).beta_slice(0)
+        op = LinearOperator(n, RQ, partial(type_sum_closed_apply, n, r, tid))
+        assert combo == operator_matrix(op, basis), (n, r, degree)
+        assert degree == 2 or not combo.is_zero()
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_raw_columns_from_coordinates_match_the_round_trip(tid):
+    """The raw type matrix read off each column's m-coordinates, against
+    expanding each image and collapsing it again."""
+    grid = [(n, r, 2) for n in range(1, 8) for r in range(n + 1)]
+    grid += [(n, r, 3) for n, r in TYPE_GRID]
+    for n, r, degree in grid:
+        basis = partitions_upto(degree, n)
+        got = OperatorMatrix.from_coords(partial(type_sum_raw_coords, n, r, tid), basis, n, RQ)
+        want = operator_matrix(LinearOperator(n, RQ, partial(type_sum_raw_apply, n, r, tid)), basis)
+        assert (got.basis, got.entries) == (want.basis, want.entries), (n, r, degree)
 
 
 def _patterns_by_hand(tid: int):
@@ -352,7 +388,8 @@ def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
         for v in ins:
             ef = ef + f.euler(v)
         num = num + _pad(piece, n) * ef
-    return _sum_over_subsets(exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4))), 4)
+    unit = exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4)))
+    return _from_coords(_subset_sum_coords(unit, 4), n, RQ)
 
 
 @pytest.mark.parametrize("tid", [2, 6])

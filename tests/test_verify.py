@@ -27,6 +27,18 @@ def test_ord3_raw_eq_dunkl_refuses_a_rank_outside_1_to_n(r):
         verify_identity("ord3_raw_eq_dunkl", n=4, r=r)
 
 
+@pytest.mark.parametrize("r", [-1, 6, 9])
+def test_type_checks_refuse_a_rank_outside_0_to_n(r):
+    # both sides would be zero matrices, and the check would pass
+    with pytest.raises(DomainError, match=rf"^need 0 <= r <= n, got r={r}, n=5$"):
+        verify_identity("type3_matches", n=5, r=r, degree=2)
+
+
+def test_type_checks_take_rank_zero():
+    for tid in range(1, 7):
+        assert verify_identity(f"type{tid}_matches", n=5, r=0, degree=2).passed
+
+
 def test_dispatch_matches_direct_call():
     v = verify_identity("scalar_part", n=3, r=2)
     assert v.identity == "scalar_part"
