@@ -15,10 +15,22 @@ Macdonald operator the block (r, n - r) of prod_(i <= r < j)(t x_i - x_j)
 with t symbolic, the raw type sums (``verify.typesums``) the block
 (1, m - 1) of q E_1 f, and their closed units the blocks (3, 1) and
 (2, 2) on four variables.
-The pair-ratio term is (x_1 + x_2) d_12 (x_1 d_1 f), and the
-reflection-square term is A_1 A_1 (x_1 d_1 f).  The kernel operators and
-the power sum H_k = sum_i d_i^k need a symmetric argument f (checked):
-then each sum over indices i (or subsets S) symmetrizes one term.
+
+The power sum H_k = sum_i d_i^k, the pair-ratio sum and the reflection
+square each symmetrize one chain in x_1: d_1^k f, A_1 (x_1 d_1 f) (the
+pair-ratio sum is sum_i A_i (x_i d_i f)) and A_1 A_1 (x_1 d_1 f).  d_1
+and A_1 commute with the permutations of x_2..x_n, so every
+intermediate is symmetric in x_2..x_n and is held as its S_1 x S_(n-1)
+orbit representatives {(x_1 exponent, rest sorted decreasing, aux): G},
+G the coefficient summed over the orbit of rest (``_representatives``).
+One step pushes a representative through d_1j once per distinct value
+of rest, weighted by its multiplicity, with the geometric-sum rule of
+the divided difference (``_push``); the m_lam coordinate of the sum
+over i is then n sum G / |S_n orbit of lam|.  No polynomial is formed
+along the chain; ``dunkl_apply`` is left to the public API and the
+literal H_k.  The kernel operators and H_k need a symmetric argument f
+(checked): then each sum over indices i (or subsets S) symmetrizes one
+term.
 
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
@@ -49,10 +61,13 @@ straight into m-coordinates (``_subset_sum_coords``).  Each kernel
 operator is a coordinate function (``_h_coords``, ``_b_coords``, ...):
 its ``_apply`` expands the coordinates into a polynomial, and
 ``primitive_matrix`` reads its matrix columns off them, so no column is
-expanded only to be collapsed again.  Literal evaluations are kept
-(functions with a ``_literal`` suffix: per subset, per Dunkl chain,
-entry by entry, or by exact division, the only callers of ``exact_div``
-here) and the tests compare each with its fast path.
+expanded only to be collapsed again.  The diagonal operators L_k and
+M11 have coordinate functions too (L_k m_lam = p_k(lam) m_lam,
+M11 m_lam = e_2(lam) m_lam), so every primitive is read off
+coordinates.  Literal evaluations are kept (functions with a
+``_literal`` suffix: per subset, per Dunkl chain, entry by entry, or by
+exact division, the only callers of ``exact_div`` here) and the tests
+compare each with its fast path.
 
 Matrix products and commutators of rational and b-polynomial matrices
 run in integers: each operand is scaled once by the lcm of its entry
@@ -75,12 +90,13 @@ from .multipoly import (
     _distinct_permutations,
     _orbit_size,
     _require_partition,
+    _symmetric_orbits,
+    _violating_swap,
     exact_div,
     kostka_table,
     monomial_symmetric,
     partitions_of,
     partitions_upto,
-    symmetry_violation,
     to_msym_coords,
     vandermonde,
 )
@@ -91,10 +107,10 @@ from .rings import BetaPoly, HJet, binom, exp_sum_slice, qnorm, rational_value, 
 
 
 class LinearOperator:
-    """A linear map on MultiPoly over a fixed (n, ring) space.  A kernel
-    operator also carries coords, the map from a symmetric f to the
-    m-coordinates {mu: {aux: c}} of its image, which fn expands and
-    ``primitive_matrix`` reads its columns off."""
+    """A linear map on MultiPoly over a fixed (n, ring) space.  A
+    primitive also carries coords, the map from a symmetric f to the
+    m-coordinates {mu: {aux: c}} of its image, which ``primitive_matrix``
+    reads its columns off (and a kernel operator's fn expands)."""
 
     __slots__ = ("n", "ring", "fn", "coords")
 
@@ -141,7 +157,14 @@ def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
     for key, c in unit.terms.items():
         row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
         row[key[n:]] = row.get(key[n:], 0) + c
-    count = binom(n, k)
+    return _orbit_means(sums, n, binom(n, k))
+
+
+def _orbit_means(sums, n: int, count) -> dict:
+    """count Sym(u) in m-coordinates {mu: {aux: c}}, no zero c, from the
+    sums {lam: {aux: s}} of u's coefficients per S_n orbit lam (padded to
+    n parts) and aux slots: the m_lam coordinate is count s over the size
+    of the orbit, since Sym(u) is u's mean over S_n."""
     coords = {}
     for lam, row in sums.items():
         size = _orbit_size(lam)
@@ -218,14 +241,19 @@ def _from_coords(coords, n: int, ring: Ring) -> MultiPoly:
     return MultiPoly(n, ring, out)
 
 
-def _require_symmetric(f: MultiPoly, opname: str):
-    bad = symmetry_violation(f)
-    if bad is not None:
+def _require_symmetric(f: MultiPoly, opname: str) -> dict:
+    """The orbit table {(sorted x exponent, aux): [c, count]} of symmetric
+    f (``_symmetric_orbits``); NonSymmetricError naming a transposition
+    when f is not symmetric."""
+    orbits = _symmetric_orbits(f)
+    if orbits is None:
+        bad = _violating_swap(f)
         raise NonSymmetricError(
             f"{opname} requires a symmetric argument; exchanging x{bad[0]} and "
             f"x{bad[1]} changes the input",
             bad,
         )
+    return orbits
 
 
 # -- diagonal operators (monomial-exponent weights) ---------------------
@@ -238,22 +266,38 @@ def _exponent_weighted(f: MultiPoly, weight) -> MultiPoly:
     )
 
 
+def _diagonal_op(n: int, ring: Ring, weight, opname: str) -> LinearOperator:
+    """The operator scaling each monomial by weight(e), e its x exponent.
+    weight is symmetric, so m_lam is an eigenvector with eigenvalue
+    weight(lam): its coordinates on symmetric f are f's own, reweighted."""
+
+    def coords(f: MultiPoly) -> dict:
+        out = {}
+        for (x, aux), (c, _) in _require_symmetric(f, opname).items():
+            if w := weight(x):
+                out.setdefault(x[: n - x.count(0)], {})[aux] = c * w
+        return out
+
+    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, weight), coords)
+
+
 def l_op(k: int, n: int, ring: Ring) -> LinearOperator:
-    """Power sum of the Euler operators: sum_i (x_i d_i)^k."""
+    """Power sum of the Euler operators: sum_i (x_i d_i)^k, with
+    L_k m_lam = p_k(lam) m_lam."""
     if k < 0:
         raise DomainError("l_op needs k >= 0")
-    return LinearOperator(
-        n, ring, lambda f: _exponent_weighted(f, lambda e: sum(v**k for v in e))
-    )
+    return _diagonal_op(n, ring, lambda e: sum(v**k for v in e), f"L[{k}]")
 
 
 def m11_op(n: int, ring: Ring) -> LinearOperator:
+    """sum_(i<j) (x_i d_i)(x_j d_j), with M11 m_lam = e_2(lam) m_lam."""
+
     def w(e):
         s1 = sum(e)
         s2 = sum(v * v for v in e)
         return (s1 * s1 - s2) // 2
 
-    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, w))
+    return _diagonal_op(n, ring, w, "M[1,1]")
 
 
 # -- q-shift ------------------------------------------------------------
@@ -373,6 +417,70 @@ def _reflection_sum(i: int, f: MultiPoly) -> MultiPoly:
     )
 
 
+# -- orbit representatives under S_1 x S_(n-1) ------------------------------
+
+
+def _representatives(orbits) -> dict:
+    """The symmetric polynomial of an orbit table (``_require_symmetric``)
+    as {(u, rest, aux): G}: u an x_1 exponent, rest the other x exponents
+    sorted decreasing, and G the sum of the coefficients over the S_(n-1)
+    orbit of rest.  Each orbit x with coefficient c gives one key per
+    distinct entry u of x, rest being x with one u removed and
+    G = c |S_(n-1) orbit of rest|."""
+    reps = {}
+    for (x, aux), (c, _) in orbits.items():
+        for i, u in enumerate(x):
+            if not i or x[i - 1] != u:
+                rest = x[:i] + x[i + 1:]
+                reps[(u, rest, aux)] = c * _orbit_size(rest)
+    return reps
+
+
+def _euler_reps(reps) -> dict:
+    """x_1 d_1 on representatives: G times u."""
+    return {(u, rest, aux): G * u for (u, rest, aux), G in reps.items() if u}
+
+
+def _push(reps, bump: int = 0, out=None) -> dict:
+    """b^bump A_1 g = b^bump x_1 sum_(j != 1) d_1j g on representatives of
+    g, added into out.  d_1j sends x_1^u x_j^v to the geometric sum of
+    ``_divided_difference``; over the S_(n-1) orbit of rest the pairs
+    (monomial, j) with x_j exponent v number |orbit| m_v, m_v the
+    multiplicity of v in rest, so each representative is pushed once per
+    distinct value v of rest, with weight m_v G."""
+    out = {} if out is None else out
+    for (u, rest, aux), G in reps.items():
+        if bump:
+            aux = (aux[0] + bump,)
+        i, size = 0, len(rest)
+        while i < size:
+            v, start = rest[i], i
+            while i < size and rest[i] == v:
+                i += 1
+            if v == u:
+                continue
+            others = rest[:start] + rest[start + 1:]
+            c = (i - start) * G
+            if u > v:
+                lo, hi = v, u
+            else:
+                lo, hi, c = u, v, -c
+            for p in range(hi - lo):
+                key = (lo + p + 1, tuple(sorted(others + (hi - 1 - p,), reverse=True)), aux)
+                out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _rep_coords(reps, n: int) -> dict:
+    """sum_i K_1i g = n Sym(g) in m-coordinates, g given by its
+    representatives."""
+    sums = {}
+    for (u, rest, aux), G in reps.items():
+        row = sums.setdefault(tuple(sorted((u, *rest), reverse=True)), {})
+        row[aux] = row.get(aux, 0) + G
+    return _orbit_means(sums, n, n)
+
+
 # -- Dunkl operators ----------------------------------------------------
 
 
@@ -386,14 +494,16 @@ def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
 def _h_coords(k: int, f: MultiPoly) -> dict:
     """H_k = sum_i d_i^k on symmetric f, in m-coordinates.  d_i = K_1i d_1
     K_1i and K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1,
-    symmetrized once."""
+    symmetrized once, run on representatives (d_1 = x_1 d_1 + b A_1
+    commutes with the permutations of x_2..x_n)."""
     if k < 1:
         raise DomainError("h_op needs k >= 1")
-    _require_symmetric(f, f"H[{k}]")
-    g = f
+    if f.ring.kind == "q":
+        raise DomainError("Dunkl operators need a coefficient ring containing b")
+    reps = _representatives(_require_symmetric(f, f"H[{k}]"))
     for _ in range(k):
-        g = dunkl_apply(1, g)
-    return _subset_sum_coords(g, 1)
+        reps = _push(reps, 1, _euler_reps(reps))
+    return _rep_coords(reps, f.n)
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
@@ -472,14 +582,17 @@ def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
 
 def _pair_ratio_coords(f: MultiPoly) -> dict:
     """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f, in
-    m-coordinates.  x_2 d_2 f = K_12 x_1 d_1 f, so the pair {1, 2}
-    contributes (x_1 + x_2) d_12 (x_1 d_1 f)."""
-    n, ring = f.n, f.ring
+    m-coordinates.  x_j d_j f = K_ij x_i d_i f, so the pair {i, j}
+    contributes (x_i + x_j) d_ij (x_i d_i f), and d_ij (x_i d_i f) is
+    symmetric in i and j: exchanging the names in the x_j half of the sum
+    over ordered pairs turns it into the x_i half, so the sum is
+    sum_(i != j) x_i d_ij (x_i d_i f) = sum_i A_i (x_i d_i f), one push of
+    the representatives of x_1 d_1 f, symmetrized."""
+    n = f.n
     if n < 2 or not f:
         return {}
-    _require_symmetric(f, "pair ratio sum")
-    x12 = MultiPoly.variable(1, n, ring) + MultiPoly.variable(2, n, ring)
-    return _subset_sum_coords(x12 * _divided_difference(f.euler(1), 1, 2), 2)
+    reps = _euler_reps(_representatives(_require_symmetric(f, "pair ratio sum")))
+    return _rep_coords(_push(reps), n)
 
 
 def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
@@ -497,9 +610,11 @@ def _reflection_square_coords(f: MultiPoly) -> dict:
     C_i = sum_{j != i} x_i/(x_i-x_j)(x_i d_i - x_j d_j)."""
     if not f:
         return {}
-    _require_symmetric(f, "reflection square")
     # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so C_1 f = A_1 (x_1 d_1 f)
-    return _subset_sum_coords(_reflection_sum(1, _reflection_sum(1, f.euler(1))), 1)
+    reps = _euler_reps(_representatives(_require_symmetric(f, "reflection square")))
+    for _ in range(2):
+        reps = _push(reps)
+    return _rep_coords(reps, f.n)
 
 
 def reflection_square_apply(f: MultiPoly) -> MultiPoly:
@@ -865,14 +980,10 @@ def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
     (b_op, 3, 1) for B_{3,1}, on an m-basis window (a tuple of
     partitions); built once per (factor, n, basis), callers must not
-    mutate it.  A kernel operator's columns are read off its coords, any
-    other operator's off its images."""
+    mutate it.  The columns are read off the operator's coords."""
     factory, *args = factor
     ring = Ring.uni("b")
-    op = factory(*args, n, ring)
-    if op.coords is None:
-        return operator_matrix(op, basis)
-    return OperatorMatrix.from_coords(op.coords, basis, n, ring)
+    return OperatorMatrix.from_coords(factory(*args, n, ring).coords, basis, n, ring)
 
 
 @lru_cache(maxsize=None)

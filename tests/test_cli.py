@@ -71,6 +71,15 @@ def test_failing_identity_exit_1():
     assert payload[0]["residual"] != "zero"
 
 
+@pytest.mark.parametrize("identity", ["h_explicit_3", "beta2_h3"])
+def test_h3_forms_pass_at_n10_degree6(identity):
+    # H_3 and the reflection square at this size are built on orbit
+    # representatives, in well under a second
+    code, out = run_cli("verify", "--identity", identity, "--n", "10", "--degree", "6")
+    assert code == 0
+    assert out.startswith(f"PASS {identity} n=10 degree=6")
+
+
 def test_suite_json_schema():
     code, out = run_cli(
         "verify", "--suite", "dunkl", "--nmax", "2", "--degree", "2", "--json"

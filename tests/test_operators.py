@@ -199,11 +199,21 @@ def test_h2_matrix_example():
 
 
 def test_h_op_matches_literal():
-    for n in range(1, 6):
-        for k in range(1, 5):
-            for lam in [()] + partitions_upto(4, n):
-                f = msym(lam, n)
-                assert h_op_apply(k, f) == h_op_apply_literal(k, f), (n, k, lam)
+    grid = [
+        (n, k, lam)
+        for n in range(1, 8)
+        for k in range(1, 5)
+        for lam in [()] + partitions_upto(4, n)
+    ]
+    grid += [(8, 3, lam) for lam in partitions_upto(5, 8)]
+    for n, k, lam in grid:
+        f = msym(lam, n)
+        assert h_op_apply(k, f) == h_op_apply_literal(k, f), (n, k, lam)
+
+
+def test_h_op_needs_beta_ring():
+    with pytest.raises(DomainError, match="coefficient ring containing b"):
+        h_op_apply(2, msym((1,), 2, Ring.q()))
 
 
 def test_h_op_rejects_non_symmetric():
@@ -239,6 +249,25 @@ def test_b_op_matches_literal():
                     assert b_op_apply(k, l, f) == want, (ring, n, k, l, lam)
 
 
+def pair_ratio_literal(f):
+    """sum_(i<j) (x_i + x_j)/(x_i - x_j) (x_i d_i - x_j d_j) f, pair by
+    pair, with each quotient taken by exact division."""
+    n = f.n
+    out = MultiPoly.zero(n, f.ring)
+    for i, j in combinations(range(1, n + 1), 2):
+        xi, xj = x(i, n, f.ring), x(j, n, f.ring)
+        out = out + (xi + xj) * exact_div(f.euler(i) - f.euler(j), xi - xj)
+    return out
+
+
+def test_pair_ratio_matches_literal():
+    for ring in (Ring.q(), RB):
+        for n in range(1, 8):
+            for lam in [()] + partitions_upto(4, n):
+                f = msym(lam, n, ring)
+                assert pair_ratio_apply(f) == pair_ratio_literal(f), (ring, n, lam)
+
+
 def test_pair_ratio_identity_with_b21():
     # sum (xi+xj)/(xi-xj)(xi di - xj dj) = 2 B_{2,1} - (n-1) L_1 on symmetric f
     for n in (2, 3, 4):
@@ -272,7 +301,7 @@ def reflection_square_literal(f):
 
 def test_reflection_square_small():
     for ring in (Ring.q(), RB):
-        for n in range(1, 5):
+        for n in range(1, 8):
             for lam in [()] + partitions_upto(4, n):
                 f = msym(lam, n, ring)
                 want = reflection_square_literal(f)
@@ -295,8 +324,34 @@ def test_kernel_operators_never_divide(monkeypatch):
             assert operator_matrix(op, basis).n == n
 
 
-# every kernel primitive that a closed form or a type table names
+def test_chain_primitives_run_on_representatives(monkeypatch):
+    """The H_k, pair-ratio and reflection-square matrices are built on
+    S_1 x S_(n-1) orbit representatives: no Dunkl operator, reflection
+    sum or divided difference on a polynomial."""
+
+    def refuse(*args):
+        raise AssertionError("a chain primitive ran on a polynomial")
+
+    for name in ("dunkl_apply", "_reflection_sum", "_divided_difference"):
+        monkeypatch.setattr(macdunkl.operators, name, refuse)
+    factors = [*((h_op, k) for k in (1, 2, 3, 4)), (pair_ratio_op,), (reflection_square_op,)]
+    for n in range(2, 6):
+        basis = tuple(partitions_upto(4, n))
+        for factor in factors:
+            assert primitive_matrix.__wrapped__(factor, n, basis).entries, (factor, n)
+
+
+def test_diagonal_coordinates_refuse_non_symmetric():
+    f = x(1, 3, RB)
+    for op in (l_op(2, 3, RB), m11_op(3, RB)):
+        with pytest.raises(NonSymmetricError):
+            op.coords(f)
+
+
+# every primitive that a closed form or a type table names
 KERNEL_FACTORS = [
+    *((l_op, k) for k in (1, 2, 3, 4)),
+    (m11_op,),
     *((h_op, k) for k in (1, 2, 3, 4)),
     *((b_op, k, l) for k, l in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))),
     (pair_ratio_op,),
@@ -306,15 +361,27 @@ KERNEL_FACTORS = [
 ]
 
 
+# independent evaluators of the primitives whose apply expands their own
+# coordinates: these give the "want" side of the round trip below
+LITERALS = {
+    h_op: lambda k: partial(h_op_apply_literal, k),
+    pair_ratio_op: lambda: pair_ratio_literal,
+    reflection_square_op: lambda: reflection_square_literal,
+}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_columns_from_coordinates_match_the_round_trip(n):
-    """A kernel primitive's matrix, read off the m-coordinates of each
-    column, against expanding each image and collapsing it again."""
+    """A primitive's matrix, read off the m-coordinates of each column,
+    against expanding each image and collapsing it again, the image taken
+    from an independent evaluator where there is one."""
     basis = tuple(partitions_upto(4, n))
     for factor in KERNEL_FACTORS:
         factory, *args = factor
         op = factory(*args, n, RB)
         assert op.coords is not None, factor
+        if factory in LITERALS:
+            op = LinearOperator(n, RB, LITERALS[factory](*args))
         got = primitive_matrix.__wrapped__(factor, n, basis)
         want = OperatorMatrix.from_operator(op, basis, n, RB)
         assert (got.basis, got.entries) == (want.basis, want.entries), (factor, n)
