@@ -149,21 +149,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.n, self.ring, tuple(sorted(self.terms.items()))))
 
-    def total_degree(self) -> int:
-        """Maximal x-degree; -1 for the zero polynomial."""
-        n = self.n
-        if not self.terms:
-            return -1
-        return max(sum(k[:n]) for k in self.terms)
-
-    def homogeneous_parts(self):
-        """Split into {degree: homogeneous MultiPoly}."""
-        n = self.n
-        out = {}
-        for k, c in self.terms.items():
-            out.setdefault(sum(k[:n]), {})[k] = c
-        return {d: MultiPoly(self.n, self.ring, t) for d, t in out.items()}
-
     def iter_terms(self):
         """Yield (x-exponent tuple, ring scalar) in canonical order."""
         n = self.n

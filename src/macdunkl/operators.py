@@ -1,6 +1,14 @@
 """Linear operators on symmetric polynomials: q-shifts, Dunkl operators,
 Vandermonde-kernel operators and Macdonald operators.
 
+Every operator has one shape, a ``LinearOperator``: a column function of
+lam, column(lam) being the image of m_lam as m-coordinates
+{mu: ring scalar}.  Applying it to f reads f's m-coordinates once and
+sums the columns (a non-symmetric f is refused, naming the operator),
+and ``OperatorMatrix.from_operator`` (``operator_matrix``) reads a
+matrix off the columns of a window, so no image is expanded into
+monomials only to be collapsed again.
+
 Every division by x_i - x_j on an operator path is the divided
 difference d_ij f = (1 - K_ij) f / (x_i - x_j), evaluated term by term
 as a geometric sum of monomials, never by forming a numerator and
@@ -22,15 +30,15 @@ pair-ratio sum is sum_i A_i (x_i d_i f)) and A_1 A_1 (x_1 d_1 f).  d_1
 and A_1 commute with the permutations of x_2..x_n, so every
 intermediate is symmetric in x_2..x_n and is held as its S_1 x S_(n-1)
 orbit representatives {(x_1 exponent, rest sorted decreasing, aux): G},
-G the coefficient summed over the orbit of rest (``_representatives``).
-One step pushes a representative through d_1j once per distinct value
-of rest, weighted by its multiplicity, with the geometric-sum rule of
-the divided difference (``_push``); the m_lam coordinate of the sum
-over i is then n sum G / |S_n orbit of lam|.  No polynomial is formed
+G the coefficient summed over the orbit of rest, starting from those of
+m_lam, written down from lam (``_msym_representatives``).  One step
+pushes a representative through d_1j once per distinct value of rest,
+weighted by its multiplicity, with the geometric-sum rule of the
+divided difference (``_push``); the m_lam coordinate of the sum over i
+is then n sum G / |S_n orbit of lam|.  No polynomial is formed
 along the chain; ``dunkl_apply`` is left to the public API and the
-literal H_k.  The kernel operators and H_k need a symmetric argument f
-(checked): then each sum over indices i (or subsets S) symmetrizes one
-term.
+literal H_k.  On a symmetric argument each sum over indices i (or
+subsets S) symmetrizes one term.
 
 Macdonald operators use the alternant formula (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. VI 3), with delta = (n-1, ..., 0)
@@ -57,17 +65,16 @@ alternant coefficients of their own through the same function.
 Subset sums exploit symmetry: for a symmetric argument f the term of
 the subset S is the order-preserving relabeling of the term of {1..k},
 so each operator evaluates one canonical term and symmetrizes it once,
-straight into m-coordinates (``_subset_sum_coords``).  Each kernel
-operator is a coordinate function (``_h_coords``, ``_b_coords``, ...):
-its ``_apply`` expands the coordinates into a polynomial, and
-``primitive_matrix`` reads its matrix columns off them, so no column is
-expanded only to be collapsed again.  The diagonal operators L_k and
-M11 have coordinate functions too (L_k m_lam = p_k(lam) m_lam,
-M11 m_lam = e_2(lam) m_lam), so every primitive is read off
-coordinates.  Literal evaluations are kept (functions with a
-``_literal`` suffix: per subset, per Dunkl chain, entry by entry, or by
-exact division, the only callers of ``exact_div`` here) and the tests
-compare each with its fast path.
+straight into m-coordinates (``_subset_sum_coords``).  The columns of
+B_{k,l} (``_b_column``), of the raw type sums and of their closed units
+form m_lam and run that on it; m_lam is symmetric by construction, so
+no entry check runs, while the block symmetry of each canonical term is
+still checked exactly.  The diagonal operators L_k and M11 have the
+column {lam: weight(lam)} (L_k m_lam = p_k(lam) m_lam,
+M11 m_lam = e_2(lam) m_lam).  Literal evaluations are kept (functions
+with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
+or by exact division, the only callers of ``exact_div`` here) and the
+tests compare each with its fast path.
 
 Matrix products and commutators of rational and b-polynomial matrices
 run in integers: each operand is scaled once by the lcm of its entry
@@ -90,8 +97,6 @@ from .multipoly import (
     _distinct_permutations,
     _orbit_size,
     _require_partition,
-    _symmetric_orbits,
-    _violating_swap,
     exact_div,
     kostka_table,
     monomial_symmetric,
@@ -107,23 +112,30 @@ from .rings import BetaPoly, HJet, binom, exp_sum_slice, qnorm, rational_value, 
 
 
 class LinearOperator:
-    """A linear map on MultiPoly over a fixed (n, ring) space.  A
-    primitive also carries coords, the map from a symmetric f to the
-    m-coordinates {mu: {aux: c}} of its image, which ``primitive_matrix``
-    reads its columns off (and a kernel operator's fn expands)."""
+    """A linear operator on the symmetric polynomials in n variables over a
+    ring, given by its columns: column(lam) is the image of m_lam as
+    m-coordinates {mu: ring scalar}.  Applying it to f reads f's
+    m-coordinates once and sums the columns (a non-symmetric f is
+    refused, naming the operator); ``OperatorMatrix.from_operator`` reads
+    its matrix off the columns of a window."""
 
-    __slots__ = ("n", "ring", "fn", "coords")
+    __slots__ = ("n", "ring", "column", "name")
 
-    def __init__(self, n: int, ring: Ring, fn, coords=None):
+    def __init__(self, n: int, ring: Ring, column, name: str):
         self.n = n
         self.ring = ring
-        self.fn = fn
-        self.coords = coords
+        self.column = column
+        self.name = name
 
     def __call__(self, f: MultiPoly) -> MultiPoly:
         if f.n != self.n or f.ring != self.ring:
             raise DomainError("operator got a polynomial over a different space")
-        return self.fn(f)
+        image = {}
+        for lam, c in _require_symmetric(f, self.name).items():
+            for mu, v in self.column(lam).items():
+                v = v * c
+                image[mu] = image[mu] + v if mu in image else v
+        return _from_coords(image, self.n, self.ring)
 
 
 # -- subset sums ----------------------------------------------------------
@@ -140,8 +152,8 @@ def _subset_sign(subset, n: int) -> int:
 
 
 def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
-    """The m-coordinates {mu: {aux: c}}, no zero c, of the sum over the
-    k-subsets S of {1..n} of sigma_S u (u = unit), sigma_S the
+    """The m-coordinates {mu: ring scalar}, no zero scalar, of the sum over
+    the k-subsets S of {1..n} of sigma_S u (u = unit), sigma_S the
     order-preserving relabeling of {1..k} onto S and of {k+1..n} onto its
     complement.  u must be symmetric inside {1..k} and inside {k+1..n}
     (else InexactDivisionError carrying u), so sigma_S u is the mean of u's
@@ -157,20 +169,20 @@ def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
     for key, c in unit.terms.items():
         row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
         row[key[n:]] = row.get(key[n:], 0) + c
-    return _orbit_means(sums, n, binom(n, k))
+    return _orbit_means(sums, n, binom(n, k), unit.ring)
 
 
-def _orbit_means(sums, n: int, count) -> dict:
-    """count Sym(u) in m-coordinates {mu: {aux: c}}, no zero c, from the
-    sums {lam: {aux: s}} of u's coefficients per S_n orbit lam (padded to
-    n parts) and aux slots: the m_lam coordinate is count s over the size
-    of the orbit, since Sym(u) is u's mean over S_n."""
+def _orbit_means(sums, n: int, count, ring: Ring) -> dict:
+    """count Sym(u) in m-coordinates {mu: ring scalar}, no zero scalar,
+    from the sums {lam: {aux: s}} of u's coefficients per S_n orbit lam
+    (padded to n parts) and aux slots: the m_lam coordinate is count s
+    over the size of the orbit, since Sym(u) is u's mean over S_n."""
     coords = {}
     for lam, row in sums.items():
         size = _orbit_size(lam)
-        by_aux = {aux: Fraction(c * count, size) for aux, c in row.items() if c}
+        by_aux = [(aux, Fraction(c * count, size)) for aux, c in row.items() if c]
         if by_aux:
-            coords[lam[: n - lam.count(0)]] = by_aux
+            coords[lam[: n - lam.count(0)]] = ring.scalar_from_aux(by_aux)
     return coords
 
 
@@ -231,10 +243,10 @@ def _readoff_coords(alternants, n: int):
 
 
 def _from_coords(coords, n: int, ring: Ring) -> MultiPoly:
-    """sum over mu of m_mu times the scalar {aux: c} of coords[mu], c
-    rational."""
+    """sum over mu of coords[mu] m_mu, coords[mu] a ring scalar."""
     out = {}
-    for mu, by_aux in coords.items():
+    for mu, scalar in coords.items():
+        by_aux = ring.aux_keys_of(scalar)
         for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
             for aux, c in by_aux.items():
                 out[e + aux] = qnorm(c)
@@ -242,43 +254,33 @@ def _from_coords(coords, n: int, ring: Ring) -> MultiPoly:
 
 
 def _require_symmetric(f: MultiPoly, opname: str) -> dict:
-    """The orbit table {(sorted x exponent, aux): [c, count]} of symmetric
-    f (``_symmetric_orbits``); NonSymmetricError naming a transposition
-    when f is not symmetric."""
-    orbits = _symmetric_orbits(f)
-    if orbits is None:
-        bad = _violating_swap(f)
+    """The m-coordinates {lam: ring scalar} of symmetric f
+    (``to_msym_coords``); NonSymmetricError naming the operator and a
+    transposition when f is not symmetric."""
+    try:
+        return to_msym_coords(f)
+    except NonSymmetricError as err:
+        i, j = err.transposition
         raise NonSymmetricError(
-            f"{opname} requires a symmetric argument; exchanging x{bad[0]} and "
-            f"x{bad[1]} changes the input",
-            bad,
-        )
-    return orbits
+            f"{opname} requires a symmetric argument; exchanging x{i} and x{j} changes the input",
+            err.transposition,
+        ) from None
 
 
 # -- diagonal operators (monomial-exponent weights) ---------------------
 
 
-def _exponent_weighted(f: MultiPoly, weight) -> MultiPoly:
-    n = f.n
-    return MultiPoly(
-        n, f.ring, {k: c * w for k, c in f.terms.items() if (w := weight(k[:n]))}
-    )
-
-
-def _diagonal_op(n: int, ring: Ring, weight, opname: str) -> LinearOperator:
+def _diagonal_op(n: int, ring: Ring, weight, name: str) -> LinearOperator:
     """The operator scaling each monomial by weight(e), e its x exponent.
     weight is symmetric, so m_lam is an eigenvector with eigenvalue
-    weight(lam): its coordinates on symmetric f are f's own, reweighted."""
+    weight(lam), lam padded to n parts."""
+    aux0 = (0,) * ring.aux_slots
 
-    def coords(f: MultiPoly) -> dict:
-        out = {}
-        for (x, aux), (c, _) in _require_symmetric(f, opname).items():
-            if w := weight(x):
-                out.setdefault(x[: n - x.count(0)], {})[aux] = c * w
-        return out
+    def column(lam):
+        w = weight(lam + (0,) * (n - len(lam)))
+        return {lam: ring.scalar_from_aux([(aux0, w)])} if w else {}
 
-    return LinearOperator(n, ring, lambda f: _exponent_weighted(f, weight), coords)
+    return LinearOperator(n, ring, column, name)
 
 
 def l_op(k: int, n: int, ring: Ring) -> LinearOperator:
@@ -420,19 +422,19 @@ def _reflection_sum(i: int, f: MultiPoly) -> MultiPoly:
 # -- orbit representatives under S_1 x S_(n-1) ------------------------------
 
 
-def _representatives(orbits) -> dict:
-    """The symmetric polynomial of an orbit table (``_require_symmetric``)
-    as {(u, rest, aux): G}: u an x_1 exponent, rest the other x exponents
-    sorted decreasing, and G the sum of the coefficients over the S_(n-1)
-    orbit of rest.  Each orbit x with coefficient c gives one key per
-    distinct entry u of x, rest being x with one u removed and
-    G = c |S_(n-1) orbit of rest|."""
+def _msym_representatives(lam, n: int, ring: Ring) -> dict:
+    """m_lam over the ring as {(u, rest, aux): G}: u an x_1 exponent, rest
+    the other x exponents sorted decreasing, aux the ring's zero aux slots,
+    and G the sum of the coefficients over the S_(n-1) orbit of rest.
+    With x = lam padded to n parts, each distinct entry u of x gives one
+    key, rest being x with one u removed and G = |S_(n-1) orbit of rest|."""
+    x = lam + (0,) * (n - len(lam))
+    aux = (0,) * ring.aux_slots
     reps = {}
-    for (x, aux), (c, _) in orbits.items():
-        for i, u in enumerate(x):
-            if not i or x[i - 1] != u:
-                rest = x[:i] + x[i + 1:]
-                reps[(u, rest, aux)] = c * _orbit_size(rest)
+    for i, u in enumerate(x):
+        if not i or x[i - 1] != u:
+            rest = x[:i] + x[i + 1:]
+            reps[(u, rest, aux)] = _orbit_size(rest)
     return reps
 
 
@@ -471,44 +473,51 @@ def _push(reps, bump: int = 0, out=None) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _rep_coords(reps, n: int) -> dict:
+def _rep_coords(reps, n: int, ring: Ring) -> dict:
     """sum_i K_1i g = n Sym(g) in m-coordinates, g given by its
     representatives."""
     sums = {}
     for (u, rest, aux), G in reps.items():
         row = sums.setdefault(tuple(sorted((u, *rest), reverse=True)), {})
         row[aux] = row.get(aux, 0) + G
-    return _orbit_means(sums, n, n)
+    return _orbit_means(sums, n, n, ring)
 
 
 # -- Dunkl operators ----------------------------------------------------
 
 
+def _require_beta_ring(ring: Ring):
+    if ring.kind == "q":
+        raise DomainError("Dunkl operators need a coefficient ring containing b")
+
+
 def dunkl_apply(i: int, f: MultiPoly) -> MultiPoly:
     """Dunkl operator d_i = x_i d_i + b A_i."""
-    if f.ring.kind == "q":
-        raise DomainError("Dunkl operators need a coefficient ring containing b")
+    _require_beta_ring(f.ring)
     return f.euler(i) + _reflection_sum(i, f).scale(BetaPoly.var())
 
 
-def _h_coords(k: int, f: MultiPoly) -> dict:
-    """H_k = sum_i d_i^k on symmetric f, in m-coordinates.  d_i = K_1i d_1
-    K_1i and K_1i f = f, so d_i^k f = K_1i d_1^k f: one chain of d_1,
-    symmetrized once, run on representatives (d_1 = x_1 d_1 + b A_1
-    commutes with the permutations of x_2..x_n)."""
+def h_op(k: int, n: int, ring: Ring) -> LinearOperator:
+    """H_k = sum_i d_i^k on symmetric polynomials.  d_i = K_1i d_1 K_1i
+    and K_1i f = f, so d_i^k f = K_1i d_1^k f: the column of m_lam is one
+    chain of d_1 = x_1 d_1 + b A_1 on the representatives of m_lam (d_1
+    commutes with the permutations of x_2..x_n), symmetrized once."""
     if k < 1:
         raise DomainError("h_op needs k >= 1")
-    if f.ring.kind == "q":
-        raise DomainError("Dunkl operators need a coefficient ring containing b")
-    reps = _representatives(_require_symmetric(f, f"H[{k}]"))
-    for _ in range(k):
-        reps = _push(reps, 1, _euler_reps(reps))
-    return _rep_coords(reps, f.n)
+    _require_beta_ring(ring)
+
+    def column(lam):
+        reps = _msym_representatives(lam, n, ring)
+        for _ in range(k):
+            reps = _push(reps, 1, _euler_reps(reps))
+        return _rep_coords(reps, n, ring)
+
+    return LinearOperator(n, ring, column, f"H[{k}]")
 
 
 def h_op_apply(k: int, f: MultiPoly) -> MultiPoly:
-    """H_k f on symmetric f, expanded from ``_h_coords``."""
-    return _from_coords(_h_coords(k, f), f.n, f.ring)
+    """H_k f on symmetric f."""
+    return h_op(k, f.n, f.ring)(f)
 
 
 def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
@@ -524,36 +533,23 @@ def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
     return out
 
 
-def h_op(k: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: h_op_apply(k, f), lambda f: _h_coords(k, f))
-
-
 # -- Vandermonde-kernel family ------------------------------------------
 
 
-def _b_coords(k: int, l: int, f: MultiPoly) -> dict:
-    """B_{k,l} = sum over k-subsets S of sum_(s in S)
-    x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t) on symmetric f,
-    in m-coordinates.  The term of S = {1..k} is the divided difference
+def _b_column(k: int, l: int, n: int, ring: Ring, lam) -> dict:
+    """B_{k,l} m_lam in m-coordinates, B_{k,l} = sum over k-subsets S of
+    sum_(s in S) x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t).
+    The term of S = {1..k} is the divided difference
     d_(k-1,k) ... d_23 d_12 (x_1^(k-1) (x_1 d_1)^l f), since
-    (x_s d_s)^l f = K_1s (x_1 d_1)^l f; its sum over all k-subsets is one
-    symmetrization."""
-    if k < 1 or l < 0:
-        raise DomainError("b_op needs k >= 1 and l >= 0")
-    n = f.n
-    if k > n or not f:
+    (x_s d_s)^l f = K_1s (x_1 d_1)^l f on symmetric f; its sum over all
+    k-subsets is one symmetrization."""
+    if k > n:
         return {}
-    _require_symmetric(f, f"B[{k},{l}]")
-    g = f
+    g = monomial_symmetric(lam, n, ring)
     for _ in range(l):
         g = g.euler(1)
-    g = MultiPoly.variable(1, n, f.ring) ** (k - 1) * g
+    g = MultiPoly.variable(1, n, ring) ** (k - 1) * g
     return _subset_sum_coords(_block_divided_difference(g, 1, k), k)
-
-
-def b_op_apply(k: int, l: int, f: MultiPoly) -> MultiPoly:
-    """B_{k,l} f on symmetric f, expanded from ``_b_coords``."""
-    return _from_coords(_b_coords(k, l, f), f.n, f.ring)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
@@ -577,54 +573,39 @@ def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
 
 
 def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, lambda f: b_op_apply(k, l, f), lambda f: _b_coords(k, l, f))
+    if k < 1 or l < 0:
+        raise DomainError("b_op needs k >= 1 and l >= 0")
+    return LinearOperator(n, ring, partial(_b_column, k, l, n, ring), f"B[{k},{l}]")
 
 
-def _pair_ratio_coords(f: MultiPoly) -> dict:
-    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric f, in
-    m-coordinates.  x_j d_j f = K_ij x_i d_i f, so the pair {i, j}
+def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:
+    """sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j) on symmetric
+    polynomials.  x_j d_j f = K_ij x_i d_i f, so the pair {i, j}
     contributes (x_i + x_j) d_ij (x_i d_i f), and d_ij (x_i d_i f) is
     symmetric in i and j: exchanging the names in the x_j half of the sum
     over ordered pairs turns it into the x_i half, so the sum is
     sum_(i != j) x_i d_ij (x_i d_i f) = sum_i A_i (x_i d_i f), one push of
-    the representatives of x_1 d_1 f, symmetrized."""
-    n = f.n
-    if n < 2 or not f:
-        return {}
-    reps = _euler_reps(_representatives(_require_symmetric(f, "pair ratio sum")))
-    return _rep_coords(_push(reps), n)
+    the representatives of x_1 d_1 m_lam, symmetrized."""
 
+    def column(lam):
+        return _rep_coords(_push(_euler_reps(_msym_representatives(lam, n, ring))), n, ring)
 
-def pair_ratio_apply(f: MultiPoly) -> MultiPoly:
-    """The pair-ratio sum of symmetric f, expanded from ``_pair_ratio_coords``."""
-    return _from_coords(_pair_ratio_coords(f), f.n, f.ring)
-
-
-def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, pair_ratio_apply, _pair_ratio_coords)
-
-
-def _reflection_square_coords(f: MultiPoly) -> dict:
-    """The operator sum_i A_i C_i on symmetric f, in m-coordinates, where
-    A_i = sum_{j != i} x_i/(x_i-x_j)(1-K_ij) and
-    C_i = sum_{j != i} x_i/(x_i-x_j)(x_i d_i - x_j d_j)."""
-    if not f:
-        return {}
-    # K_1j (x_1 d_1) f = x_j d_j f on symmetric f, so C_1 f = A_1 (x_1 d_1 f)
-    reps = _euler_reps(_representatives(_require_symmetric(f, "reflection square")))
-    for _ in range(2):
-        reps = _push(reps)
-    return _rep_coords(reps, f.n)
-
-
-def reflection_square_apply(f: MultiPoly) -> MultiPoly:
-    """sum_i A_i C_i f on symmetric f, expanded from
-    ``_reflection_square_coords``."""
-    return _from_coords(_reflection_square_coords(f), f.n, f.ring)
+    return LinearOperator(n, ring, column, "pair ratio sum")
 
 
 def reflection_square_op(n: int, ring: Ring) -> LinearOperator:
-    return LinearOperator(n, ring, reflection_square_apply, _reflection_square_coords)
+    """The operator sum_i A_i C_i on symmetric polynomials, where
+    A_i = sum_{j != i} x_i/(x_i-x_j)(1-K_ij) and
+    C_i = sum_{j != i} x_i/(x_i-x_j)(x_i d_i - x_j d_j).  K_1j (x_1 d_1) f
+    = x_j d_j f on symmetric f, so C_1 f = A_1 (x_1 d_1 f)."""
+
+    def column(lam):
+        reps = _euler_reps(_msym_representatives(lam, n, ring))
+        for _ in range(2):
+            reps = _push(reps)
+        return _rep_coords(reps, n, ring)
+
+    return LinearOperator(n, ring, column, "reflection square")
 
 
 # -- Macdonald operators -------------------------------------------------
@@ -668,19 +649,23 @@ def _macdonald_column(n: int, r: int, lam) -> dict:
     return _readoff_coords(alternants, n)
 
 
-def macdonald_apply(n: int, r: int, value, f: MultiPoly) -> MultiPoly:
-    """Macdonald operator D(n, r) on symmetric f: the columns of the
-    m-coordinates of f, each coefficient {(a, b): N} read by value as a
-    scalar of f's ring (``exp_sum_slice`` at one h order over
-    b-polynomials, or ``rational_value`` at a rational (q, t))."""
+def _macdonald_op(n: int, r: int, ring: Ring, value) -> LinearOperator:
+    """D(n, r) over the ring: each coefficient {(a, b): N} of its cached
+    columns read by value as a ring scalar (``exp_sum_slice`` at one h
+    order over b-polynomials, or ``rational_value`` at a rational
+    (q, t))."""
     _require_rank(n, r=r)
-    coords = {}
-    for lam, c in to_msym_coords(f).items():
-        for mu, poly in _macdonald_column(n, r, lam).items():
-            v = value(poly) * c
-            coords[mu] = coords[mu] + v if mu in coords else v
-    ring = f.ring
-    return _from_coords({mu: ring.aux_keys_of(v) for mu, v in coords.items()}, n, ring)
+
+    def column(lam):
+        return {mu: value(poly) for mu, poly in _macdonald_column(n, r, lam).items()}
+
+    return LinearOperator(n, ring, column, f"D({n},{r})")
+
+
+def macdonald_apply(n: int, r: int, value, f: MultiPoly) -> MultiPoly:
+    """Macdonald operator D(n, r) on symmetric f, its coefficients read by
+    value (``_macdonald_op``)."""
+    return _macdonald_op(n, r, f.ring, value)(f)
 
 
 def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPoly:
@@ -701,15 +686,12 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
 
 
 def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
-    value = partial(rational_value, Fraction(q), Fraction(t))
-    return LinearOperator(n, Ring.q(), partial(macdonald_apply, n, r, value))
+    return _macdonald_op(n, r, Ring.q(), partial(rational_value, Fraction(q), Fraction(t)))
 
 
 def macdonald_matrix(n: int, r: int, q, t, basis) -> OperatorMatrix:
     """Matrix of D(n, r) at rational (q, t) on an m-basis window."""
-    return _column_matrix(
-        n, r, basis, Ring.q(), partial(rational_value, Fraction(q), Fraction(t))
-    )
+    return operator_matrix(macdonald_specialized(n, r, q, t), basis)
 
 
 # -- scalar part of the Macdonald operator --------------------------------
@@ -747,33 +729,21 @@ class OperatorMatrix:
         self.entries = entries
 
     @staticmethod
-    def from_operator(op: LinearOperator, basis, n: int, ring: Ring) -> "OperatorMatrix":
-        return OperatorMatrix.from_columns(
-            lambda lam: to_msym_coords(op(monomial_symmetric(lam, n, ring))), basis, n, ring
-        )
-
-    @staticmethod
-    def from_coords(coords, basis, n: int, ring: Ring) -> "OperatorMatrix":
-        """The matrix whose column lam is read off coords(m_lam), the
-        m-coordinates {mu: {aux: c}} of the image of m_lam: no image is
-        expanded or collapsed."""
-
-        def column(lam):
-            image = coords(monomial_symmetric(lam, n, ring))
-            return {mu: ring.scalar_from_aux(by_aux.items()) for mu, by_aux in image.items()}
-
-        return OperatorMatrix.from_columns(column, basis, n, ring)
-
-    @staticmethod
-    def from_columns(column, basis, n: int, ring: Ring) -> "OperatorMatrix":
-        """The matrix whose column lam is column(lam), the {mu: scalar}
-        coordinates of the image of m_lam."""
+    def from_operator(op: LinearOperator, basis) -> "OperatorMatrix":
+        """The matrix of op on an m-basis window, its column lam read off
+        op.column(lam): no image is expanded or collapsed.  Every window
+        entry must be a partition with at most n parts, the window closed
+        under weight, and every image inside the window (else
+        DomainError)."""
+        n = op.n
         basis = tuple(tuple(lam) for lam in basis)
+        for lam in basis:
+            _require_partition(lam, n)
         _check_basis_closure(basis, n)
         bset = set(basis)
         entries = {}
         for lam in basis:
-            for mu, c in column(lam).items():
+            for mu, c in op.column(lam).items():
                 if not c:
                     continue
                 if mu not in bset:
@@ -782,7 +752,7 @@ class OperatorMatrix:
                         f"appears in the image of m{list(lam)}"
                     )
                 entries[(mu, lam)] = c
-        return OperatorMatrix(n, ring, basis, entries)
+        return OperatorMatrix(n, op.ring, basis, entries)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._compat(other)
@@ -855,6 +825,7 @@ class OperatorMatrix:
             return NotImplemented
         return (
             self.n == other.n
+            and self.ring == other.ring
             and self.basis == other.basis
             and (self - other).is_zero()
         )
@@ -958,17 +929,7 @@ def _check_basis_closure(basis, n: int):
 
 
 def operator_matrix(op: LinearOperator, basis) -> OperatorMatrix:
-    return OperatorMatrix.from_operator(op, basis, op.n, op.ring)
-
-
-def _column_matrix(n: int, r: int, basis, ring: Ring, value) -> OperatorMatrix:
-    """Matrix of D(n, r) on the basis window, read off the cached columns:
-    entry (mu, lam) is value({(a, b): N}) of the coordinate of m_mu in
-    D(n, r) m_lam, a scalar of the ring."""
-    return OperatorMatrix.from_columns(
-        lambda lam: {mu: value(p) for mu, p in _macdonald_column(n, r, lam).items()},
-        basis, n, ring,
-    )
+    return OperatorMatrix.from_operator(op, basis)
 
 
 # -- cached matrices --------------------------------------------------------
@@ -980,19 +941,17 @@ def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
     (b_op, 3, 1) for B_{3,1}, on an m-basis window (a tuple of
     partitions); built once per (factor, n, basis), callers must not
-    mutate it.  The columns are read off the operator's coords."""
+    mutate it."""
     factory, *args = factor
-    ring = Ring.uni("b")
-    return OperatorMatrix.from_coords(factory(*args, n, ring).coords, basis, n, ring)
+    return operator_matrix(factory(*args, n, Ring.uni("b")), basis)
 
 
 @lru_cache(maxsize=None)
 def _order_matrix(n: int, r: int, k: int, degree: int) -> OperatorMatrix:
     if n < 1:
         raise DomainError("n must be at least 1")
-    return _column_matrix(
-        n, r, partitions_upto(degree, n), Ring.uni("b"), partial(exp_sum_slice, k=k)
-    )
+    op = _macdonald_op(n, r, Ring.uni("b"), partial(exp_sum_slice, k=k))
+    return operator_matrix(op, partitions_upto(degree, n))
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:

@@ -134,6 +134,9 @@ class BetaPoly:
         return NotImplemented
 
     def __hash__(self):
+        # equal to a rational when constant, so it must hash as one
+        if self.degree() <= 0:
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __add__(self, other) -> "BetaPoly":

@@ -32,6 +32,7 @@ from ..operators import (
     h_op,
     macdonald_matrix,
     macdonald_scalar_part,
+    operator_matrix,
     primitive_matrix,
     qshift_slice,
 )
@@ -44,7 +45,7 @@ from ..tbinom import (
     taylor_coeff_closed,
 )
 from . import closedforms
-from .typesums import _closed_terms, type_sum_raw_coords
+from .typesums import _closed_terms, type_sum_raw_op
 
 RB = Ring.uni("b")
 RQ = Ring.q()
@@ -231,12 +232,12 @@ def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
 
 def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
     """The raw type sum against its closed form, 0 <= r <= n: the raw
-    matrix read off each column's m-coordinates, the closed one a
+    matrix read off the raw operator's columns, the closed one a
     combination of cached primitive matrices."""
     basis = _basis(degree, n)
     if not 0 <= r <= n:
         raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
-    raw = OperatorMatrix.from_coords(partial(type_sum_raw_coords, n, r, tid), basis, n, RQ)
+    raw = operator_matrix(type_sum_raw_op(n, r, tid), basis)
     closed = closedforms._combo(n, basis, _closed_terms(n, r, tid)).beta_slice(0)
     return _matrix_residual(raw, closed)
 

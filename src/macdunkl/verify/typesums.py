@@ -34,18 +34,19 @@ difference (1, m - 1) of q E_1 f, which checks that q E_1 f is symmetric
 in x_2..x_m (InexactDivisionError otherwise).  That unit is symmetric
 inside {1..m} and inside {m+1..n}, so its sum over the supports is
 binom(n, m) times its symmetrization, formed straight in m-coordinates
-(``_subset_sum_coords``): ``type_sum_raw_coords`` gives the raw sum's
-coordinates, which the type checks read their matrix columns off and
-``type_sum_raw_apply`` expands.  This is the shape of B_{k,l} with q in
-place of x_1^(k-1); for type 1, q = x_1^3 and the sum is B_{4,1} f.
+(``_subset_sum_coords``).  At f = m_lam that is the column of lam of the
+raw operator (``type_sum_raw_op``), which the type checks read their
+matrix off and ``type_sum_raw_apply`` applies like any operator.  This
+is the shape of B_{k,l} with q in place of x_1^(k-1); for type 1,
+q = x_1^3 and the sum is B_{4,1} f.
 
 The closed side is one term table per type (``_closed_terms``):
 rationals times B_{4,1}, B_{2,1}, B_{3,1}, L_1 and, for types 2 and 6,
-a per-4-subset unit sum (``unit_op``).  Each factor is a
-``primitive_matrix`` key, so a type check evaluates the table as a
-combination of primitive matrices cached per (factor, n, window), each
-charged to the first check that builds it; ``type_sum_closed_apply``
-evaluates the same table on a polynomial.
+a per-4-subset unit sum (``unit_op``, its columns formed like those of
+B_{k,l}).  Each factor is a ``primitive_matrix`` key, so a type check
+evaluates the table as a combination of primitive matrices cached per
+(factor, n, window), each charged to the first check that builds it;
+``type_sum_closed_apply`` evaluates the same table on a polynomial.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -53,17 +54,23 @@ directly and is compared against the fast path in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import factorial
 
 from ..errors import DomainError
-from ..multipoly import MultiPoly, Ring, _distinct_permutations, exact_div, vandermonde
+from ..multipoly import (
+    MultiPoly,
+    Ring,
+    _distinct_permutations,
+    exact_div,
+    monomial_symmetric,
+    vandermonde,
+)
 from ..operators import (
     LinearOperator,
     _block_divided_difference,
     _cross_product,
-    _from_coords,
     _readoff_coords,
     _require_symmetric,
     _subset_sum_coords,
@@ -221,7 +228,10 @@ def _canonical_sums(tid: int):
     return c, q_in
 
 
-def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> dict:
+def _type_raw_column(n: int, r: int, tid: int, lam) -> dict:
+    """The raw subset-and-pattern sum of the type applied to m_lam, in
+    m-coordinates."""
+    f = monomial_symmetric(lam, n, RQ)
     a, b = _shape(tid)
     m = a + b
     # subsets holding a pattern; both are 0 when no subset holds one
@@ -229,7 +239,7 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> dict:
     cb = binom(n - m - 1, r - a - 1)
     c, q = _canonical_sums(tid)
     # The support numerator is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f
-    # + cb d c V_m f, for f symmetric and homogeneous of degree d.  With
+    # + cb d c V_m f, for f = m_lam of degree d = |lam|.  With
     # n_in[u] + n_out[u] = c V_m, n_in[u] = -K_1u n_in[1] and, f being
     # symmetric, E_u f = K_1u E_1 f, it is ca (g1 - sum_{u>1} K_1u g1) with
     # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  Over V_m the first is
@@ -242,30 +252,25 @@ def _type_raw_homogeneous(n: int, r: int, tid: int, f: MultiPoly) -> dict:
         pad = (0,) * (n - m)
         q = MultiPoly(n, RQ, {k + pad: qnorm(v * ca) for k, v in q.terms.items()})
         unit = _block_divided_difference(q * f.euler(1), 1, m)
-    s = cb * c * f.total_degree() * binom(n - 1, m)
+    s = cb * c * sum(lam) * binom(n - 1, m)
     if s:
         unit = unit + f.scale(Fraction(s, binom(n, m)))
     return _subset_sum_coords(unit, m)
 
 
-def type_sum_raw_coords(n: int, r: int, tid: int, f: MultiPoly) -> dict:
-    """Raw subset-and-pattern sum of the given type applied to symmetric
-    f, in m-coordinates {mu: {(): c}}."""
+def type_sum_raw_op(n: int, r: int, tid: int) -> LinearOperator:
+    """The raw subset-and-pattern sum of the given type over the rationals,
+    its columns from ``_type_raw_column``."""
     _shape(tid)
-    if f.ring != RQ:
-        raise DomainError("type sums run over the rational ring")
-    _require_symmetric(f, f"type sum {tid}")
-    coords = {}
-    # the parts' images have distinct weights
-    for part in f.homogeneous_parts().values():
-        coords.update(_type_raw_homogeneous(n, r, tid, part))
-    return coords
+    return LinearOperator(n, RQ, partial(_type_raw_column, n, r, tid), f"type sum {tid}")
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    """Raw subset-and-pattern sum of the given type applied to symmetric f,
-    expanded from ``type_sum_raw_coords``."""
-    return _from_coords(type_sum_raw_coords(n, r, tid, f), n, RQ)
+    """Raw subset-and-pattern sum of the given type applied to symmetric f."""
+    op = type_sum_raw_op(n, r, tid)
+    if f.ring != RQ:
+        raise DomainError("type sums run over the rational ring")
+    return op(f)
 
 
 @lru_cache(maxsize=None)
@@ -323,9 +328,9 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 # -- closed forms -------------------------------------------------------
 
 
-def _unit_coords(tid: int, n: int, f: MultiPoly) -> dict:
-    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets, in
-    m-coordinates.
+def _unit_column(tid: int, n: int, ring: Ring, lam) -> dict:
+    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets and
+    applied to f = m_lam, in m-coordinates.
     On S = {1..4} the unit is a sum over the r-subsets I of S, each term a
     relabeling of g / prod_(i <= r < j <= 4) (x_i - x_j), so it is one
     ``_block_divided_difference`` of g.  Type 2, r = 3: the type 2 patterns
@@ -337,7 +342,8 @@ def _unit_coords(tid: int, n: int, f: MultiPoly) -> dict:
     E_J is the sum of the Euler operators of J."""
     if n < 4:
         return {}
-    x1, x2, x3, x4 = (MultiPoly.variable(v, n, f.ring) for v in range(1, 5))
+    f = monomial_symmetric(lam, n, ring)
+    x1, x2, x3, x4 = (MultiPoly.variable(v, n, ring) for v in range(1, 5))
     if tid == 2:
         r, g = 3, x1 * x2 * x3 * (f.euler(1) + f.euler(2) + f.euler(3))
     else:
@@ -346,17 +352,10 @@ def _unit_coords(tid: int, n: int, f: MultiPoly) -> dict:
     return _subset_sum_coords(_block_divided_difference(g, r, 4), 4)
 
 
-def _unit_sum(tid: int, n: int, f: MultiPoly) -> MultiPoly:
-    """The unit sum of type 2 or 6, expanded from ``_unit_coords``."""
-    return _from_coords(_unit_coords(tid, n, f), n, f.ring)
-
-
 def unit_op(tid: int, n: int, ring: Ring) -> LinearOperator:
     """The unit sum of type 2 or 6 as a kernel operator: the primitive
     (unit_op, tid) of the closed forms."""
-    return LinearOperator(
-        n, ring, lambda f: _unit_sum(tid, n, f), lambda f: _unit_coords(tid, n, f)
-    )
+    return LinearOperator(n, ring, partial(_unit_column, tid, n, ring), f"unit sum {tid}")
 
 
 U2, U6 = (unit_op, 2), (unit_op, 6)

@@ -330,10 +330,8 @@ def test_type_closed_sides_share_their_primitives(monkeypatch):
     n, r, basis = 6, 3, tuple(partitions_upto(2, 6))
     calls = []
     for module, name in (
-        (operators, "b_op_apply"),
-        (operators, "_b_coords"),
-        (typesums, "_unit_sum"),
-        (typesums, "_unit_coords"),
+        (operators, "_b_column"),
+        (typesums, "_unit_column"),
     ):
         original = getattr(module, name)
 
@@ -357,7 +355,7 @@ def test_type_closed_sides_share_their_primitives(monkeypatch):
     }
     assert factors == {B41, B21, B31, L1, typesums.U2, typesums.U6}
     assert primitive_matrix.cache_info().misses == len(factors)
-    assert {"_b_coords", "_unit_coords"} <= set(calls)
+    assert {"_b_column", "_unit_column"} <= set(calls)
     del calls[:]
     assert evaluate() == first
     assert primitive_matrix.cache_info().misses == len(factors)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import macdunkl.multipoly
 import macdunkl.operators
 from macdunkl import (
     BetaPoly,
@@ -33,7 +34,6 @@ from macdunkl.operators import (
     _divided_difference_literal,
     _from_coords,
     b_op,
-    b_op_apply,
     b_op_apply_literal,
     dunkl_apply,
     extract_order,
@@ -49,12 +49,10 @@ from macdunkl.operators import (
     macdonald_scalar_part,
     macdonald_specialized,
     operator_matrix,
-    pair_ratio_apply,
     pair_ratio_op,
     primitive_matrix,
     qshift_apply,
     qshift_slice,
-    reflection_square_apply,
     reflection_square_op,
 )
 from macdunkl.rings import HJet, exp_sum_slice, rational_value
@@ -72,6 +70,16 @@ def x(i, n, ring=Ring.q()):
 
 def msym(lam, n, ring=RB):
     return monomial_symmetric(lam, n, ring)
+
+
+def round_trip(fn, n, ring):
+    """The polynomial map fn as an operator: its column lam expands
+    fn(m_lam) and collapses the image again by ``to_msym_coords``."""
+
+    def column(lam):
+        return to_msym_coords(fn(monomial_symmetric(lam, n, ring)))
+
+    return LinearOperator(n, ring, column, "round trip")
 
 
 def test_qshift_rational():
@@ -226,8 +234,8 @@ def test_h_op_rejects_non_symmetric():
 def test_b_op_examples():
     n = 2
     p1 = msym((1,), n)
-    assert b_op_apply(2, 1, p1) == p1
-    assert b_op_apply(3, 1, p1) == MultiPoly.zero(n, RB)
+    assert b_op(2, 1, n, RB)(p1) == p1
+    assert b_op(3, 1, n, RB)(p1) == MultiPoly.zero(n, RB)
     f = msym((1, 1), n)
     assert m11_op(n, RB)(f) == f
     m2 = msym((2,), n)
@@ -235,8 +243,8 @@ def test_b_op_examples():
 
 
 def test_b_op_rejects_non_symmetric():
-    with pytest.raises(NonSymmetricError):
-        b_op_apply(2, 1, MultiPoly.variable(1, 3, RB))
+    with pytest.raises(NonSymmetricError, match=r"^B\[2,1\] requires a symmetric argument"):
+        b_op(2, 1, 3, RB)(MultiPoly.variable(1, 3, RB))
 
 
 def test_b_op_matches_literal():
@@ -246,7 +254,7 @@ def test_b_op_matches_literal():
                 for lam in partitions_upto(3, n):
                     f = msym(lam, n, ring)
                     want = b_op_apply_literal(k, l, f)
-                    assert b_op_apply(k, l, f) == want, (ring, n, k, l, lam)
+                    assert b_op(k, l, n, ring)(f) == want, (ring, n, k, l, lam)
 
 
 def pair_ratio_literal(f):
@@ -265,7 +273,7 @@ def test_pair_ratio_matches_literal():
         for n in range(1, 8):
             for lam in [()] + partitions_upto(4, n):
                 f = msym(lam, n, ring)
-                assert pair_ratio_apply(f) == pair_ratio_literal(f), (ring, n, lam)
+                assert pair_ratio_op(n, ring)(f) == pair_ratio_literal(f), (ring, n, lam)
 
 
 def test_pair_ratio_identity_with_b21():
@@ -273,7 +281,7 @@ def test_pair_ratio_identity_with_b21():
     for n in (2, 3, 4):
         for lam in partitions_upto(3, n):
             f = msym(lam, n)
-            lhs = pair_ratio_apply(f)
+            lhs = pair_ratio_op(n, RB)(f)
             rhs = b_op_apply_literal(2, 1, f).scale(2) - l_op(1, n, RB)(f).scale(n - 1)
             assert lhs == rhs
 
@@ -305,7 +313,7 @@ def test_reflection_square_small():
             for lam in [()] + partitions_upto(4, n):
                 f = msym(lam, n, ring)
                 want = reflection_square_literal(f)
-                assert reflection_square_apply(f) == want, (ring, n, lam)
+                assert reflection_square_op(n, ring)(f) == want, (ring, n, lam)
 
 
 def test_kernel_operators_never_divide(monkeypatch):
@@ -343,9 +351,9 @@ def test_chain_primitives_run_on_representatives(monkeypatch):
 
 def test_diagonal_coordinates_refuse_non_symmetric():
     f = x(1, 3, RB)
-    for op in (l_op(2, 3, RB), m11_op(3, RB)):
-        with pytest.raises(NonSymmetricError):
-            op.coords(f)
+    for op, name in ((l_op(2, 3, RB), r"L\[2\]"), (m11_op(3, RB), r"M\[1,1\]")):
+        with pytest.raises(NonSymmetricError, match=rf"^{name} requires a symmetric argument"):
+            op(f)
 
 
 # every primitive that a closed form or a type table names
@@ -361,30 +369,107 @@ KERNEL_FACTORS = [
 ]
 
 
-# independent evaluators of the primitives whose apply expands their own
-# coordinates: these give the "want" side of the round trip below
+def _monomial_weighted(weight):
+    """The map scaling each monomial of f by weight(e), e its x exponent."""
+
+    def apply(f):
+        n = f.n
+        return MultiPoly(n, f.ring, {k: c * w for k, c in f.terms.items() if (w := weight(k[:n]))})
+
+    return apply
+
+
+def _unit_by_division(tid):
+    """The unit sum of type 2 or 6 by exact division by the unit
+    Vandermonde; test_typesums, which holds it, imports this module."""
+    from test_typesums import _unit_sum_by_division
+
+    return lambda f: _unit_sum_by_division(tid, f.n, f)
+
+
+# an independent evaluator of each primitive, on polynomials: the "want"
+# side of the round trip below
 LITERALS = {
+    l_op: lambda k: _monomial_weighted(lambda e: sum(v**k for v in e)),
+    m11_op: lambda: _monomial_weighted(lambda e: sum(u * v for u, v in combinations(e, 2))),
     h_op: lambda k: partial(h_op_apply_literal, k),
+    b_op: lambda k, l: partial(b_op_apply_literal, k, l),
     pair_ratio_op: lambda: pair_ratio_literal,
     reflection_square_op: lambda: reflection_square_literal,
+    typesums.unit_op: _unit_by_division,
 }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_columns_from_coordinates_match_the_round_trip(n):
-    """A primitive's matrix, read off the m-coordinates of each column,
-    against expanding each image and collapsing it again, the image taken
-    from an independent evaluator where there is one."""
+    """A primitive's matrix, read off its columns, against an independent
+    evaluator applied to each m_lam, the image collapsed again."""
     basis = tuple(partitions_upto(4, n))
     for factor in KERNEL_FACTORS:
         factory, *args = factor
-        op = factory(*args, n, RB)
-        assert op.coords is not None, factor
-        if factory in LITERALS:
-            op = LinearOperator(n, RB, LITERALS[factory](*args))
         got = primitive_matrix.__wrapped__(factor, n, basis)
-        want = OperatorMatrix.from_operator(op, basis, n, RB)
+        want = operator_matrix(round_trip(LITERALS[factory](*args), n, RB), basis)
         assert (got.basis, got.entries) == (want.basis, want.entries), (factor, n)
+
+
+def test_primitive_columns_check_no_symmetry(monkeypatch):
+    """A primitive's column starts from lam: building every primitive
+    matrix runs no symmetry check, and the chain and diagonal primitives
+    form no m_lam."""
+
+    def refuse(*args):
+        raise AssertionError("a primitive column checked or formed a polynomial")
+
+    monkeypatch.setattr(macdunkl.multipoly, "_symmetric_orbits", refuse)
+    basis = tuple(partitions_upto(4, 5))
+    for factor in KERNEL_FACTORS:
+        assert primitive_matrix.__wrapped__(factor, 5, basis).entries, factor
+    monkeypatch.setattr(macdunkl.operators, "monomial_symmetric", refuse)
+    from_lam = (l_op, m11_op, h_op, pair_ratio_op, reflection_square_op)
+    for factor in [f for f in KERNEL_FACTORS if f[0] in from_lam]:
+        assert primitive_matrix.__wrapped__(factor, 5, basis).entries, factor
+
+
+def _stub_op(n, ring):
+    """An operator whose every image is m_(3)."""
+    return LinearOperator(n, ring, lambda lam: {(3,): BetaPoly.one()}, "stub")
+
+
+def test_matrix_builders_refuse_a_bad_window():
+    """Every window entry must be a partition of at most n parts, the
+    window closed under weight, and every image inside it."""
+    n = 3
+    builders = [
+        lambda w: primitive_matrix.__wrapped__((h_op, 2), n, w),
+        lambda w: macdonald_matrix(n, 2, 2, 3, w),
+    ]
+    window = tuple(partitions_upto(4, n))
+    for build in builders:
+        build(window)
+        with pytest.raises(DomainError, match=r"^partition \(1, 1, 1, 1\) has more than 3 parts$"):
+            build(window + ((1, 1, 1, 1),))
+        for bad in ((1, 2), (2, 0)):
+            with pytest.raises(DomainError, match="^not a partition"):
+                build(window + (bad,))
+        with pytest.raises(DomainError, match=r"^basis window is not closed: weight 2 needs m\[1, 1\]$"):
+            build(tuple(lam for lam in window if lam != (1, 1)))
+    stubs = [
+        lambda w: primitive_matrix.__wrapped__((_stub_op,), n, w),
+        lambda w: operator_matrix(_stub_op(n, RB), w),
+    ]
+    for build in stubs:
+        assert build(partitions_upto(3, n)).entries
+        with pytest.raises(DomainError, match=r"^operator image leaves the basis window: m\[3\]"):
+            build(partitions_upto(2, n))
+
+
+def test_matrices_over_different_rings_compare_unequal():
+    basis = tuple(partitions_upto(2, 2))
+    a = operator_matrix(l_op(1, 2, RB), basis)
+    b = operator_matrix(l_op(1, 2, Ring.q()), basis)
+    assert a.entries == b.entries
+    assert a != b and not a == b
+    assert a == operator_matrix(l_op(1, 2, RB), basis)
 
 
 def _column(mat, lam):
@@ -492,7 +577,7 @@ def test_macdonald_matrix_matches_literal_operator(q, t):
     for n in range(1, 5):
         basis = partitions_upto(3, n)
         for r in range(1, n + 1):
-            literal = LinearOperator(n, Ring.q(), partial(macdonald_apply_literal, n, r, q, t))
+            literal = round_trip(partial(macdonald_apply_literal, n, r, q, t), n, Ring.q())
             want = operator_matrix(literal, basis)
             assert macdonald_matrix(n, r, q, t, basis).nonzero_cells() == want.nonzero_cells()
 

@@ -45,6 +45,17 @@ def test_beta_poly_no_zero_coeffs():
     assert p.degree() == 0
 
 
+def test_constant_beta_polys_hash_as_their_constant():
+    """A BetaPoly of degree <= 0 equals its constant, so it must hash as
+    that constant and find it as a dict key."""
+    for c in (0, 3, -1, Fraction(-2, 7)):
+        p = BetaPoly.const(c)
+        assert p == c and hash(p) == hash(c), c
+        assert {c: "v"}.get(p) == "v" and {p: "v"}.get(c) == "v", c
+    assert hash(BetaPoly.zero()) == hash(0)
+    assert hash(BetaPoly({0: 2, 1: 1})) == hash(BetaPoly({1: 1, 0: 2}))
+
+
 def test_beta_poly_evaluate():
     b = BetaPoly.var()
     p = 2 + 3 * b + b**2

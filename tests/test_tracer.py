@@ -3,9 +3,11 @@ and the benchmark's scripts still import.
 
 The tracer reads a layer that the package no longer has as zero without
 failing, so a rename in src would silently zero that layer's metrics.
-Only the layers of the retired h-jet arithmetic are expected to be gone:
-``HJet`` holds values with no product, and the t-binomial is read one h
-order at a time by ``TPoly.h_coeff``.  The scripts import package names
+Only the layers of the retired h-jet arithmetic and of the retired B_{k,l}
+apply are expected to be gone: ``HJet`` holds values with no product, the
+t-binomial is read one h order at a time by ``TPoly.h_coeff``, and
+B_{k,l} is applied, like every operator, through the columns of its
+``LinearOperator``, so ``operators.b_op_apply`` no longer exists.  The scripts import package names
 of their own (the independent checks call ``operator_matrix``,
 ``type_sum_closed_apply`` and others), and the per-identity rows are
 registry names.
@@ -42,6 +44,7 @@ def test_tracer_patches_every_layer():
     unpatched, unknown_identities = json.loads(proc.stdout.splitlines()[-1])
     assert unpatched == [
         "HJet.__mul__",
+        "macdunkl.operators.b_op_apply",
         "macdunkl.tbinom.t_binomial_jet",
         "macdunkl.tbinom.scaled_t_binomial_jet",
     ]

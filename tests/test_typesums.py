@@ -14,16 +14,11 @@ from macdunkl import (
     binom,
     exact_div,
     monomial_symmetric,
+    to_msym_coords,
 )
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl import operators
-from macdunkl.operators import (
-    LinearOperator,
-    OperatorMatrix,
-    _from_coords,
-    _subset_sum_coords,
-    operator_matrix,
-)
+from macdunkl.operators import _from_coords, _subset_sum_coords, operator_matrix
 from macdunkl.verify import typesums
 from macdunkl.verify.closedforms import _combo
 from macdunkl.verify.identities import TYPE_GRID, verify_identity
@@ -35,20 +30,23 @@ from macdunkl.verify.typesums import (
     _pattern_key,
     _pattern_piece,
     _patterns,
-    _unit_sum,
     type_sum_closed_apply,
     type_sum_raw_apply,
-    type_sum_raw_coords,
     type_sum_raw_literal,
+    type_sum_raw_op,
     type_term_count,
+    unit_op,
 )
+from test_operators import round_trip
 
 RQ = Ring.q()
 
 
-def _pad(f: MultiPoly, n: int) -> MultiPoly:
-    pad = (0,) * (n - f.n)
-    return MultiPoly(n, f.ring, {k + pad: c for k, c in f.terms.items()})
+def _pad(f: MultiPoly, n: int, ring: Ring) -> MultiPoly:
+    """Rational f on its own variables as a polynomial in n variables over
+    the ring."""
+    pad = (0,) * (n - f.n + ring.aux_slots)
+    return MultiPoly(n, ring, {k + pad: c for k, c in f.terms.items()})
 
 
 def test_type1_count_example():
@@ -137,21 +135,21 @@ def test_closed_table_has_one_value_under_both_evaluators(tid):
     for n, r, degree in grid:
         basis = tuple(partitions_upto(degree, n))
         combo = _combo(n, basis, _closed_terms(n, r, tid)).beta_slice(0)
-        op = LinearOperator(n, RQ, partial(type_sum_closed_apply, n, r, tid))
+        op = round_trip(partial(type_sum_closed_apply, n, r, tid), n, RQ)
         assert combo == operator_matrix(op, basis), (n, r, degree)
         assert degree == 2 or not combo.is_zero()
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_raw_columns_from_coordinates_match_the_round_trip(tid):
-    """The raw type matrix read off each column's m-coordinates, against
-    expanding each image and collapsing it again."""
+    """The raw type matrix read off the raw operator's columns, against
+    applying the operator to each m_lam and collapsing the image again."""
     grid = [(n, r, 2) for n in range(1, 8) for r in range(n + 1)]
     grid += [(n, r, 3) for n, r in TYPE_GRID]
     for n, r, degree in grid:
         basis = partitions_upto(degree, n)
-        got = OperatorMatrix.from_coords(partial(type_sum_raw_coords, n, r, tid), basis, n, RQ)
-        want = operator_matrix(LinearOperator(n, RQ, partial(type_sum_raw_apply, n, r, tid)), basis)
+        got = operator_matrix(type_sum_raw_op(n, r, tid), basis)
+        want = operator_matrix(round_trip(partial(type_sum_raw_apply, n, r, tid), n, RQ), basis)
         assert (got.basis, got.entries) == (want.basis, want.entries), (n, r, degree)
 
 
@@ -317,8 +315,8 @@ def test_canonical_sums_structure(tid):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
-    """Warm, the raw path multiplies once per homogeneous part with a
-    subset count ca = binom(n - m, r - a) != 0: the one product q E_1 f
+    """Warm, the raw path multiplies once per m-coordinate lam of f with a
+    subset count ca = binom(n - m, r - a) != 0: the one product q E_1 m_lam
     that its two kernels divide and relabel."""
     n, r = 6, 3
     a, b = TYPE_SHAPE[tid]
@@ -334,7 +332,7 @@ def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     type_sum_raw_apply(n, r, tid, f)
-    assert len(calls) == len(f.homogeneous_parts()) == 2
+    assert len(calls) == len(to_msym_coords(f)) == 2
 
 
 @pytest.mark.parametrize("tid", [2, 6])
@@ -354,13 +352,13 @@ def test_closed_side_applies_each_kernel_operator_once(tid, calls, monkeypatch):
     """Each B_{k,l} that a closed form names is applied to f once: type 4
     reuses its one B_{2,1} f in both of its terms."""
     seen = []
-    apply = operators.b_op_apply
+    column = operators._b_column
 
-    def counted(k, l, f):
+    def counted(k, l, *args):
         seen.append((k, l))
-        return apply(k, l, f)
+        return column(k, l, *args)
 
-    monkeypatch.setattr(operators, "b_op_apply", counted)
+    monkeypatch.setattr(operators, "_b_column", counted)
     type_sum_closed_apply(6, 3, tid, monomial_symmetric((2, 1), 6))
     assert len(seen) == len(set(seen)) == calls, seen
 
@@ -371,7 +369,9 @@ def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
     4-subsets.  Type 2: the pieces of the type 2 patterns, J their in
     indices.  Type 6: for each pair J = {i, j} with complement {p, q},
     V_S / prod_(u in J, v out)(x_u - x_v) x_i x_j times
-    4 x_i x_j - (x_i + x_j)(x_p + x_q)."""
+    4 x_i x_j - (x_i + x_j)(x_p + x_q).  Below n = 4 there is no 4-subset."""
+    if n < 4:
+        return MultiPoly.zero(n, f.ring)
     if tid == 2:
         pieces = [(ins, _pattern_piece(4, pairs, exps)) for ins, _, pairs, exps in _patterns(2)]
     else:
@@ -382,14 +382,15 @@ def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
             piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
             local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
             pieces.append(((i, j), piece * local))
-    num = MultiPoly.zero(n, RQ)
+    ring = f.ring
+    num = MultiPoly.zero(n, ring)
     for ins, piece in pieces:
-        ef = MultiPoly.zero(n, RQ)
+        ef = MultiPoly.zero(n, ring)
         for v in ins:
             ef = ef + f.euler(v)
-        num = num + _pad(piece, n) * ef
-    unit = exact_div(num, vandermonde(n, RQ, (1, 2, 3, 4)))
-    return _from_coords(_subset_sum_coords(unit, 4), n, RQ)
+        num = num + _pad(piece, n, ring) * ef
+    unit = exact_div(num, vandermonde(n, ring, (1, 2, 3, 4)))
+    return _from_coords(_subset_sum_coords(unit, 4), n, ring)
 
 
 @pytest.mark.parametrize("tid", [2, 6])
@@ -397,7 +398,7 @@ def test_unit_sums_match_division_by_the_unit_vandermonde(tid):
     for n in range(4, 8):
         for lam in partitions_upto(3, n):
             f = monomial_symmetric(lam, n)
-            assert _unit_sum(tid, n, f) == _unit_sum_by_division(tid, n, f), (n, lam)
+            assert unit_op(tid, n, RQ)(f) == _unit_sum_by_division(tid, n, f), (n, lam)
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
