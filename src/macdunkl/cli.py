@@ -183,6 +183,8 @@ def _validate_common(args):
     if getattr(args, "K", None) is not None and args.K < 0:
         raise DomainError("jet order must be non-negative")
     n = getattr(args, "n", None)
+    if n is not None and n < 0:
+        raise DomainError("n must be non-negative")
     for key in ("r", "s"):
         val = getattr(args, key, None)
         if val is not None:

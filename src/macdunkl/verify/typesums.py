@@ -10,10 +10,15 @@ collapses to pattern sums that are local to m = a + b variables.  Those
 local sums are computed once on the canonical support {1..m}, over its
 Vandermonde product V_m, and nothing is divided.  A pattern's piece
 V_m / den * mono is the signed product of the factors x_i - x_j of V_m
-that den leaves over.  A type's patterns are the orbit of one
-representative (``TYPE_PATTERN``) under the support's permutations, and
-the piece of a pattern relabeled by sigma is sign(sigma) times the
-relabeled piece.  So the sum n_in[1] over the patterns with x_1 inside
+that den leaves over, expanded one factor at a time on integer
+coefficients.  A type's patterns are the orbit of one representative
+(``TYPE_PATTERN``) under the support's permutations, and the piece of a
+pattern relabeled by sigma is sign(sigma) times the relabeled piece.
+The fast path never walks the orbit: its size is m! over the order of
+the representative's stabilizer, which maps the in and out sets to
+themselves and so is counted over S_a x S_b (``_stabilizer_order``);
+``_patterns`` enumerates the orbit for the literal oracle and the
+tests.  So the sum n_in[1] over the patterns with x_1 inside
 the subset side is antisymmetric in x_2..x_m, and by Macdonald
 (Symmetric Functions and Hall Polynomials, ch. I 3) it is fixed by its
 coefficients at strictly decreasing exponents of x_2..x_m.  Those are
@@ -102,31 +107,51 @@ def _shape(tid: int):
     return TYPE_SHAPE[tid]
 
 
+def _relabeled(s, ins, outs, pairs, exps):
+    """The pattern with every index v replaced by s[v]."""
+    return (
+        tuple(s[v] for v in ins),
+        tuple(s[v] for v in outs),
+        tuple((s[i], s[p]) for i, p in pairs),
+        {s[v]: e for v, e in exps.items()},
+    )
+
+
 def _patterns(tid: int):
     """The patterns of a type on the support {1..a+b}, as (in_set, out_set,
     denominator pairs, numerator exponents): the distinct images of its
     representative under the permutations of the support, the
-    representative first."""
+    representative first.  Only ``type_sum_raw_literal`` and the tests
+    walk the orbit; the fast path needs its size alone
+    (``_stabilizer_order``)."""
     m = sum(_shape(tid))
-    ins, outs, pairs, exps = TYPE_PATTERN[tid]
     orbit = {}
     for sigma in permutations(range(1, m + 1)):  # the identity first
-        s = (0,) + sigma  # s[v] is the image of v
-        image = (
-            tuple(s[v] for v in ins),
-            tuple(s[v] for v in outs),
-            tuple((s[i], s[p]) for i, p in pairs),
-            {s[v]: e for v, e in exps.items()},
-        )
+        image = _relabeled((0,) + sigma, *TYPE_PATTERN[tid])  # sigma[v - 1] is v's image
         orbit.setdefault(_pattern_key(*image), image)
     return tuple(orbit.values())
+
+
+def _stabilizer_order(tid: int) -> int:
+    """The number of relabelings of the support that fix the type's
+    representative, so that m! / it is the number of patterns.  The
+    pattern key holds the sorted in and out sets, so such a relabeling
+    maps each set to itself: only S_a x S_b is walked, not S_m."""
+    _shape(tid)
+    ins, outs, _, _ = pattern = TYPE_PATTERN[tid]
+    key = _pattern_key(*pattern)
+    return sum(
+        _pattern_key(*_relabeled(dict(zip(ins + outs, si + so)), *pattern)) == key
+        for si in permutations(ins)
+        for so in permutations(outs)
+    )
 
 
 def type_term_count(n: int, r: int, tid: int) -> int:
     """Number of (subset, pattern) pairs of the given type."""
     a, b = _shape(tid)
     m = a + b
-    per_support = len(_patterns(tid))
+    per_support = factorial(m) // _stabilizer_order(tid)
     return binom(n, m) * per_support * binom(n - m, r - a)
 
 
@@ -142,18 +167,26 @@ def _pattern_key(ins, outs, pairs, exps):
 
 def _pattern_piece(m: int, pairs, exps) -> MultiPoly:
     """V_m / prod_{(i, p) in pairs} (x_i - x_p) times prod x_v^exps[v], by
-    multiplication: the factors x_i - x_j (i < j) of V_m whose pair is not
-    a denominator pair, with one sign flip per pair (i, p) with i > p."""
+    expansion: the factors x_i - x_j (i < j) of V_m whose pair is not a
+    denominator pair, with one sign flip per pair (i, p) with i > p,
+    multiplied in one factor at a time on integer coefficients."""
     cut = {(min(i, p), max(i, p)) for i, p in pairs}
     mono = [0] * m
     for v, e in exps.items():
         mono[v - 1] = e
     sign = -1 if sum(1 for i, p in pairs if i > p) % 2 else 1
-    out = MultiPoly.monomial(tuple(mono), m, RQ, sign)
-    for i, j in combinations(range(1, m + 1), 2):
-        if (i, j) not in cut:
-            out = out * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(j, m, RQ))
-    return out
+    terms = {tuple(mono): sign}
+    for i, j in combinations(range(m), 2):
+        if (i + 1, j + 1) in cut:
+            continue
+        out = {}
+        for k, c in terms.items():
+            ki = k[:i] + (k[i] + 1,) + k[i + 1 :]
+            out[ki] = out.get(ki, 0) + c
+            kj = k[:j] + (k[j] + 1,) + k[j + 1 :]
+            out[kj] = out.get(kj, 0) - c
+        terms = {k: c for k, c in out.items() if c}
+    return MultiPoly(m, RQ, terms)
 
 
 def _inversions(seq) -> int:
@@ -178,11 +211,11 @@ def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
     m = piece0.n
     coeffs = {}
     for k, c in piece0.terms.items():
+        if len(set(k)) < m - 1:  # a repeat is left whichever entry goes to x_1
+            continue
         order = sorted(range(m), key=k.__getitem__, reverse=True)
         ek = [k[v] for v in order]
         ties = [j for j in range(m - 1) if ek[j] == ek[j + 1]]
-        if len(ties) > 1:  # a repeat is left whichever entry goes to x_1
-            continue
         odd = _inversions(order) % 2
         for p in side:
             i = order.index(p - 1)
@@ -208,17 +241,19 @@ def _canonical_sums(tid: int):
     inside the pattern's subset side, and c V_m is the sum of all
     patterns.
 
-    The patterns are the S_m orbit of the representative (``_patterns``).
-    The sums over the patterns with x_1 inside and outside, over
-    V_(2..m), are read off the representative's piece
-    (``_pattern_piece``) by ``_side_sum``.  Every pattern's support is
-    its ins and outs, so the full sum over V_(2..m) is their sum, and is
-    checked exactly to be c prod_(j=2..m)(x_1 - x_j).
+    The patterns are the S_m orbit of the representative; only its size
+    enters, as m! over the stabilizer order that ``_stabilizer_order``
+    counts on S_a x S_b, so the orbit itself (``_patterns``) is left to
+    the oracles.  The sums over the patterns with x_1 inside and outside,
+    over V_(2..m), are read off the representative's piece, expanded on
+    integer coefficients by ``_pattern_piece``, by ``_side_sum``.  Every
+    pattern's support is its ins and outs, so the full sum over V_(2..m)
+    is their sum, and is checked exactly to be c prod_(j=2..m)(x_1 - x_j).
     """
     m = sum(_shape(tid))
     ins0, outs0, pairs0, exps0 = TYPE_PATTERN[tid]
     piece0 = _pattern_piece(m, pairs0, exps0)
-    stab = factorial(m) // len(_patterns(tid))
+    stab = _stabilizer_order(tid)
     q_in = _side_sum(piece0, ins0, stab)
     total = q_in + _side_sum(piece0, outs0, stab)
     cross = _cross_product(m, RQ, (1,), 1)

@@ -143,6 +143,9 @@ def test_rank_zero_is_accepted_where_defined():
     # every verdict of the tbinom suite, r = 0 included, can be rerun alone
     assert run_cli("verify", "--identity", "tbinom_taylor", "--n", "3", "--r", "0",
                    "--k", "1")[0] == 0
+    # n = 0 is no negative n: the empty t-binomial [0 0] = 1 is printed
+    code, out = run_cli("tbinom", "--n", "0", "--r", "0")
+    assert code == 0 and out.startswith("t-binomial [0 0] = 1")
     # the Macdonald operator itself refuses rank 0
     assert run_cli("verify", "--identity", "ord1_matches", "--n", "3", "--r", "0",
                    "--degree", "1")[0] == 2
@@ -291,6 +294,21 @@ def test_type_check_refuses_a_rank_outside_0_to_n(r):
         code, out = run_cli("verify", "--identity", "type3_matches", "--n", "5", "--r", str(r))
     assert (code, out) == (2, "")
     assert f"need 0 <= r <= n, got r={r}, n=5" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--identity", "type5_matches", "--n", "-2", "--r", "0"),
+     ("expand", "--n", "-1", "--r", "0", "--order", "1"),
+     ("tbinom", "--n", "-1", "--r", "0")],
+)
+def test_negative_n_is_refused_before_the_rank(argv):
+    err = StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "n must be non-negative" in err.getvalue()
+    assert "need 0 <= r <= n" not in err.getvalue()
 
 
 def test_config_edge_cases_exit_2():

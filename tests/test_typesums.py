@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -30,6 +31,7 @@ from macdunkl.verify.typesums import (
     _pattern_key,
     _pattern_piece,
     _patterns,
+    _stabilizer_order,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -224,8 +226,8 @@ def test_pattern_orbits_match_the_hand_enumeration(tid, count):
 
 @lru_cache(maxsize=None)
 def _canonical_sums_per_pattern(tid):
-    """The pattern sums with one exact division per pattern (cached: two
-    tests read them)."""
+    """The pattern sums with one exact division per pattern, and each
+    pattern's divided piece (cached: two tests read them)."""
     a, b = TYPE_SHAPE[tid]
     m = a + b
     vm = vandermonde(m, RQ)
@@ -233,6 +235,7 @@ def _canonical_sums_per_pattern(tid):
     total = zero
     n_in = {u: zero for u in range(1, m + 1)}
     n_out = {u: zero for u in range(1, m + 1)}
+    pieces = []
     for ins, outs, pairs, exps in _patterns(tid):
         den = MultiPoly.const(m, 1, RQ)
         for i, p in pairs:
@@ -241,12 +244,13 @@ def _canonical_sums_per_pattern(tid):
         for v, e in exps.items():
             mono[v - 1] = e
         piece = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
+        pieces.append((pairs, exps, piece))
         total = total + piece
         for u in ins:
             n_in[u] = n_in[u] + piece
         for u in outs:
             n_out[u] = n_out[u] + piece
-    return total, n_in, n_out
+    return total, n_in, n_out, tuple(pieces)
 
 
 def _full_sum_factor(total, m):
@@ -264,7 +268,7 @@ def test_orbit_sums_match_per_pattern_division(tid):
     and the oracle's sums obey the relabeling law the raw path relies on:
     n_in[u] and n_out[u] are -K_1u of the u = 1 sums."""
     m = sum(TYPE_SHAPE[tid])
-    total, n_in, n_out = _canonical_sums_per_pattern(tid)
+    total, n_in, n_out, _ = _canonical_sums_per_pattern(tid)
     c, q = _canonical_sums(tid)
     assert c == _full_sum_factor(total, m)
     assert q * vandermonde(m, RQ, range(2, m + 1)) == n_in[1]
@@ -279,38 +283,67 @@ def test_orbit_sums_match_per_pattern_division(tid):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_canonical_sums_divide_by_nothing(tid, monkeypatch):
+    """The canonical sums and the term count neither divide nor walk the
+    pattern orbit."""
+    want = (_canonical_sums(tid), type_term_count(6, 3, tid))
+
     def refuse(*args, **kwargs):
         raise AssertionError("the canonical sums must not divide")
 
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the canonical sums must not walk the orbit")
+
     monkeypatch.setattr(typesums, "exact_div", refuse)
     monkeypatch.setattr(typesums, "vandermonde", refuse)
+    monkeypatch.setattr(typesums, "_patterns", no_orbit)
     c, q = _canonical_sums.__wrapped__(tid)
     assert c and q
+    assert ((c, q), type_term_count(6, 3, tid)) == want
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_stabilizer_order_times_orbit_size_is_m_factorial(tid):
+    m = sum(TYPE_SHAPE[tid])
+    assert _stabilizer_order(tid) * len(_patterns(tid)) == factorial(m)
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
+def test_side_sums_read_off_strictly_decreasing_exponents_only(tid, monkeypatch):
+    """A term whose exponents repeat twice is skipped before it is sorted,
+    so every alternant the read-off sees is strictly decreasing in
+    x_2..x_m."""
+    want = _canonical_sums(tid)
+    seen = []
+    readoff = typesums._readoff_coords
+
+    def spy(alternants, n):
+        alternants = list(alternants)
+        seen.extend(e for e, _ in alternants)
+        return readoff(alternants, n)
+
+    monkeypatch.setattr(typesums, "_readoff_coords", spy)
+    assert _canonical_sums.__wrapped__(tid) == want
+    assert seen
+    for e in seen:
+        assert all(x > y for x, y in zip(e, e[1:])), e
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_canonical_sums_structure(tid):
     """The facts the alternant read-off relies on: the full sum is a
     nonzero multiple of V_m, every pattern puts each support variable on
-    one side, and the multiplied piece is the divided one."""
+    one side, and every pattern's expanded piece is the divided one."""
     a, b = TYPE_SHAPE[tid]
     m = a + b
-    total, n_in, n_out = _canonical_sums_per_pattern(tid)
+    total, n_in, n_out, pieces = _canonical_sums_per_pattern(tid)
     c = _full_sum_factor(total, m)
     assert c and c == _canonical_sums(tid)[0]
     for u in range(1, m + 1):
         assert n_in[u] + n_out[u] == total, u
-    vm = vandermonde(m, RQ)
-    assert _pattern_piece(m, (), {}) == vm
-    _, _, pairs0, exps0 = _patterns(tid)[0]
-    den = MultiPoly.const(m, 1, RQ)
-    for i, p in pairs0:
-        den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
-    mono = [0] * m
-    for v, e in exps0.items():
-        mono[v - 1] = e
-    want = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
-    assert _pattern_piece(m, pairs0, exps0) == want
+    assert _pattern_piece(m, (), {}) == vandermonde(m, RQ)
+    assert len(pieces) == len(_patterns(tid))
+    for pairs, exps, want in pieces:
+        assert _pattern_piece(m, pairs, exps) == want, (pairs, exps)
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
@@ -423,6 +456,8 @@ def test_unknown_type_ids_are_refused(tid):
         type_term_count(6, 3, tid)
     with pytest.raises(DomainError, match=f"unknown type id {tid}"):
         _patterns(tid)
+    with pytest.raises(DomainError, match=f"unknown type id {tid}"):
+        _stabilizer_order(tid)
     for apply in (type_sum_raw_apply, type_sum_raw_literal, type_sum_closed_apply):
         with pytest.raises(DomainError, match=f"unknown type id {tid}"):
             apply(6, 3, tid, f)
