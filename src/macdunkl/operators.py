@@ -17,12 +17,14 @@ A_i = x_i sum_(j != i) d_ij.  A sum over the r-subsets I of {1..k} of
 the relabelings of g / prod_(i <= r < j <= k) (x_i - x_j), with g
 symmetric inside {1..r} and inside {r+1..k} (checked), is one block
 divided difference: r (k - r) steps d_(j,j+1) along a reduced word
-(``_block_divided_difference``).  The canonical-subset term of B_{k,l}
-is the block r = 1 of x_1^(k-1) (x_1 d_1)^l f, the scalar part of the
-Macdonald operator the block (r, n - r) of prod_(i <= r < j)(t x_i - x_j)
-with t symbolic, the raw type sums (``verify.typesums``) the block
-(1, m - 1) of q E_1 f, and their closed units the blocks (3, 1) and
-(2, 2) on four variables.
+(``_block_divided_difference``).  One column function,
+``_kernel_column``, forms every kernel sum: for a rational numerator num
+in x_1..x_k, the block (r, k - r) of num (E_1 + ... + E_r)^l m_lam,
+summed over the k-subsets.  B_{k,l} passes x_1^(k-1) with r = 1;
+``verify.typesums`` passes each type's q with r = l = 1 (the raw
+support sums) and the numerators of the closed units with r = 3 and
+r = 2 on four variables.  The scalar part of the Macdonald operator is
+the block (r, n - r) of prod_(i <= r < j)(t x_i - x_j) with t symbolic.
 
 The power sum H_k = sum_i d_i^k, the pair-ratio sum and the reflection
 square each symmetrize one chain in x_1: d_1^k f, A_1 (x_1 d_1 f) (the
@@ -65,12 +67,11 @@ alternant coefficients of their own through the same function.
 Subset sums exploit symmetry: for a symmetric argument f the term of
 the subset S is the order-preserving relabeling of the term of {1..k},
 so each operator evaluates one canonical term and symmetrizes it once,
-straight into m-coordinates (``_subset_sum_coords``).  The columns of
-B_{k,l} (``_b_column``), of the raw type sums and of their closed units
-form m_lam and run that on it; m_lam is symmetric by construction, so
-no entry check runs, while the block symmetry of each canonical term is
-still checked exactly.  The diagonal operators L_k and M11 have the
-column {lam: weight(lam)} (L_k m_lam = p_k(lam) m_lam,
+straight into m-coordinates (``_subset_sum_coords``).  The kernel
+columns form m_lam and run that on it; m_lam is symmetric by
+construction, so no entry check runs, while the block symmetry of each
+canonical term is still checked exactly.  The diagonal operators L_k
+and M11 have the column {lam: weight(lam)} (L_k m_lam = p_k(lam) m_lam,
 M11 m_lam = e_2(lam) m_lam).  Literal evaluations are kept (functions
 with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
 or by exact division, the only callers of ``exact_div`` here) and the
@@ -536,20 +537,25 @@ def h_op_apply_literal(k: int, f: MultiPoly) -> MultiPoly:
 # -- Vandermonde-kernel family ------------------------------------------
 
 
-def _b_column(k: int, l: int, n: int, ring: Ring, lam) -> dict:
-    """B_{k,l} m_lam in m-coordinates, B_{k,l} = sum over k-subsets S of
-    sum_(s in S) x_s^(k-1) (x_s d_s)^l / prod_(t in S, t != s)(x_s - x_t).
-    The term of S = {1..k} is the divided difference
-    d_(k-1,k) ... d_23 d_12 (x_1^(k-1) (x_1 d_1)^l f), since
-    (x_s d_s)^l f = K_1s (x_1 d_1)^l f on symmetric f; its sum over all
-    k-subsets is one symmetrization."""
+def _kernel_column(num: MultiPoly, r: int, l: int, n: int, ring: Ring, lam) -> dict:
+    """The kernel sum of num on f = m_lam, in m-coordinates: for num in
+    x_1..x_k (k = num.n, lifted into n variables over the ring), the block
+    (r, k - r) of num (E_1 + ... + E_r)^l f summed over the k-subsets of
+    {1..n}, one symmetrization."""
+    k = num.n
     if k > n:
         return {}
-    g = monomial_symmetric(lam, n, ring)
+    f = monomial_symmetric(lam, n, ring)
     for _ in range(l):
-        g = g.euler(1)
-    g = MultiPoly.variable(1, n, ring) ** (k - 1) * g
-    return _subset_sum_coords(_block_divided_difference(g, 1, k), k)
+        f = sum((f.euler(i) for i in range(2, r + 1)), f.euler(1))
+    pad = (0,) * (n - k + ring.aux_slots)
+    g = MultiPoly(n, ring, {e + pad: c for e, c in num.terms.items()}) * f
+    return _subset_sum_coords(_block_divided_difference(g, r, k), k)
+
+
+def _kernel_op(num: MultiPoly, r: int, l: int, n: int, ring: Ring, name: str) -> LinearOperator:
+    """The kernel sum of num (``_kernel_column``) as an operator."""
+    return LinearOperator(n, ring, partial(_kernel_column, num, r, l, n, ring), name)
 
 
 def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
@@ -573,9 +579,13 @@ def b_op_apply_literal(k: int, l: int, f: MultiPoly) -> MultiPoly:
 
 
 def b_op(k: int, l: int, n: int, ring: Ring) -> LinearOperator:
+    """B_{k,l} = sum over k-subsets S of sum_(s in S) x_s^(k-1) (x_s d_s)^l
+    / prod_(t in S, t != s)(x_s - x_t), the kernel sum of x_1^(k-1) with
+    r = 1, since (x_s d_s)^l f = K_1s (x_1 d_1)^l f on symmetric f."""
     if k < 1 or l < 0:
         raise DomainError("b_op needs k >= 1 and l >= 0")
-    return LinearOperator(n, ring, partial(_b_column, k, l, n, ring), f"B[{k},{l}]")
+    num = MultiPoly.monomial((k - 1,) + (0,) * (k - 1), k)
+    return _kernel_op(num, 1, l, n, ring, f"B[{k},{l}]")
 
 
 def pair_ratio_op(n: int, ring: Ring) -> LinearOperator:

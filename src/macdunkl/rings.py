@@ -35,8 +35,6 @@ from math import comb, factorial
 
 from .errors import DomainError
 
-Q = int | Fraction
-
 
 def qnorm(value):
     """Normalize a rational scalar, preferring ``int`` when exact."""

@@ -32,7 +32,6 @@ from ..operators import (
     h_op,
     macdonald_matrix,
     macdonald_scalar_part,
-    operator_matrix,
     primitive_matrix,
     qshift_slice,
 )
@@ -45,7 +44,7 @@ from ..tbinom import (
     taylor_coeff_closed,
 )
 from . import closedforms
-from .typesums import _closed_terms, type_sum_raw_op
+from .typesums import _closed_terms, _raw_terms
 
 RB = Ring.uni("b")
 RQ = Ring.q()
@@ -231,14 +230,13 @@ def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
 
 
 def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
-    """The raw type sum against its closed form, 0 <= r <= n: the raw
-    matrix read off the raw operator's columns, the closed one a
-    combination of cached primitive matrices."""
+    """The raw type sum against its closed form, 0 <= r <= n: both sides
+    term tables, each a combination of cached primitive matrices."""
     basis = _basis(degree, n)
-    if not 0 <= r <= n:
-        raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
-    raw = operator_matrix(type_sum_raw_op(n, r, tid), basis)
-    closed = closedforms._combo(n, basis, _closed_terms(n, r, tid)).beta_slice(0)
+    raw, closed = (
+        closedforms._combo(n, basis, terms(n, r, tid)).beta_slice(0)
+        for terms in (_raw_terms, _closed_terms)
+    )
     return _matrix_residual(raw, closed)
 
 

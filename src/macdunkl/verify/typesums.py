@@ -38,20 +38,20 @@ prod_(j=2..m)(x_1 - x_j)), K_11 the identity: the block divided
 difference (1, m - 1) of q E_1 f, which checks that q E_1 f is symmetric
 in x_2..x_m (InexactDivisionError otherwise).  That unit is symmetric
 inside {1..m} and inside {m+1..n}, so its sum over the supports is
-binom(n, m) times its symmetrization, formed straight in m-coordinates
-(``_subset_sum_coords``).  At f = m_lam that is the column of lam of the
-raw operator (``type_sum_raw_op``), which the type checks read their
-matrix off and ``type_sum_raw_apply`` applies like any operator.  This
-is the shape of B_{k,l} with q in place of x_1^(k-1); for type 1,
-q = x_1^3 and the sum is B_{4,1} f.
+binom(n, m) times its symmetrization: the kernel sum of q
+(``operators._kernel_column``), the shape of B_{k,l} with q in place of
+x_1^(k-1).  For type 1, q = x_1^3 and it is B_{4,1}.  That support sum
+is the primitive (``raw_op``, tid).
 
-The closed side is one term table per type (``_closed_terms``):
-rationals times B_{4,1}, B_{2,1}, B_{3,1}, L_1 and, for types 2 and 6,
-a per-4-subset unit sum (``unit_op``, its columns formed like those of
-B_{k,l}).  Each factor is a ``primitive_matrix`` key, so a type check
-evaluates the table as a combination of primitive matrices cached per
+Both sides of a type are term tables over ``primitive_matrix`` keys.
+The raw side (``_raw_terms``) is a subset count times the support sum
+plus a multiple of L_1; the closed side (``_closed_terms``) is rationals
+times B_{4,1}, B_{2,1}, B_{3,1}, L_1 and, for types 2 and 6, a
+per-4-subset unit sum (``unit_op``, again a kernel sum).  A type check
+evaluates both tables as combinations of primitive matrices cached per
 (factor, n, window), each charged to the first check that builds it;
-``type_sum_closed_apply`` evaluates the same table on a polynomial.
+``type_sum_raw_apply`` and ``type_sum_closed_apply`` evaluate them on a
+polynomial.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -59,7 +59,7 @@ directly and is compared against the fast path in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -69,16 +69,14 @@ from ..multipoly import (
     Ring,
     _distinct_permutations,
     exact_div,
-    monomial_symmetric,
     vandermonde,
 )
 from ..operators import (
     LinearOperator,
-    _block_divided_difference,
     _cross_product,
+    _kernel_op,
     _readoff_coords,
     _require_symmetric,
-    _subset_sum_coords,
 )
 from ..rings import binom, qnorm
 from .closedforms import B21, B31, B41, L1
@@ -263,49 +261,44 @@ def _canonical_sums(tid: int):
     return c, q_in
 
 
-def _type_raw_column(n: int, r: int, tid: int, lam) -> dict:
-    """The raw subset-and-pattern sum of the type applied to m_lam, in
-    m-coordinates."""
-    f = monomial_symmetric(lam, n, RQ)
+def _require_type_rank(n: int, r: int):
+    """A type sum's rank runs over 0..n."""
+    if not 0 <= r <= n:
+        raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
+
+
+def raw_op(tid: int, n: int, ring: Ring) -> LinearOperator:
+    """The type's support sum, the primitive (raw_op, tid) of the raw
+    side: the kernel sum of q with r = l = 1."""
+    return _kernel_op(_canonical_sums(tid)[1], 1, 1, n, ring, f"support sum {tid}")
+
+
+def _raw_terms(n: int, r: int, tid: int):
+    """The raw subset-and-pattern sum of the type as terms (c, 0, factors)
+    of ``closedforms._combo``.  For f of degree d the support numerator
+    is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f + cb d c V_m f, with
+    ca = binom(n - m, r - a) and cb = binom(n - m - 1, r - a - 1) the
+    subsets holding a pattern with and without x_u inside (both 0 when no
+    subset holds one).  With n_in[u] + n_out[u] = c V_m, n_in[u] =
+    -K_1u n_in[1] and E_u f = K_1u E_1 f, it is ca (g1 - sum_(u>1) K_1u g1),
+    g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  Over V_m and summed
+    over the supports, the first is ca times the support sum
+    (``raw_op``), the second cb c d (binom(n, m) - binom(n-1, m-1)) f =
+    cb c binom(n-1, m) L_1 f."""
     a, b = _shape(tid)
+    _require_type_rank(n, r)
     m = a + b
-    # subsets holding a pattern; both are 0 when no subset holds one
-    ca = binom(n - m, r - a)
-    cb = binom(n - m - 1, r - a - 1)
-    c, q = _canonical_sums(tid)
-    # The support numerator is sum_u ((ca - cb) n_in[u] - cb n_out[u]) E_u f
-    # + cb d c V_m f, for f = m_lam of degree d = |lam|.  With
-    # n_in[u] + n_out[u] = c V_m, n_in[u] = -K_1u n_in[1] and, f being
-    # symmetric, E_u f = K_1u E_1 f, it is ca (g1 - sum_{u>1} K_1u g1) with
-    # g1 = n_in[1] E_1 f, plus cb c V_m (E - E_S) f.  Over V_m the first is
-    # the block (1, m - 1) of q E_1 f; the subset sum of the latter is
-    # cb c d (binom(n, m) - binom(n-1, m-1)) f = cb c d binom(n-1, m) f.
-    # The subset sum of symmetric f is binom(n, m) f, so that term rides in
-    # the unit as f / binom(n, m) times the same factor, and ca rides in q.
-    unit = MultiPoly.zero(n, RQ)
-    if ca:
-        pad = (0,) * (n - m)
-        q = MultiPoly(n, RQ, {k + pad: qnorm(v * ca) for k, v in q.terms.items()})
-        unit = _block_divided_difference(q * f.euler(1), 1, m)
-    s = cb * c * sum(lam) * binom(n - 1, m)
-    if s:
-        unit = unit + f.scale(Fraction(s, binom(n, m)))
-    return _subset_sum_coords(unit, m)
-
-
-def type_sum_raw_op(n: int, r: int, tid: int) -> LinearOperator:
-    """The raw subset-and-pattern sum of the given type over the rationals,
-    its columns from ``_type_raw_column``."""
-    _shape(tid)
-    return LinearOperator(n, RQ, partial(_type_raw_column, n, r, tid), f"type sum {tid}")
+    c, _ = _canonical_sums(tid)
+    return [
+        (Fraction(binom(n - m, r - a)), 0, ((raw_op, tid),)),
+        (Fraction(binom(n - m - 1, r - a - 1) * c * binom(n - 1, m)), 0, (L1,)),
+    ]
 
 
 def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    """Raw subset-and-pattern sum of the given type applied to symmetric f."""
-    op = type_sum_raw_op(n, r, tid)
-    if f.ring != RQ:
-        raise DomainError("type sums run over the rational ring")
-    return op(f)
+    """Raw subset-and-pattern sum of the given type applied to symmetric f:
+    the terms of ``_raw_terms`` evaluated on f."""
+    return _apply_terms(n, tid, _raw_terms(n, r, tid), f)
 
 
 @lru_cache(maxsize=None)
@@ -363,34 +356,26 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 # -- closed forms -------------------------------------------------------
 
 
-def _unit_column(tid: int, n: int, ring: Ring, lam) -> dict:
-    """The per-4-subset unit of type 2 or 6, summed over all 4-subsets and
-    applied to f = m_lam, in m-coordinates.
-    On S = {1..4} the unit is a sum over the r-subsets I of S, each term a
-    relabeling of g / prod_(i <= r < j <= 4) (x_i - x_j), so it is one
-    ``_block_divided_difference`` of g.  Type 2, r = 3: the type 2 patterns
-    x_a x_b x_c (E_a + E_b + E_c) f / prod (x_. - x_excluded), so
-    g = x_1 x_2 x_3 (E_1 + E_2 + E_3) f.  Type 6, r = 2: for each pair
-    J = {i, j} with complement {p, q}, (4 (prod_J x^2) -
-    (prod_J x)(sum_J x)(sum_out x)) E_J f / prod_(u in J, v out) (x_u - x_v),
-    so g = (4 x_1 x_2 - (x_1 + x_2)(x_3 + x_4)) x_1 x_2 (E_1 + E_2) f.
-    E_J is the sum of the Euler operators of J."""
-    if n < 4:
-        return {}
-    f = monomial_symmetric(lam, n, ring)
-    x1, x2, x3, x4 = (MultiPoly.variable(v, n, ring) for v in range(1, 5))
-    if tid == 2:
-        r, g = 3, x1 * x2 * x3 * (f.euler(1) + f.euler(2) + f.euler(3))
-    else:
-        local = (x1 * x2).scale(4) - (x1 + x2) * (x3 + x4)
-        r, g = 2, local * x1 * x2 * (f.euler(1) + f.euler(2))
-    return _subset_sum_coords(_block_divided_difference(g, r, 4), 4)
-
-
 def unit_op(tid: int, n: int, ring: Ring) -> LinearOperator:
-    """The unit sum of type 2 or 6 as a kernel operator: the primitive
-    (unit_op, tid) of the closed forms."""
-    return LinearOperator(n, ring, partial(_unit_column, tid, n, ring), f"unit sum {tid}")
+    """The per-4-subset unit of type 2 or 6 summed over all 4-subsets, the
+    primitive (unit_op, tid) of the closed forms.  On S = {1..4} the unit
+    is a sum over the r-subsets I of S, each term a relabeling of
+    g / prod_(i <= r < j <= 4) (x_i - x_j), so it is a kernel sum.
+    Type 2, r = 3: the type 2 patterns x_a x_b x_c (E_a + E_b + E_c) f /
+    prod (x_. - x_excluded), so g = x_1 x_2 x_3 (E_1 + E_2 + E_3) f.
+    Type 6, r = 2: for each pair J = {i, j} with complement {p, q},
+    (4 (prod_J x^2) - (prod_J x)(sum_J x)(sum_out x)) E_J f /
+    prod_(u in J, v out) (x_u - x_v), so
+    g = (4 x_1 x_2 - (x_1 + x_2)(x_3 + x_4)) x_1 x_2 (E_1 + E_2) f.
+    E_J is the sum of the Euler operators of J."""
+    if tid not in (2, 6):
+        raise DomainError(f"unit sums exist for types 2 and 6 only, got {tid}")
+    x1, x2, x3, x4 = (MultiPoly.variable(v, 4) for v in range(1, 5))
+    if tid == 2:
+        num, r = x1 * x2 * x3, 3
+    else:
+        num, r = ((x1 * x2).scale(4) - (x1 + x2) * (x3 + x4)) * x1 * x2, 2
+    return _kernel_op(num, r, 1, n, ring, f"unit sum {tid}")
 
 
 U2, U6 = (unit_op, 2), (unit_op, 6)
@@ -402,6 +387,7 @@ def _closed_terms(n: int, r: int, tid: int):
     B_{k,1} and L_1, plus the stated per-4-subset unit sums for types 2
     and 6.  Each factor is a ``primitive_matrix`` key."""
     _shape(tid)
+    _require_type_rank(n, r)
     if tid == 1:
         return [
             (Fraction(binom(n - 4, r - 1)), 0, (B41,)),
@@ -444,9 +430,13 @@ def _closed_terms(n: int, r: int, tid: int):
 
 def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     """Closed form of the type sum applied to symmetric f: the terms of
-    ``_closed_terms`` evaluated on f, each product of factors applied to f
-    once, right to left."""
-    terms = _closed_terms(n, r, tid)
+    ``_closed_terms`` evaluated on f."""
+    return _apply_terms(n, tid, _closed_terms(n, r, tid), f)
+
+
+def _apply_terms(n: int, tid: int, terms, f: MultiPoly) -> MultiPoly:
+    """The terms (c, 0, factors) of a type side evaluated on symmetric f,
+    each product of factors applied to f once, right to left."""
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
     _require_symmetric(f, f"type sum {tid}")

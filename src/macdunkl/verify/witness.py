@@ -43,16 +43,22 @@ def _commutator_slices(n, r, s, i, j, degree, order):
     return a.commutator_with(b)
 
 
+def _weight_order(p):
+    """Ascending weight, then decreasing lexicographic order."""
+    return sum(p), tuple(-x for x in p)
+
+
+def _rendered_column(mat, lam):
+    """The cells (mu, rendered value) of column lam of mat, by weight."""
+    col = {mu: v for (mu, c), v in mat.entries.items() if c == lam}
+    return [(mu, render_scalar(col[mu])) for mu in sorted(col, key=_weight_order)]
+
+
 def _first_nonzero_column(mat):
-    cols = {}
-    for (mu, lam), v in mat.entries.items():
-        cols.setdefault(lam, {})[mu] = v
-    if not cols:
+    if not mat.entries:
         return None
-    lam = min(cols, key=lambda p: (sum(p), tuple(-x for x in p)))
-    col = cols[lam]
-    cells = sorted(col.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
-    return lam, [(mu, render_scalar(v)) for mu, v in cells]
+    lam = min((c for _, c in mat.entries), key=_weight_order)
+    return lam, _rendered_column(mat, lam)
 
 
 def noncommutativity_witness(
@@ -109,9 +115,4 @@ def reevaluate_witness(report: WitnessReport, basis_degree: int = 4, jet_order: 
     mat = _commutator_slices(
         w["n"], w["r"], w["s"], w["i"], w["j"], basis_degree, jet_order
     )
-    lam = tuple(w["lam"])
-    cells = sorted(
-        ((mu, v) for (mu, c), v in mat.entries.items() if c == lam),
-        key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])),
-    )
-    return [(mu, render_scalar(v)) for mu, v in cells]
+    return _rendered_column(mat, tuple(w["lam"]))

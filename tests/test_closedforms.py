@@ -325,40 +325,46 @@ def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
 
 def test_type_closed_sides_share_their_primitives(monkeypatch):
     """The six type closed sides at one (n, window) build each factor once:
-    B_{2,1}, B_{3,1} and L_1 serve types 3-5 (and L_1 all six).  A second
-    pass builds no primitive and applies no kernel operator."""
-    n, r, basis = 6, 3, tuple(partitions_upto(2, 6))
+    B_{2,1}, B_{3,1} and L_1 serve types 3-5 (and L_1 all six).  The six
+    raw sides then build each support sum (raw_op, tid) once and share
+    L_1.  A second pass of the six type checks builds no primitive and
+    forms no kernel column."""
+    n, r, degree = 6, 3, 2
+    basis = tuple(partitions_upto(degree, n))
     calls = []
-    for module, name in (
-        (operators, "_b_column"),
-        (typesums, "_unit_column"),
-    ):
-        original = getattr(module, name)
+    original = operators._kernel_column
 
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(operators, "_kernel_column", counted)
     primitive_matrix.cache_clear()
     _product.cache_clear()
 
-    def evaluate():
-        return [
-            _combo(n, basis, typesums._closed_terms(n, r, tid)).beta_slice(0)
-            for tid in range(1, 7)
-        ]
+    def evaluate(terms):
+        return [_combo(n, basis, terms(n, r, tid)).beta_slice(0) for tid in range(1, 7)]
 
-    first = evaluate()
-    factors = {
-        f for tid in range(1, 7) for c, _, fs in typesums._closed_terms(n, r, tid) if c for f in fs
-    }
-    assert factors == {B41, B21, B31, L1, typesums.U2, typesums.U6}
-    assert primitive_matrix.cache_info().misses == len(factors)
-    assert {"_b_column", "_unit_column"} <= set(calls)
+    def factors(terms):
+        return {f for tid in range(1, 7) for c, _, fs in terms(n, r, tid) if c for f in fs}
+
+    first = evaluate(typesums._closed_terms)
+    closed = factors(typesums._closed_terms)
+    assert closed == {B41, B21, B31, L1, typesums.U2, typesums.U6}
+    assert primitive_matrix.cache_info().misses == len(closed)
+    assert {1, 2, 3} <= set(calls)
     del calls[:]
-    assert evaluate() == first
-    assert primitive_matrix.cache_info().misses == len(factors)
+    raw = evaluate(typesums._raw_terms)
+    supports = {(typesums.raw_op, tid) for tid in range(1, 7)}
+    assert factors(typesums._raw_terms) == supports | {L1}
+    assert primitive_matrix.cache_info().misses == len(closed) + len(supports)
+    assert set(calls) == {1}
+    assert raw == first
+    del calls[:]
+    for tid in range(1, 7):
+        assert verify_identity(f"type{tid}_matches", n=n, r=r, degree=degree).passed
+    assert evaluate(typesums._closed_terms) == first
+    assert primitive_matrix.cache_info().misses == len(closed) + len(supports)
     assert calls == []
 
 

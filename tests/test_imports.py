@@ -1,7 +1,8 @@
 """Every top-level import of the package is used, and so is every
 top-level definition: scans of the modules' syntax trees for imported
 names that no expression and no ``__all__`` entry reads, and for
-functions and classes that no module, test or benchmark script reads.
+functions, classes and assigned names that no module, test or benchmark
+script reads.
 Importing the package and its CLI leaves out the stdlib modules it does
 not need."""
 
@@ -82,18 +83,33 @@ def _reads(node: ast.AST) -> Counter:
     return reads
 
 
+def _definitions(tree: ast.Module):
+    """(name, defining node) of each top-level function, class and assigned
+    name; dunder names such as ``__all__`` are exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not (
+                        sub.id.startswith("__") and sub.id.endswith("__")
+                    ):
+                        yield sub.id, node
+
+
 def _dead_definitions(defining, readers):
-    """Top-level functions and classes of the defining trees that no reader
-    tree reads outside the definition itself."""
+    """Top-level functions, classes and assigned names of the defining
+    trees that no reader tree reads outside the definition itself."""
     reads = Counter()
     for tree in readers:
         reads.update(_reads(tree))
     return [
-        node.name
+        name
         for tree in defining
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and reads[node.name] <= _reads(node)[node.name]
+        for name, node in _definitions(tree)
+        if reads[name] <= _reads(node)[name]
     ]
 
 
@@ -117,6 +133,16 @@ def test_the_scan_flags_a_dead_definition():
     )
     reader = ast.parse("import m\n\nm.used()\n")
     assert _dead_definitions([tree], [tree, reader]) == ["recursive", "Gone"]
+
+
+def test_the_scan_flags_a_dead_assignment():
+    tree = ast.parse(
+        "READ, (UNREAD, PAIRED) = 1, (2, 3)\n"
+        "ALIAS: int = READ\n"
+        "__version__ = '1'\n"
+    )
+    reader = ast.parse("import m\n\nm.PAIRED\n")
+    assert _dead_definitions([tree], [tree, reader]) == ["UNREAD", "ALIAS"]
 
 
 def test_importing_the_package_leaves_dataclasses_and_inspect_out():

@@ -18,7 +18,6 @@ from macdunkl.operators import (
     _subset_sign,
     macdonald_scalar_part,
 )
-from macdunkl.verify import typesums
 from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
 from test_operators import _subset_perm
 
@@ -47,7 +46,7 @@ def test_type_numerators_match_division(monkeypatch):
     n_in[1] = q V_(2..m) and cof = V_n / V_m, summed with signs over all
     m-subsets and divided exactly by V_n."""
     seen = []
-    block = typesums._block_divided_difference
+    block = operators._block_divided_difference
 
     def spy(h, r, k):
         got = block(h, r, k)
@@ -61,7 +60,7 @@ def test_type_numerators_match_division(monkeypatch):
         seen.append((n, k, r, total, alternate_by_division(g, cof, k)))
         return got
 
-    monkeypatch.setattr(typesums, "_block_divided_difference", spy)
+    monkeypatch.setattr(operators, "_block_divided_difference", spy)
     for n in (4, 5, 6):
         for r in range(1, n + 1):
             for tid in TYPE_SHAPE:

@@ -19,9 +19,9 @@ from macdunkl import (
 )
 from macdunkl.multipoly import partitions_upto, vandermonde
 from macdunkl import operators
-from macdunkl.operators import _from_coords, _subset_sum_coords, operator_matrix
+from macdunkl.operators import _from_coords, _subset_sum_coords, operator_matrix, primitive_matrix
 from macdunkl.verify import typesums
-from macdunkl.verify.closedforms import _combo
+from macdunkl.verify.closedforms import B41, _combo
 from macdunkl.verify.identities import TYPE_GRID, verify_identity
 from macdunkl.verify.typesums import (
     TYPE_PATTERN,
@@ -31,11 +31,11 @@ from macdunkl.verify.typesums import (
     _pattern_key,
     _pattern_piece,
     _patterns,
+    _raw_terms,
     _stabilizer_order,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
-    type_sum_raw_op,
     type_term_count,
     unit_op,
 )
@@ -144,13 +144,13 @@ def test_closed_table_has_one_value_under_both_evaluators(tid):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_raw_columns_from_coordinates_match_the_round_trip(tid):
-    """The raw type matrix read off the raw operator's columns, against
-    applying the operator to each m_lam and collapsing the image again."""
+    """The raw term table, as a combination of cached primitive matrices,
+    against applying it to each m_lam and collapsing the image again."""
     grid = [(n, r, 2) for n in range(1, 8) for r in range(n + 1)]
     grid += [(n, r, 3) for n, r in TYPE_GRID]
     for n, r, degree in grid:
         basis = partitions_upto(degree, n)
-        got = operator_matrix(type_sum_raw_op(n, r, tid), basis)
+        got = _combo(n, basis, _raw_terms(n, r, tid)).beta_slice(0)
         want = operator_matrix(round_trip(partial(type_sum_raw_apply, n, r, tid), n, RQ), basis)
         assert (got.basis, got.entries) == (want.basis, want.entries), (n, r, degree)
 
@@ -385,13 +385,14 @@ def test_closed_side_applies_each_kernel_operator_once(tid, calls, monkeypatch):
     """Each B_{k,l} that a closed form names is applied to f once: type 4
     reuses its one B_{2,1} f in both of its terms."""
     seen = []
-    column = operators._b_column
+    column = operators._kernel_column
 
-    def counted(k, l, *args):
-        seen.append((k, l))
-        return column(k, l, *args)
+    def counted(num, r, l, *args):
+        if r == 1:  # B_{k,l} is the kernel sum of x_1^(k-1) with r = 1
+            seen.append((num.n, l))
+        return column(num, r, l, *args)
 
-    monkeypatch.setattr(operators, "_b_column", counted)
+    monkeypatch.setattr(operators, "_kernel_column", counted)
     type_sum_closed_apply(6, 3, tid, monomial_symmetric((2, 1), 6))
     assert len(seen) == len(set(seen)) == calls, seen
 
@@ -470,3 +471,28 @@ def test_type_sums_refuse_non_symmetric(apply):
         with pytest.raises(NonSymmetricError, match="requires a symmetric argument") as err:
             apply(6, 3, tid, x1)
         assert err.value.transposition == (1, 2)
+
+
+@pytest.mark.parametrize("tid", [1, 3, 4, 5, 99])
+def test_unit_op_refuses_types_other_than_2_and_6(tid):
+    with pytest.raises(DomainError, match=f"types 2 and 6 only, got {tid}"):
+        unit_op(tid, 5, RQ)
+
+
+@pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply])
+@pytest.mark.parametrize("r", [-2, -1, 7, 9])
+def test_type_sums_refuse_a_rank_outside_0_to_n(apply, r):
+    f = monomial_symmetric((1,), 6)
+    for tid in range(1, 7):
+        with pytest.raises(DomainError, match=f"need 0 <= r <= n, got r={r}, n=6"):
+            apply(6, r, tid, f)
+
+
+def test_type1_support_sum_is_b41():
+    """Type 1's q is x_1^3, so its support sum is B_{4,1}: one kernel
+    sum with one numerator."""
+    for n in range(3, 8):
+        basis = tuple(partitions_upto(3, n))
+        support = primitive_matrix((typesums.raw_op, 1), n, basis)
+        assert support == primitive_matrix(B41, n, basis), n
+        assert n < 4 or not support.is_zero()

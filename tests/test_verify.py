@@ -2,13 +2,15 @@
 
 import inspect
 import re
+from fractions import Fraction
 
 import pytest
 
 from macdunkl.cli import emit_report, main
 from macdunkl.errors import DomainError
+from macdunkl.operators import OperatorMatrix
 from macdunkl.verify.identities import REGISTRY, Verdict, suite_plan, verify_identity
-from macdunkl.verify.witness import WitnessReport
+from macdunkl.verify.witness import WitnessReport, _first_nonzero_column, _rendered_column
 
 
 def test_unknown_identity():
@@ -218,6 +220,25 @@ def test_witness_report_json():
     assert WitnessReport("n <= 2", False).to_json_dict() == {
         "grid": "n <= 2", "found": False, "witness": None
     }
+
+
+def test_witness_column_is_the_lightest_and_reads_by_weight_then_decreasing_lex():
+    """The search reports the column of least weight, the larger partition
+    first among equal weights, and both functions render its cells in
+    that order."""
+    entries = {
+        ((2, 1), (1, 1, 1)): 7,
+        ((1, 1), (1, 1)): 2,
+        ((1, 1, 1), (2, 1)): 5,
+        ((1, 1), (2,)): Fraction(1, 3),
+        ((2,), (2,)): -1,
+    }
+    mat = OperatorMatrix(3, None, (), entries)
+    cells = [((2,), "-1"), ((1, 1), "1/3")]
+    assert _first_nonzero_column(mat) == ((2,), cells)
+    assert _rendered_column(mat, (2,)) == cells
+    assert _rendered_column(mat, (1, 1, 1)) == [((2, 1), "7")]
+    assert _first_nonzero_column(OperatorMatrix(3, None, (), {})) is None
 
 
 def test_types_suite_plan_grid():
