@@ -972,6 +972,8 @@ def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> Op
     it."""
     if not 0 <= k <= order:
         raise DomainError("h order outside the jet order")
+    if degree < 1:
+        raise DomainError("degree must be at least 1")
     return _order_matrix(n, r, k, degree)
 
 

@@ -1,4 +1,11 @@
-"""Closed-form operators for the h-expansion coefficients.
+"""Closed forms of the h-expansion coefficients, as term tables.
+
+Each closed form is a function of (n, r), or of n alone, that returns
+its terms [(c, j, factors)]: a rational c, a power j of b and a product
+of primitive operators.  It takes no window and builds no matrix; a
+check evaluates the table on its m-basis window with ``_combo``, the
+one evaluator of every term table in the package (the type sums'
+tables in ``typesums`` included).
 
 Three coefficients of the h^3 Dunkl form are printed as binomials times
 fractions whose denominators, (r-1), (n-2) and (n-r)(n-r-1), vanish
@@ -65,23 +72,23 @@ def coeff_bh2(n: int, r: int) -> Fraction:
     )
 
 
-# -- operator assembly -------------------------------------------------
+# -- term tables and their evaluation ------------------------------------
 #
-# Each closed form is a polynomial in primitive operators: a list of terms
+# A closed form is a polynomial in primitive operators: a list of terms
 # (rational, b power, factors), where the factors are primitive operators
 # composed right to left and the empty product is the identity.  A factor
 # is named by its factory and arguments, e.g. (b_op, 3, 1) for B_{3,1};
 # operators.primitive_matrix builds its matrix over b-polynomials once per
 # (factor, n, window) and keeps it for the process, so a primitive's build
-# is charged to the first check that needs it.  _combo evaluates the
-# polynomial as a matrix on an m-basis window; the b-free forms are the b^0
-# slice of that matrix.  Composition is the matrix product; _product keeps
-# each product once per (factors, n, window), shared like the primitives,
-# so a repeated check multiplies no matrices and only scales and adds the
-# cached products.  The product is exact
-# because the window holds every partition of each weight it touches and
-# every primitive keeps the weight (the matrix builder refuses a window or
-# an operator that breaks either).
+# is charged to the first check that needs it.  _combo evaluates a table
+# as a matrix on an m-basis window; a check on a b-free form takes the b^0
+# slice of that matrix itself.  Composition is the matrix product; _product
+# keeps each product once per (factors, n, window), shared like the
+# primitives, so a repeated check multiplies no matrices and only scales
+# and adds the cached products.  The product is exact because the window
+# holds every partition of each weight it touches and every primitive
+# keeps the weight (the matrix builder refuses a window or an operator
+# that breaks either).
 
 L1, L2, L3, L4 = (l_op, 1), (l_op, 2), (l_op, 3), (l_op, 4)
 H1, H2, H3 = (h_op, 1), (h_op, 2), (h_op, 3)
@@ -120,40 +127,32 @@ def _product(factors, n: int, basis) -> OperatorMatrix:
     return _product(factors[:-1], n, basis) @ last
 
 
-def first_order(n: int, r: int, basis) -> OperatorMatrix:
+def first_order(n: int, r: int):
     """h^1 coefficient: binom_ff(n-1,r-1) L_1 plus the scalar part.
 
     The scalar is the h^1 coefficient of the scaled t-binomial,
     (r/2) binom_ff(n,r)(n-1) b; with (n-r) in place of (n-1) the form would
     miss the prefactor's contribution and fail at r = n.
     """
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(binom_ff(n - 1, r - 1)), 0, (L1,)),
-            (scaled_taylor_coeff_closed(n, r, 1).coeff(1), 1, ()),
-        ],
-    )
+    return [
+        (Fraction(binom_ff(n - 1, r - 1)), 0, (L1,)),
+        (scaled_taylor_coeff_closed(n, r, 1).coeff(1), 1, ()),
+    ]
 
 
-def second_order(n: int, r: int, basis) -> OperatorMatrix:
+def second_order(n: int, r: int):
     """h^2 coefficient in Dunkl form; the H_1^2 term vanishes at r = 1.
     The scalar is the h^2 coefficient of the scaled t-binomial."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(binom_ff(n - 2, r - 1), 2), 0, (H2,)),
-            (Fraction(binom_ff(n - 2, r - 2), 2), 0, (H1, H1)),
-            (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (H1,)),
-            (scaled_taylor_coeff_closed(n, r, 2).coeff(2), 2, ()),
-        ],
-    )
+    return [
+        (Fraction(binom_ff(n - 2, r - 1), 2), 0, (H2,)),
+        (Fraction(binom_ff(n - 2, r - 2), 2), 0, (H1, H1)),
+        (Fraction(r * (n - 1) * binom_ff(n - 1, r - 1), 2), 1, (H1,)),
+        (scaled_taylor_coeff_closed(n, r, 2).coeff(2), 2, ()),
+    ]
 
 
-def _third_order_slice_terms(j: int, n: int, r: int):
-    """Terms of the b^j coefficient of the h^3 coefficient, all b-free;
+def third_order_slice(j: int, n: int, r: int):
+    """The b^j coefficient of the h^3 coefficient, all terms b-free;
     the b^3 slice is the h^3 coefficient of the scaled t-binomial."""
     if j == 3:
         return [(scaled_taylor_coeff_closed(n, r, 3).coeff(3), 0, ())]
@@ -184,165 +183,122 @@ def _third_order_slice_terms(j: int, n: int, r: int):
     raise DomainError("slice index must be 0..3")
 
 
-def third_order_slice(j: int, n: int, r: int, basis) -> OperatorMatrix:
-    """The b^j coefficient of the h^3 coefficient, over the rationals."""
-    return _combo(n, basis, _third_order_slice_terms(j, n, r)).beta_slice(0)
-
-
-def third_order_raw(n: int, r: int, basis) -> OperatorMatrix:
+def third_order_raw(n: int, r: int):
     """h^3 coefficient assembled degreewise in b from its four slices."""
-    terms = [
-        (c, j, factors)
-        for j in range(4)
-        for c, _, factors in _third_order_slice_terms(j, n, r)
+    return [
+        (c, j, factors) for j in range(4) for c, _, factors in third_order_slice(j, n, r)
     ]
-    return _combo(n, basis, terms)
 
 
-def third_order_dunkl(n: int, r: int, basis) -> OperatorMatrix:
+def third_order_dunkl(n: int, r: int):
     """h^3 coefficient as a polynomial in the Dunkl power sums H_k."""
     x = coeff_x(n, r)
     scalar2 = Fraction(r, 24) * binom_ff(n - 1, r - 1) * (
         (3 * r + 1) * n * n + (1 - 7 * r) * n + 2 * r
     )
-    return _combo(
-        n,
-        basis,
-        [
-            (x / 6, 0, (H3,)),
-            (Fraction(binom_ff(n - 3, r - 2), 2), 0, (H2, H1)),
-            (coeff_bh2(n, r) / 12, 1, (H2,)),
-            (Fraction(binom_ff(n - 3, r - 3), 6), 0, (H1, H1, H1)),
-            (coeff_h1sq(n, r) / 12, 1, (H1, H1)),
-            (scalar2, 2, (H1,)),
-            (scaled_taylor_coeff_closed(n, r, 3).coeff(3), 3, ()),
-        ],
-    )
+    return [
+        (x / 6, 0, (H3,)),
+        (Fraction(binom_ff(n - 3, r - 2), 2), 0, (H2, H1)),
+        (coeff_bh2(n, r) / 12, 1, (H2,)),
+        (Fraction(binom_ff(n - 3, r - 3), 6), 0, (H1, H1, H1)),
+        (coeff_h1sq(n, r) / 12, 1, (H1, H1)),
+        (scalar2, 2, (H1,)),
+        (scaled_taylor_coeff_closed(n, r, 3).coeff(3), 3, ()),
+    ]
 
 
-def third_order_display_r1(n: int, basis) -> OperatorMatrix:
+def third_order_display_r1(n: int):
     """The printed rank-1 specialization of the h^3 Dunkl form."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(1, 6), 0, (H3,)),
-            (Fraction(2 * n - 3, 12), 1, (H2,)),
-            (Fraction(1, 12), 1, (H1, H1)),
-            (Fraction((n - 1) * (2 * n - 1), 12), 2, (H1,)),
-            (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
-        ],
-    )
+    return [
+        (Fraction(1, 6), 0, (H3,)),
+        (Fraction(2 * n - 3, 12), 1, (H2,)),
+        (Fraction(1, 12), 1, (H1, H1)),
+        (Fraction((n - 1) * (2 * n - 1), 12), 2, (H1,)),
+        (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
+    ]
 
 
-def third_order_display_r2(n: int, basis) -> OperatorMatrix:
+def third_order_display_r2(n: int):
     """The printed rank-2 specialization of the h^3 Dunkl form."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(n - 4, 6), 0, (H3,)),
-            (Fraction(1, 2), 0, (H2, H1)),
-            (Fraction(5 * n * n - 14 * n + 12, 12), 1, (H2,)),
-            (Fraction(7 * n - 10, 12), 1, (H1, H1)),
-            (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, (L1,)),
-            (Fraction(n * n * (n - 1) * (n - 1) * (3 * n - 5), 24), 3, ()),
-        ],
-    )
+    return [
+        (Fraction(n - 4, 6), 0, (H3,)),
+        (Fraction(1, 2), 0, (H2, H1)),
+        (Fraction(5 * n * n - 14 * n + 12, 12), 1, (H2,)),
+        (Fraction(7 * n - 10, 12), 1, (H1, H1)),
+        (Fraction((n - 1) * (7 * n * n - 13 * n + 4), 12), 2, (L1,)),
+        (Fraction(n * n * (n - 1) * (n - 1) * (3 * n - 5), 24), 3, ()),
+    ]
 
 
-def h1_explicit(n: int, basis) -> OperatorMatrix:
-    return _combo(n, basis, [(Fraction(1), 0, (L1,))])
+def h1_explicit(n: int):
+    """H_1 = L_1."""
+    return [(Fraction(1), 0, (L1,))]
 
 
-def h2_explicit_pairs(n: int, basis) -> OperatorMatrix:
+def h2_explicit_pairs(n: int):
     """H_2 as L_2 + b * sum_{i<j} (x_i+x_j)/(x_i-x_j)(x_i d_i - x_j d_j)."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(1), 0, (L2,)),
-            (Fraction(1), 1, (PAIRS,)),
-        ],
-    )
+    return [
+        (Fraction(1), 0, (L2,)),
+        (Fraction(1), 1, (PAIRS,)),
+    ]
 
 
-def h2_explicit_b(n: int, basis) -> OperatorMatrix:
+def h2_explicit_b(n: int):
     """H_2 as L_2 + 2b B_{2,1} - b(n-1) L_1."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(1), 0, (L2,)),
-            (Fraction(2), 1, (B21,)),
-            (Fraction(-(n - 1)), 1, (L1,)),
-        ],
-    )
+    return [
+        (Fraction(1), 0, (L2,)),
+        (Fraction(2), 1, (B21,)),
+        (Fraction(-(n - 1)), 1, (L1,)),
+    ]
 
 
-def h3_explicit(n: int, basis) -> OperatorMatrix:
+def h3_explicit(n: int):
     """H_3 = L_3 + b(3B_{2,2} - (n-1)L_2 - m_{1,1})
            + b^2(2(3-n)B_{2,1} + 6B_{3,1} - (n-1)L_1)."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(1), 0, (L3,)),
-            (Fraction(3), 1, (B22,)),
-            (Fraction(-(n - 1)), 1, (L2,)),
-            (Fraction(-1), 1, (M11,)),
-            (Fraction(2 * (3 - n)), 2, (B21,)),
-            (Fraction(6), 2, (B31,)),
-            (Fraction(-(n - 1)), 2, (L1,)),
-        ],
-    )
+    return [
+        (Fraction(1), 0, (L3,)),
+        (Fraction(3), 1, (B22,)),
+        (Fraction(-(n - 1)), 1, (L2,)),
+        (Fraction(-1), 1, (M11,)),
+        (Fraction(2 * (3 - n)), 2, (B21,)),
+        (Fraction(6), 2, (B31,)),
+        (Fraction(-(n - 1)), 2, (L1,)),
+    ]
 
 
-def beta2_h3_lhs(n: int, basis) -> OperatorMatrix:
-    return _combo(n, basis, [(Fraction(1), 0, (REFL2,))]).beta_slice(0)
+def beta2_h3_lhs(n: int):
+    """The double reflection sum, b-free."""
+    return [(Fraction(1), 0, (REFL2,))]
 
 
-def beta2_h3_rhs_pairs(n: int, basis) -> OperatorMatrix:
-    """(3-n) * pair-ratio sum + 6 B_{3,1} - (n-1)(n-2) L_1."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(3 - n), 0, (PAIRS,)),
-            (Fraction(6), 0, (B31,)),
-            (Fraction(-(n - 1) * (n - 2)), 0, (L1,)),
-        ],
-    ).beta_slice(0)
+def beta2_h3_rhs_pairs(n: int):
+    """(3-n) * pair-ratio sum + 6 B_{3,1} - (n-1)(n-2) L_1, b-free."""
+    return [
+        (Fraction(3 - n), 0, (PAIRS,)),
+        (Fraction(6), 0, (B31,)),
+        (Fraction(-(n - 1) * (n - 2)), 0, (L1,)),
+    ]
 
 
-def beta2_h3_rhs_b(n: int, basis) -> OperatorMatrix:
-    """2(3-n) B_{2,1} + 6 B_{3,1} - (n-1) L_1."""
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(2 * (3 - n)), 0, (B21,)),
-            (Fraction(6), 0, (B31,)),
-            (Fraction(-(n - 1)), 0, (L1,)),
-        ],
-    ).beta_slice(0)
+def beta2_h3_rhs_b(n: int):
+    """2(3-n) B_{2,1} + 6 B_{3,1} - (n-1) L_1, b-free."""
+    return [
+        (Fraction(2 * (3 - n)), 0, (B21,)),
+        (Fraction(6), 0, (B31,)),
+        (Fraction(-(n - 1)), 0, (L1,)),
+    ]
 
 
-def rank1_fourth_order(n: int, basis) -> OperatorMatrix:
+def rank1_fourth_order(n: int):
     """h^4 coefficient of the rank-1 operator: kernel-operator part plus
     the closed scalar part."""
-    scalar = scaled_taylor_coeff_closed(n, 1, 4).coeff(4)
-    return _combo(
-        n,
-        basis,
-        [
-            (Fraction(1, 24), 0, (L4,)),
-            (Fraction(1, 6), 1, (B23,)),
-            (Fraction(1, 4), 2, (B22,)),
-            (Fraction(1, 2), 2, (B32,)),
-            (Fraction(1, 6), 3, (B21,)),
-            (Fraction(1), 3, (B31,)),
-            (Fraction(1), 3, (B41,)),
-            (Fraction(scalar), 4, ()),
-        ],
-    )
+    return [
+        (Fraction(1, 24), 0, (L4,)),
+        (Fraction(1, 6), 1, (B23,)),
+        (Fraction(1, 4), 2, (B22,)),
+        (Fraction(1, 2), 2, (B32,)),
+        (Fraction(1, 6), 3, (B21,)),
+        (Fraction(1), 3, (B31,)),
+        (Fraction(1), 3, (B41,)),
+        (Fraction(scaled_taylor_coeff_closed(n, 1, 4).coeff(4)), 4, ()),
+    ]

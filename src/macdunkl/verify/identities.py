@@ -12,7 +12,8 @@ list is read once, at import, from its function's code object and
 defaults; an entry that is a ``functools.partial`` drops the parameters
 its positional arguments fill and fixes its keywords.  Matrix windows
 default to weights 1..4, so the window size is in every matrix verdict's
-parameters.
+parameters; a degree below 1 is refused, since on the empty window both
+sides are zero and every matrix check would pass.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ..tbinom import (
     taylor_coeff_closed,
 )
 from . import closedforms
+from .closedforms import _combo
 from .typesums import _closed_terms, _raw_terms
 
 RB = Ring.uni("b")
@@ -99,6 +101,8 @@ def _scalar_residual(x, label="difference"):
 def _basis(degree: int, n: int):
     if n < 1:
         raise DomainError("n must be at least 1")
+    if degree < 1:
+        raise DomainError("degree must be at least 1")
     return tuple(partitions_upto(degree, n))
 
 
@@ -155,16 +159,16 @@ def check_h_explicit(k: int, n: int, degree: int = 4):
     basis = _basis(degree, n)
     actual = primitive_matrix((h_op, k), n, basis)
     if k == 1:
-        return _matrix_residual(actual, closedforms.h1_explicit(n, basis))
+        return _matrix_residual(actual, _combo(n, basis, closedforms.h1_explicit(n)))
     if k == 2:
-        pairs = closedforms.h2_explicit_pairs(n, basis)
-        bform = closedforms.h2_explicit_b(n, basis)
+        pairs = _combo(n, basis, closedforms.h2_explicit_pairs(n))
+        bform = _combo(n, basis, closedforms.h2_explicit_b(n))
         return (
             _matrix_residual(actual, pairs, "vs kernel-ratio form")
             or _matrix_residual(actual, bform, "vs B-operator form")
         )
     if k == 3:
-        return _matrix_residual(actual, closedforms.h3_explicit(n, basis))
+        return _matrix_residual(actual, _combo(n, basis, closedforms.h3_explicit(n)))
     raise DomainError("explicit forms exist for k = 1, 2, 3")
 
 
@@ -172,9 +176,9 @@ def check_beta2_h3(n: int, degree: int = 4):
     """The coupling-squared part of H_3: the double reflection sum equals
     both stated right-hand sides, which must also agree with each other."""
     basis = _basis(degree, n)
-    lhs = closedforms.beta2_h3_lhs(n, basis)
-    rhs1 = closedforms.beta2_h3_rhs_pairs(n, basis)
-    rhs2 = closedforms.beta2_h3_rhs_b(n, basis)
+    lhs = _combo(n, basis, closedforms.beta2_h3_lhs(n)).beta_slice(0)
+    rhs1 = _combo(n, basis, closedforms.beta2_h3_rhs_pairs(n)).beta_slice(0)
+    rhs2 = _combo(n, basis, closedforms.beta2_h3_rhs_b(n)).beta_slice(0)
     return (
         _matrix_residual(lhs, rhs1, "lhs vs kernel-ratio rhs")
         or _matrix_residual(lhs, rhs2, "lhs vs B-operator rhs")
@@ -192,14 +196,14 @@ def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4):
         3: closedforms.third_order_dunkl,
     }[k]
     basis = _basis(degree, n)
-    return _matrix_residual(extract_order(n, r, k, degree, K), form(n, r, basis))
+    return _matrix_residual(extract_order(n, r, k, degree, K), _combo(n, basis, form(n, r)))
 
 
 def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4):
     _require_rank(n, r=r)
     basis = _basis(degree, n)
-    raw = closedforms.third_order_raw(n, r, basis)
-    return _matrix_residual(raw, closedforms.third_order_dunkl(n, r, basis))
+    raw = _combo(n, basis, closedforms.third_order_raw(n, r))
+    return _matrix_residual(raw, _combo(n, basis, closedforms.third_order_dunkl(n, r)))
 
 
 def check_ord3_display(n: int, r: int, degree: int = 4, K: int = 4):
@@ -208,14 +212,15 @@ def check_ord3_display(n: int, r: int, degree: int = 4, K: int = 4):
         raise DomainError("printed specializations exist for r = 1, 2")
     basis = _basis(degree, n)
     form = closedforms.third_order_display_r1 if r == 1 else closedforms.third_order_display_r2
-    return _matrix_residual(extract_order(n, r, 3, degree, K), form(n, basis))
+    return _matrix_residual(extract_order(n, r, 3, degree, K), _combo(n, basis, form(n)))
 
 
 def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4):
     """The b^j slice of the h^3 matrix against the slice closed form."""
     basis = _basis(degree, n)
     got = extract_order(n, r, 3, degree, K).beta_slice(j)
-    return _matrix_residual(got, closedforms.third_order_slice(j, n, r, basis))
+    slice_form = _combo(n, basis, closedforms.third_order_slice(j, n, r)).beta_slice(0)
+    return _matrix_residual(got, slice_form)
 
 
 def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
@@ -223,7 +228,7 @@ def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
     fixes r = 1."""
     basis = _basis(degree, n)
     got = extract_order(n, r, 4, degree, K)
-    return _matrix_residual(got, closedforms.rank1_fourth_order(n, basis))
+    return _matrix_residual(got, _combo(n, basis, closedforms.rank1_fourth_order(n)))
 
 
 # -- type sums -------------------------------------------------------------
@@ -234,7 +239,7 @@ def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
     term tables, each a combination of cached primitive matrices."""
     basis = _basis(degree, n)
     raw, closed = (
-        closedforms._combo(n, basis, terms(n, r, tid)).beta_slice(0)
+        _combo(n, basis, terms(n, r, tid)).beta_slice(0)
         for terms in (_raw_terms, _closed_terms)
     )
     return _matrix_residual(raw, closed)
@@ -251,10 +256,11 @@ def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
     return _matrix_residual(a.commutator_with(b), zero, "commutator")
 
 
-def _seeded_qt_pairs(n: int, r: int, s: int, seed: int, count: int = 3):
+def _seeded_qt_pairs(n: int, r: int, s: int, seed: int):
+    """Three seeded rational pairs (q, t), neither q nor t equal to 1."""
     rng = random.Random(f"{seed}:{n}:{r}:{s}")
     pairs = []
-    while len(pairs) < count:
+    while len(pairs) < 3:
         qn, qd = rng.randint(1, 97), rng.randint(1, 97)
         tn, td = rng.randint(1, 97), rng.randint(1, 97)
         if qn == qd or tn == td:
@@ -294,11 +300,12 @@ def check_orderwise_commutator(
 # -- shift-form cross-check ---------------------------------------------------
 
 
-def _random_poly(n: int, rng: random.Random, ring: Ring, terms=4, maxdeg=3):
-    f = MultiPoly.zero(n, ring)
-    for _ in range(terms):
-        exps = tuple(rng.randint(0, maxdeg) for _ in range(n))
-        f = f + MultiPoly.monomial(exps, n, ring, coeff=rng.randint(-4, 4))
+def _random_poly(n: int, rng: random.Random):
+    """A sum of four seeded monomials over RB, each exponent at most 3."""
+    f = MultiPoly.zero(n, RB)
+    for _ in range(4):
+        exps = tuple(rng.randint(0, 3) for _ in range(n))
+        f = f + MultiPoly.monomial(exps, n, RB, coeff=rng.randint(-4, 4))
     return f
 
 
@@ -312,7 +319,7 @@ def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3):
         raise DomainError("jet order must be non-negative")
     rng = random.Random(f"{seed}:eq1:{n}")
     for _ in range(trials):
-        f = _random_poly(n, rng, RB)
+        f = _random_poly(n, rng)
         for i in range(1, n + 1):
             g = f
             for k in range(K + 1):

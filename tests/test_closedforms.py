@@ -188,21 +188,21 @@ def _column(mat, lam):
 
 
 def test_ord1_2_1_is_l1_plus_beta():
-    m = first_order(2, 1, partitions_upto(2, 2))
+    m = _combo(2, partitions_upto(2, 2), first_order(2, 1))
     b = BetaPoly.var()
     assert _column(m, (1,)) == {(1,): 1 + b}
     assert _column(m, (2,)) == {(2,): 2 + b}
 
 
 def test_ord3_dunkl_2_1_on_p1():
-    m = third_order_dunkl(2, 1, partitions_upto(1, 2))
+    m = _combo(2, partitions_upto(1, 2), third_order_dunkl(2, 1))
     b = BetaPoly.var()
     cube = (1 + b) * (1 + b) * (1 + b)
     assert _column(m, (1,)) == {(1,): cube * Fraction(1, 6)}
 
 
 def test_h3_explicit_2_on_p1():
-    m = h3_explicit(2, partitions_upto(1, 2))
+    m = _combo(2, partitions_upto(1, 2), h3_explicit(2))
     b = BetaPoly.var()
     assert _column(m, (1,)) == {(1,): (1 + b) * (1 + b)}
 
@@ -212,7 +212,8 @@ def test_third_order_scalar_value():
     # scaled t-binomial; (2,1): beta^3 n^2(n-1)^2/24 with n=2 gives 1/6
     assert scaled_taylor_coeff_closed(2, 1, 3) == BetaPoly.term(Fraction(1, 6), 3)
     basis = partitions_upto(2, 2)
-    assert third_order_slice(3, 2, 1, basis).entries == {(lam, lam): Fraction(1, 6) for lam in basis}
+    slice3 = _combo(2, basis, third_order_slice(3, 2, 1)).beta_slice(0)
+    assert slice3.entries == {(lam, lam): Fraction(1, 6) for lam in basis}
 
 
 def test_printed_scalars_are_scaled_tbinom_coefficients():
@@ -231,17 +232,17 @@ def test_h_explicit_forms_match_small(n):
     basis = partitions_upto(3, n)
     for k, form in ((1, h1_explicit), (2, h2_explicit_pairs), (3, h3_explicit)):
         actual = operator_matrix(h_op(k, n, RB), basis)
-        assert actual == form(n, basis), (n, k)
-    b_form = h2_explicit_b(n, basis)
+        assert actual == _combo(n, basis, form(n)), (n, k)
+    b_form = _combo(n, basis, h2_explicit_b(n))
     assert b_form == operator_matrix(h_op(2, n, RB), basis)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_beta2_h3_both_forms(n):
     basis = partitions_upto(3, n)
-    lhs = beta2_h3_lhs(n, basis)
-    rhs1 = beta2_h3_rhs_pairs(n, basis)
-    rhs2 = beta2_h3_rhs_b(n, basis)
+    lhs = _combo(n, basis, beta2_h3_lhs(n)).beta_slice(0)
+    rhs1 = _combo(n, basis, beta2_h3_rhs_pairs(n)).beta_slice(0)
+    rhs2 = _combo(n, basis, beta2_h3_rhs_b(n)).beta_slice(0)
     assert lhs == rhs1
     assert lhs == rhs2
 
@@ -252,25 +253,25 @@ def test_orders_match_expansion_small(n, r):
     basis = partitions_upto(degree, n)
     for k, form in ((1, first_order), (2, second_order), (3, third_order_dunkl)):
         got = extract_order(n, r, k, degree, 4)
-        assert got == form(n, r, basis), (n, r, k)
+        assert got == _combo(n, basis, form(n, r)), (n, r, k)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (4, 2)])
 def test_raw_assembly_equals_dunkl_form(n, r):
     degree = 3
     basis = partitions_upto(degree, n)
-    assert third_order_raw(n, r, basis) == third_order_dunkl(n, r, basis)
+    assert _combo(n, basis, third_order_raw(n, r)) == _combo(n, basis, third_order_dunkl(n, r))
 
 
 def test_display_forms_at_n3():
     degree = 3
     basis = partitions_upto(degree, 3)
-    assert third_order_display_r1(3, basis) == extract_order(3, 1, 3, degree, 4)
-    assert third_order_display_r2(3, basis) == extract_order(3, 2, 3, degree, 4)
+    assert _combo(3, basis, third_order_display_r1(3)) == extract_order(3, 1, 3, degree, 4)
+    assert _combo(3, basis, third_order_display_r2(3)) == extract_order(3, 2, 3, degree, 4)
 
 
 def test_dn1_h4_sanity_n2():
-    m = rank1_fourth_order(2, partitions_upto(1, 2))
+    m = _combo(2, partitions_upto(1, 2), rank1_fourth_order(2))
     b = BetaPoly.var()
     quad = (1 + b) * (1 + b) * (1 + b) * (1 + b)
     assert _column(m, (1,)) == {(1,): quad * Fraction(1, 24)}
@@ -308,11 +309,11 @@ def test_each_primitive_is_built_once_across_forms(monkeypatch, n, r, factors):
     basis = partitions_upto(3, n)
 
     def evaluate():
-        second_order(n, r, basis)
-        third_order_dunkl(n, r, basis)
-        third_order_raw(n, r, basis)
+        _combo(n, basis, second_order(n, r))
+        _combo(n, basis, third_order_dunkl(n, r))
+        _combo(n, basis, third_order_raw(n, r))
         for j in range(4):
-            third_order_slice(j, n, r, basis)
+            _combo(n, basis, third_order_slice(j, n, r)).beta_slice(0)
 
     evaluate()
     assert built() == len(factors)
@@ -382,21 +383,62 @@ def test_cached_products_equal_fresh_builds(monkeypatch):
     for n in range(2, 6):
         basis = tuple(partitions_upto(3, n))
         for r in range(1, n + 1):
-            first_order(n, r, basis)
-            second_order(n, r, basis)
-            third_order_dunkl(n, r, basis)
-            third_order_raw(n, r, basis)
+            _combo(n, basis, first_order(n, r))
+            _combo(n, basis, second_order(n, r))
+            _combo(n, basis, third_order_dunkl(n, r))
+            _combo(n, basis, third_order_raw(n, r))
             for j in range(4):
-                third_order_slice(j, n, r, basis)
+                _combo(n, basis, third_order_slice(j, n, r)).beta_slice(0)
         for form in (
             third_order_display_r1, third_order_display_r2, h1_explicit, h2_explicit_b,
             h2_explicit_pairs, h3_explicit, beta2_h3_lhs, beta2_h3_rhs_b,
             beta2_h3_rhs_pairs, rank1_fourth_order,
         ):
-            form(n, basis)
+            _combo(n, basis, form(n))
     assert {factors for factors, _, _ in seen} >= {(H1, H1), (H1, H1, H1), (B21, L1)}
     for factors, n, basis in seen:
         fresh = primitive_matrix.__wrapped__(factors[0], n, basis)
         for factor in factors[1:]:
             fresh = fresh @ primitive_matrix.__wrapped__(factor, n, basis)
         assert _product(factors, n, basis) == fresh, factors
+
+
+def _term_tables():
+    """(key, n, table) of every term table in the package on its grid:
+    the closed forms at n <= 8, every 1 <= r <= n and every slice j <= 3,
+    and both type sides at every 0 <= r <= n and every type id."""
+    by_n = (
+        third_order_display_r1, third_order_display_r2, rank1_fourth_order, h1_explicit,
+        h2_explicit_pairs, h2_explicit_b, h3_explicit, beta2_h3_lhs, beta2_h3_rhs_pairs,
+        beta2_h3_rhs_b,
+    )
+    for n in range(1, 9):
+        for form in by_n:
+            yield (form.__name__, n), n, form(n)
+        for r in range(1, n + 1):
+            for form in (first_order, second_order, third_order_dunkl, third_order_raw):
+                yield (form.__name__, n, r), n, form(n, r)
+            for j in range(4):
+                yield ("third_order_slice", j, n, r), n, third_order_slice(j, n, r)
+        for r in range(n + 1):
+            for tid in range(1, 7):
+                for terms in (typesums._raw_terms, typesums._closed_terms):
+                    yield (terms.__name__, n, r, tid), n, terms(n, r, tid)
+
+
+def test_every_term_table_is_exact():
+    """Each coefficient is an int or a Fraction (a float or a bool would
+    pass unnoticed: BetaPoly.term(0.5, 1) == BetaPoly.term(Fraction(1, 2), 1)),
+    each b power an int >= 0, and each distinct factor builds through
+    primitive_matrix on a small window at the least n it appears at."""
+    least_n = {}
+    for key, n, table in _term_tables():
+        for c, j, factors in table:
+            assert type(c) in (int, Fraction), (key, c)
+            assert type(j) is int and j >= 0, (key, j)
+            for factor in factors:
+                least_n.setdefault(factor, n)
+    assert {H1, H2, H3, L1, L2, L3, B21, B22, B31, B41, M11} <= set(least_n)
+    for factor, n in least_n.items():
+        basis = tuple(partitions_upto(2, n))
+        assert primitive_matrix(factor, n, basis).basis == basis, factor

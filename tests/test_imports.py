@@ -2,7 +2,8 @@
 top-level definition: scans of the modules' syntax trees for imported
 names that no expression and no ``__all__`` entry reads, and for
 functions, classes and assigned names that no module, test or benchmark
-script reads.
+script reads, and for any float literal or call to float, round or
+isclose in the package, so that no tolerance creeps in.
 Importing the package and its CLI leaves out the stdlib modules it does
 not need."""
 
@@ -143,6 +144,39 @@ def test_the_scan_flags_a_dead_assignment():
     )
     reader = ast.parse("import m\n\nm.PAIRED\n")
     assert _dead_definitions([tree], [tree, reader]) == ["UNREAD", "ALIAS"]
+
+
+def _inexact(tree: ast.AST):
+    """(what, line) of each float literal and each call to float, round or
+    isclose (bare or as an attribute, e.g. ``math.isclose``) under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            yield repr(node.value), node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("float", "round", "isclose"):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_no_tolerance_anywhere(path):
+    """The verifier is exact: no module under src/ holds a float literal or
+    calls float, round or isclose."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_inexact(tree)) == [], path.name
+
+
+def test_the_scan_flags_a_tolerance():
+    tree = ast.parse(
+        "import math\n\n"
+        "x = 0.5 + 1 + float('2')\n"
+        "y = round(x, 3) if math.isclose(x, 1e-9) else x.real\n"
+        "z = 'float' + str(2)\n"
+    )
+    assert sorted(_inexact(tree)) == [
+        ("0.5", 3), ("1e-09", 4), ("float", 3), ("isclose", 4), ("round", 4)
+    ]
 
 
 def test_importing_the_package_leaves_dataclasses_and_inspect_out():

@@ -8,7 +8,7 @@ import pytest
 
 from macdunkl.cli import emit_report, main
 from macdunkl.errors import DomainError
-from macdunkl.operators import OperatorMatrix
+from macdunkl.operators import OperatorMatrix, extract_order
 from macdunkl.verify.identities import REGISTRY, Verdict, suite_plan, verify_identity
 from macdunkl.verify.witness import WitnessReport, _first_nonzero_column, _rendered_column
 
@@ -34,6 +34,29 @@ def test_type_checks_refuse_a_rank_outside_0_to_n(r):
     # both sides would be zero matrices, and the check would pass
     with pytest.raises(DomainError, match=rf"^need 0 <= r <= n, got r={r}, n=5$"):
         verify_identity("type3_matches", n=5, r=r, degree=2)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("ord1_matches", {"n": 2, "r": 1}),
+        ("h_explicit_1", {"n": 2}),
+        ("type1_matches", {"n": 6, "r": 3}),
+        ("orderwise_commutator", {"n": 2, "r": 1, "s": 2, "i": 1, "j": 2}),
+        ("macdonald_commutator", {"n": 2, "r": 1, "s": 2}),
+    ],
+)
+def test_matrix_checks_refuse_an_empty_window(name, params, degree):
+    # on an empty window both sides are the zero matrix, and the check would pass
+    with pytest.raises(DomainError, match="^degree must be at least 1$"):
+        verify_identity(name, **params, degree=degree)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_extract_order_refuses_an_empty_window(degree):
+    with pytest.raises(DomainError, match="^degree must be at least 1$"):
+        extract_order(2, 1, 1, degree)
 
 
 def test_type_checks_take_rank_zero():
