@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--timings",
@@ -114,8 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "on a window, the type closed sides' primitives included) is charged "
             "to the first check that builds it",
         )
-        if with_out:
-            p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--out", help="write the report to this path")
 
     v = sub.add_parser("verify", help="run one identity or a named suite")
     v.add_argument("--identity", help="registry name, e.g. scalar_part")

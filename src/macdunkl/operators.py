@@ -165,7 +165,7 @@ def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
     n = unit.n
     if k > n:
         return {}
-    _require_exchange_sign(unit, [*range(k - 1), *range(k, n - 1)], 1, "subset-sum unit")
+    _require_block_symmetric(unit, [*range(k - 1), *range(k, n - 1)], "subset-sum unit")
     sums = {}
     for key, c in unit.terms.items():
         row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
@@ -187,26 +187,21 @@ def _orbit_means(sums, n: int, count, ring: Ring) -> dict:
     return coords
 
 
-def _require_exchange_sign(f: MultiPoly, positions, sign: int, name: str):
-    """Exchanging x_(a+1) and x_(a+2), for each a in positions, must
-    multiply f by sign (1: symmetric, -1: antisymmetric); else
-    InexactDivisionError carrying f."""
+def _require_block_symmetric(f: MultiPoly, positions, name: str):
+    """Exchanging x_(a+1) and x_(a+2), for each a in positions, must leave
+    f unchanged; else InexactDivisionError carrying f."""
     terms = f.terms
     for a in positions:
         for key, c in terms.items():
             u, v = key[a], key[a + 1]
-            if u == v and sign == 1:
+            if u == v:
                 continue
             swapped = key[:a] + (v, u) + key[a + 2:]
-            # the values are compared once per pair, from its u >= v side
-            if u < v:
-                ok = swapped in terms
-            else:
-                ok = terms.get(swapped) == (c if sign == 1 else -c)
+            # the values are compared once per pair, from its u > v side
+            ok = swapped in terms if u < v else terms.get(swapped) == c
             if not ok:
-                kind = "symmetric" if sign == 1 else "antisymmetric"
                 raise InexactDivisionError(
-                    f"{name} is not {kind} under exchanging x{a + 1} and x{a + 2}", f
+                    f"{name} is not symmetric under exchanging x{a + 1} and x{a + 2}", f
                 )
 
 
@@ -392,7 +387,7 @@ def _block_divided_difference(g: MultiPoly, r: int, k: int) -> MultiPoly:
     Schubert Polynomials, ch. II): for top = r, ..., 1, the steps
     j = top, ..., top + k - r - 1 carry x_top to x_(top+k-r).  Variables
     above k pass through."""
-    _require_exchange_sign(g, [*range(r - 1), *range(r, k - 1)], 1, "block numerator")
+    _require_block_symmetric(g, [*range(r - 1), *range(r, k - 1)], "block numerator")
     for top in range(r, 0, -1):
         for j in range(top, top + k - r):
             g = _divided_difference(g, j, j + 1)

@@ -37,12 +37,16 @@ from .errors import DomainError
 
 
 def qnorm(value):
-    """Normalize a rational scalar, preferring ``int`` when exact."""
+    """Normalize a rational scalar, preferring ``int`` when exact;
+    TypeError for anything but an ``int`` or a ``Fraction``, so an inexact
+    coefficient is refused where it enters."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return value
-    return value
+    if isinstance(value, int):
+        return value
+    raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__} {value!r}")
 
 
 def as_fraction(value) -> Fraction:

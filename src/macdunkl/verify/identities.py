@@ -317,6 +317,8 @@ def check_eq1_shift_form(n: int, K: int = 4, seed: int = 0, trials: int = 3):
         raise DomainError("n must be at least 1")
     if K < 0:
         raise DomainError("jet order must be non-negative")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     rng = random.Random(f"{seed}:eq1:{n}")
     for _ in range(trials):
         f = _random_poly(n, rng)
@@ -416,8 +418,8 @@ def verify_identity(name: str, **params) -> Verdict:
 # filtered (by n, r) before execution, which is what the CLI does.
 
 
-def _grid_nr(nmax: int, nmin: int = 2):
-    for n in range(nmin, nmax + 1):
+def _grid_nr(nmax: int):
+    for n in range(2, nmax + 1):
         for r in range(1, n + 1):
             yield n, r
 

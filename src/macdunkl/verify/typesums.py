@@ -19,17 +19,19 @@ the representative's stabilizer, which maps the in and out sets to
 themselves and so is counted over S_a x S_b (``_stabilizer_order``);
 ``_patterns`` enumerates the orbit for the literal oracle and the
 tests.  So the sum n_in[1] over the patterns with x_1 inside
-the subset side is antisymmetric in x_2..x_m, and by Macdonald
-(Symmetric Functions and Hall Polynomials, ch. I 3) it is fixed by its
-coefficients at strictly decreasing exponents of x_2..x_m.  Those are
-read off the representative's piece in one pass over its terms.  Over
-the Vandermonde product V_(2..m) of x_2..x_m each alternant is a Schur
-polynomial, so q = n_in[1] / V_(2..m) is a polynomial, symmetric in
-x_2..x_m and independent of f, read off in monomial coordinates by the
-read-off the Macdonald operator uses.  The same orbit argument makes the
-sum over all patterns a constant multiple c V_m, and the sum with x_u
-inside the relabeling of the x_1 one by the exchange K_1u of x_1 and
-x_u, with sign -1.
+the subset side is antisymmetric in x_2..x_m: each term of the
+representative's piece and each in index give one alternant in
+x_2..x_m.  Over the Vandermonde product V_(2..m) of x_2..x_m each
+alternant is a Schur polynomial (Macdonald, Symmetric Functions and
+Hall Polynomials, ch. I 3), so q = n_in[1] / V_(2..m) is a polynomial,
+symmetric in x_2..x_m and independent of f, read off in monomial
+coordinates by ``operators._readoff_coords``, the read-off the
+Macdonald operator uses.  The same orbit argument makes the sum with
+x_u inside the relabeling of the x_1 one by the exchange K_1u of x_1
+and x_u, with sign -1.  Every pattern has a in indices, so
+sum_u n_in[u] = a c V_m, with c V_m the sum of all patterns, and over
+V_m it is the block divided difference (1, m - 1) of q: c is that
+constant over a.
 
 The support's numerator over V_m is g = g1 - sum_{u=2..m} K_1u g1, with
 g1 = n_in[1] E_1 f.  V_m = V_(2..m) prod_(j=2..m)(x_1 - x_j) is
@@ -73,7 +75,7 @@ from ..multipoly import (
 )
 from ..operators import (
     LinearOperator,
-    _cross_product,
+    _block_divided_difference,
     _kernel_op,
     _readoff_coords,
     _require_symmetric,
@@ -187,48 +189,31 @@ def _pattern_piece(m: int, pairs, exps) -> MultiPoly:
     return MultiPoly(m, RQ, terms)
 
 
-def _inversions(seq) -> int:
-    return sum(1 for x, y in combinations(seq, 2) if x > y)
-
-
-def _side_sum(piece0: MultiPoly, side, stab: int) -> MultiPoly:
-    """The sum of the pieces of the patterns that put x_1 on ``side`` (the
-    representative's in or out indices), divided by the Vandermonde
-    product V_(2..m) of x_2..x_m, given the representative's piece and the
-    order of its stabilizer in S_m.
+def _side_sum(piece0: MultiPoly, ins, stab: int) -> MultiPoly:
+    """q: the sum of the pieces of the patterns that put x_1 inside the
+    subset side, divided by the Vandermonde product V_(2..m) of x_2..x_m,
+    given the representative's piece, its in indices and the order of its
+    stabilizer in S_m.
 
     Each such piece is sign(sigma) sigma(piece0) for the |stab| relabelings
-    sigma that send a variable of ``side`` to 1, so the sum is antisymmetric
-    in x_2..x_m: it is sum_e C_e x_1^e_1 a(e_2..e_m) over strictly decreasing
-    e_2..e_m, with a(...) the alternant in x_2..x_m.  A term c x^k and a
-    position p of ``side`` give e = (k_p, the other entries of k sorted
-    decreasing) through one sigma, and add sign(sigma) c / |stab| to C_e;
-    repeated other entries give no strictly decreasing e and are skipped.
-    Over V_(2..m) each alternant is a Schur polynomial, read off in
-    monomial coordinates with x_1's exponent riding as the aux slot."""
+    sigma that send an in index p to 1.  Moving x_p to the front takes
+    p - 1 transpositions, and the antisymmetrization over x_2..x_m turns a
+    term c x^k into (-1)^(p-1) c / |stab| x_1^(k_p) a(k without k_p), a(...)
+    the alternant in x_2..x_m.  Over V_(2..m) each alternant is a Schur
+    polynomial, read off in monomial coordinates by ``_readoff_coords``
+    with x_1's exponent riding as the aux slot."""
     m = piece0.n
-    coeffs = {}
+    alternants = []
     for k, c in piece0.terms.items():
         if len(set(k)) < m - 1:  # a repeat is left whichever entry goes to x_1
             continue
-        order = sorted(range(m), key=k.__getitem__, reverse=True)
-        ek = [k[v] for v in order]
-        ties = [j for j in range(m - 1) if ek[j] == ek[j + 1]]
-        odd = _inversions(order) % 2
-        for p in side:
-            i = order.index(p - 1)
-            if ties and i not in (ties[0], ties[0] + 1):
-                continue
-            # sigma^-1 is the sequence p, then the rest in decreasing
-            # exponent: ``order`` with p moved to the front by i transpositions
-            e = (ek[i], *ek[:i], *ek[i + 1 :])
-            coeffs[e] = coeffs.get(e, 0) + (-c if (odd + i) % 2 else c)
-    alternants = [(e[1:], {e[:1]: Fraction(c, stab)}) for e, c in coeffs.items() if c]
+        for p in ins:
+            alternants.append((k[: p - 1] + k[p:], {k[p - 1 : p]: -c if (p - 1) % 2 else c}))
     out = {}
     for mu, by_first in _readoff_coords(alternants, m - 1).items():
         for rest in _distinct_permutations(mu + (0,) * (m - 1 - len(mu))):
             for first, c in by_first.items():
-                out[first + rest] = qnorm(c)
+                out[first + rest] = qnorm(Fraction(c, stab))
     return MultiPoly(m, RQ, out)
 
 
@@ -242,23 +227,19 @@ def _canonical_sums(tid: int):
     The patterns are the S_m orbit of the representative; only its size
     enters, as m! over the stabilizer order that ``_stabilizer_order``
     counts on S_a x S_b, so the orbit itself (``_patterns``) is left to
-    the oracles.  The sums over the patterns with x_1 inside and outside,
-    over V_(2..m), are read off the representative's piece, expanded on
-    integer coefficients by ``_pattern_piece``, by ``_side_sum``.  Every
-    pattern's support is its ins and outs, so the full sum over V_(2..m)
-    is their sum, and is checked exactly to be c prod_(j=2..m)(x_1 - x_j).
+    the oracles.  q is read off the representative's piece, expanded on
+    integer coefficients by ``_pattern_piece``, through ``_readoff_coords``
+    (``_side_sum``).  Every pattern has a in indices, so the sum over u of
+    n_in[u] = -K_1u n_in[1] is a c V_m.  Over V_m that sum is the block
+    divided difference (1, m - 1) of q, so c is
+    ``_block_divided_difference(q, 1, m)`` over a.
     """
-    m = sum(_shape(tid))
-    ins0, outs0, pairs0, exps0 = TYPE_PATTERN[tid]
-    piece0 = _pattern_piece(m, pairs0, exps0)
-    stab = _stabilizer_order(tid)
-    q_in = _side_sum(piece0, ins0, stab)
-    total = q_in + _side_sum(piece0, outs0, stab)
-    cross = _cross_product(m, RQ, (1,), 1)
-    c = total.terms.get(max(cross.terms), 0)  # the leading coefficient of cross is 1
-    if total != cross.scale(c):
-        raise AssertionError(f"type {tid} pattern sum is not a multiple of V_{m}")
-    return c, q_in
+    a, b = _shape(tid)
+    m = a + b
+    ins0, _, pairs0, exps0 = TYPE_PATTERN[tid]
+    q = _side_sum(_pattern_piece(m, pairs0, exps0), ins0, _stabilizer_order(tid))
+    ac = _block_divided_difference(q, 1, m).terms.get((0,) * m, 0)
+    return qnorm(Fraction(ac, a)), q
 
 
 def _require_type_rank(n: int, r: int):

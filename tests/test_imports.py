@@ -1,9 +1,9 @@
 """Every top-level import of the package is used, and so is every
 top-level definition: scans of the modules' syntax trees for imported
 names that no expression and no ``__all__`` entry reads, and for
-functions, classes and assigned names that no module, test or benchmark
-script reads, and for any float literal or call to float, round or
-isclose in the package, so that no tolerance creeps in.
+functions, classes, assigned names and class methods that no module,
+test or benchmark script reads, and for any float literal or call to
+float, round or isclose in the package, so that no tolerance creeps in.
 Importing the package and its CLI leaves out the stdlib modules it does
 not need."""
 
@@ -100,16 +100,28 @@ def _definitions(tree: ast.Module):
                         yield sub.id, node
 
 
-def _dead_definitions(defining, readers):
-    """Top-level functions, classes and assigned names of the defining
-    trees that no reader tree reads outside the definition itself."""
+def _methods(tree: ast.Module):
+    """(name, defining node) of each method of each top-level class;
+    dunder methods are exempt."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield sub.name, sub
+
+
+def _dead_definitions(defining, readers, definitions=_definitions):
+    """The definitions (top-level by default) of the defining trees that no
+    reader tree reads outside the definition itself."""
     reads = Counter()
     for tree in readers:
         reads.update(_reads(tree))
     return [
         name
         for tree in defining
-        for name, node in _definitions(tree)
+        for name, node in definitions(tree)
         if reads[name] <= _reads(node)[name]
     ]
 
@@ -144,6 +156,25 @@ def test_the_scan_flags_a_dead_assignment():
     )
     reader = ast.parse("import m\n\nm.PAIRED\n")
     assert _dead_definitions([tree], [tree, reader]) == ["UNREAD", "ALIAS"]
+
+
+def test_no_dead_method():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in READERS]
+    assert _dead_definitions(trees[: len(MODULES)], trees, _methods) == []
+
+
+def test_the_scan_flags_a_dead_method():
+    tree = ast.parse(
+        "class A:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def recursive(self, k):\n        return self.recursive(k - 1) if k else 0\n\n"
+        "    def gone(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    @staticmethod\n    def built():\n        return A()\n"
+    )
+    reader = ast.parse("import m\n\nm.A.built().used()\n")
+    assert _dead_definitions([tree], [tree, reader], _methods) == ["recursive", "gone"]
 
 
 def _inexact(tree: ast.AST):

@@ -45,6 +45,14 @@ def test_beta_poly_no_zero_coeffs():
     assert p.degree() == 0
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, complex(1, 0), "1"])
+def test_beta_poly_refuses_an_inexact_coefficient(c):
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        BetaPoly.term(c, 1)
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        BetaPoly({0: 1, 2: c})
+
+
 def test_constant_beta_polys_hash_as_their_constant():
     """A BetaPoly of degree <= 0 equals its constant, so it must hash as
     that constant and find it as a dict key."""

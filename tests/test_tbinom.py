@@ -25,6 +25,12 @@ def test_tbinom_4_2():
     assert t_binomial(4, 2) == TPoly((1, 1, 2, 1, 1))
 
 
+@pytest.mark.parametrize("coeffs", [(0.5, 1), (1, 2.0)])
+def test_tpoly_refuses_an_inexact_coefficient(coeffs):
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        TPoly(coeffs)
+
+
 def test_divmod_hand_worked_remainder():
     # t^3 + 2t + 5 = (t^2 - t + 3)(t + 1) + 2
     assert TPoly((5, 2, 0, 1)).divmod(TPoly((1, 1))) == (TPoly((3, -1, 1)), TPoly((2,)))

@@ -308,24 +308,20 @@ def test_stabilizer_order_times_orbit_size_is_m_factorial(tid):
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
-def test_side_sums_read_off_strictly_decreasing_exponents_only(tid, monkeypatch):
-    """A term whose exponents repeat twice is skipped before it is sorted,
-    so every alternant the read-off sees is strictly decreasing in
-    x_2..x_m."""
+def test_canonical_sums_read_one_side(tid, monkeypatch):
+    """q is read off the in side alone, through one call of the shared
+    alternant read-off, and c is derived from q: no second read-off."""
     want = _canonical_sums(tid)
-    seen = []
+    calls = []
     readoff = typesums._readoff_coords
 
     def spy(alternants, n):
-        alternants = list(alternants)
-        seen.extend(e for e, _ in alternants)
+        calls.append(n)
         return readoff(alternants, n)
 
     monkeypatch.setattr(typesums, "_readoff_coords", spy)
     assert _canonical_sums.__wrapped__(tid) == want
-    assert seen
-    for e in seen:
-        assert all(x > y for x, y in zip(e, e[1:])), e
+    assert calls == [sum(TYPE_SHAPE[tid]) - 1]
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])

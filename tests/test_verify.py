@@ -59,6 +59,13 @@ def test_extract_order_refuses_an_empty_window(degree):
         extract_order(2, 1, 1, degree)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_shift_form_refuses_zero_trials(trials):
+    # with no trial the check compares nothing, and would pass
+    with pytest.raises(DomainError, match="^trials must be at least 1$"):
+        verify_identity("eq1_shift_form", n=2, trials=trials)
+
+
 def test_type_checks_take_rank_zero():
     for tid in range(1, 7):
         assert verify_identity(f"type{tid}_matches", n=5, r=0, degree=2).passed
