@@ -1,0 +1,8 @@
+"""``python -m macdunkl``: the command-line interface of ``macdunkl.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -109,10 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timings",
             action="store_true",
-            help="include measured runtimes; each cached matrix (the h^k "
-            "coefficient of an (n, r, k, degree), a primitive operator's matrix "
-            "on a window, the type closed sides' primitives included) is charged "
-            "to the first check that builds it",
+            help="include measured runtimes; each cached matrix (a primitive "
+            "operator's matrix per (factor, n, window), the h^k slices and the "
+            "type closed sides' primitives included) is charged to the first "
+            "check that builds it",
         )
         p.add_argument("--out", help="write the report to this path")
 

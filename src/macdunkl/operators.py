@@ -54,9 +54,10 @@ sum_I delta_i), and the Schur read-off and the Kostka step run over
 those counts.  No m_lam is expanded.  Each coordinate is read by one of
 the two readers of {(a, b): N} tables in ``rings``: its h^k coefficient
 under q = exp(h), t = exp(b h) (``exp_sum_slice``, one b-polynomial per
-h order), or its value at a rational (q, t) (``rational_value``).
-``extract_order``, ``macdonald_matrix`` and ``macdonald_apply`` take the
-reader alike.
+h order), or its value at a rational (q, t) (``rational_value``).  The
+slice D_k(n, r), the h^k coefficient, is one more primitive operator
+(``slice_op``); ``macdonald_specialized`` is D(n, r) at a rational
+(q, t), and ``macdonald_apply`` takes either reader.
 
 The Macdonald formula reads a_e / a_delta off in the Schur basis
 (a_(lam+delta) = a_delta s_lam) and turns it into monomial coordinates
@@ -694,9 +695,12 @@ def macdonald_specialized(n: int, r: int, q, t) -> LinearOperator:
     return _macdonald_op(n, r, Ring.q(), partial(rational_value, Fraction(q), Fraction(t)))
 
 
-def macdonald_matrix(n: int, r: int, q, t, basis) -> OperatorMatrix:
-    """Matrix of D(n, r) at rational (q, t) on an m-basis window."""
-    return operator_matrix(macdonald_specialized(n, r, q, t), basis)
+def slice_op(r: int, k: int, n: int, ring: Ring) -> LinearOperator:
+    """D_k(n, r), the h^k coefficient of D(n, r) under q = exp(h),
+    t = exp(b h): its cached columns read by ``exp_sum_slice`` at order k,
+    so the ring must hold b-polynomials.  A primitive like H_k, named
+    (slice_op, r, k) in a term table."""
+    return _macdonald_op(n, r, ring, partial(exp_sum_slice, k=k))
 
 
 # -- scalar part of the Macdonald operator --------------------------------
@@ -940,36 +944,39 @@ def operator_matrix(op: LinearOperator, basis) -> OperatorMatrix:
 # -- cached matrices --------------------------------------------------------
 
 
+@cache
+def window(degree: int, n: int) -> tuple:
+    """The m-basis window of weights 1..degree in n variables, a tuple of
+    partitions built once per (degree, n).  n < 1 and an empty window are
+    refused: on the empty window every matrix is zero, so every matrix
+    check would pass."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if degree < 1:
+        raise DomainError("degree must be at least 1")
+    return tuple(partitions_upto(degree, n))
+
+
 @lru_cache(maxsize=None)
 def primitive_matrix(factor, n: int, basis) -> OperatorMatrix:
     """Matrix over b-polynomials of the operator
-    factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2 or
-    (b_op, 3, 1) for B_{3,1}, on an m-basis window (a tuple of
-    partitions); built once per (factor, n, basis), callers must not
-    mutate it."""
+    factor[0](*factor[1:], n, Ring.uni("b")), e.g. (h_op, 2) for H_2,
+    (b_op, 3, 1) for B_{3,1} or (slice_op, r, k) for D_k(n, r), on an
+    m-basis window (a tuple of partitions); built once per
+    (factor, n, basis), callers must not mutate it."""
     factory, *args = factor
     return operator_matrix(factory(*args, n, Ring.uni("b")), basis)
-
-
-@lru_cache(maxsize=None)
-def _order_matrix(n: int, r: int, k: int, degree: int) -> OperatorMatrix:
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    op = _macdonald_op(n, r, Ring.uni("b"), partial(exp_sum_slice, k=k))
-    return operator_matrix(op, partitions_upto(degree, n))
 
 
 def extract_order(n: int, r: int, k: int, degree: int = 4, order: int = 4) -> OperatorMatrix:
     """The h^k coefficient of D(n, r) under q = exp(h), t = exp(b h), as an
     exact matrix over b-polynomials on the m-basis window of weights
-    1..degree.  No slice depends on the jet order, which only bounds k:
-    each is built once per (n, r, k, degree), and callers must not mutate
-    it."""
+    1..degree: the ``primitive_matrix`` of (slice_op, r, k) on
+    ``window(degree, n)``.  No slice depends on the jet order, which only
+    bounds k; callers must not mutate it."""
     if not 0 <= k <= order:
         raise DomainError("h order outside the jet order")
-    if degree < 1:
-        raise DomainError("degree must be at least 1")
-    return _order_matrix(n, r, k, degree)
+    return primitive_matrix((slice_op, r, k), n, window(degree, n))
 
 
 @lru_cache(maxsize=None)

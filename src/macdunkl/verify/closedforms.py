@@ -2,10 +2,12 @@
 
 Each closed form is a function of (n, r), or of n alone, that returns
 its terms [(c, j, factors)]: a rational c, a power j of b and a product
-of primitive operators.  It takes no window and builds no matrix; a
-check evaluates the table on its m-basis window with ``_combo``, the
-one evaluator of every term table in the package (the type sums'
-tables in ``typesums`` included).
+of primitive operators.  The forms of the slices D_k(n, r) all take
+(n, r); those printed at one rank or two (``third_order_display``,
+``rank1_fourth_order``) refuse any other.  A form takes no window and
+builds no matrix; a check evaluates the table on its m-basis window
+with ``_combo``, the one evaluator of every term table in the package
+(the type sums' tables in ``typesums`` included).
 
 Three coefficients of the h^3 Dunkl form are printed as binomials times
 fractions whose denominators, (r-1), (n-2) and (n-r)(n-r-1), vanish
@@ -77,7 +79,8 @@ def coeff_bh2(n: int, r: int) -> Fraction:
 # A closed form is a polynomial in primitive operators: a list of terms
 # (rational, b power, factors), where the factors are primitive operators
 # composed right to left and the empty product is the identity.  A factor
-# is named by its factory and arguments, e.g. (b_op, 3, 1) for B_{3,1};
+# is named by its factory and arguments, e.g. (b_op, 3, 1) for B_{3,1} or
+# (slice_op, r, k) for the slice D_k(n, r) itself;
 # operators.primitive_matrix builds its matrix over b-polynomials once per
 # (factor, n, window) and keeps it for the process, so a primitive's build
 # is charged to the first check that needs it.  _combo evaluates a table
@@ -207,19 +210,19 @@ def third_order_dunkl(n: int, r: int):
     ]
 
 
-def third_order_display_r1(n: int):
-    """The printed rank-1 specialization of the h^3 Dunkl form."""
-    return [
-        (Fraction(1, 6), 0, (H3,)),
-        (Fraction(2 * n - 3, 12), 1, (H2,)),
-        (Fraction(1, 12), 1, (H1, H1)),
-        (Fraction((n - 1) * (2 * n - 1), 12), 2, (H1,)),
-        (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
-    ]
-
-
-def third_order_display_r2(n: int):
-    """The printed rank-2 specialization of the h^3 Dunkl form."""
+def third_order_display(n: int, r: int):
+    """The printed rank-1 or rank-2 specialization of the h^3 Dunkl form;
+    no other rank is printed."""
+    if r == 1:
+        return [
+            (Fraction(1, 6), 0, (H3,)),
+            (Fraction(2 * n - 3, 12), 1, (H2,)),
+            (Fraction(1, 12), 1, (H1, H1)),
+            (Fraction((n - 1) * (2 * n - 1), 12), 2, (H1,)),
+            (Fraction(n * n * (n - 1) * (n - 1), 24), 3, ()),
+        ]
+    if r != 2:
+        raise DomainError("printed specializations exist for r = 1, 2")
     return [
         (Fraction(n - 4, 6), 0, (H3,)),
         (Fraction(1, 2), 0, (H2, H1)),
@@ -289,9 +292,11 @@ def beta2_h3_rhs_b(n: int):
     ]
 
 
-def rank1_fourth_order(n: int):
+def rank1_fourth_order(n: int, r: int):
     """h^4 coefficient of the rank-1 operator: kernel-operator part plus
-    the closed scalar part."""
+    the closed scalar part; no other rank has a closed h^4 form."""
+    if r != 1:
+        raise DomainError("the h^4 closed form exists for r = 1")
     return [
         (Fraction(1, 24), 0, (L4,)),
         (Fraction(1, 6), 1, (B23,)),

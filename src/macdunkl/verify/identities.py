@@ -11,9 +11,12 @@ defaults included, followed by the findings.  Each check's parameter
 list is read once, at import, from its function's code object and
 defaults; an entry that is a ``functools.partial`` drops the parameters
 its positional arguments fill and fixes its keywords.  Matrix windows
-default to weights 1..4, so the window size is in every matrix verdict's
-parameters; a degree below 1 is refused, since on the empty window both
-sides are zero and every matrix check would pass.
+come from ``operators.window`` and default to weights 1..4, so the
+window size is in every matrix verdict's parameters; a degree below 1
+is refused, since on the empty window both sides are zero and every
+matrix check would pass.  One check, ``check_order_form``, compares a
+slice D_k(n, r) with any closed-form term table: its registry entries
+fix k and the form, and the rank where the form is printed at one.
 """
 
 from __future__ import annotations
@@ -25,16 +28,17 @@ from functools import partial
 from math import factorial
 
 from ..errors import DomainError
-from ..multipoly import MultiPoly, Ring, partitions_upto
+from ..multipoly import MultiPoly, Ring
 from ..operators import (
-    OperatorMatrix,
     _require_rank,
     extract_order,
     h_op,
-    macdonald_matrix,
     macdonald_scalar_part,
+    macdonald_specialized,
+    operator_matrix,
     primitive_matrix,
     qshift_slice,
+    window,
 )
 from ..rings import BetaPoly, render_scalar
 from ..tbinom import (
@@ -49,7 +53,6 @@ from .closedforms import _combo
 from .typesums import _closed_terms, _raw_terms
 
 RB = Ring.uni("b")
-RQ = Ring.q()
 
 
 class Verdict:
@@ -76,8 +79,7 @@ class Verdict:
         return self.status == "pass"
 
 
-def _matrix_residual(a: OperatorMatrix, b: OperatorMatrix, label="difference"):
-    diff = a - b
+def _matrix_residual(diff, label="difference"):
     if diff.is_zero():
         return None
     cells = [
@@ -96,14 +98,6 @@ def _scalar_residual(x, label="difference"):
     if not x:
         return None
     return {"kind": "scalar", "label": label, "value": render_scalar(x)}
-
-
-def _basis(degree: int, n: int):
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if degree < 1:
-        raise DomainError("degree must be at least 1")
-    return tuple(partitions_upto(degree, n))
 
 
 # -- t-binomial checks ---------------------------------------------------
@@ -156,79 +150,60 @@ def check_scalar_part(n: int, r: int):
 
 
 def check_h_explicit(k: int, n: int, degree: int = 4):
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     actual = primitive_matrix((h_op, k), n, basis)
     if k == 1:
-        return _matrix_residual(actual, _combo(n, basis, closedforms.h1_explicit(n)))
+        return _matrix_residual(actual - _combo(n, basis, closedforms.h1_explicit(n)))
     if k == 2:
         pairs = _combo(n, basis, closedforms.h2_explicit_pairs(n))
         bform = _combo(n, basis, closedforms.h2_explicit_b(n))
         return (
-            _matrix_residual(actual, pairs, "vs kernel-ratio form")
-            or _matrix_residual(actual, bform, "vs B-operator form")
+            _matrix_residual(actual - pairs, "vs kernel-ratio form")
+            or _matrix_residual(actual - bform, "vs B-operator form")
         )
     if k == 3:
-        return _matrix_residual(actual, _combo(n, basis, closedforms.h3_explicit(n)))
+        return _matrix_residual(actual - _combo(n, basis, closedforms.h3_explicit(n)))
     raise DomainError("explicit forms exist for k = 1, 2, 3")
 
 
 def check_beta2_h3(n: int, degree: int = 4):
     """The coupling-squared part of H_3: the double reflection sum equals
     both stated right-hand sides, which must also agree with each other."""
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     lhs = _combo(n, basis, closedforms.beta2_h3_lhs(n)).beta_slice(0)
     rhs1 = _combo(n, basis, closedforms.beta2_h3_rhs_pairs(n)).beta_slice(0)
     rhs2 = _combo(n, basis, closedforms.beta2_h3_rhs_b(n)).beta_slice(0)
     return (
-        _matrix_residual(lhs, rhs1, "lhs vs kernel-ratio rhs")
-        or _matrix_residual(lhs, rhs2, "lhs vs B-operator rhs")
-        or _matrix_residual(rhs1, rhs2, "the two rhs forms disagree")
+        _matrix_residual(lhs - rhs1, "lhs vs kernel-ratio rhs")
+        or _matrix_residual(lhs - rhs2, "lhs vs B-operator rhs")
+        or _matrix_residual(rhs1 - rhs2, "the two rhs forms disagree")
     )
 
 
 # -- order matching --------------------------------------------------------
 
 
-def check_ord_matches(k: int, n: int, r: int, degree: int = 4, K: int = 4):
-    form = {
-        1: closedforms.first_order,
-        2: closedforms.second_order,
-        3: closedforms.third_order_dunkl,
-    }[k]
-    basis = _basis(degree, n)
-    return _matrix_residual(extract_order(n, r, k, degree, K), _combo(n, basis, form(n, r)))
+def check_order_form(k: int, form, n: int, r: int, degree: int = 4, K: int = 4):
+    """The slice D_k(n, r) against the term table form(n, r); a form
+    printed at fixed ranks refuses any other r."""
+    basis = window(degree, n)
+    got = extract_order(n, r, k, degree, K)
+    return _matrix_residual(got - _combo(n, basis, form(n, r)))
 
 
 def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4):
     _require_rank(n, r=r)
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     raw = _combo(n, basis, closedforms.third_order_raw(n, r))
-    return _matrix_residual(raw, _combo(n, basis, closedforms.third_order_dunkl(n, r)))
-
-
-def check_ord3_display(n: int, r: int, degree: int = 4, K: int = 4):
-    """The h^3 matrix against the printed specialization at rank r = 1, 2."""
-    if r not in (1, 2):
-        raise DomainError("printed specializations exist for r = 1, 2")
-    basis = _basis(degree, n)
-    form = closedforms.third_order_display_r1 if r == 1 else closedforms.third_order_display_r2
-    return _matrix_residual(extract_order(n, r, 3, degree, K), _combo(n, basis, form(n)))
+    return _matrix_residual(raw - _combo(n, basis, closedforms.third_order_dunkl(n, r)))
 
 
 def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4):
     """The b^j slice of the h^3 matrix against the slice closed form."""
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     got = extract_order(n, r, 3, degree, K).beta_slice(j)
     slice_form = _combo(n, basis, closedforms.third_order_slice(j, n, r)).beta_slice(0)
-    return _matrix_residual(got, slice_form)
-
-
-def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
-    """The h^4 matrix against the rank-1 kernel-operator form; the registry
-    fixes r = 1."""
-    basis = _basis(degree, n)
-    got = extract_order(n, r, 4, degree, K)
-    return _matrix_residual(got, _combo(n, basis, closedforms.rank1_fourth_order(n)))
+    return _matrix_residual(got - slice_form)
 
 
 # -- type sums -------------------------------------------------------------
@@ -237,23 +212,22 @@ def check_dn1_h4(n: int, r: int, degree: int = 4, K: int = 4):
 def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
     """The raw type sum against its closed form, 0 <= r <= n: both sides
     term tables, each a combination of cached primitive matrices."""
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     raw, closed = (
         _combo(n, basis, terms(n, r, tid)).beta_slice(0)
         for terms in (_raw_terms, _closed_terms)
     )
-    return _matrix_residual(raw, closed)
+    return _matrix_residual(raw - closed)
 
 
 # -- commutators -------------------------------------------------------------
 
 
 def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     a = primitive_matrix((h_op, i), n, basis)
     b = primitive_matrix((h_op, j), n, basis)
-    zero = OperatorMatrix(n, RB, basis, {})
-    return _matrix_residual(a.commutator_with(b), zero, "commutator")
+    return _matrix_residual(a.commutator_with(b), "commutator")
 
 
 def _seeded_qt_pairs(n: int, r: int, s: int, seed: int):
@@ -272,16 +246,15 @@ def _seeded_qt_pairs(n: int, r: int, s: int, seed: int):
 def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: int = 4):
     """D(n, r) and D(n, s) commute at seeded rational (q, t); the pairs
     tried are reported as the ``qt`` finding."""
-    basis = _basis(degree, n)
+    basis = window(degree, n)
     _require_rank(n, r=r, s=s)
     residual = None
     tried = []
     for q, t in _seeded_qt_pairs(n, r, s, seed):
         tried.append(f"q={q},t={t}")
-        a = macdonald_matrix(n, r, q, t, basis)
-        b = macdonald_matrix(n, s, q, t, basis)
-        zero = OperatorMatrix(n, RQ, basis, {})
-        residual = _matrix_residual(a.commutator_with(b), zero, f"commutator at q={q}, t={t}")
+        a = operator_matrix(macdonald_specialized(n, r, q, t), basis)
+        b = operator_matrix(macdonald_specialized(n, s, q, t), basis)
+        residual = _matrix_residual(a.commutator_with(b), f"commutator at q={q}, t={t}")
         if residual is not None:
             break
     return residual, {"qt": tried}
@@ -293,8 +266,7 @@ def check_orderwise_commutator(
     _require_rank(n, r=r, s=s)
     a = extract_order(n, r, i, degree, K)
     b = extract_order(n, s, j, degree, K)
-    zero = OperatorMatrix(n, RB, a.basis, {})
-    return _matrix_residual(a.commutator_with(b), zero, "commutator")
+    return _matrix_residual(a.commutator_with(b), "commutator")
 
 
 # -- shift-form cross-check ---------------------------------------------------
@@ -344,11 +316,16 @@ _CHECKS = {
     "tbinom_product_vs_recurrence": check_tbinom_product_vs_recurrence,
     **{f"h_explicit_{k}": partial(check_h_explicit, k) for k in (1, 2, 3)},
     "beta2_h3": check_beta2_h3,
-    **{f"ord{k}_matches": partial(check_ord_matches, k) for k in (1, 2, 3)},
+    "ord1_matches": partial(check_order_form, 1, closedforms.first_order),
+    "ord2_matches": partial(check_order_form, 2, closedforms.second_order),
+    "ord3_matches": partial(check_order_form, 3, closedforms.third_order_dunkl),
     "ord3_raw_eq_dunkl": check_ord3_raw_eq_dunkl,
-    **{f"ord3_display_r{r}": partial(check_ord3_display, r=r) for r in (1, 2)},
+    **{
+        f"ord3_display_r{r}": partial(check_order_form, 3, closedforms.third_order_display, r=r)
+        for r in (1, 2)
+    },
     **{f"ord5_beta{j}": partial(check_ord5_beta, j) for j in range(4)},
-    "dn1_h4_matches": partial(check_dn1_h4, r=1),
+    "dn1_h4_matches": partial(check_order_form, 4, closedforms.rank1_fourth_order, r=1),
     **{f"type{tid}_matches": partial(check_type_matches, tid) for tid in range(1, 7)},
     "h_commutator": check_h_commutator,
     "macdonald_commutator": check_macdonald_commutator,

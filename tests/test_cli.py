@@ -182,6 +182,18 @@ def test_importing_the_cli_leaves_argparse_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_package_runs_as_a_module():
+    # python -m macdunkl is the CLI of macdunkl.cli, byte for byte
+    argv = ["tbinom", "--n", "4", "--r", "2", "--json"]
+    package = subprocess.run([sys.executable, "-m", "macdunkl", *argv],
+                             capture_output=True, timeout=600)
+    cli = subprocess.run([sys.executable, "-m", "macdunkl.cli", *argv],
+                         capture_output=True, timeout=600)
+    assert package.returncode == 0, package.stderr
+    assert cli.returncode == 0
+    assert package.stdout == cli.stdout
+
+
 def test_reports_byte_identical_across_processes():
     args = [
         sys.executable, "-m", "macdunkl.cli", "verify",

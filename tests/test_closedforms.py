@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from macdunkl import BetaPoly, Ring, operators
+from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
 from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
 from macdunkl.rings import binom_ff
@@ -38,8 +39,7 @@ from macdunkl.verify.closedforms import (
     h3_explicit,
     rank1_fourth_order,
     second_order,
-    third_order_display_r1,
-    third_order_display_r2,
+    third_order_display,
     third_order_dunkl,
     third_order_raw,
     third_order_slice,
@@ -145,7 +145,7 @@ def test_coefficients_match_the_unreduced_oracle():
 
 def test_coefficients_at_the_printed_ranks():
     """(X, H_2, H_1^2) at r = 1 and r = 2 are the coefficients printed in
-    third_order_display_r1 and third_order_display_r2."""
+    third_order_display at r = 1 and r = 2."""
     for n in range(1, 31):
         assert (coeff_x(n, 1), coeff_bh2(n, 1), coeff_h1sq(n, 1)) == (1, 2 * n - 3, 1), n
         assert (coeff_x(n, 2), coeff_bh2(n, 2), coeff_h1sq(n, 2)) == (
@@ -266,12 +266,12 @@ def test_raw_assembly_equals_dunkl_form(n, r):
 def test_display_forms_at_n3():
     degree = 3
     basis = partitions_upto(degree, 3)
-    assert _combo(3, basis, third_order_display_r1(3)) == extract_order(3, 1, 3, degree, 4)
-    assert _combo(3, basis, third_order_display_r2(3)) == extract_order(3, 2, 3, degree, 4)
+    assert _combo(3, basis, third_order_display(3, 1)) == extract_order(3, 1, 3, degree, 4)
+    assert _combo(3, basis, third_order_display(3, 2)) == extract_order(3, 2, 3, degree, 4)
 
 
 def test_dn1_h4_sanity_n2():
-    m = _combo(2, partitions_upto(1, 2), rank1_fourth_order(2))
+    m = _combo(2, partitions_upto(1, 2), rank1_fourth_order(2, 1))
     b = BetaPoly.var()
     quad = (1 + b) * (1 + b) * (1 + b) * (1 + b)
     assert _column(m, (1,)) == {(1,): quad * Fraction(1, 24)}
@@ -369,6 +369,18 @@ def test_type_closed_sides_share_their_primitives(monkeypatch):
     assert calls == []
 
 
+# the forms printed at fixed ranks, each with a rank it takes
+FIXED_RANK_FORMS = ((third_order_display, 1), (third_order_display, 2), (rank1_fourth_order, 1))
+
+
+def test_fixed_rank_forms_refuse_other_ranks():
+    for n in range(1, 6):
+        with pytest.raises(DomainError, match=r"^printed specializations exist for r = 1, 2$"):
+            third_order_display(n, 3)
+        with pytest.raises(DomainError, match=r"^the h\^4 closed form exists for r = 1$"):
+            rank1_fourth_order(n, 2)
+
+
 def test_cached_products_equal_fresh_builds(monkeypatch):
     """Callers share the cached products: after every closed form has been
     evaluated on the windows of n <= 5, each product seen still equals one
@@ -389,10 +401,11 @@ def test_cached_products_equal_fresh_builds(monkeypatch):
             _combo(n, basis, third_order_raw(n, r))
             for j in range(4):
                 _combo(n, basis, third_order_slice(j, n, r)).beta_slice(0)
+        for form, r in FIXED_RANK_FORMS:
+            _combo(n, basis, form(n, r))
         for form in (
-            third_order_display_r1, third_order_display_r2, h1_explicit, h2_explicit_b,
-            h2_explicit_pairs, h3_explicit, beta2_h3_lhs, beta2_h3_rhs_b,
-            beta2_h3_rhs_pairs, rank1_fourth_order,
+            h1_explicit, h2_explicit_b, h2_explicit_pairs, h3_explicit, beta2_h3_lhs,
+            beta2_h3_rhs_b, beta2_h3_rhs_pairs,
         ):
             _combo(n, basis, form(n))
     assert {factors for factors, _, _ in seen} >= {(H1, H1), (H1, H1, H1), (B21, L1)}
@@ -408,11 +421,12 @@ def _term_tables():
     the closed forms at n <= 8, every 1 <= r <= n and every slice j <= 3,
     and both type sides at every 0 <= r <= n and every type id."""
     by_n = (
-        third_order_display_r1, third_order_display_r2, rank1_fourth_order, h1_explicit,
-        h2_explicit_pairs, h2_explicit_b, h3_explicit, beta2_h3_lhs, beta2_h3_rhs_pairs,
-        beta2_h3_rhs_b,
+        h1_explicit, h2_explicit_pairs, h2_explicit_b, h3_explicit, beta2_h3_lhs,
+        beta2_h3_rhs_pairs, beta2_h3_rhs_b,
     )
     for n in range(1, 9):
+        for form, r in FIXED_RANK_FORMS:
+            yield (form.__name__, n, r), n, form(n, r)
         for form in by_n:
             yield (form.__name__, n), n, form(n)
         for r in range(1, n + 1):

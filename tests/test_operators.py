@@ -26,7 +26,6 @@ from macdunkl.operators import (
     OperatorMatrix,
     _macdonald_column,
     _matrix_product_literal,
-    _order_matrix,
     _rational_power,
     _shift_subset,
     _subset_sum_coords,
@@ -45,7 +44,6 @@ from macdunkl.operators import (
     m11_op,
     macdonald_apply,
     macdonald_apply_literal,
-    macdonald_matrix,
     macdonald_scalar_part,
     macdonald_specialized,
     operator_matrix,
@@ -54,6 +52,8 @@ from macdunkl.operators import (
     qshift_apply,
     qshift_slice,
     reflection_square_op,
+    slice_op,
+    window,
 )
 from macdunkl.rings import HJet, exp_sum_slice, rational_value
 from macdunkl.tbinom import scaled_t_binomial, t_binomial
@@ -441,7 +441,7 @@ def test_matrix_builders_refuse_a_bad_window():
     n = 3
     builders = [
         lambda w: primitive_matrix.__wrapped__((h_op, 2), n, w),
-        lambda w: macdonald_matrix(n, 2, 2, 3, w),
+        lambda w: operator_matrix(macdonald_specialized(n, 2, 2, 3), w),
     ]
     window = tuple(partitions_upto(4, n))
     for build in builders:
@@ -579,7 +579,8 @@ def test_macdonald_matrix_matches_literal_operator(q, t):
         for r in range(1, n + 1):
             literal = round_trip(partial(macdonald_apply_literal, n, r, q, t), n, Ring.q())
             want = operator_matrix(literal, basis)
-            assert macdonald_matrix(n, r, q, t, basis).nonzero_cells() == want.nonzero_cells()
+            got = operator_matrix(macdonald_specialized(n, r, q, t), basis)
+            assert got.nonzero_cells() == want.nonzero_cells()
 
 
 def test_macdonald_matrices_never_expand(monkeypatch):
@@ -591,7 +592,7 @@ def test_macdonald_matrices_never_expand(monkeypatch):
     for n in range(1, 5):
         for r in range(1, n + 1):
             for k in range(5):
-                assert _order_matrix.__wrapped__(n, r, k, 3).entries
+                assert operator_matrix(slice_op(r, k, n, RB), partitions_upto(3, n)).entries
             for s in range(r, n + 1):
                 residual, _ = check_macdonald_commutator(n, r, s, degree=3)
                 assert residual is None, (n, r, s)
@@ -688,7 +689,7 @@ def test_macdonald_refuses_a_rank_outside_1_to_n():
         with pytest.raises(DomainError, match=rf"^need 1 <= r <= n, got r={r}, n=3$"):
             macdonald_apply(3, r, value, msym((1,), 3, Ring.q()))
         with pytest.raises(DomainError, match=rf"^need 1 <= r <= n, got r={r}, n=3$"):
-            macdonald_matrix(3, r, 2, 3, partitions_upto(1, 3))
+            operator_matrix(macdonald_specialized(3, r, 2, 3), partitions_upto(1, 3))
 
 
 def test_scalar_part_is_t_binomial():
@@ -722,9 +723,41 @@ def test_extract_order_does_not_depend_on_the_jet_order():
         for k in range(5):
             m = extract_order(n, r, k, 3, k)
             assert extract_order(n, r, k, 3, k + 3).entries == m.entries, (n, r, k)
-            assert _order_matrix.__wrapped__(n, r, k, 3) == m, (n, r, k)
+            assert operator_matrix(slice_op(r, k, n, RB), partitions_upto(3, n)) == m, (n, r, k)
         with pytest.raises(DomainError, match="h order outside the jet order"):
             extract_order(n, r, 3, 3, 2)
+
+
+def test_slices_are_primitives():
+    """The slice D_i(n, r) is the ``primitive_matrix`` entry of
+    (slice_op, r, i) on ``window(degree, n)``, built once, and two slices
+    compose in a term table like any other primitives."""
+    for n in range(1, 5):
+        for degree in range(1, 4):
+            basis = window(degree, n)
+            for r in range(1, n + 1):
+                for i in range(4):
+                    got = extract_order(n, r, i, degree)
+                    assert got is primitive_matrix((slice_op, r, i), n, basis)
+                    hits = primitive_matrix.cache_info().hits
+                    assert extract_order(n, r, i, degree) is got
+                    assert primitive_matrix.cache_info().hits == hits + 1
+                    for s in range(1, n + 1):
+                        for j in range(4):
+                            table = [(Fraction(1), 0, ((slice_op, r, i), (slice_op, s, j)))]
+                            want = got @ extract_order(n, s, j, degree)
+                            assert closedforms._combo(n, basis, table) == want, (n, r, s, i, j)
+
+
+def test_window_refuses_no_variables_and_an_empty_window():
+    # on an empty window every matrix is zero, and every matrix check would pass
+    with pytest.raises(DomainError, match="^n must be at least 1$"):
+        window(2, 0)
+    for degree in (0, -1):
+        with pytest.raises(DomainError, match="^degree must be at least 1$"):
+            window(degree, 2)
+    assert window(3, 2) is window(3, 2)
+    assert window(3, 2) == tuple(partitions_upto(3, 2))
 
 
 @pytest.mark.parametrize("K", [0, 4, 6])
