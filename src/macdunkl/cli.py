@@ -4,7 +4,8 @@ Subcommands: ``verify`` (one identity or a named suite), ``expand``
 (h-expansion coefficient matrices), ``tbinom`` (t-binomial views),
 ``jack`` (eigenfunction tables at a rational coupling) and ``witness``
 (noncommutativity search).  Exit codes: 0 all pass, 1 at least one
-failure or a contradicted witness expectation, 2 usage errors.
+failure or a contradicted witness expectation, 2 usage errors and a
+report path that cannot be written.
 
 Reports are byte-stable for fixed arguments and seed; measured runtimes
 are only included under --timings (they are reported as 0 otherwise so
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
         if args.command == "witness":
             return _run_witness(args)
         raise DomainError(f"unknown command {args.command!r}")
-    except (DomainError, DegenerateSpectrumError) as exc:
+    except (DomainError, DegenerateSpectrumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

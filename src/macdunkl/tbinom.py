@@ -47,9 +47,6 @@ class TPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -1,37 +1,40 @@
 """The six families of triple-kernel terms in the h^4 expansion.
 
-Each family (type) is a sum, over r-subsets I and index patterns inside
-and outside I, of a rational prefactor with a three-factor denominator
-times the subset Euler operator sum.  The raw evaluator exchanges the two
-sums: a pattern with a in-indices and b out-indices is contained in
-binom(n-a-b, r-a) subsets when the Euler variable lies in the pattern,
-and binom(n-a-b-1, r-a-1) subsets otherwise, so the whole operator
-collapses to pattern sums that are local to m = a + b variables.  Those
-local sums are computed once on the canonical support {1..m}, over its
-Vandermonde product V_m, and nothing is divided.  A pattern's piece
-V_m / den * mono is the signed product of the factors x_i - x_j of V_m
-that den leaves over, expanded one factor at a time on integer
-coefficients.  A type's patterns are the orbit of one representative
-(``TYPE_PATTERN``) under the support's permutations, and the piece of a
-pattern relabeled by sigma is sign(sigma) times the relabeled piece.
-The fast path never walks the orbit: its size is m! over the order of
-the representative's stabilizer, which maps the in and out sets to
-themselves and so is counted over S_a x S_b (``_stabilizer_order``);
-``_patterns`` enumerates the orbit for the literal oracle and the
-tests.  So the sum n_in[1] over the patterns with x_1 inside
-the subset side is antisymmetric in x_2..x_m: each term of the
-representative's piece and each in index give one alternant in
-x_2..x_m.  Over the Vandermonde product V_(2..m) of x_2..x_m each
-alternant is a Schur polynomial (Macdonald, Symmetric Functions and
-Hall Polynomials, ch. I 3), so q = n_in[1] / V_(2..m) is a polynomial,
-symmetric in x_2..x_m and independent of f, read off in monomial
-coordinates by ``operators._readoff_coords``, the read-off the
-Macdonald operator uses.  The same orbit argument makes the sum with
-x_u inside the relabeling of the x_1 one by the exchange K_1u of x_1
-and x_u, with sign -1.  Every pattern has a in indices, so
-sum_u n_in[u] = a c V_m, with c V_m the sum of all patterns, and over
-V_m it is the block divided difference (1, m - 1) of q: c is that
-constant over a.
+Expanding prod (t x_i - x_p)/(x_i - x_p) = prod (1 + (t - 1) x_i/(x_i - x_p))
+over the pairs of an in index i in the subset and an out index p outside
+it, the terms with three factors fall into six families (types).  A
+pattern is a side-coloured bipartite graph with three edges (i, p), and
+its term is prod_((i, p) in E) x_i/(x_i - x_p) times the subset Euler
+operator sum.  ``TYPE_EDGES`` holds one representative per type on the
+support {1..m}; its in side, out side and numerator prod x_i are read off
+the edges (``_sides``, ``_shape``).  A type's patterns are the orbit of
+its representative under the support's permutations (``_patterns``),
+walked only by the literal oracle and the tests.
+
+The raw evaluator exchanges the two sums: a pattern with a in-indices and
+b out-indices is contained in binom(n-a-b, r-a) subsets when the Euler
+variable lies in the pattern, and binom(n-a-b-1, r-a-1) subsets
+otherwise, so the whole operator collapses to pattern sums that are local
+to m = a + b variables.  Those are computed once on the canonical support
+{1..m} by block divided differences, with nothing divided exactly and
+nothing read off.  Let n_in[u] be V_m times the sum of the patterns with
+x_u on the in side; q = n_in[1] / V_(2..m) is computed with x_m standing
+for x_1, then x_m moved to the front.  Put the in side on {1..a-1, m} and
+the out side on {a..m-1}.  Over the product of the cross factors
+x_i - x_p (i in, p out), a pattern with these sides is the product over
+the cross pairs of x_i for an edge and x_i - x_p otherwise; s sums that
+product over the distinct images of the representative under
+S_a x S_b (``_in_side_patterns``).  The patterns with x_m inside are the
+relabelings of those that send {1..a-1} onto an (a-1)-subset of
+{1..m-1} and {a..m-1} onto its complement, so n_in[m] / V_(1..m-1), the
+sum of their terms times prod_(j<m)(x_m - x_j), is the block divided
+difference (a - 1, m - 1) of s prod_(i<a)(x_m - x_i), with x_m passing
+through.  q is a polynomial, symmetric in x_2..x_m and independent of f;
+for type 1 it is x_1^3.  The same orbit argument makes n_in[u] the
+relabeling of n_in[1] by the exchange K_1u of x_1 and x_u, with sign -1.
+Every pattern has a in indices, so sum_u n_in[u] = a c V_m, with c V_m
+the sum of all patterns, and over V_m it is the block divided difference
+(1, m - 1) of q: c is that constant over a.
 
 The support's numerator over V_m is g = g1 - sum_{u=2..m} K_1u g1, with
 g1 = n_in[1] E_1 f.  V_m = V_(2..m) prod_(j=2..m)(x_1 - x_j) is
@@ -42,8 +45,8 @@ in x_2..x_m (InexactDivisionError otherwise).  That unit is symmetric
 inside {1..m} and inside {m+1..n}, so its sum over the supports is
 binom(n, m) times its symmetrization: the kernel sum of q
 (``operators._kernel_column``), the shape of B_{k,l} with q in place of
-x_1^(k-1).  For type 1, q = x_1^3 and it is B_{4,1}.  That support sum
-is the primitive (``raw_op``, tid).
+x_1^(k-1).  For type 1 it is B_{4,1}.  That support sum is the primitive
+(``raw_op``, tid).
 
 Both sides of a type are term tables over ``primitive_matrix`` keys.
 The raw side (``_raw_terms``) is a subset count times the support sum
@@ -63,21 +66,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
 
 from ..errors import DomainError
-from ..multipoly import (
-    MultiPoly,
-    Ring,
-    _distinct_permutations,
-    exact_div,
-    vandermonde,
-)
+from ..multipoly import MultiPoly, Ring, exact_div, vandermonde
 from ..operators import (
     LinearOperator,
     _block_divided_difference,
     _kernel_op,
-    _readoff_coords,
     _require_symmetric,
 )
 from ..rings import binom, qnorm
@@ -85,136 +80,73 @@ from .closedforms import B21, B31, B41, L1
 
 RQ = Ring.q()
 
-# one representative (in indices, out indices, denominator pairs (i, p),
-# numerator exponents {v: e}) per type on the support {1..m}
-TYPE_PATTERN = {
-    1: ((1,), (2, 3, 4), ((1, 2), (1, 3), (1, 4)), {1: 3}),
-    2: ((2, 3, 4), (1,), ((2, 1), (3, 1), (4, 1)), {2: 1, 3: 1, 4: 1}),
-    3: ((1, 2), (3, 4, 5), ((1, 3), (1, 4), (2, 5)), {1: 2, 2: 1}),
-    4: ((1, 2, 3), (4, 5), ((1, 4), (2, 4), (3, 5)), {1: 1, 2: 1, 3: 1}),
-    5: ((1, 2, 3), (4, 5, 6), ((1, 4), (2, 5), (3, 6)), {1: 1, 2: 1, 3: 1}),
-    6: ((1, 2), (3, 4), ((1, 3), (1, 4), (2, 3)), {1: 2, 2: 1}),
+# one representative per type on the support {1..m}, as its sorted edges
+# (i, p): x_i on the in side, x_p on the out side
+TYPE_EDGES = {
+    1: ((1, 2), (1, 3), (1, 4)),
+    2: ((2, 1), (3, 1), (4, 1)),
+    3: ((1, 3), (1, 4), (2, 5)),
+    4: ((1, 4), (2, 4), (3, 5)),
+    5: ((1, 4), (2, 5), (3, 6)),
+    6: ((1, 3), (1, 4), (2, 3)),
 }
 
-# (in indices, out indices) per type
-TYPE_SHAPE = {tid: (len(ins), len(outs)) for tid, (ins, outs, _, _) in TYPE_PATTERN.items()}
 
-
-def _shape(tid: int):
-    """The (in indices, out indices) of a type; unknown type ids are refused."""
-    if tid not in TYPE_SHAPE:
+def _edges(tid: int):
+    """The edges of a type's representative; unknown type ids are refused."""
+    if tid not in TYPE_EDGES:
         raise DomainError(f"unknown type id {tid}")
-    return TYPE_SHAPE[tid]
+    return TYPE_EDGES[tid]
 
 
-def _relabeled(s, ins, outs, pairs, exps):
-    """The pattern with every index v replaced by s[v]."""
-    return (
-        tuple(s[v] for v in ins),
-        tuple(s[v] for v in outs),
-        tuple((s[i], s[p]) for i, p in pairs),
-        {s[v]: e for v, e in exps.items()},
-    )
+def _sides(edges):
+    """The sorted in side and out side of a pattern."""
+    return tuple(sorted({i for i, _ in edges})), tuple(sorted({p for _, p in edges}))
+
+
+@lru_cache(maxsize=None)
+def _shape(tid: int):
+    """(a, b): the sizes of a type's in side and out side, cached: every
+    check reads it twice."""
+    ins, outs = _sides(_edges(tid))
+    return len(ins), len(outs)
 
 
 def _patterns(tid: int):
-    """The patterns of a type on the support {1..a+b}, as (in_set, out_set,
-    denominator pairs, numerator exponents): the distinct images of its
-    representative under the permutations of the support, the
-    representative first.  Only ``type_sum_raw_literal`` and the tests
-    walk the orbit; the fast path needs its size alone
-    (``_stabilizer_order``)."""
-    m = sum(_shape(tid))
+    """The patterns of a type on the support {1..m}, as sorted edge
+    tuples: the distinct images of its representative under the
+    permutations of the support, the representative first.  Only
+    ``type_sum_raw_literal`` and the tests walk the orbit."""
+    edges = _edges(tid)
     orbit = {}
-    for sigma in permutations(range(1, m + 1)):  # the identity first
-        image = _relabeled((0,) + sigma, *TYPE_PATTERN[tid])  # sigma[v - 1] is v's image
-        orbit.setdefault(_pattern_key(*image), image)
-    return tuple(orbit.values())
+    for sigma in permutations(range(1, sum(_shape(tid)) + 1)):  # the identity first
+        orbit.setdefault(tuple(sorted((sigma[i - 1], sigma[p - 1]) for i, p in edges)), None)
+    return tuple(orbit)
 
 
-def _stabilizer_order(tid: int) -> int:
-    """The number of relabelings of the support that fix the type's
-    representative, so that m! / it is the number of patterns.  The
-    pattern key holds the sorted in and out sets, so such a relabeling
-    maps each set to itself: only S_a x S_b is walked, not S_m."""
-    _shape(tid)
-    ins, outs, _, _ = pattern = TYPE_PATTERN[tid]
-    key = _pattern_key(*pattern)
-    return sum(
-        _pattern_key(*_relabeled(dict(zip(ins + outs, si + so)), *pattern)) == key
-        for si in permutations(ins)
-        for so in permutations(outs)
-    )
+def _in_side_patterns(tid: int, ins, outs):
+    """The patterns of a type with in side ins and out side outs, as sorted
+    edge tuples: the distinct images of its representative under the
+    bijections of its in side onto ins and of its out side onto outs."""
+    edges = _edges(tid)
+    ins0, outs0 = _sides(edges)
+    images = {}
+    for si in permutations(ins):
+        for so in permutations(outs):
+            s = dict(zip(ins0 + outs0, si + so))
+            images.setdefault(tuple(sorted((s[i], s[p]) for i, p in edges)), None)
+    return tuple(images)
 
 
 def type_term_count(n: int, r: int, tid: int) -> int:
-    """Number of (subset, pattern) pairs of the given type."""
+    """Number of (subset, pattern) pairs of the given type: on each of the
+    binom(n, m) supports, binom(m, a) in sides, each with the in-side
+    patterns, and binom(n - m, r - a) subsets around each pattern."""
     a, b = _shape(tid)
+    _require_type_rank(n, r)
     m = a + b
-    per_support = factorial(m) // _stabilizer_order(tid)
-    return binom(n, m) * per_support * binom(n - m, r - a)
-
-
-def _pattern_key(ins, outs, pairs, exps):
-    """A pattern as sorted tuples, equal exactly when the patterns are."""
-    return (
-        tuple(sorted(ins)),
-        tuple(sorted(outs)),
-        tuple(sorted(pairs)),
-        tuple(sorted(exps.items())),
-    )
-
-
-def _pattern_piece(m: int, pairs, exps) -> MultiPoly:
-    """V_m / prod_{(i, p) in pairs} (x_i - x_p) times prod x_v^exps[v], by
-    expansion: the factors x_i - x_j (i < j) of V_m whose pair is not a
-    denominator pair, with one sign flip per pair (i, p) with i > p,
-    multiplied in one factor at a time on integer coefficients."""
-    cut = {(min(i, p), max(i, p)) for i, p in pairs}
-    mono = [0] * m
-    for v, e in exps.items():
-        mono[v - 1] = e
-    sign = -1 if sum(1 for i, p in pairs if i > p) % 2 else 1
-    terms = {tuple(mono): sign}
-    for i, j in combinations(range(m), 2):
-        if (i + 1, j + 1) in cut:
-            continue
-        out = {}
-        for k, c in terms.items():
-            ki = k[:i] + (k[i] + 1,) + k[i + 1 :]
-            out[ki] = out.get(ki, 0) + c
-            kj = k[:j] + (k[j] + 1,) + k[j + 1 :]
-            out[kj] = out.get(kj, 0) - c
-        terms = {k: c for k, c in out.items() if c}
-    return MultiPoly(m, RQ, terms)
-
-
-def _side_sum(piece0: MultiPoly, ins, stab: int) -> MultiPoly:
-    """q: the sum of the pieces of the patterns that put x_1 inside the
-    subset side, divided by the Vandermonde product V_(2..m) of x_2..x_m,
-    given the representative's piece, its in indices and the order of its
-    stabilizer in S_m.
-
-    Each such piece is sign(sigma) sigma(piece0) for the |stab| relabelings
-    sigma that send an in index p to 1.  Moving x_p to the front takes
-    p - 1 transpositions, and the antisymmetrization over x_2..x_m turns a
-    term c x^k into (-1)^(p-1) c / |stab| x_1^(k_p) a(k without k_p), a(...)
-    the alternant in x_2..x_m.  Over V_(2..m) each alternant is a Schur
-    polynomial, read off in monomial coordinates by ``_readoff_coords``
-    with x_1's exponent riding as the aux slot."""
-    m = piece0.n
-    alternants = []
-    for k, c in piece0.terms.items():
-        if len(set(k)) < m - 1:  # a repeat is left whichever entry goes to x_1
-            continue
-        for p in ins:
-            alternants.append((k[: p - 1] + k[p:], {k[p - 1 : p]: -c if (p - 1) % 2 else c}))
-    out = {}
-    for mu, by_first in _readoff_coords(alternants, m - 1).items():
-        for rest in _distinct_permutations(mu + (0,) * (m - 1 - len(mu))):
-            for first, c in by_first.items():
-                out[first + rest] = qnorm(Fraction(c, stab))
-    return MultiPoly(m, RQ, out)
+    per_side = len(_in_side_patterns(tid, range(1, a + 1), range(a + 1, m + 1)))
+    return binom(n, m) * binom(m, a) * per_side * binom(n - m, r - a)
 
 
 @lru_cache(maxsize=None)
@@ -224,20 +156,29 @@ def _canonical_sums(tid: int):
     inside the pattern's subset side, and c V_m is the sum of all
     patterns.
 
-    The patterns are the S_m orbit of the representative; only its size
-    enters, as m! over the stabilizer order that ``_stabilizer_order``
-    counts on S_a x S_b, so the orbit itself (``_patterns``) is left to
-    the oracles.  q is read off the representative's piece, expanded on
-    integer coefficients by ``_pattern_piece``, through ``_readoff_coords``
-    (``_side_sum``).  Every pattern has a in indices, so the sum over u of
-    n_in[u] = -K_1u n_in[1] is a c V_m.  Over V_m that sum is the block
-    divided difference (1, m - 1) of q, so c is
+    With the in side on {1..a-1, m} and the out side on {a..m-1}, s is the
+    sum over ``_in_side_patterns`` of the product over the cross pairs
+    (i, p) of x_i for an edge and x_i - x_p otherwise: the patterns over
+    the product of the cross factors.  q is the block divided difference
+    (a - 1, m - 1) of s prod_(i<a)(x_m - x_i), x_m passing through, with
+    x_m then moved to the front.  Every pattern has a in indices, so c is
     ``_block_divided_difference(q, 1, m)`` over a.
     """
     a, b = _shape(tid)
     m = a + b
-    ins0, _, pairs0, exps0 = TYPE_PATTERN[tid]
-    q = _side_sum(_pattern_piece(m, pairs0, exps0), ins0, _stabilizer_order(tid))
+    ins, outs = (*range(1, a), m), range(a, m)
+    x = [None] + [MultiPoly.variable(v, m, RQ) for v in range(1, m + 1)]
+    s = MultiPoly.zero(m, RQ)
+    for edges in _in_side_patterns(tid, ins, outs):
+        term = MultiPoly.const(m, 1, RQ)
+        for i in ins:
+            for p in outs:
+                term = term * (x[i] if (i, p) in edges else x[i] - x[p])
+        s = s + term
+    for i in range(1, a):
+        s = s * (x[m] - x[i])
+    block = _block_divided_difference(s, a - 1, m - 1)
+    q = MultiPoly(m, RQ, {k[-1:] + k[:-1]: c for k, c in block.terms.items()})
     ac = _block_divided_difference(q, 1, m).terms.get((0,) * m, 0)
     return qnorm(Fraction(ac, a)), q
 
@@ -286,7 +227,7 @@ def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 def _vandermonde_quotient(n: int, pairs: tuple) -> MultiPoly:
     """V_n / prod_{(i, p) in pairs} (x_i - x_p) by exact division, for the
     literal oracle.  It does not depend on the argument, and each pattern
-    recurs in several subsets, so it is cached per (n, sorted pairs).  The
+    recurs in several subsets, so it is cached per (n, sorted edges).  The
     literal runs only at small n: at n = 6 the six types have 1320
     patterns."""
     den = MultiPoly.const(n, 1, RQ)
@@ -298,23 +239,18 @@ def _vandermonde_quotient(n: int, pairs: tuple) -> MultiPoly:
 def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
     """Direct double sum over subsets and patterns (small n only)."""
     a, b = _shape(tid)
+    _require_type_rank(n, r)
     m = a + b
     if n < m or r < a or n - r < b:
         return MultiPoly.zero(n, f.ring)
     vn = vandermonde(n, RQ)
-    # all patterns on [n]: canonical patterns relabeled over every support
-    global_pats = []
-    for sup in combinations(range(1, n + 1), m):
-        relab = {c + 1: sup[c] for c in range(m)}
-        for ins, outs, pairs, exps in _patterns(tid):
-            global_pats.append(
-                (
-                    frozenset(relab[v] for v in ins),
-                    frozenset(relab[v] for v in outs),
-                    tuple((relab[i], relab[p]) for i, p in pairs),
-                    {relab[v]: e for v, e in exps.items()},
-                )
-            )
+    # all patterns on [n]: canonical patterns relabeled over every support,
+    # order-preserving, so each stays sorted
+    global_pats = [
+        tuple((sup[i - 1], sup[p - 1]) for i, p in edges)
+        for sup in combinations(range(1, n + 1), m)
+        for edges in _patterns(tid)
+    ]
     acc = MultiPoly.zero(n, f.ring)
     for subset in combinations(range(1, n + 1), r):
         sset = set(subset)
@@ -323,13 +259,13 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
             ef = ef + f.euler(u)
         if not ef:
             continue
-        for ins, outs, pairs, exps in global_pats:
-            if not ins <= sset or outs & sset:
+        for edges in global_pats:
+            if not all(i in sset and p not in sset for i, p in edges):
                 continue
             mono = [0] * n
-            for v, e in exps.items():
-                mono[v - 1] = e
-            quotient = _vandermonde_quotient(n, tuple(sorted(pairs)))
+            for i, _ in edges:
+                mono[i - 1] += 1
+            quotient = _vandermonde_quotient(n, edges)
             acc = acc + quotient * MultiPoly.monomial(tuple(mono), n, RQ) * ef
     return exact_div(acc, vn)
 

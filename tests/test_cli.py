@@ -377,3 +377,13 @@ def test_out_flag(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["status"] == "pass"
+
+
+def test_out_to_an_unwritable_path_is_exit_2(tmp_path):
+    # exit 1 is kept for a failed check: a report that cannot be written
+    # is refused with a reason instead of a traceback
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        err = StringIO()
+        with redirect_stderr(err):
+            assert run_cli("tbinom", "--n", "3", "--r", "1", "--out", str(target))[0] == 2
+        assert err.getvalue().startswith("error: ") and str(target) in err.getvalue()

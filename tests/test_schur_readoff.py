@@ -18,7 +18,7 @@ from macdunkl.operators import (
     _subset_sign,
     macdonald_scalar_part,
 )
-from macdunkl.verify.typesums import TYPE_SHAPE, type_sum_raw_apply
+from macdunkl.verify.typesums import TYPE_EDGES, type_sum_raw_apply
 from test_operators import _subset_perm
 
 RQ = Ring.q()
@@ -63,7 +63,7 @@ def test_type_numerators_match_division(monkeypatch):
     monkeypatch.setattr(operators, "_block_divided_difference", spy)
     for n in (4, 5, 6):
         for r in range(1, n + 1):
-            for tid in TYPE_SHAPE:
+            for tid in TYPE_EDGES:
                 for lam in partitions_upto(3, n):
                     type_sum_raw_apply(n, r, tid, monomial_symmetric(lam, n))
     assert len(seen) > 100

@@ -1,5 +1,6 @@
 """Type-sum tests: raw vs literal, counts, the partial-fraction identity."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations
@@ -24,15 +25,13 @@ from macdunkl.verify import typesums
 from macdunkl.verify.closedforms import B41, _combo
 from macdunkl.verify.identities import TYPE_GRID, verify_identity
 from macdunkl.verify.typesums import (
-    TYPE_PATTERN,
-    TYPE_SHAPE,
+    TYPE_EDGES,
     _canonical_sums,
     _closed_terms,
-    _pattern_key,
-    _pattern_piece,
+    _in_side_patterns,
     _patterns,
     _raw_terms,
-    _stabilizer_order,
+    _shape,
     type_sum_closed_apply,
     type_sum_raw_apply,
     type_sum_raw_literal,
@@ -158,7 +157,7 @@ def test_raw_columns_from_coordinates_match_the_round_trip(tid):
 def _patterns_by_hand(tid: int):
     """The patterns of each type on support {1..a+b}, enumerated by hand:
     (in_set, out_set, denominator pairs, numerator exponents)."""
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     m = a + b
     sup = tuple(range(1, m + 1))
     out = []
@@ -213,44 +212,50 @@ def _patterns_by_hand(tid: int):
 @pytest.mark.parametrize("tid, count", [(1, 4), (2, 4), (3, 60), (4, 60), (5, 120), (6, 24)])
 def test_pattern_orbits_match_the_hand_enumeration(tid, count):
     """Each type's patterns, generated as the orbit of its representative,
-    are the hand-enumerated ones: the same set, no duplicate, the
-    representative first."""
-    by_hand = [_pattern_key(*pat) for pat in _patterns_by_hand(tid)]
-    orbit = [_pattern_key(*pat) for pat in _patterns(tid)]
-    assert isinstance(_patterns(tid), tuple)
-    assert set(orbit) == set(by_hand)
+    are the hand-enumerated ones: the same edge sets, no duplicate, the
+    representative first; and the in, out and exponent columns of each
+    hand-enumerated pattern are the ones its edges imply."""
+    by_hand = _patterns_by_hand(tid)
+    orbit = _patterns(tid)
+    assert isinstance(orbit, tuple)
+    assert set(orbit) == {tuple(sorted(pairs)) for _, _, pairs, _ in by_hand}
     assert len(orbit) == len(set(orbit)) == len(by_hand) == count
-    assert _patterns(tid)[0] == TYPE_PATTERN[tid]
-    assert _patterns_by_hand(tid)[0] == TYPE_PATTERN[tid]
+    assert orbit[0] == TYPE_EDGES[tid] == by_hand[0][2]
+    for ins, outs, pairs, exps in by_hand:
+        assert typesums._sides(pairs) == (tuple(sorted(ins)), tuple(sorted(outs))), pairs
+        assert Counter(i for i, _ in pairs) == exps, pairs
+
+
+def _divided_piece(m: int, pairs, exps) -> MultiPoly:
+    """V_m / prod_{(i, p) in pairs} (x_i - x_p) by exact division, times
+    prod x_v^exps[v]."""
+    den = MultiPoly.const(m, 1, RQ)
+    for i, p in pairs:
+        den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
+    mono = [0] * m
+    for v, e in exps.items():
+        mono[v - 1] = e
+    return exact_div(vandermonde(m, RQ), den) * MultiPoly.monomial(tuple(mono), m, RQ)
 
 
 @lru_cache(maxsize=None)
 def _canonical_sums_per_pattern(tid):
-    """The pattern sums with one exact division per pattern, and each
-    pattern's divided piece (cached: two tests read them)."""
-    a, b = TYPE_SHAPE[tid]
-    m = a + b
-    vm = vandermonde(m, RQ)
+    """The pattern sums with one exact division per pattern, the in side,
+    out side and numerator of each pattern read off its edges (cached: two
+    tests read them)."""
+    m = sum(_shape(tid))
     zero = MultiPoly.zero(m, RQ)
     total = zero
     n_in = {u: zero for u in range(1, m + 1)}
     n_out = {u: zero for u in range(1, m + 1)}
-    pieces = []
-    for ins, outs, pairs, exps in _patterns(tid):
-        den = MultiPoly.const(m, 1, RQ)
-        for i, p in pairs:
-            den = den * (MultiPoly.variable(i, m, RQ) - MultiPoly.variable(p, m, RQ))
-        mono = [0] * m
-        for v, e in exps.items():
-            mono[v - 1] = e
-        piece = exact_div(vm, den) * MultiPoly.monomial(tuple(mono), m, RQ)
-        pieces.append((pairs, exps, piece))
+    for edges in _patterns(tid):
+        piece = _divided_piece(m, edges, Counter(i for i, _ in edges))
         total = total + piece
-        for u in ins:
+        for u in {i for i, _ in edges}:
             n_in[u] = n_in[u] + piece
-        for u in outs:
+        for u in {p for _, p in edges}:
             n_out[u] = n_out[u] + piece
-    return total, n_in, n_out, tuple(pieces)
+    return total, n_in, n_out
 
 
 def _full_sum_factor(total, m):
@@ -267,8 +272,8 @@ def test_orbit_sums_match_per_pattern_division(tid):
     symmetric in x_2..x_m (x_1^3 for type 1, the numerator of B_{4,1}),
     and the oracle's sums obey the relabeling law the raw path relies on:
     n_in[u] and n_out[u] are -K_1u of the u = 1 sums."""
-    m = sum(TYPE_SHAPE[tid])
-    total, n_in, n_out, _ = _canonical_sums_per_pattern(tid)
+    m = sum(_shape(tid))
+    total, n_in, n_out = _canonical_sums_per_pattern(tid)
     c, q = _canonical_sums(tid)
     assert c == _full_sum_factor(total, m)
     assert q * vandermonde(m, RQ, range(2, m + 1)) == n_in[1]
@@ -303,43 +308,50 @@ def test_canonical_sums_divide_by_nothing(tid, monkeypatch):
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_stabilizer_order_times_orbit_size_is_m_factorial(tid):
-    m = sum(TYPE_SHAPE[tid])
-    assert _stabilizer_order(tid) * len(_patterns(tid)) == factorial(m)
+    """The S_a x S_b images of the representative on an in side and an
+    out side are exactly the orbit patterns with that in side, both for
+    the in side {1..a} of the term count and {1..a-1, m} of the canonical
+    sums.  So C(m, a) |images| is the orbit size, and the stabilizer,
+    of order a! b! / |images| in S_a x S_b, times it is m!."""
+    a, b = _shape(tid)
+    m = a + b
+    orbit = _patterns(tid)
+    for ins in (range(1, a + 1), (*range(1, a), m)):
+        outs = [v for v in range(1, m + 1) if v not in ins]
+        images = _in_side_patterns(tid, ins, outs)
+        assert len(images) == len(set(images))
+        assert set(images) == {e for e in orbit if {i for i, _ in e} == set(ins)}, ins
+        assert binom(m, a) * len(images) == len(orbit)
+        stabilizer, rest = divmod(factorial(a) * factorial(b), len(images))
+        assert not rest and stabilizer * len(orbit) == factorial(m)
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_canonical_sums_read_one_side(tid, monkeypatch):
-    """q is read off the in side alone, through one call of the shared
-    alternant read-off, and c is derived from q: no second read-off."""
+    """q is derived from the in side alone, by block divided differences
+    of the in-side patterns, and c from q: no alternant read-off runs,
+    neither the shared one in ``operators`` nor a copy in ``typesums``."""
     want = _canonical_sums(tid)
-    calls = []
-    readoff = typesums._readoff_coords
 
-    def spy(alternants, n):
-        calls.append(n)
-        return readoff(alternants, n)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the canonical sums must not read off alternants")
 
-    monkeypatch.setattr(typesums, "_readoff_coords", spy)
+    monkeypatch.setattr(operators, "_readoff_coords", refuse)
+    monkeypatch.setattr(typesums, "_readoff_coords", refuse, raising=False)
     assert _canonical_sums.__wrapped__(tid) == want
-    assert calls == [sum(TYPE_SHAPE[tid]) - 1]
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
 def test_canonical_sums_structure(tid):
-    """The facts the alternant read-off relies on: the full sum is a
-    nonzero multiple of V_m, every pattern puts each support variable on
-    one side, and every pattern's expanded piece is the divided one."""
-    a, b = TYPE_SHAPE[tid]
-    m = a + b
-    total, n_in, n_out, pieces = _canonical_sums_per_pattern(tid)
+    """The facts the raw path relies on: the full sum is a nonzero
+    multiple of V_m, and every pattern puts each support variable on one
+    side."""
+    m = sum(_shape(tid))
+    total, n_in, n_out = _canonical_sums_per_pattern(tid)
     c = _full_sum_factor(total, m)
     assert c and c == _canonical_sums(tid)[0]
     for u in range(1, m + 1):
         assert n_in[u] + n_out[u] == total, u
-    assert _pattern_piece(m, (), {}) == vandermonde(m, RQ)
-    assert len(pieces) == len(_patterns(tid))
-    for pairs, exps, want in pieces:
-        assert _pattern_piece(m, pairs, exps) == want, (pairs, exps)
 
 
 @pytest.mark.parametrize("tid", [1, 2, 3, 4, 5, 6])
@@ -348,7 +360,7 @@ def test_raw_path_forms_one_product_per_part(tid, monkeypatch):
     subset count ca = binom(n - m, r - a) != 0: the one product q E_1 m_lam
     that its two kernels divide and relabel."""
     n, r = 6, 3
-    a, b = TYPE_SHAPE[tid]
+    a, b = _shape(tid)
     assert binom(n - a - b, r - a)
     f = monomial_symmetric((2, 1), n) + monomial_symmetric((1,), n)
     type_sum_raw_apply(n, r, tid, f)
@@ -403,13 +415,16 @@ def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
     if n < 4:
         return MultiPoly.zero(n, f.ring)
     if tid == 2:
-        pieces = [(ins, _pattern_piece(4, pairs, exps)) for ins, _, pairs, exps in _patterns(2)]
+        pieces = [
+            (typesums._sides(edges)[0], _divided_piece(4, edges, Counter(i for i, _ in edges)))
+            for edges in _patterns(2)
+        ]
     else:
         x = {v: MultiPoly.variable(v, 4, RQ) for v in range(1, 5)}
         pieces = []
         for i, j in combinations(range(1, 5), 2):
             p, q = (v for v in range(1, 5) if v not in (i, j))
-            piece = _pattern_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
+            piece = _divided_piece(4, ((i, p), (i, q), (j, p), (j, q)), {i: 1, j: 1})
             local = (x[i] * x[j]).scale(4) - (x[i] + x[j]) * (x[p] + x[q])
             pieces.append(((i, j), piece * local))
     ring = f.ring
@@ -454,7 +469,7 @@ def test_unknown_type_ids_are_refused(tid):
     with pytest.raises(DomainError, match=f"unknown type id {tid}"):
         _patterns(tid)
     with pytest.raises(DomainError, match=f"unknown type id {tid}"):
-        _stabilizer_order(tid)
+        _in_side_patterns(tid, (1,), (2,))
     for apply in (type_sum_raw_apply, type_sum_raw_literal, type_sum_closed_apply):
         with pytest.raises(DomainError, match=f"unknown type id {tid}"):
             apply(6, 3, tid, f)
@@ -475,13 +490,20 @@ def test_unit_op_refuses_types_other_than_2_and_6(tid):
         unit_op(tid, 5, RQ)
 
 
-@pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply])
+@pytest.mark.parametrize("apply", [type_sum_raw_apply, type_sum_closed_apply, type_sum_raw_literal])
 @pytest.mark.parametrize("r", [-2, -1, 7, 9])
 def test_type_sums_refuse_a_rank_outside_0_to_n(apply, r):
     f = monomial_symmetric((1,), 6)
     for tid in range(1, 7):
         with pytest.raises(DomainError, match=f"need 0 <= r <= n, got r={r}, n=6"):
             apply(6, r, tid, f)
+
+
+@pytest.mark.parametrize("n, r", [(6, 9), (6, 7), (6, -1), (-3, 1)])
+def test_type_term_count_refuses_a_rank_outside_0_to_n(n, r):
+    for tid in range(1, 7):
+        with pytest.raises(DomainError, match=f"need 0 <= r <= n, got r={r}, n={n}"):
+            type_term_count(n, r, tid)
 
 
 def test_type1_support_sum_is_b41():
