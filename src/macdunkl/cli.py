@@ -7,9 +7,9 @@ Subcommands: ``verify`` (one identity or a named suite), ``expand``
 failure or a contradicted witness expectation, 2 usage errors and a
 report path that cannot be written.
 
-Reports are byte-stable for fixed arguments and seed; measured runtimes
-are only included under --timings (they are reported as 0 otherwise so
-that reruns compare equal).
+Reports are byte-stable for fixed arguments and seed; ``verify`` includes
+measured runtimes only under --timings (they are reported as 0 otherwise
+so that reruns compare equal).
 """
 
 from __future__ import annotations
@@ -107,14 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--timings",
-            action="store_true",
-            help="include measured runtimes; each cached matrix (a primitive "
-            "operator's matrix per (factor, n, window), the h^k slices and the "
-            "type closed sides' primitives included) is charged to the first "
-            "check that builds it",
-        )
         p.add_argument("--out", help="write the report to this path")
 
     v = sub.add_parser("verify", help="run one identity or a named suite")
@@ -130,6 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--degree", type=int, help="basis weight window (default 4)")
     v.add_argument("--K", type=int, help="jet truncation order (default 4)")
     v.add_argument("--seed", type=int, help="default 0")
+    v.add_argument(
+        "--timings",
+        action="store_true",
+        help="include measured runtimes; each cached matrix (a primitive "
+        "operator's matrix per (factor, n, window), the h^k slices and the "
+        "type closed sides' primitives included) is charged to the first "
+        "check that builds it",
+    )
     common(v)
 
     e = sub.add_parser("expand", help="print one h-expansion coefficient matrix")
@@ -149,14 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
     j = sub.add_parser("jack", help="triangular eigenvector tables at rational b")
     j.add_argument("--n", type=int, required=True)
     j.add_argument("--degree", type=int, default=4)
-    j.add_argument("--beta", default="1", help="rational coupling value, e.g. 2/3")
+    j.add_argument("--beta", default="1", help="rational coupling, e.g. 2/3 or --beta=-1/2")
     common(j)
 
     w = sub.add_parser("witness", help="search for a noncommuting order pair")
     w.add_argument("--nmax", type=int, default=4)
     w.add_argument("--order-max", type=int, default=4, dest="order_max")
     w.add_argument("--degree", type=int, default=4)
-    w.add_argument("--K", type=int, default=4)
     w.add_argument(
         "--expect",
         choices=("found", "none", "any"),
@@ -228,8 +227,6 @@ def _run_verify(args) -> int:
 
 def _run_expand(args) -> int:
     _validate_common(args)
-    if args.order > args.K:
-        raise DomainError("order exceeds the jet order K")
     mat = extract_order(args.n, args.r, args.order, args.degree, args.K)
     if args.json:
         payload = {
@@ -317,7 +314,7 @@ def _run_jack(args) -> int:
 
 
 def _run_witness(args) -> int:
-    report = noncommutativity_witness(args.nmax, args.order_max, args.degree, args.K)
+    report = noncommutativity_witness(args.nmax, args.order_max, args.degree)
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=1) + "\n", args.out)
     else:

@@ -6,8 +6,9 @@ of primitive operators.  The forms of the slices D_k(n, r) all take
 (n, r); those printed at one rank or two (``third_order_display``,
 ``rank1_fourth_order``) refuse any other.  A form takes no window and
 builds no matrix; a check evaluates the table on its m-basis window
-with ``_combo``, the one evaluator of every term table in the package
-(the type sums' tables in ``typesums`` included).
+with ``_combo``, the one evaluator of every term table in the package:
+the type sums' tables in ``typesums`` too, whose images of a polynomial
+are read off the columns of the same matrices.
 
 Three coefficients of the h^3 Dunkl form are printed as binomials times
 fractions whose denominators, (r-1), (n-2) and (n-r)(n-r-1), vanish

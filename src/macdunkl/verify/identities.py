@@ -168,7 +168,9 @@ def check_h_explicit(k: int, n: int, degree: int = 4):
 
 def check_beta2_h3(n: int, degree: int = 4):
     """The coupling-squared part of H_3: the double reflection sum equals
-    both stated right-hand sides, which must also agree with each other."""
+    both stated right-hand sides.  That the two right-hand sides agree
+    needs no comparison of its own: once both equal the lhs, they are
+    equal."""
     basis = window(degree, n)
     lhs = _combo(n, basis, closedforms.beta2_h3_lhs(n)).beta_slice(0)
     rhs1 = _combo(n, basis, closedforms.beta2_h3_rhs_pairs(n)).beta_slice(0)
@@ -176,7 +178,6 @@ def check_beta2_h3(n: int, degree: int = 4):
     return (
         _matrix_residual(lhs - rhs1, "lhs vs kernel-ratio rhs")
         or _matrix_residual(lhs - rhs2, "lhs vs B-operator rhs")
-        or _matrix_residual(rhs1 - rhs2, "the two rhs forms disagree")
     )
 
 

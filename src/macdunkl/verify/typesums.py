@@ -54,9 +54,11 @@ plus a multiple of L_1; the closed side (``_closed_terms``) is rationals
 times B_{4,1}, B_{2,1}, B_{3,1}, L_1 and, for types 2 and 6, a
 per-4-subset unit sum (``unit_op``, again a kernel sum).  A type check
 evaluates both tables as combinations of primitive matrices cached per
-(factor, n, window), each charged to the first check that builds it;
-``type_sum_raw_apply`` and ``type_sum_closed_apply`` evaluate them on a
-polynomial.
+(factor, n, window), each charged to the first check that builds it.
+``type_sum_raw_apply`` and ``type_sum_closed_apply`` give the image of
+a polynomial f of degree d from the columns of the same ``_combo``
+matrix on window(d, n), so the oracles that check an image check the
+matrices a type check verifies.
 
 ``type_sum_raw_literal`` evaluates the subset-and-pattern double sum
 directly and is compared against the fast path in the tests.
@@ -74,9 +76,10 @@ from ..operators import (
     _block_divided_difference,
     _kernel_op,
     _require_symmetric,
+    window,
 )
 from ..rings import binom, qnorm
-from .closedforms import B21, B31, B41, L1
+from .closedforms import B21, B31, B41, L1, _combo
 
 RQ = Ring.q()
 
@@ -352,20 +355,18 @@ def type_sum_closed_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 
 
 def _apply_terms(n: int, tid: int, terms, f: MultiPoly) -> MultiPoly:
-    """The terms (c, 0, factors) of a type side evaluated on symmetric f,
-    each product of factors applied to f once, right to left."""
+    """The terms (c, 0, factors) of a type side evaluated on symmetric f:
+    the columns of their ``_combo`` matrix on window(d, n), d the degree
+    of f, summed over f's m-coordinates.  These are the matrices a type
+    check verifies.  Every term carries an Euler operator, so a constant
+    f, which has no window, gives 0."""
     if f.ring != RQ:
         raise DomainError("type sums run over the rational ring")
+    # refused before a matrix is built: the window can be large
     _require_symmetric(f, f"type sum {tid}")
-    images = {}
-    out = MultiPoly.zero(n, RQ)
-    for c, _, factors in terms:
-        if not c:
-            continue
-        if factors not in images:
-            g = f
-            for factory, *args in reversed(factors):
-                g = factory(*args, n, RQ)(g)
-            images[factors] = g
-        out = out + images[factors].scale(c)
-    return out
+    d = max(map(sum, f.terms), default=0)
+    columns = {}
+    if d:
+        for (mu, lam), v in _combo(n, window(d, n), terms).beta_slice(0).entries.items():
+            columns.setdefault(lam, {})[mu] = v
+    return LinearOperator(n, RQ, lambda lam: columns.get(lam, {}), f"type sum {tid}")(f)

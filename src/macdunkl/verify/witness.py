@@ -5,13 +5,16 @@ and above no closed Dunkl form exists and commutativity with the lower
 orders can fail.  The search scans a deterministic grid, ascending in
 (n, i+j, i, r, s, weight of the probe partition), and returns the first
 pair whose commutator matrix is nonzero, together with the exact residual
-column; re-evaluating the witness reproduces the residual.
+column; re-evaluating the witness reproduces the residual.  The slices
+are the cached matrices of (slice_op, r, k) on the window of the basis
+degree, built for each order on its own, so the search takes no jet
+order: its grid line gives order_max as one.
 """
 
 from __future__ import annotations
 
 from ..errors import DomainError
-from ..operators import extract_order
+from ..operators import primitive_matrix, slice_op, window
 from ..rings import render_scalar
 
 
@@ -37,9 +40,12 @@ class WitnessReport:
         return out
 
 
-def _commutator_slices(n, r, s, i, j, degree, order):
-    a = extract_order(n, r, i, degree, order)
-    b = extract_order(n, s, j, degree, order)
+def _commutator_slices(n, r, s, i, j, degree):
+    """[D_i(n, r), D_j(n, s)] on the window of weights 1..degree, from the
+    cached slice matrices; a slice needs no jet order."""
+    basis = window(degree, n)
+    a = primitive_matrix((slice_op, r, i), n, basis)
+    b = primitive_matrix((slice_op, s, j), n, basis)
     return a.commutator_with(b)
 
 
@@ -62,22 +68,17 @@ def _first_nonzero_column(mat):
 
 
 def noncommutativity_witness(
-    n_max: int, order_max: int = 4, basis_degree: int = 4, jet_order: int | None = None
+    n_max: int, order_max: int = 4, basis_degree: int = 4
 ) -> WitnessReport:
-    """First commutator failure on the grid i in 4..order_max, j in {2, 3}."""
+    """First commutator failure on the grid i in 4..order_max, j in {2, 3};
+    ``window`` refuses a basis degree below 1."""
     if order_max < 4:
         raise DomainError("the search needs order_max >= 4")
-    if basis_degree < 1:
-        raise DomainError("degree must be at least 1")
     if n_max < 2:
         raise DomainError("the search needs n_max >= 2")
-    if jet_order is None:
-        jet_order = order_max
-    if jet_order < order_max:
-        raise DomainError("jet order must cover the searched orders")
     grid = (
         f"n <= {n_max}, i in 4..{order_max}, j in (2, 3), all 1 <= r, s <= n, "
-        f"basis weight <= {basis_degree}, jet order {jet_order}"
+        f"basis weight <= {basis_degree}, jet order {order_max}"
     )
     pairs = sorted(
         ((i, j) for i in range(4, order_max + 1) for j in (2, 3)),
@@ -87,7 +88,7 @@ def noncommutativity_witness(
         for i, j in pairs:
             for r in range(1, n + 1):
                 for s in range(1, n + 1):
-                    mat = _commutator_slices(n, r, s, i, j, basis_degree, jet_order)
+                    mat = _commutator_slices(n, r, s, i, j, basis_degree)
                     hit = _first_nonzero_column(mat)
                     if hit is not None:
                         lam, cells = hit
@@ -107,12 +108,10 @@ def noncommutativity_witness(
     return WitnessReport(grid, False)
 
 
-def reevaluate_witness(report: WitnessReport, basis_degree: int = 4, jet_order: int = 4):
+def reevaluate_witness(report: WitnessReport, basis_degree: int = 4):
     """Recompute the residual column stored in a witness report."""
     if not report.found:
         raise DomainError("nothing to re-evaluate: no witness found")
     w = report.witness
-    mat = _commutator_slices(
-        w["n"], w["r"], w["s"], w["i"], w["j"], basis_degree, jet_order
-    )
+    mat = _commutator_slices(w["n"], w["r"], w["s"], w["i"], w["j"], basis_degree)
     return _rendered_column(mat, tuple(w["lam"]))

@@ -155,12 +155,12 @@ def test_criterion_08_rank1_fourth_order():
 def test_criterion_09_witness_search():
     """The order-4 noncommutativity search completes deterministically;
     the witness reproduces and matches the committed golden report."""
-    report = noncommutativity_witness(4, 4, 4, 4)
-    again = noncommutativity_witness(4, 4, 4, 4)
+    report = noncommutativity_witness(4, 4, 4)
+    again = noncommutativity_witness(4, 4, 4)
     assert report.to_json_dict() == again.to_json_dict()
     detail = "found=false within grid"
     if report.found:
-        cells = reevaluate_witness(report, 4, 4)
+        cells = reevaluate_witness(report, 4)
         stored = [(tuple(w), v) for w, v in report.witness["residual"]]
         assert cells == stored
         w = report.witness

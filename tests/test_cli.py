@@ -1,5 +1,6 @@
 """Command-line surface tests: dispatch, exit codes, stable reports."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from io import StringIO
 
 import pytest
 
-from macdunkl.cli import main
+from macdunkl.cli import _build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "witness_grid.json")
 
@@ -161,12 +162,41 @@ def test_witness_expectation_flag():
 def test_witness_golden_file():
     proc = subprocess.run(
         [sys.executable, "-m", "macdunkl.cli", "witness",
-         "--nmax", "4", "--order-max", "4", "--degree", "4", "--K", "4", "--json"],
+         "--nmax", "4", "--order-max", "4", "--degree", "4", "--json"],
         capture_output=True, text=True, timeout=900,
     )
     assert proc.returncode == 0
     with open(GOLDEN) as fh:
         assert proc.stdout == fh.read()
+
+
+def test_witness_needs_no_jet_order():
+    # the searched orders are the jet order: order 5 runs without --K
+    code, out = run_cli("witness", "--nmax", "3", "--order-max", "5", "--degree", "3")
+    assert code == 0
+    assert out.startswith("grid: n <= 3, i in 4..5, j in (2, 3), all 1 <= r, s <= n, "
+                          "basis weight <= 3, jet order 5\nfound: True\n")
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    # every option does something: an option that would be accepted and
+    # ignored (--timings outside verify, a jet order the witness search
+    # never reads) is not on the list, so argparse refuses it with exit 2
+    top = _build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [s for a in p._actions for s in a.option_strings]
+        for name, p in sub.choices.items()
+    }
+    tail = ["--json", "--out"]
+    assert got == {
+        "verify": ["-h", "--help", "--identity", "--suite", "--n", "--r", "--s", "--i",
+                   "--j", "--k", "--nmax", "--degree", "--K", "--seed", "--timings", *tail],
+        "expand": ["-h", "--help", "--n", "--r", "--order", "--degree", "--K", *tail],
+        "tbinom": ["-h", "--help", "--n", "--r", "--K", *tail],
+        "jack": ["-h", "--help", "--n", "--degree", "--beta", *tail],
+        "witness": ["-h", "--help", "--nmax", "--order-max", "--degree", "--expect", *tail],
+    }
 
 
 def test_importing_the_cli_leaves_argparse_out():
@@ -263,6 +293,13 @@ def test_commutator_residuals_are_pinned():
     assert _cli_digest(
         "witness", "--nmax", "4", "--order-max", "4", "--degree", "4", "--json"
     ) == "cdfc915ee7e1c03959e4d717dcfeedd26736b7c639d7ba800024595f365694bc"
+
+
+def test_jack_table_is_pinned():
+    # weights 1..5 at n = 4 on one window at a non-integer coupling
+    assert _cli_digest("jack", "--n", "4", "--degree", "5", "--beta", "7/5", "--json") == (
+        "f24ef7e844870afcdd608202e7a35ae1d0a5b1de4b24ab842e89c11b8e5c739b"
+    )
 
 
 def test_jet_order_zero_is_accepted():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from macdunkl import DegenerateSpectrumError, dominates
+from macdunkl.operators import window
+from macdunkl.verify import jack
 from macdunkl.verify.jack import jack_solve
 
 
@@ -50,3 +52,22 @@ def test_schur_specialization_weight3():
     # m_(2,1) + 2 m_(1,1,1)
     got = dict(jack_solve(3, 3, 1))
     assert got[(2, 1)] == {(2, 1): 1, (1, 1, 1): 2}
+
+
+def test_blocks_come_from_one_window(monkeypatch):
+    # H_2 and H_3 are read once, on the window the explicit-form checks
+    # verify; each weight block is a slice of it
+    asked = []
+    matrix = jack.primitive_matrix
+
+    def spy(factor, n, basis):
+        asked.append((factor[1:], basis))
+        return matrix(factor, n, basis)
+
+    monkeypatch.setattr(jack, "primitive_matrix", spy)
+    for n, degree in ((1, 3), (3, 4), (4, 5)):
+        del asked[:]
+        table = jack_solve(n, degree, Fraction(7, 5))
+        assert asked == [((2,), window(degree, n)), ((3,), window(degree, n))]
+        assert [lam for lam, _ in table] == list(window(degree, n))
+

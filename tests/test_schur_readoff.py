@@ -17,7 +17,9 @@ from macdunkl.operators import (
     _cross_product,
     _subset_sign,
     macdonald_scalar_part,
+    primitive_matrix,
 )
+from macdunkl.verify.closedforms import _product
 from macdunkl.verify.typesums import TYPE_EDGES, type_sum_raw_apply
 from test_operators import _subset_perm
 
@@ -44,23 +46,27 @@ def test_type_numerators_match_division(monkeypatch):
     q E_1 f summed over all m-subsets, against the numerator it stands
     for: g cof with g = g1 - sum_(u=2..m) K_1u g1, g1 = n_in[1] E_1 f,
     n_in[1] = q V_(2..m) and cof = V_n / V_m, summed with signs over all
-    m-subsets and divided exactly by V_n."""
+    m-subsets and divided exactly by V_n.  The support sums are kernel
+    columns of cached matrices over the b-ring, so the caches start empty
+    and the spy works over the ring of h."""
     seen = []
     block = operators._block_divided_difference
 
     def spy(h, r, k):
         got = block(h, r, k)
-        n = h.n
-        g1 = h * vandermonde(n, RQ, range(2, k + 1))
+        n, ring = h.n, h.ring
+        g1 = h * vandermonde(n, ring, range(2, k + 1))
         g = g1
         for u in range(2, k + 1):
             g = g - g1.swap(1, u)
-        cof = exact_div(vandermonde(n, RQ), vandermonde(n, RQ, range(1, k + 1)))
-        total = operators._from_coords(operators._subset_sum_coords(got, k), n, RQ)
+        cof = exact_div(vandermonde(n, ring), vandermonde(n, ring, range(1, k + 1)))
+        total = operators._from_coords(operators._subset_sum_coords(got, k), n, ring)
         seen.append((n, k, r, total, alternate_by_division(g, cof, k)))
         return got
 
     monkeypatch.setattr(operators, "_block_divided_difference", spy)
+    primitive_matrix.cache_clear()
+    _product.cache_clear()
     for n in (4, 5, 6):
         for r in range(1, n + 1):
             for tid in TYPE_EDGES:
