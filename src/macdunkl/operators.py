@@ -61,9 +61,8 @@ slice D_k(n, r), the h^k coefficient, is one more primitive operator
 
 The Macdonald formula reads a_e / a_delta off in the Schur basis
 (a_(lam+delta) = a_delta s_lam) and turns it into monomial coordinates
-by a Kostka table, never dividing by the n!-term product.  The raw type
-sums (``verify.typesums``) read their pattern sums over V_(2..m) off
-alternant coefficients of their own through the same function.
+by a Kostka table, never dividing by the n!-term product
+(``_readoff_coords``, called by ``_macdonald_column`` alone).
 
 Subset sums exploit symmetry: for a symmetric argument f the term of
 the subset S is the order-preserving relabeling of the term of {1..k},

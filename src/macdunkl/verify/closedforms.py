@@ -39,7 +39,7 @@ from ..operators import (
     primitive_matrix,
     reflection_square_op,
 )
-from ..rings import BetaPoly, binom_ff
+from ..rings import BetaPoly, binom_ff, qnorm
 from ..tbinom import scaled_taylor_coeff_closed
 
 RB = Ring.uni("b")
@@ -88,11 +88,13 @@ def coeff_bh2(n: int, r: int) -> Fraction:
 # as a matrix on an m-basis window; a check on a b-free form takes the b^0
 # slice of that matrix itself.  Composition is the matrix product; _product
 # keeps each product once per (factors, n, window), shared like the
-# primitives, so a repeated check multiplies no matrices and only scales
-# and adds the cached products.  The product is exact because the window
-# holds every partition of each weight it touches and every primitive
-# keeps the weight (the matrix builder refuses a window or an operator
-# that breaks either).
+# primitives, so a repeated check multiplies no matrices: _combo adds c
+# times each coefficient of each cached product's entries into one table
+# {(mu, lam): {b power: rational}} and builds each entry's b-polynomial
+# once, with no intermediate matrix per term.  The product is exact
+# because the window holds every partition of each weight it touches and
+# every primitive keeps the weight (the matrix builder refuses a window
+# or an operator that breaks either).
 
 L1, L2, L3, L4 = (l_op, 1), (l_op, 2), (l_op, 3), (l_op, 4)
 H1, H2, H3 = (h_op, 1), (h_op, 2), (h_op, 3)
@@ -106,7 +108,40 @@ REFL2 = (reflection_square_op,)
 
 def _combo(n: int, basis, terms) -> OperatorMatrix:
     """Matrix over b-polynomials of sum c * b^j * (product of factors) over
-    the terms (c, j, factors)."""
+    the terms (c, j, factors), accumulated in one pass: every coefficient
+    of every entry of each cached product, times c, goes into one table,
+    and each nonzero entry becomes a BetaPoly once.  A coefficient that is
+    not an int or a Fraction, 0.0 included, is refused (TypeError)."""
+    basis = tuple(basis)
+    table = {}
+    for c, j, factors in terms:
+        c = qnorm(c)
+        if not c:
+            continue
+        if not factors:
+            for lam in basis:
+                cell = table.setdefault((lam, lam), {})
+                cell[j] = cell.get(j, 0) + c
+            continue
+        for key, v in _product(factors, n, basis).entries.items():
+            cell = table.setdefault(key, {})
+            for e, a in v.coeffs.items():
+                e += j
+                cell[e] = cell.get(e, 0) + c * a
+    entries = {}
+    for key, cell in table.items():
+        coeffs = {e: qnorm(a) for e, a in cell.items() if a}
+        if coeffs:
+            # already normalized: skip the constructor's second pass
+            entry = BetaPoly.__new__(BetaPoly)
+            entry.coeffs = coeffs
+            entries[key] = entry
+    return OperatorMatrix(n, RB, basis, entries)
+
+
+def _combo_literal(n: int, basis, terms) -> OperatorMatrix:
+    """Oracle for ``_combo``: each term scaled as a whole matrix by the
+    one-term BetaPoly c * b^j and added to the running sum."""
     basis = tuple(basis)
     out = OperatorMatrix(n, RB, basis, {})
     for c, j, factors in terms:

@@ -224,7 +224,17 @@ def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
 # -- commutators -------------------------------------------------------------
 
 
+def _require_distinct(left, right, names: str):
+    """Refuse a commutator of an operator with itself: it is zero
+    whatever the operator is, so its check could never fail."""
+    if left == right:
+        raise DomainError(
+            f"a commutator of an operator with itself is zero: need {names}, got both {left}"
+        )
+
+
 def check_h_commutator(n: int, i: int, j: int, degree: int = 4):
+    _require_distinct(i, j, "i != j")
     basis = window(degree, n)
     a = primitive_matrix((h_op, i), n, basis)
     b = primitive_matrix((h_op, j), n, basis)
@@ -249,6 +259,7 @@ def check_macdonald_commutator(n: int, r: int, s: int, seed: int = 0, degree: in
     tried are reported as the ``qt`` finding."""
     basis = window(degree, n)
     _require_rank(n, r=r, s=s)
+    _require_distinct(r, s, "r != s")
     residual = None
     tried = []
     for q, t in _seeded_qt_pairs(n, r, s, seed):
@@ -265,6 +276,7 @@ def check_orderwise_commutator(
     n: int, r: int, s: int, i: int, j: int, degree: int = 4, K: int = 4
 ):
     _require_rank(n, r=r, s=s)
+    _require_distinct((r, i), (s, j), "(r, i) != (s, j)")
     a = extract_order(n, r, i, degree, K)
     b = extract_order(n, s, j, degree, K)
     return _matrix_residual(a.commutator_with(b), "commutator")

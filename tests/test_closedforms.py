@@ -8,8 +8,15 @@ import pytest
 from macdunkl import BetaPoly, Ring, operators
 from macdunkl.errors import DomainError
 from macdunkl.multipoly import partitions_upto
-from macdunkl.operators import OperatorMatrix, extract_order, h_op, operator_matrix, primitive_matrix
-from macdunkl.rings import binom_ff
+from macdunkl.operators import (
+    OperatorMatrix,
+    extract_order,
+    h_op,
+    operator_matrix,
+    primitive_matrix,
+    window,
+)
+from macdunkl.rings import binom_ff, qnorm
 from macdunkl.tbinom import TPoly, scaled_taylor_coeff_closed
 from macdunkl.verify import closedforms, typesums, verify_identity
 from macdunkl.verify.closedforms import (
@@ -25,6 +32,7 @@ from macdunkl.verify.closedforms import (
     L3,
     M11,
     _combo,
+    _combo_literal,
     _product,
     beta2_h3_lhs,
     beta2_h3_rhs_b,
@@ -456,3 +464,115 @@ def test_every_term_table_is_exact():
     for factor, n in least_n.items():
         basis = tuple(partitions_upto(2, n))
         assert primitive_matrix(factor, n, basis).basis == basis, factor
+
+
+# -- the accumulation pass against its literal oracle ---------------------
+
+
+def _parity_grid():
+    """{family: [(n, window, table)]} of every table the registry
+    evaluates: the closed forms at n <= 6 and every valid r on
+    window(3, n), each type side at (6, 3) and (7, 3) on window(2, n)."""
+    grid = {}
+    for n in range(1, 7):
+        basis = window(3, n)
+        for r in range(1, n + 1):
+            for form in (first_order, second_order, third_order_raw, third_order_dunkl):
+                grid.setdefault(form.__name__, []).append((n, basis, form(n, r)))
+            for j in range(4):
+                grid.setdefault(f"third_order_slice_{j}", []).append(
+                    (n, basis, third_order_slice(j, n, r))
+                )
+        for form, r in FIXED_RANK_FORMS:
+            if r <= n:
+                grid.setdefault(f"{form.__name__}_r{r}", []).append((n, basis, form(n, r)))
+        for form in (
+            h1_explicit, h2_explicit_pairs, h2_explicit_b, h3_explicit, beta2_h3_lhs,
+            beta2_h3_rhs_pairs, beta2_h3_rhs_b,
+        ):
+            grid.setdefault(form.__name__, []).append((n, basis, form(n)))
+    for n, r in ((6, 3), (7, 3)):
+        for tid in range(1, 7):
+            for terms in (typesums._raw_terms, typesums._closed_terms):
+                grid.setdefault(f"{terms.__name__}_{tid}", []).append(
+                    (n, window(2, n), terms(n, r, tid))
+                )
+    return grid
+
+
+PARITY_GRID = _parity_grid()
+
+
+def _assert_same_entries(got, want):
+    """Entry by entry, the same b-polynomials with the same coefficient
+    types.  The literal adds through BetaPoly.__add__, which leaves an
+    integral sum of fractions as Fraction(k, 1); the accumulation pass
+    normalizes every coefficient, so its type is that of qnorm of the
+    literal's."""
+    assert (got.n, got.ring, got.basis) == (want.n, want.ring, want.basis)
+    assert got.entries.keys() == want.entries.keys()
+    for key, entry in got.entries.items():
+        coeffs = want.entries[key].coeffs
+        assert type(entry) is BetaPoly and entry.coeffs == coeffs, key
+        types = {e: type(qnorm(c)) for e, c in coeffs.items()}
+        assert {e: type(c) for e, c in entry.coeffs.items()} == types, key
+
+
+@pytest.mark.parametrize("family", sorted(PARITY_GRID))
+def test_accumulation_matches_the_literal_sum(family):
+    nonzero = False
+    for n, basis, table in PARITY_GRID[family]:
+        got = _combo(n, basis, table)
+        _assert_same_entries(got, _combo_literal(n, basis, table))
+        nonzero = nonzero or not got.is_zero()
+    assert nonzero, family
+
+
+def test_parity_sees_one_changed_coefficient():
+    n, basis, table = 4, window(3, 4), third_order_dunkl(4, 2)
+    want = _combo_literal(n, basis, table)
+    _assert_same_entries(_combo(n, basis, table), want)
+    for i, (c, j, factors) in enumerate(table):
+        changed = table[:i] + [(c + 1, j, factors)] + table[i + 1:]
+        with pytest.raises(AssertionError):
+            _assert_same_entries(_combo(n, basis, changed), want)
+
+
+def test_accumulation_builds_no_intermediate_matrix(monkeypatch):
+    """On cached products, _combo neither adds nor scales a matrix and
+    does no BetaPoly arithmetic: each entry is built once from its sums."""
+    n, basis = 4, window(3, 4)
+    tables = [third_order_dunkl(4, 2), third_order_raw(4, 2), h3_explicit(4)]
+    want = [_combo_literal(n, basis, table) for table in tables]
+    calls = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            calls.append(f"{cls.__name__}.{name}")
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for name in ("__add__", "scale"):
+        spy(OperatorMatrix, name)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        spy(BetaPoly, name)
+    got = [_combo(n, basis, table) for table in tables]
+    assert calls == []
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        _assert_same_entries(g, w)
+
+
+def test_an_inexact_coefficient_is_refused():
+    # the two float terms cancel to 0.0: a sum that dropped zeros without
+    # normalizing each coefficient first would pass them unnoticed
+    terms = [(0.5, 0, (L1,)), (-0.5, 0, (L1,))]
+    for combo in (_combo, _combo_literal):
+        with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got float 0.5$"):
+            combo(3, window(2, 3), terms)
+    # the literal skips a zero term before it looks at its type
+    with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got float 0.0$"):
+        _combo(3, window(2, 3), [(0.0, 0, (L1,))])

@@ -218,6 +218,36 @@ REFUSALS = [
 ]
 
 
+# (identity, params, its CLI flags besides --n 3, the end of the refusal)
+SELF_COMMUTATORS = [
+    ("h_commutator", {"n": 3, "i": 3, "j": 3}, ["--i", "3", "--j", "3"], r"i != j, got both 3"),
+    (
+        "macdonald_commutator",
+        {"n": 3, "r": 2, "s": 2},
+        ["--r", "2", "--s", "2"],
+        r"r != s, got both 2",
+    ),
+    (
+        "orderwise_commutator",
+        {"n": 3, "r": 2, "s": 2, "i": 1, "j": 1},
+        ["--r", "2", "--s", "2", "--i", "1", "--j", "1"],
+        r"\(r, i\) != \(s, j\), got both \(2, 1\)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, flags, reason", SELF_COMMUTATORS, ids=[c[0] for c in SELF_COMMUTATORS]
+)
+def test_self_commutators_are_refused(name, params, flags, reason, capsys):
+    # [A, A] = 0 for every A, so such a check would pass whatever A is
+    message = rf"^a commutator of an operator with itself is zero: need {reason}$"
+    with pytest.raises(DomainError, match=message):
+        verify_identity(name, **params)
+    assert main(["verify", "--identity", name, "--n", "3", *flags]) == 2
+    assert re.match(message, capsys.readouterr().err.removeprefix("error: ").rstrip())
+
+
 @pytest.mark.parametrize("name, params, flags, message", REFUSALS, ids=[r[0] for r in REFUSALS])
 def test_binding_refusals(name, params, flags, message, capsys):
     with pytest.raises(DomainError, match=message):
