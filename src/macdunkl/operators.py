@@ -77,6 +77,14 @@ with a ``_literal`` suffix: per subset, per Dunkl chain, entry by entry,
 or by exact division, the only callers of ``exact_div`` here) and the
 tests compare each with its fast path.
 
+Every loop over exponent keys is in ``multipoly``, which alone knows the
+packed key format: the divided difference, the exchange check
+(``MultiPoly.asymmetric_exchange``), the q-shift scaling
+(``MultiPoly.scale_by``), the orbit sums of a subset sum, the lift of a
+kernel numerator into n variables and the polynomial of m-coordinates
+(``from_msym_coords``).  This module reads no ``.terms`` and calls no
+``MultiPoly`` constructor.
+
 Matrix products and commutators of rational and b-polynomial matrices
 run in integers: each operand is scaled once by the lcm of its entry
 denominators, and only the nonzero entries of the result are turned
@@ -99,6 +107,7 @@ from .multipoly import (
     _orbit_size,
     _require_partition,
     exact_div,
+    from_msym_coords,
     kostka_table,
     monomial_symmetric,
     partitions_of,
@@ -136,7 +145,7 @@ class LinearOperator:
             for mu, v in self.column(lam).items():
                 v = v * c
                 image[mu] = image[mu] + v if mu in image else v
-        return _from_coords(image, self.n, self.ring)
+        return from_msym_coords(image, self.n, self.ring)
 
 
 # -- subset sums ----------------------------------------------------------
@@ -166,11 +175,7 @@ def _subset_sum_coords(unit: MultiPoly, k: int) -> dict:
     if k > n:
         return {}
     _require_block_symmetric(unit, [*range(k - 1), *range(k, n - 1)], "subset-sum unit")
-    sums = {}
-    for key, c in unit.terms.items():
-        row = sums.setdefault(tuple(sorted(key[:n], reverse=True)), {})
-        row[key[n:]] = row.get(key[n:], 0) + c
-    return _orbit_means(sums, n, binom(n, k), unit.ring)
+    return _orbit_means(unit.orbit_sums(), n, binom(n, k), unit.ring)
 
 
 def _orbit_means(sums, n: int, count, ring: Ring) -> dict:
@@ -190,19 +195,11 @@ def _orbit_means(sums, n: int, count, ring: Ring) -> dict:
 def _require_block_symmetric(f: MultiPoly, positions, name: str):
     """Exchanging x_(a+1) and x_(a+2), for each a in positions, must leave
     f unchanged; else InexactDivisionError carrying f."""
-    terms = f.terms
-    for a in positions:
-        for key, c in terms.items():
-            u, v = key[a], key[a + 1]
-            if u == v:
-                continue
-            swapped = key[:a] + (v, u) + key[a + 2:]
-            # the values are compared once per pair, from its u > v side
-            ok = swapped in terms if u < v else terms.get(swapped) == c
-            if not ok:
-                raise InexactDivisionError(
-                    f"{name} is not symmetric under exchanging x{a + 1} and x{a + 2}", f
-                )
+    a = f.asymmetric_exchange(positions)
+    if a is not None:
+        raise InexactDivisionError(
+            f"{name} is not symmetric under exchanging x{a + 1} and x{a + 2}", f
+        )
 
 
 def _readoff_coords(alternants, n: int):
@@ -236,17 +233,6 @@ def _readoff_coords(alternants, n: int):
         if nonzero:
             out[mu] = nonzero
     return out
-
-
-def _from_coords(coords, n: int, ring: Ring) -> MultiPoly:
-    """sum over mu of coords[mu] m_mu, coords[mu] a ring scalar."""
-    out = {}
-    for mu, scalar in coords.items():
-        by_aux = ring.aux_keys_of(scalar)
-        for e in _distinct_permutations(mu + (0,) * (n - len(mu))):
-            for aux, c in by_aux.items():
-                out[e + aux] = qnorm(c)
-    return MultiPoly(n, ring, out)
 
 
 def _require_symmetric(f: MultiPoly, opname: str) -> dict:
@@ -306,7 +292,7 @@ def qshift_apply(i: int, qval, f: MultiPoly) -> MultiPoly:
     qval^(x_i exponent)."""
     if not 1 <= i <= f.n:
         raise DomainError("shift index out of range")
-    return _shift_subset(f, (i,), partial(_rational_power, qval))
+    return f.scale_by((i,), partial(_rational_power, qval))
 
 
 def qshift_slice(i: int, k: int, f: MultiPoly) -> MultiPoly:
@@ -315,31 +301,7 @@ def qshift_slice(i: int, k: int, f: MultiPoly) -> MultiPoly:
     exponent.  f must have b-polynomial coefficients."""
     if not 1 <= i <= f.n:
         raise DomainError("shift index out of range")
-    return _shift_subset(f, (i,), lambda e: exp_sum_slice({(e, 0): 1}, k))
-
-
-def _shift_subset(f: MultiPoly, subset, power) -> MultiPoly:
-    """Scale each monomial of f by the ring scalar power(e), e its total
-    exponent in the variables of the subset, in one pass: power(e) is
-    expanded into aux pairs once per distinct e."""
-    n, ring = f.n, f.ring
-    idx = [i - 1 for i in subset]
-    scalars = {}
-    out = {}
-    for k, c in f.terms.items():
-        e = sum(k[i] for i in idx)
-        aux = scalars.get(e)
-        if aux is None:
-            aux = scalars[e] = ring.aux_keys_of(power(e))
-        head, tail = k[:n], k[n:]
-        for ak, ac in aux.items():
-            nk = head + tuple(x + y for x, y in zip(tail, ak))
-            s = out.get(nk, 0) + c * ac
-            if s:
-                out[nk] = qnorm(s)
-            else:
-                del out[nk]
-    return MultiPoly(n, ring, out)
+    return f.scale_by((i,), lambda e: exp_sum_slice({(e, 0): 1}, k))
 
 
 def _rational_power(val, e: int):
@@ -347,34 +309,6 @@ def _rational_power(val, e: int):
 
 
 # -- divided differences -------------------------------------------------
-
-
-def _divided_difference(f: MultiPoly, i: int, j: int) -> MultiPoly:
-    """d_ij f = (1 - K_ij) f / (x_i - x_j), term by term: with
-    lo = min(u, v) and hi = max(u, v),
-    (x_i^u x_j^v - x_i^v x_j^u)/(x_i - x_j)
-    = sign(u - v) sum_{p < hi - lo} x_i^(lo+p) x_j^(hi-1-p).
-    The aux slots ride along, so every ring takes the same path."""
-    a, b = i - 1, j - 1
-    out = {}
-    for key, c in f.terms.items():
-        u, v = key[a], key[b]
-        if u == v:
-            continue
-        if u > v:
-            lo, hi = v, u
-        else:
-            lo, hi, c = u, v, -c
-        lk = list(key)
-        for p in range(hi - lo):
-            lk[a], lk[b] = lo + p, hi - 1 - p
-            k = tuple(lk)
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return MultiPoly(f.n, f.ring, out)
 
 
 def _block_divided_difference(g: MultiPoly, r: int, k: int) -> MultiPoly:
@@ -390,12 +324,12 @@ def _block_divided_difference(g: MultiPoly, r: int, k: int) -> MultiPoly:
     _require_block_symmetric(g, [*range(r - 1), *range(r, k - 1)], "block numerator")
     for top in range(r, 0, -1):
         for j in range(top, top + k - r):
-            g = _divided_difference(g, j, j + 1)
+            g = g.divided_difference(j, j + 1)
     return g
 
 
 def _divided_difference_literal(f: MultiPoly, i: int, j: int) -> MultiPoly:
-    """``_divided_difference`` by dividing (1 - K_ij) f exactly by
+    """``MultiPoly.divided_difference`` by dividing (1 - K_ij) f exactly by
     x_i - x_j."""
     return exact_div(
         f - f.swap(i, j), MultiPoly.variable(i, f.n, f.ring) - MultiPoly.variable(j, f.n, f.ring)
@@ -407,12 +341,8 @@ def _reflection_sum(i: int, f: MultiPoly) -> MultiPoly:
     acc = MultiPoly.zero(f.n, f.ring)
     for j in range(1, f.n + 1):
         if j != i:
-            acc = acc + _divided_difference(f, i, j)
-    # times x_i: raise every term's x_i exponent by one
-    a = i - 1
-    return MultiPoly(
-        f.n, f.ring, {k[:a] + (k[a] + 1,) + k[i:]: c for k, c in acc.terms.items()}
-    )
+            acc = acc + f.divided_difference(i, j)
+    return acc * MultiPoly.variable(i, f.n, f.ring)
 
 
 # -- orbit representatives under S_1 x S_(n-1) ------------------------------
@@ -442,7 +372,7 @@ def _euler_reps(reps) -> dict:
 def _push(reps, bump: int = 0, out=None) -> dict:
     """b^bump A_1 g = b^bump x_1 sum_(j != 1) d_1j g on representatives of
     g, added into out.  d_1j sends x_1^u x_j^v to the geometric sum of
-    ``_divided_difference``; over the S_(n-1) orbit of rest the pairs
+    ``MultiPoly.divided_difference``; over the S_(n-1) orbit of rest the pairs
     (monomial, j) with x_j exponent v number |orbit| m_v, m_v the
     multiplicity of v in rest, so each representative is pushed once per
     distinct value v of rest, with weight m_v G."""
@@ -543,8 +473,7 @@ def _kernel_column(num: MultiPoly, r: int, l: int, n: int, ring: Ring, lam) -> d
     f = monomial_symmetric(lam, n, ring)
     for _ in range(l):
         f = sum((f.euler(i) for i in range(2, r + 1)), f.euler(1))
-    pad = (0,) * (n - k + ring.aux_slots)
-    g = MultiPoly(n, ring, {e + pad: c for e, c in num.terms.items()}) * f
+    g = num.lift(n, ring) * f
     return _subset_sum_coords(_block_divided_difference(g, r, k), k)
 
 
@@ -683,7 +612,7 @@ def macdonald_apply_literal(n: int, r: int, qval, tval, f: MultiPoly) -> MultiPo
             _cross_product(n, ring, subset, tval)
             * vandermonde(n, ring, subset)
             * vandermonde(n, ring, comp)
-            * _shift_subset(f, subset, partial(_rational_power, qval))
+            * f.scale_by(subset, partial(_rational_power, qval))
         )
         total = total + (piece if _subset_sign(subset, n) == 1 else -piece)
     quot = exact_div(total, vandermonde(n, ring))

@@ -147,7 +147,7 @@ class BetaPoly:
         for k, c in other.coeffs.items():
             s = out.get(k, 0) + c
             if s:
-                out[k] = s
+                out[k] = qnorm(s)
             else:
                 out.pop(k, None)
         res = BetaPoly.__new__(BetaPoly)

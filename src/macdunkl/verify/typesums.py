@@ -180,9 +180,10 @@ def _canonical_sums(tid: int):
         s = s + term
     for i in range(1, a):
         s = s * (x[m] - x[i])
-    block = _block_divided_difference(s, a - 1, m - 1)
-    q = MultiPoly(m, RQ, {k[-1:] + k[:-1]: c for k, c in block.terms.items()})
-    ac = _block_divided_difference(q, 1, m).terms.get((0,) * m, 0)
+    # the block is symmetric in x_1..x_(m-1) (checked), so exchanging x_1
+    # and x_m moves x_m to the front as the rotation would
+    q = _block_divided_difference(s, a - 1, m - 1).swap(1, m)
+    ac = _block_divided_difference(q, 1, m).constant_term()
     return qnorm(Fraction(ac, a)), q
 
 
@@ -364,9 +365,9 @@ def _apply_terms(n: int, tid: int, terms, f: MultiPoly) -> MultiPoly:
         raise DomainError("type sums run over the rational ring")
     # refused before a matrix is built: the window can be large
     _require_symmetric(f, f"type sum {tid}")
-    d = max(map(sum, f.terms), default=0)
+    d = f.degree()
     columns = {}
-    if d:
+    if d > 0:
         for (mu, lam), v in _combo(n, window(d, n), terms).beta_slice(0).entries.items():
             columns.setdefault(lam, {})[mu] = v
     return LinearOperator(n, RQ, lambda lam: columns.get(lam, {}), f"type sum {tid}")(f)

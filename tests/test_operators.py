@@ -20,18 +20,15 @@ from macdunkl import (
     to_msym_coords,
 )
 from macdunkl.errors import DomainError, InexactDivisionError, NonSymmetricError
-from macdunkl.multipoly import partitions_upto
+from macdunkl.multipoly import from_msym_coords, partitions_upto
 from macdunkl.operators import (
     LinearOperator,
     OperatorMatrix,
     _macdonald_column,
     _matrix_product_literal,
     _rational_power,
-    _shift_subset,
     _subset_sum_coords,
-    _divided_difference,
     _divided_difference_literal,
-    _from_coords,
     b_op,
     b_op_apply_literal,
     dunkl_apply,
@@ -102,7 +99,7 @@ def test_qshift_two_vars_multiplies():
 
 
 def _shift_subset_grouped(f, subset, power):
-    """Oracle for _shift_subset: one polynomial per exponent group e,
+    """Oracle for MultiPoly.scale_by: one polynomial per exponent group e,
     scaled by power(e) and added into a growing sum."""
     n, ring = f.n, f.ring
     pieces = {}
@@ -136,7 +133,7 @@ def test_shift_subset_matches_grouped_scaling(ring):
                 for subset in combinations(range(1, n + 1), size):
                     for power in powers:
                         want = _shift_subset_grouped(f, subset, power)
-                        assert _shift_subset(f, subset, power) == want, (n, subset, f.render())
+                        assert f.scale_by(subset, power) == want, (n, subset, f.render())
 
 
 def test_dunkl_examples():
@@ -177,7 +174,7 @@ def test_dunkl_always_polynomial(pairs):
             for j in (1, 2, 3):
                 if i != j:
                     want = _divided_difference_literal(f, i, j)
-                    assert _divided_difference(f, i, j) == want, (ring, i, j)
+                    assert f.divided_difference(i, j) == want, (ring, i, j)
             if ring.kind != "q":
                 dunkl_apply(i, f)
 
@@ -340,8 +337,9 @@ def test_chain_primitives_run_on_representatives(monkeypatch):
     def refuse(*args):
         raise AssertionError("a chain primitive ran on a polynomial")
 
-    for name in ("dunkl_apply", "_reflection_sum", "_divided_difference"):
+    for name in ("dunkl_apply", "_reflection_sum"):
         monkeypatch.setattr(macdunkl.operators, name, refuse)
+    monkeypatch.setattr(MultiPoly, "divided_difference", refuse)
     factors = [*((h_op, k) for k in (1, 2, 3, 4)), (pair_ratio_op,), (reflection_square_op,)]
     for n in range(2, 6):
         basis = tuple(partitions_upto(4, n))
@@ -642,7 +640,7 @@ def test_sum_over_subsets_matches_every_relabeling():
                         tuple(key[perm.index(p)] for p in range(n)) + key[n:]: c
                         for key, c in unit.terms.items()
                     })
-                assert _from_coords(_subset_sum_coords(unit, k), n, ring) == want, (ring, n, k)
+                assert from_msym_coords(_subset_sum_coords(unit, k), n, ring) == want, (ring, n, k)
 
 
 def test_sum_over_subsets_refuses_a_unit_that_is_not_block_symmetric():

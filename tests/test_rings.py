@@ -39,6 +39,18 @@ def test_beta_poly_basic():
     assert not (p - p)
 
 
+def test_beta_poly_sums_are_normalized():
+    """An integral sum of fractions is stored as an int, as ``qnorm``
+    promises; the rendered text was the same either way."""
+    for total in (
+        BetaPoly({0: Fraction(1, 2)}) + BetaPoly({0: Fraction(3, 2)}),
+        BetaPoly({0: Fraction(1, 2), 1: 1}) - Fraction(-3, 2),
+        Fraction(1, 3) + BetaPoly({0: Fraction(5, 3)}),
+    ):
+        assert total.coeffs[0] == 2 and type(total.coeffs[0]) is int, total.coeffs
+        assert total.render().startswith("2")
+
+
 def test_beta_poly_no_zero_coeffs():
     p = BetaPoly({0: 1, 1: 0, 2: Fraction(0)})
     assert p.coeffs == {0: 1}

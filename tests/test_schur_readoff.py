@@ -10,7 +10,7 @@ import pytest
 
 from macdunkl import BetaPoly, MultiPoly, Ring, monomial_symmetric, to_msym_coords
 from macdunkl.errors import InexactDivisionError
-from macdunkl.multipoly import exact_div, kostka_table, partitions_of, partitions_upto, vandermonde
+from macdunkl.multipoly import exact_div, from_msym_coords, kostka_table, partitions_of, partitions_upto, vandermonde
 from macdunkl import operators
 from macdunkl.operators import (
     _block_divided_difference,
@@ -60,7 +60,7 @@ def test_type_numerators_match_division(monkeypatch):
         for u in range(2, k + 1):
             g = g - g1.swap(1, u)
         cof = exact_div(vandermonde(n, ring), vandermonde(n, ring, range(1, k + 1)))
-        total = operators._from_coords(operators._subset_sum_coords(got, k), n, ring)
+        total = from_msym_coords(operators._subset_sum_coords(got, k), n, ring)
         seen.append((n, k, r, total, alternate_by_division(g, cof, k)))
         return got
 

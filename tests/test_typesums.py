@@ -17,9 +17,9 @@ from macdunkl import (
     exact_div,
     monomial_symmetric,
 )
-from macdunkl.multipoly import partitions_upto, vandermonde
+from macdunkl.multipoly import from_msym_coords, partitions_upto, vandermonde
 from macdunkl import operators
-from macdunkl.operators import _from_coords, _subset_sum_coords, primitive_matrix, window
+from macdunkl.operators import _subset_sum_coords, primitive_matrix, window
 from macdunkl.verify import typesums
 from macdunkl.verify.closedforms import B41, _combo, _product
 from macdunkl.verify.identities import TYPE_GRID, verify_identity
@@ -435,7 +435,7 @@ def _unit_sum_by_division(tid: int, n: int, f: MultiPoly) -> MultiPoly:
             ef = ef + f.euler(v)
         num = num + _pad(piece, n, ring) * ef
     unit = exact_div(num, vandermonde(n, ring, (1, 2, 3, 4)))
-    return _from_coords(_subset_sum_coords(unit, 4), n, ring)
+    return from_msym_coords(_subset_sum_coords(unit, 4), n, ring)
 
 
 @pytest.mark.parametrize("tid", [2, 6])
