@@ -718,7 +718,7 @@ class OperatorMatrix:
         db, b = _integer_columns(other)
         out = {}
         _add_integer_product(out, a, b)
-        return self._from_integer_cells(out, da * db)
+        return _from_integer_cells(self.n, self.ring, self.basis, out, da * db)
 
     def commutator_with(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self @ other - other @ self, both products accumulated in one
@@ -733,22 +733,7 @@ class OperatorMatrix:
             for lam, col in a.items()
         }
         _add_integer_product(out, b, negated)
-        return self._from_integer_cells(out, da * db)
-
-    def _from_integer_cells(self, cells, denom: int) -> "OperatorMatrix":
-        """The matrix over this window and ring whose entry at each key of
-        cells is sum_e c/denom b^e over the {e: c} table there, zero
-        entries omitted; a quotient that is exact stays an int."""
-        uni = self.ring.kind == "uni"
-        out = {}
-        for key, cell in cells.items():
-            coeffs = {
-                e: Fraction(c, denom) if c % denom else c // denom
-                for e, c in cell.items() if c
-            }
-            if coeffs:
-                out[key] = BetaPoly(coeffs) if uni else coeffs[0]
-        return OperatorMatrix(self.n, self.ring, self.basis, out)
+        return _from_integer_cells(self.n, self.ring, self.basis, out, da * db)
 
     def _compat(self, other: "OperatorMatrix"):
         if self.basis != other.basis or self.n != other.n or self.ring != other.ring:
@@ -791,6 +776,23 @@ class OperatorMatrix:
             (_pname(mu), _pname(lam), render_scalar(v, self.ring.var))
             for mu, lam, v in self.nonzero_cells()
         ]
+
+
+def _from_integer_cells(n: int, ring: Ring, basis, cells, denom: int) -> OperatorMatrix:
+    """The matrix over the window and ring whose entry at each key of
+    cells is sum_e c/denom b^e over the {e: c} table there, zero entries
+    omitted, so a table of zeros builds no scalar; a quotient that is
+    exact stays an int."""
+    uni = ring.kind == "uni"
+    out = {}
+    for key, cell in cells.items():
+        coeffs = {
+            e: Fraction(c, denom) if c % denom else c // denom
+            for e, c in cell.items() if c
+        }
+        if coeffs:
+            out[key] = BetaPoly(coeffs) if uni else coeffs[0]
+    return OperatorMatrix(n, ring, basis, out)
 
 
 def _integer_columns(mat: OperatorMatrix):

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from ..errors import DomainError
 from ..multipoly import Ring
 from ..operators import (
     OperatorMatrix,
+    _from_integer_cells,
     b_op,
     h_op,
     l_op,
@@ -88,10 +90,16 @@ def coeff_bh2(n: int, r: int) -> Fraction:
 # as a matrix on an m-basis window; a check on a b-free form takes the b^0
 # slice of that matrix itself.  Composition is the matrix product; _product
 # keeps each product once per (factors, n, window), shared like the
-# primitives, so a repeated check multiplies no matrices: _combo adds c
-# times each coefficient of each cached product's entries into one table
-# {(mu, lam): {b power: rational}} and builds each entry's b-polynomial
-# once, with no intermediate matrix per term.  The product is exact
+# primitives, so a repeated check multiplies no matrices.  Beside each
+# product _denominator keeps one int, the lcm d_P of its coefficients'
+# denominators; no integer copy of a matrix is kept.  _combo takes D, the
+# lcm of c's denominator times d_P over the terms, and adds the integer
+# c D p / q for each coefficient p/q of each cached product's entries
+# into one table {(mu, lam): {b power: int}}; each nonzero sum becomes a
+# rational over D, and each entry's b-polynomial is built once, with no
+# intermediate matrix per term.  A check is one table that must vanish
+# (the checked side a term of it, or the form's terms negated), so a
+# passing check builds no scalar at all.  The product is exact
 # because the window holds every partition of each weight it touches and
 # every primitive keeps the weight (the matrix builder refuses a window
 # or an operator that breaks either).
@@ -108,35 +116,33 @@ REFL2 = (reflection_square_op,)
 
 def _combo(n: int, basis, terms) -> OperatorMatrix:
     """Matrix over b-polynomials of sum c * b^j * (product of factors) over
-    the terms (c, j, factors), accumulated in one pass: every coefficient
-    of every entry of each cached product, times c, goes into one table,
-    and each nonzero entry becomes a BetaPoly once.  A coefficient that is
-    not an int or a Fraction, 0.0 included, is refused (TypeError)."""
+    the terms (c, j, factors), accumulated in integers over one common
+    denominator (see above), so a table that vanishes builds no scalar.
+    A coefficient that is not an int or a Fraction, 0.0 included, is
+    refused (TypeError)."""
     basis = tuple(basis)
-    table = {}
+    kept = []
+    denom = 1
     for c, j, factors in terms:
         c = qnorm(c)
-        if not c:
-            continue
+        if c:
+            kept.append((c, j, factors))
+            denom = lcm(denom, c.denominator * _denominator(factors, n, basis))
+    table = {}
+    for c, j, factors in kept:
+        m = c.numerator * (denom // c.denominator)
         if not factors:
             for lam in basis:
                 cell = table.setdefault((lam, lam), {})
-                cell[j] = cell.get(j, 0) + c
+                cell[j] = cell.get(j, 0) + m
             continue
         for key, v in _product(factors, n, basis).entries.items():
             cell = table.setdefault(key, {})
             for e, a in v.coeffs.items():
                 e += j
-                cell[e] = cell.get(e, 0) + c * a
-    entries = {}
-    for key, cell in table.items():
-        coeffs = {e: qnorm(a) for e, a in cell.items() if a}
-        if coeffs:
-            # already normalized: skip the constructor's second pass
-            entry = BetaPoly.__new__(BetaPoly)
-            entry.coeffs = coeffs
-            entries[key] = entry
-    return OperatorMatrix(n, RB, basis, entries)
+                a = a * m if type(a) is int else a.numerator * (m // a.denominator)
+                cell[e] = cell.get(e, 0) + a
+    return _from_integer_cells(n, RB, basis, table, denom)
 
 
 def _combo_literal(n: int, basis, terms) -> OperatorMatrix:
@@ -164,6 +170,17 @@ def _product(factors, n: int, basis) -> OperatorMatrix:
     if len(factors) == 1:
         return last
     return _product(factors[:-1], n, basis) @ last
+
+
+@cache
+def _denominator(factors, n: int, basis) -> int:
+    """The lcm of the denominators of the coefficients of the entries of
+    ``_product``, 1 for the empty product: the one int kept per product
+    beside its matrix."""
+    if not factors:
+        return 1
+    entries = _product(factors, n, basis).entries.values()
+    return lcm(*{a.denominator for v in entries for a in v.coeffs.values()})
 
 
 def first_order(n: int, r: int):

@@ -17,6 +17,12 @@ is refused, since on the empty window both sides are zero and every
 matrix check would pass.  One check, ``check_order_form``, compares a
 slice D_k(n, r) with any closed-form term table: its registry entries
 fix k and the form, and the rank where the form is printed at one.
+
+A matrix check on term tables is one table that must vanish: the
+checked side enters as a term or a table, the form's terms negated
+(``_difference``), so its residual is the difference matrix and a
+passing check builds no scalar.  ``check_ord5_beta`` alone subtracts
+matrices: it compares a b^j slice with a b^0 slice.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from ..operators import (
     operator_matrix,
     primitive_matrix,
     qshift_slice,
+    slice_op,
     window,
 )
 from ..rings import BetaPoly, render_scalar
@@ -100,6 +107,11 @@ def _scalar_residual(x, label="difference"):
     return {"kind": "scalar", "label": label, "value": render_scalar(x)}
 
 
+def _difference(left, right):
+    """The term table left minus right."""
+    return [*left, *((-c, j, factors) for c, j, factors in right)]
+
+
 # -- t-binomial checks ---------------------------------------------------
 
 
@@ -151,18 +163,19 @@ def check_scalar_part(n: int, r: int):
 
 def check_h_explicit(k: int, n: int, degree: int = 4):
     basis = window(degree, n)
-    actual = primitive_matrix((h_op, k), n, basis)
+
+    def residual(form, label="difference"):
+        terms = _difference([(1, 0, ((h_op, k),))], form(n))
+        return _matrix_residual(_combo(n, basis, terms), label)
+
     if k == 1:
-        return _matrix_residual(actual - _combo(n, basis, closedforms.h1_explicit(n)))
+        return residual(closedforms.h1_explicit)
     if k == 2:
-        pairs = _combo(n, basis, closedforms.h2_explicit_pairs(n))
-        bform = _combo(n, basis, closedforms.h2_explicit_b(n))
-        return (
-            _matrix_residual(actual - pairs, "vs kernel-ratio form")
-            or _matrix_residual(actual - bform, "vs B-operator form")
+        return residual(closedforms.h2_explicit_pairs, "vs kernel-ratio form") or residual(
+            closedforms.h2_explicit_b, "vs B-operator form"
         )
     if k == 3:
-        return _matrix_residual(actual - _combo(n, basis, closedforms.h3_explicit(n)))
+        return residual(closedforms.h3_explicit)
     raise DomainError("explicit forms exist for k = 1, 2, 3")
 
 
@@ -172,12 +185,14 @@ def check_beta2_h3(n: int, degree: int = 4):
     needs no comparison of its own: once both equal the lhs, they are
     equal."""
     basis = window(degree, n)
-    lhs = _combo(n, basis, closedforms.beta2_h3_lhs(n)).beta_slice(0)
-    rhs1 = _combo(n, basis, closedforms.beta2_h3_rhs_pairs(n)).beta_slice(0)
-    rhs2 = _combo(n, basis, closedforms.beta2_h3_rhs_b(n)).beta_slice(0)
-    return (
-        _matrix_residual(lhs - rhs1, "lhs vs kernel-ratio rhs")
-        or _matrix_residual(lhs - rhs2, "lhs vs B-operator rhs")
+    lhs = closedforms.beta2_h3_lhs(n)
+
+    def residual(rhs, label):
+        diff = _combo(n, basis, _difference(lhs, rhs(n))).beta_slice(0)
+        return _matrix_residual(diff, label)
+
+    return residual(closedforms.beta2_h3_rhs_pairs, "lhs vs kernel-ratio rhs") or residual(
+        closedforms.beta2_h3_rhs_b, "lhs vs B-operator rhs"
     )
 
 
@@ -188,15 +203,16 @@ def check_order_form(k: int, form, n: int, r: int, degree: int = 4, K: int = 4):
     """The slice D_k(n, r) against the term table form(n, r); a form
     printed at fixed ranks refuses any other r."""
     basis = window(degree, n)
-    got = extract_order(n, r, k, degree, K)
-    return _matrix_residual(got - _combo(n, basis, form(n, r)))
+    extract_order(n, r, k, degree, K)  # refuses k outside 0..K first
+    terms = _difference([(1, 0, ((slice_op, r, k),))], form(n, r))
+    return _matrix_residual(_combo(n, basis, terms))
 
 
 def check_ord3_raw_eq_dunkl(n: int, r: int, degree: int = 4):
     _require_rank(n, r=r)
     basis = window(degree, n)
-    raw = _combo(n, basis, closedforms.third_order_raw(n, r))
-    return _matrix_residual(raw - _combo(n, basis, closedforms.third_order_dunkl(n, r)))
+    terms = _difference(closedforms.third_order_raw(n, r), closedforms.third_order_dunkl(n, r))
+    return _matrix_residual(_combo(n, basis, terms))
 
 
 def check_ord5_beta(j: int, n: int, r: int, degree: int = 4, K: int = 4):
@@ -214,11 +230,8 @@ def check_type_matches(tid: int, n: int, r: int, degree: int = 3):
     """The raw type sum against its closed form, 0 <= r <= n: both sides
     term tables, each a combination of cached primitive matrices."""
     basis = window(degree, n)
-    raw, closed = (
-        _combo(n, basis, terms(n, r, tid)).beta_slice(0)
-        for terms in (_raw_terms, _closed_terms)
-    )
-    return _matrix_residual(raw - closed)
+    diff = _combo(n, basis, _difference(_raw_terms(n, r, tid), _closed_terms(n, r, tid)))
+    return _matrix_residual(diff.beta_slice(0))
 
 
 # -- commutators -------------------------------------------------------------

@@ -229,19 +229,23 @@ def type_sum_raw_apply(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _vandermonde_quotient(n: int, pairs: tuple) -> MultiPoly:
-    """V_n / prod_{(i, p) in pairs} (x_i - x_p) by exact division, for the
-    literal oracle.  It does not depend on the argument, and each pattern
-    recurs in several subsets, so it is cached per (n, sorted edges).  The
-    literal runs only at small n: at n = 6 the six types have 1320
-    patterns."""
-    den = MultiPoly.const(n, 1, RQ)
-    for i, p in pairs:
-        den = den * (MultiPoly.variable(i, n, RQ) - MultiPoly.variable(p, n, RQ))
-    return exact_div(vandermonde(n, RQ), den)
+    """V_n / prod_{(i, p) in pairs} (x_i - x_p), for the literal oracle:
+    the product of the factors x_i - x_j (i < j) of V_n that no pair
+    names, negated once per pair with i > p.  It does not depend on the
+    argument, so it is cached per (n, sorted edges).  The literal runs
+    only at small n: at n = 6 the six types have 1320 patterns."""
+    named = {frozenset(pair) for pair in pairs}
+    out = MultiPoly.const(n, (-1) ** sum(i > p for i, p in pairs), RQ)
+    for i, j in combinations(range(1, n + 1), 2):
+        if {i, j} not in named:
+            out = out * (MultiPoly.variable(i, n, RQ) - MultiPoly.variable(j, n, RQ))
+    return out
 
 
 def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
-    """Direct double sum over subsets and patterns (small n only)."""
+    """Direct double sum over subsets and patterns (small n only), grouped
+    by pattern: E_S f is summed over the subsets S that hold a pattern
+    before the pattern's one product with V_n over its edges."""
     a, b = _shape(tid)
     _require_type_rank(n, r)
     m = a + b
@@ -255,22 +259,26 @@ def type_sum_raw_literal(n: int, r: int, tid: int, f: MultiPoly) -> MultiPoly:
         for sup in combinations(range(1, n + 1), m)
         for edges in _patterns(tid)
     ]
-    acc = MultiPoly.zero(n, f.ring)
+    # E_S f per r-subset S, summed per pattern over the subsets holding it
+    efs = []
     for subset in combinations(range(1, n + 1), r):
-        sset = set(subset)
         ef = MultiPoly.zero(n, f.ring)
         for u in subset:
             ef = ef + f.euler(u)
+        efs.append((set(subset), ef))
+    acc = MultiPoly.zero(n, f.ring)
+    for edges in global_pats:
+        ef = MultiPoly.zero(n, f.ring)
+        for sset, e in efs:
+            if all(i in sset and p not in sset for i, p in edges):
+                ef = ef + e
         if not ef:
             continue
-        for edges in global_pats:
-            if not all(i in sset and p not in sset for i, p in edges):
-                continue
-            mono = [0] * n
-            for i, _ in edges:
-                mono[i - 1] += 1
-            quotient = _vandermonde_quotient(n, edges)
-            acc = acc + quotient * MultiPoly.monomial(tuple(mono), n, RQ) * ef
+        mono = [0] * n
+        for i, _ in edges:
+            mono[i - 1] += 1
+        quotient = _vandermonde_quotient(n, edges)
+        acc = acc + quotient * MultiPoly.monomial(tuple(mono), n, RQ) * ef
     return exact_div(acc, vn)
 
 

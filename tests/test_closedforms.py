@@ -1,5 +1,6 @@
 """Closed-form operator tests: the h^3 coefficients, order matching, Dunkl forms."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -52,6 +53,7 @@ from macdunkl.verify.closedforms import (
     third_order_raw,
     third_order_slice,
 )
+from macdunkl.verify.identities import _difference
 
 RB = Ring.uni("b")
 
@@ -468,12 +470,36 @@ def test_every_term_table_is_exact():
 
 # -- the accumulation pass against its literal oracle ---------------------
 
+# factors whose products carry denominators: d_P is 2 for the h^2 and h^3
+# slices and 24 for the h^4 slice of rank 1, and 1 for the Dunkl and
+# kernel primitives
+SLICE2, SLICE3, SLICE4 = ((operators.slice_op, 2, 2),), ((operators.slice_op, 2, 3),), (
+    (operators.slice_op, 1, 4),
+)
+SEEDED_FACTORS = (
+    (), (), (H1,), (H2,), (H1, H1), (B21, L1), (M11,), SLICE2, SLICE3, SLICE4,
+    (SLICE2[0], H1), (H1, SLICE3[0]),
+)
+
+
+def _seeded_table(seed: int, size: int = 12):
+    """A seeded term table: coefficients over the coprime denominators
+    1, 2, 3, 5, 7, 11, 13 with either sign, b shifts 0..3, and factors
+    drawn from SEEDED_FACTORS, empty products included."""
+    rng = random.Random(f"combo:{seed}")
+    table = []
+    for _ in range(size):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice((1, 2, 3, 5, 7, 11, 13)))
+        table.append((qnorm(c), rng.randint(0, 3), rng.choice(SEEDED_FACTORS)))
+    return table
+
 
 def _parity_grid():
     """{family: [(n, window, table)]} of every table the registry
     evaluates: the closed forms at n <= 6 and every valid r on
-    window(3, n), each type side at (6, 3) and (7, 3) on window(2, n)."""
-    grid = {}
+    window(3, n), each type side at (6, 3) and (7, 3) on window(2, n);
+    and eight seeded tables on window(3, 4)."""
+    grid = {f"seeded_{seed}": [(4, window(3, 4), _seeded_table(seed))] for seed in range(8)}
     for n in range(1, 7):
         basis = window(3, n)
         for r in range(1, n + 1):
@@ -576,3 +602,63 @@ def test_an_inexact_coefficient_is_refused():
     # the literal skips a zero term before it looks at its type
     with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got float 0.0$"):
         _combo(3, window(2, 3), [(0.0, 0, (L1,))])
+
+
+def test_seeded_tables_mix_what_they_claim():
+    """The seeded tables hold negative coefficients over coprime
+    denominators, identity terms with b shifts j > 0, and products whose
+    own denominators d_P exceed 1."""
+    terms = [t for seed in range(8) for t in _seeded_table(seed)]
+    assert any(c < 0 for c, _, _ in terms)
+    assert {5, 7, 11, 13} <= {Fraction(c).denominator for c, _, _ in terms}
+    assert any(not f and j > 0 for _, j, f in terms)
+    basis = window(3, 4)
+    assert {closedforms._denominator(f, 4, basis) for _, _, f in terms} >= {1, 2, 24}
+
+
+def _vanishing_tables():
+    """(n, window, table) of tables that cancel exactly: seeded tables
+    with their negations interleaved, and the residual tables of two
+    passing checks, raw minus Dunkl at h^3 and D_2(4, 2) minus its form."""
+    basis = window(3, 4)
+    for seed in range(4):
+        table = _seeded_table(seed)
+        cancelling = table + [(-c, j, f) for c, j, f in table]
+        random.Random(seed).shuffle(cancelling)
+        yield 4, basis, cancelling
+    yield 4, basis, _difference(third_order_raw(4, 2), third_order_dunkl(4, 2))
+    yield 4, basis, _difference([(1, 0, SLICE2)], second_order(4, 2))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_a_table_that_cancels_builds_no_scalar(monkeypatch, case):
+    """A table that cancels exactly gives the zero matrix, as the literal
+    does, and _combo constructs no BetaPoly and no Fraction on the way:
+    the spies count every BetaPoly built by its constructor, every
+    Fraction the evaluator's modules make, and every BetaPoly add or
+    product."""
+    n, basis, table = list(_vanishing_tables())[case]
+    assert _combo_literal(n, basis, table).is_zero()
+    _combo(n, basis, table)  # warm the products
+    built = []
+    init = BetaPoly.__init__
+
+    def counted_init(self, *args):
+        built.append("BetaPoly")
+        init(self, *args)
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            built.append("Fraction")
+            return Fraction(*args)
+
+    monkeypatch.setattr(BetaPoly, "__init__", counted_init)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(BetaPoly, name, lambda *args, name=name: built.append(name))
+    monkeypatch.setattr(closedforms, "Fraction", CountedFraction)
+    monkeypatch.setattr(operators, "Fraction", CountedFraction)
+    assert _combo(n, basis, table).is_zero()
+    assert built == []
+    # the spies see the scalars of a table that does not vanish
+    assert not _combo(n, basis, table + [(1, 1, ())]).is_zero()
+    assert "BetaPoly" in built

@@ -8,8 +8,17 @@ import pytest
 
 from macdunkl.cli import emit_report, main
 from macdunkl.errors import DomainError
-from macdunkl.operators import OperatorMatrix, extract_order
-from macdunkl.verify.identities import REGISTRY, Verdict, suite_plan, verify_identity
+from macdunkl.operators import OperatorMatrix, extract_order, h_op, primitive_matrix, window
+from macdunkl.verify import closedforms, identities
+from macdunkl.verify.closedforms import _combo_literal
+from macdunkl.verify.identities import (
+    REGISTRY,
+    Verdict,
+    _matrix_residual,
+    check_order_form,
+    suite_plan,
+    verify_identity,
+)
 from macdunkl.verify.witness import WitnessReport, _first_nonzero_column, _rendered_column
 
 
@@ -306,3 +315,111 @@ def test_types_suite_plan_grid():
     grids = {(p["n"], p["r"]) for _, p in plan}
     assert grids == {(6, 3), (7, 3), (7, 4)}
     assert len(plan) == 18
+
+
+# -- failing paths of the checks that evaluate one vanishing table ----------
+
+
+def _altered(table, by=Fraction(1, 3)):
+    """The table with its first nonzero coefficient moved by `by`."""
+    i = next(i for i, (c, _, _) in enumerate(table) if c)
+    c, j, factors = table[i]
+    return table[:i] + [(c + by, j, factors)] + table[i + 1:]
+
+
+def _old_residual(got, n, degree, form_table, label="difference", j=None):
+    """The residual as computed by subtracting the two sides' matrices,
+    the form evaluated term by term by the literal oracle; with j given,
+    both sides are b^j slices first."""
+    want = _combo_literal(n, window(degree, n), form_table)
+    if j is not None:
+        got, want = got.beta_slice(j), want.beta_slice(j)
+    return _matrix_residual(got - want, label)
+
+
+@pytest.mark.parametrize(
+    "k,form,n,r",
+    [
+        (1, closedforms.first_order, 3, 2),
+        (2, closedforms.second_order, 4, 2),
+        (3, closedforms.third_order_dunkl, 4, 3),
+        (3, closedforms.third_order_display, 3, 2),
+        (4, closedforms.rank1_fourth_order, 3, 1),
+    ],
+)
+def test_order_form_failure_is_the_difference_matrix(k, form, n, r):
+    degree = 3
+    altered = _altered(form(n, r))
+    residual = check_order_form(k, lambda n, r: altered, n, r, degree)
+    got = extract_order(n, r, k, degree, 4)
+    assert residual is not None
+    assert residual == _old_residual(got, n, degree, altered)
+
+
+def test_ord3_raw_eq_dunkl_failure_is_the_difference_matrix(monkeypatch):
+    n, r, degree = 4, 2, 3
+    raw = closedforms.third_order_raw(n, r)
+    altered = _altered(closedforms.third_order_dunkl(n, r), by=-2)
+    monkeypatch.setattr(closedforms, "third_order_dunkl", lambda n, r: altered)
+    v = verify_identity("ord3_raw_eq_dunkl", n=n, r=r, degree=degree)
+    got = _combo_literal(n, window(degree, n), raw)
+    assert not v.passed
+    assert v.residual == _old_residual(got, n, degree, altered)
+
+
+@pytest.mark.parametrize("tid", [1, 4, 6])
+def test_type_failure_is_the_difference_matrix(monkeypatch, tid):
+    n, r, degree = 6, 3, 2
+    altered = _altered(identities._closed_terms(n, r, tid), by=Fraction(-5, 7))
+    monkeypatch.setattr(identities, "_closed_terms", lambda n, r, tid: altered)
+    v = verify_identity(f"type{tid}_matches", n=n, r=r, degree=degree)
+    got = _combo_literal(n, window(degree, n), identities._raw_terms(n, r, tid))
+    assert not v.passed
+    assert v.residual == _old_residual(got, n, degree, altered, j=0)
+
+
+@pytest.mark.parametrize(
+    "k,name,label",
+    [
+        (1, "h1_explicit", "difference"),
+        (2, "h2_explicit_pairs", "vs kernel-ratio form"),
+        (2, "h2_explicit_b", "vs B-operator form"),
+        (3, "h3_explicit", "difference"),
+    ],
+)
+def test_h_explicit_failure_is_the_difference_matrix(monkeypatch, k, name, label):
+    n, degree = 3, 3
+    altered = _altered(getattr(closedforms, name)(n))
+    monkeypatch.setattr(closedforms, name, lambda n: altered)
+    v = verify_identity(f"h_explicit_{k}", n=n, degree=degree)
+    got = primitive_matrix((h_op, k), n, window(degree, n))
+    assert not v.passed
+    assert v.residual == _old_residual(got, n, degree, altered, label)
+
+
+@pytest.mark.parametrize(
+    "name,label",
+    [
+        ("beta2_h3_rhs_pairs", "lhs vs kernel-ratio rhs"),
+        ("beta2_h3_rhs_b", "lhs vs B-operator rhs"),
+    ],
+)
+def test_beta2_h3_failure_is_the_difference_matrix(monkeypatch, name, label):
+    n, degree = 4, 3
+    lhs = closedforms.beta2_h3_lhs(n)
+    altered = _altered(getattr(closedforms, name)(n), by=Fraction(7, 2))
+    monkeypatch.setattr(closedforms, name, lambda n: altered)
+    v = verify_identity("beta2_h3", n=n, degree=degree)
+    got = _combo_literal(n, window(degree, n), lhs)
+    assert not v.passed
+    assert v.residual == _old_residual(got, n, degree, altered, label, j=0)
+
+
+def test_beta2_h3_failure_of_the_lhs_names_the_first_rhs(monkeypatch):
+    n, degree = 4, 3
+    altered = _altered(closedforms.beta2_h3_lhs(n))
+    rhs = closedforms.beta2_h3_rhs_pairs(n)
+    monkeypatch.setattr(closedforms, "beta2_h3_lhs", lambda n: altered)
+    v = verify_identity("beta2_h3", n=n, degree=degree)
+    got = _combo_literal(n, window(degree, n), altered)
+    assert v.residual == _old_residual(got, n, degree, rhs, "lhs vs kernel-ratio rhs", j=0)
